@@ -16,7 +16,7 @@ from .orthopoly import (
     polys_from_recurrence,
     smop_from_moments,
 )
-from .poly import Polynomial, X, wronskian
+from .poly import Polynomial, X
 from .rational import ZERO, ONE, rat
 from .reports import CheckReport
 
@@ -205,11 +205,28 @@ def inverse_functional_identity_check(u, norm1=ONE):
 
 
 def origin_wronskians(u, n_max):
-    """W(P_n, P_{n-1})(0) for n = 1..n_max+1, plus the recurrence and base polys."""
+    """Origin Wronskians of the SMOP of u, from its recurrence in O(n_max).
+
+    Returns (rc, skips, ws): ws[n] = W(P_n, P_{n-1})(0) for n = 1..n_max+1
+    and skips[n] = W(P_{n+1}, P_{n-1})(0) for n = 1..n_max, as dicts,
+    with W(p, q)(0) = p(0) q'(0) - p'(0) q(0).  The values p[m] = P_m(0)
+    and slopes dp[m] = P_m'(0) run through the recurrence at x = 0 and
+    its derivative, P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}'.
+    """
     rc, _ = smop_from_moments(u, n_max + 1)
-    base = polys_from_recurrence(rc, n_max + 1)
-    ws = {n: wronskian(base[n], base[n - 1], 0) for n in range(1, n_max + 2)}
-    return rc, base, ws
+    p = [ONE]
+    dp = [ZERO]
+    for m in range(n_max + 1):
+        value = -rc.b[m] * p[m]
+        slope = p[m] - rc.b[m] * dp[m]
+        if m >= 1:
+            value -= rc.a[m - 1] * p[m - 1]
+            slope -= rc.a[m - 1] * dp[m - 1]
+        p.append(value)
+        dp.append(slope)
+    ws = {n: p[n] * dp[n - 1] - dp[n] * p[n - 1] for n in range(1, n_max + 2)}
+    skips = {n: p[n + 1] * dp[n - 1] - dp[n + 1] * p[n - 1] for n in range(1, n_max + 1)}
+    return rc, skips, ws
 
 
 def inverse_level_one(rc):
@@ -240,13 +257,11 @@ def inverse_connection(u, n_max):
     """
     if u.moments[0] == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
-    rc, base, ws = origin_wronskians(u, n_max)
+    rc, skips, ws = origin_wronskians(u, n_max)
     _inverse_guards(rc, ws, n_max)
     u0sq = u.moments[0] ** 2
     d_star = {n: ws[n] / u0sq for n in range(1, n_max + 2)}
-    alpha1 = {
-        n: -wronskian(base[n + 1], base[n - 1], 0) / ws[n] for n in range(1, n_max + 1)
-    }
+    alpha1 = {n: -skips[n] / ws[n] for n in range(1, n_max + 1)}
     alpha2 = {n: ws[n + 1] / ws[n] for n in range(2, n_max + 1)}
     return alpha1, alpha2, d_star
 
@@ -279,17 +294,18 @@ def inverse_recurrence(u, n_max):
     b^-_0 = -b_0 (the degree-one polynomial is x + b_0); for n >= 1,
     b^-_n telescopes two consecutive Wronskian ratios against b_{n+1};
     a^-_1 = -(b_0^2 + a_1) and higher a^-_n scale a_{n-1} by a square of
-    Wronskian ratios.  The result is cross-checked against Gram-Schmidt
-    on the inverted moments before being returned.
+    Wronskian ratios.  The result is cross-checked against the
+    moments-to-recurrence route (the Chebyshev algorithm) on the inverted
+    moments, which uses no Wronskian, before being returned.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rc, base, ws = origin_wronskians(u, n_max)
+    rc, skips, ws = origin_wronskians(u, n_max)
     _inverse_guards(rc, ws, n_max)
     bs = [-rc.b_at(0)]
     for n in range(1, n_max):
-        middle = wronskian(base[n + 1], base[n - 1], 0) / ws[n]
-        last = wronskian(base[n + 2], base[n], 0) / ws[n + 1]
+        middle = skips[n] / ws[n]
+        last = skips[n + 1] / ws[n + 1]
         bs.append(rc.b_at(n + 1) - middle + last)
     a_s = []
     if n_max >= 2:
@@ -301,5 +317,5 @@ def inverse_recurrence(u, n_max):
     check_depth = min(n_max, u.order // 2)
     direct, _ = smop_from_moments(fa.invert(u), check_depth)
     if direct != result.truncated(check_depth):
-        raise AssertionError("Wronskian route disagrees with Gram-Schmidt on u^{-1}")
+        raise AssertionError("Wronskian route disagrees with the moments of u^{-1}")
     return result

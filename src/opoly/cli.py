@@ -83,9 +83,9 @@ def max_order_cap():
     return cap
 
 
-def checked_size(value, what):
-    if value < 1:
-        raise UsageError("%s must be positive" % what)
+def checked_size(value, what, least=1):
+    if value < least:
+        raise UsageError("%s must be at least %d" % (what, least))
     cap = max_order_cap()
     if value > cap:
         raise UsageError("%s %d exceeds OPOLY_MAX_ORDER = %d" % (what, value, cap))
@@ -253,7 +253,8 @@ def cmd_factorize(args):
     u = read_functional(sys.stdin)
     c = parse_param(args.c, "--c")
     size = args.size if args.size is not None else u.order // 2
-    checked_size(size, "--size")
+    # a quadratic (triband) factorization needs three rows, lu and ul two
+    checked_size(size, "--size", least=3 if args.mode == "quadratic" else 2)
     if args.mode == "lu":
         rc, _ = smop_from_moments(u, size)
         lower, upper, transformed = christoffel_lu(jacobi_matrix(rc, size), c)
@@ -303,6 +304,10 @@ VERIFY_SUMMARIES = {
     "christoffel+assoc": "the full multiplication-side interplay bundle",
     "geronimus+assoc": "the full division-side interplay bundle",
 }
+
+
+# identities whose matrices need more than one row; every other one takes --n >= 1
+VERIFY_MIN_N = {"propLUinversa": 2, "shifted-lu": 2, "g-matrix": 3, "relationlu": 3}
 
 
 def run_verify(name, u, params):
@@ -384,8 +389,10 @@ def cmd_verify(args):
         "alpha": parse_param(args.alpha, "--alpha"),
         "k": checked_size(args.k, "--k"),
         "norm": parse_param(args.norm, "--norm"),
-        "n": checked_size(args.n, "--n"),
+        "n": checked_size(args.n, "--n", least=VERIFY_MIN_N.get(name, 1)),
     }
+    if name == "linearcombination" and params["k"] > params["n"]:
+        raise UsageError("linearcombination needs --k <= --n")
     reports = run_verify(name, u, params)
     if name.endswith("+assoc"):
         shown = {
@@ -534,7 +541,7 @@ def family_reproduction(name, alpha, order):
 
 def cmd_example(args):
     alpha = parse_param(args.alpha, "--alpha")
-    checked_size(args.order, "--order")
+    checked_size(args.order, "--order", least=4)
     if args.family not in FAMILY_BUILDERS:
         raise UsageError(
             "unknown family %r (choose from %s)"
@@ -645,9 +652,6 @@ def main(argv=None):
     except OpolyError as exc:
         emit_json(error_payload(exc), getattr(args, "out", None))
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print("opoly: %s" % exc, file=sys.stderr)
-        return 2
     return 0 if ok else 1
 
 

@@ -198,11 +198,16 @@ def shifted_factor_check(u, c, size):
     return combine("shifted-lu", reports, c=str(c), alpha=str(alpha))
 
 
-def geronimus_assoc_polys(v, m0, n_max):
-    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
+def _nonzero_mass(m0):
     m0 = rat(m0)
     if m0 == 0:
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
+    return m0
+
+
+def geronimus_assoc_polys(v, m0, n_max):
+    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
+    m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     rc, _ = smop_from_moments(v, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
@@ -220,7 +225,7 @@ def geronimus_corecursive_check(v, m0, n_max):
     regenerated from the perturbed recurrence must match the convolution
     route through v^{-1} - (1/m0) delta_0'.
     """
-    m0 = rat(m0)
+    m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
     direct = geronimus_assoc_polys(v, m0, n_max)
@@ -252,7 +257,7 @@ def _hat_first(v, c, m0, size):
     v0 = v.moments[0]
     rc, _ = smop_from_moments(v, size + 1)
     lower, upper, transformed = geronimus_ul(
-        jacobi_matrix(rc, size + 1), rat(c), v0 / rat(m0)
+        jacobi_matrix(rc, size + 1), rat(c), v0 / _nonzero_mass(m0)
     )
     hat_rc = recurrence_from_jacobi(transformed)
     return rc, lower, upper, hat_rc
@@ -300,7 +305,7 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     structural reading of Uhat as the pure index shift of L.
     """
     c = rat(c)
-    m0 = rat(m0)
+    m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
     rc, lower, upper, hat_rc = _hat_first(v, c, m0, size)

@@ -113,11 +113,11 @@ def geronimus_ul(j, c, beta0):
 def christoffel_connection_check(u, c, n):
     """Identity "repChris" plus the elimination's closed forms.
 
-    Checks, against the SMOP of (x - c) u computed independently by
-    Gram-Schmidt: the kernel representation (x - c) Ptilde_n =
-    P_{n+1} - (P_{n+1}(c)/P_n(c)) P_n; the pivot values beta_n =
-    -P_{n+1}(c)/P_n(c); and that the swapped factorization reproduces the
-    transformed recurrence.
+    Checks, against the SMOP of (x - c) u computed independently from its
+    moments by the Chebyshev algorithm: the kernel representation
+    (x - c) Ptilde_n = P_{n+1} - (P_{n+1}(c)/P_n(c)) P_n; the pivot values
+    beta_n = -P_{n+1}(c)/P_n(c); and that the swapped factorization
+    reproduces the transformed recurrence.
     """
     c = rat(c)
     rc, _ = smop_from_moments(u, n + 1)
@@ -159,7 +159,8 @@ def christoffel_connection_check(u, c, n):
 def geronimus_connection_check(v, c, m0, n):
     """Division by (x - c) with mass m0: connection and pivot identities.
 
-    Verifies, with vhat = geronimus(v, c, m0) expanded by Gram-Schmidt:
+    Verifies, with the SMOP of vhat = geronimus(v, c, m0) computed from
+    its moments by the Chebyshev algorithm:
     Phat_n = P_n + ell_n P_{n-1}; (x - c) P_n = Phat_{n+1} + beta_n Phat_n
     with beta_n = -Phat_{n+1}(c)/Phat_n(c); the ell_n ratio formula in
     terms of P, the first associated sequence, and the masses; and that

@@ -3,7 +3,7 @@
 from .errors import NotQuasiDefinite, TruncationExhausted
 from .functional import MomentFunctional, apply
 from .matrices import BandMatrix
-from .poly import ONE_POLY, Polynomial, X
+from .poly import ONE_POLY, Polynomial
 from .rational import ZERO, ONE, rat
 
 
@@ -74,9 +74,13 @@ class OrthogonalSystem:
     There is one norm fewer than there are polynomials: the top norm would
     need moments beyond those that determined P_n.  All norms are nonzero;
     a vanishing norm is exactly failure of quasi-definiteness.
+
+    The constructor validates polynomials built elsewhere.  A system made
+    by `from_recurrence` holds only its recurrence and builds `polys` on
+    first access.
     """
 
-    __slots__ = ("polys", "norms")
+    __slots__ = ("_polys", "_rc", "norms")
 
     def __init__(self, polys, norms):
         polys = tuple(polys)
@@ -91,12 +95,31 @@ class OrthogonalSystem:
         for k, norm in enumerate(norms):
             if norm == 0:
                 raise NotQuasiDefinite(k, guard="norm")
-        self.polys = polys
+        self._polys = polys
+        self._rc = None
         self.norms = norms
+
+    @classmethod
+    def from_recurrence(cls, rc, norms):
+        """The system P_0..P_{rc.length} of a recurrence with its (nonzero) norms."""
+        norms = tuple(norms)
+        if len(norms) != rc.length:
+            raise ValueError("expected %d norms, got %d" % (rc.length, len(norms)))
+        system = cls.__new__(cls)
+        system._polys = None
+        system._rc = rc
+        system.norms = norms
+        return system
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            self._polys = polys_from_recurrence(self._rc, self._rc.length)
+        return self._polys
 
     @property
     def n_max(self):
-        return len(self.polys) - 1
+        return len(self.norms)
 
     def poly(self, n):
         return self.polys[n]
@@ -109,12 +132,19 @@ class OrthogonalSystem:
 
 
 def smop_from_moments(u, n_max):
-    """Gram–Schmidt on the moment sequence.
+    """Moments to recurrence by the Chebyshev algorithm, in O(n_max^2).
+
+    Runs over the mixed moments s_{k,l} = <u, P_k x^l>, two rows at a
+    time: s_{k,l} = s_{k-1,l+1} - b_{k-1} s_{k-1,l} - a_{k-1} s_{k-2,l},
+    K_k = s_{k,k}, a_k = K_k / K_{k-1} and
+    b_k = s_{k,k+1} / K_k - s_{k-1,k} / K_{k-1} (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 2.1.7).
 
     Needs 2*n_max moments.  Returns the recurrence coefficients
     (b_0..b_{n_max-1}, a_1..a_{n_max-1}) and the system P_0..P_{n_max}
-    with norms K_0..K_{n_max-1}.  Raises NotQuasiDefinite at the first
-    vanishing norm, whose index equals the offending Hankel level.
+    with norms K_0..K_{n_max-1}; the polynomials are built only when
+    read.  Raises NotQuasiDefinite at the first vanishing norm, whose
+    index equals the offending Hankel level, since K_k = H_k / H_{k-1}.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -122,42 +152,56 @@ def smop_from_moments(u, n_max):
         raise TruncationExhausted(
             "need %d moments for n_max=%d, have %d" % (2 * n_max, n_max, u.order)
         )
-    polys = [ONE_POLY]
+    width = 2 * n_max
+    # sigma[l] = s_{k,l} and below[l] = s_{k-1,l}; only l >= k is used
+    below = [ZERO] * width
+    sigma = list(u.moments[:width])
     norms = []
     bs = []
     a_s = []
-    prev_norm = None
     for k in range(n_max):
-        pk = polys[k]
-        norm_k = apply(u, pk * pk)
+        if k >= 1:
+            b = bs[k - 1]
+            a = a_s[k - 2] if k >= 2 else ZERO
+            below, sigma = sigma, [ZERO] * k + [
+                sigma[l + 1] - b * sigma[l] - a * below[l] for l in range(k, width - k)
+            ]
+        norm_k = sigma[k]
         if norm_k == 0:
             raise NotQuasiDefinite(k, guard="norm")
-        norms.append(norm_k)
-        b_k = apply(u, X * pk * pk) / norm_k
-        bs.append(b_k)
-        nxt = (X - b_k) * pk
+        b_k = sigma[k + 1] / norm_k
         if k >= 1:
-            a_k = norm_k / prev_norm
-            a_s.append(a_k)
-            nxt = nxt - a_k * polys[k - 1]
-        polys.append(nxt)
-        prev_norm = norm_k
-    return RecurrenceCoefficients(bs, a_s), OrthogonalSystem(polys, norms)
+            b_k -= below[k] / norms[k - 1]
+            a_s.append(norm_k / norms[k - 1])
+        norms.append(norm_k)
+        bs.append(b_k)
+    rc = RecurrenceCoefficients(bs, a_s)
+    return rc, OrthogonalSystem.from_recurrence(rc, norms)
 
 
 def polys_from_recurrence(rc, n_max):
-    """Run the three-term recurrence forward; P_0..P_{n_max}."""
+    """Run the three-term recurrence forward; P_0..P_{n_max}.
+
+    (x - b_k) P_k is formed on coefficient lists, as a shift minus a
+    scaled copy.
+    """
     if n_max > rc.length:
         raise TruncationExhausted(
             "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n_max)
         )
-    polys = [ONE_POLY]
+    rows = [[ONE]]
     for k in range(n_max):
-        nxt = (X - rc.b[k]) * polys[k]
+        pk = rows[k]
+        b = rc.b[k]
+        nxt = [ZERO] + pk
+        for i, c in enumerate(pk):
+            nxt[i] -= b * c
         if k >= 1:
-            nxt = nxt - rc.a[k - 1] * polys[k - 1]
-        polys.append(nxt)
-    return tuple(polys)
+            a = rc.a[k - 1]
+            for i, c in enumerate(rows[k - 1]):
+                nxt[i] -= a * c
+        rows.append(nxt)
+    return tuple(Polynomial(row) for row in rows)
 
 
 def jacobi_matrix(rc, size):
@@ -189,6 +233,9 @@ def recurrence_from_jacobi(j):
 def moments_from_jacobi(j, u0, n):
     """Moments u0 * (J^k)_{0,0} for k < n, read off by vector iteration.
 
+    `j` is a BandMatrix; each step reads its diagonals directly and keeps
+    only the entries of J^k e_0 that can still reach the (0, 0) entry.
+
     Entries of J^k only involve indices up to ceil(k/2), so the truncated
     matrix reproduces the untruncated moments exactly for n <= 2*size - 1
     (counting only the reliable block when the matrix carries a margin).
@@ -203,21 +250,29 @@ def moments_from_jacobi(j, u0, n):
             % (usable, usable, max(2 * usable - 1, 0), n)
         )
     size = j.size
-    w = [ZERO] * size
-    w[0] = ONE
-    moments = [u0]
     lower, upper = j.lower, j.upper
-    for _ in range(n - 1):
-        nxt = [ZERO] * size
-        for i in range(size):
-            lo = max(0, i - lower)
-            hi = min(size - 1, i + upper)
-            acc = ZERO
-            for k in range(lo, hi + 1):
-                c = j.entry(i, k)
-                if c != 0:
-                    acc += c * w[k]
-            nxt[i] = acc
+    # a monic Jacobi matrix has a unit superdiagonal: add without multiplying
+    diagonals = tuple(
+        (d, entries, min(d, 0), all(c == 1 for c in entries))
+        for d, entries in j.diagonals.items()
+    )
+    w = [ONE]
+    moments = [u0]
+    for t in range(n - 1):
+        # w = J^(t+1) e_0 is supported on indices <= (t+1)*lower, and index
+        # i can still reach w[0] in the n-2-t steps left only if
+        # i <= (n-2-t)*upper; the other entries never touch a moment.
+        top = min(size - 1, (t + 1) * lower, (n - 2 - t) * upper)
+        nxt = [ZERO] * (top + 1)
+        for d, entries, offset, unit in diagonals:
+            # J[i, i+d] = entries[min(i, i+d)]
+            rows = range(max(0, -d), min(top, len(w) - 1 - d) + 1)
+            if unit:
+                for i in rows:
+                    nxt[i] += w[i + d]
+            else:
+                for i in rows:
+                    nxt[i] += entries[i + offset] * w[i + d]
         w = nxt
         moments.append(u0 * w[0])
     return MomentFunctional(moments)

@@ -156,8 +156,9 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
 
     bhat_n = b_n + alpha1[n] - alpha1[n+1]; ahat_1 and ahat_2 have closed
     forms in the masses, and ahat_n = (alpha2[n]/alpha2[n-1]) a_{n-2} for
-    n >= 3.  The result must agree with Gram-Schmidt on the transformed
-    moments; any discrepancy raises.
+    n >= 3.  The result must agree with the moments-to-recurrence route
+    (the Chebyshev algorithm) on the transformed moments; any discrepancy
+    raises.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -185,7 +186,7 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
     v = fa.quadratic_geronimus(u, c, m0, m1)
     direct, _ = smop_from_moments(v, n_max)
     if direct != result:
-        raise AssertionError("connection route disagrees with Gram-Schmidt on the transform")
+        raise AssertionError("connection route disagrees with the moments of the transform")
     return result
 
 

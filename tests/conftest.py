@@ -1,8 +1,13 @@
-"""Shared helpers for the test suite: committed fixtures and family builders."""
+"""Shared helpers for the test suite: committed fixtures, family builders and
+the Gram-Schmidt reference for moments to recurrence."""
 
 import json
 from pathlib import Path
 
+from opoly import functional as fa
+from opoly.errors import NotQuasiDefinite
+from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
+from opoly.poly import ONE_POLY, X
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import parse_rational
 
@@ -35,3 +40,30 @@ def random_source_recurrence():
     """The recurrence that generated the random fixture's moments."""
     obj = fixture_json("random_order20.json")
     return parse_rational_list(obj["source_b"]), parse_rational_list(obj["source_a"])
+
+
+def gram_schmidt(u, n_max):
+    """Reference route: Gram-Schmidt on 1, x, x^2, ... in O(n_max^3).
+
+    Norms are <u, P_k^2> and b_k = <u, x P_k^2> / K_k, formed from
+    polynomial products, so it shares no step with the mixed moments.
+    """
+    polys = [ONE_POLY]
+    norms = []
+    bs = []
+    a_s = []
+    for k in range(n_max):
+        pk = polys[k]
+        norm = fa.apply(u, pk * pk)
+        if norm == 0:
+            raise NotQuasiDefinite(k, guard="norm")
+        b = fa.apply(u, X * pk * pk) / norm
+        nxt = (X - b) * pk
+        if k >= 1:
+            a = norm / norms[k - 1]
+            a_s.append(a)
+            nxt = nxt - a * polys[k - 1]
+        norms.append(norm)
+        bs.append(b)
+        polys.append(nxt)
+    return RecurrenceCoefficients(bs, a_s), OrthogonalSystem(polys, norms)

@@ -346,6 +346,20 @@ def test_factorize_ul_rejects_zero_mass(monkeypatch, capsys):
     assert "--m0 must be nonzero" in err
 
 
+@pytest.mark.parametrize("mode,smallest", [("lu", 2), ("ul", 2), ("quadratic", 3)])
+def test_factorize_rejects_a_size_below_the_smallest_factorization(
+    monkeypatch, capsys, mode, smallest
+):
+    code, _, err = invoke(
+        monkeypatch,
+        capsys,
+        ["factorize", mode, "--c", "1/2", "--size", str(smallest - 1)],
+        stdin_text=family_json(families.chebyshev_u(12)),
+    )
+    assert code == 2
+    assert "--size must be at least %d" % smallest in err
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_list_catalogue(monkeypatch, capsys):
@@ -489,6 +503,58 @@ def test_verify_unknown_family(monkeypatch, capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["relationlu", "--n", "2"], "--n must be at least 3"),
+        (["g-matrix", "--n", "2"], "--n must be at least 3"),
+        (["propLUinversa", "--n", "1"], "--n must be at least 2"),
+        (["shifted-lu", "--n", "1"], "--n must be at least 2"),
+        (["pade", "--n", "0"], "--n must be at least 1"),
+        (["asociadosrepr", "--k", "0"], "--k must be at least 1"),
+        (["linearcombination", "--n", "2", "--k", "3"], "needs --k <= --n"),
+    ],
+)
+def test_verify_range_errors_are_usage_errors(monkeypatch, capsys, argv, message):
+    code, out, err = invoke(
+        monkeypatch, capsys, ["verify"] + argv + ["--family", "chebyshev-u"]
+    )
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("name", ["gero1", "gero2", "pro6", "geronimus+assoc"])
+def test_verify_zero_mass_is_a_typed_error(monkeypatch, capsys, name):
+    code, out, _ = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", name, "--family", "laguerre", "--order", "12", "--n", "3", "--m0", "0"],
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "DegenerateParameter"
+
+
+def test_a_zero_division_inside_the_math_is_not_a_usage_error():
+    # a producer failing with a bare ZeroDivisionError is a library bug:
+    # it must surface as a traceback, never as exit 2 ("bad arguments")
+    script = (
+        "import sys\n"
+        "from opoly import cli\n"
+        "def producer(*args):\n"
+        "    raise ZeroDivisionError('inside the math')\n"
+        "cli.smop_from_moments = producer\n"
+        "sys.exit(cli.main(['smop']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        input=family_json(families.chebyshev_u(8)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode != 2
+    assert "ZeroDivisionError: inside the math" in result.stderr
+
+
 # -- example -------------------------------------------------------------------
 
 def test_example_chebyshev_u(monkeypatch, capsys):
@@ -532,6 +598,12 @@ def test_example_laguerre(monkeypatch, capsys):
     assert "value-at-zero-table" in names
     assert "assoc-value-at-zero-table" in names
     assert all(check["status"] == "pass" for check in payload["checks"])
+
+
+def test_example_rejects_an_order_without_an_inverse_table(monkeypatch, capsys):
+    code, out, err = invoke(monkeypatch, capsys, ["example", "laguerre", "--order", "3"])
+    assert code == 2 and out == ""
+    assert "--order must be at least 4" in err
 
 
 # -- environment and plumbing ---------------------------------------------------

@@ -1,8 +1,9 @@
-"""Moments to recurrence and back: Gram-Schmidt, Jacobi truncations, Hankel minors."""
+"""Moments to recurrence and back: Chebyshev algorithm, Jacobi truncations, Hankel minors."""
 
 import pytest
+from conftest import gram_schmidt
 
-from opoly import families
+from opoly import families, orthopoly
 from opoly import functional as fa
 from opoly.errors import NotQuasiDefinite, TruncationExhausted
 from opoly.functional import MomentFunctional
@@ -116,10 +117,25 @@ def test_smop_raises_at_the_first_vanishing_norm():
 
 def test_polys_from_recurrence_matches_gram_schmidt():
     u = families.chebyshev_t(20)
-    rc, system = smop_from_moments(u, 10)
-    assert polys_from_recurrence(rc, 10) == system.polys
+    rc, _ = smop_from_moments(u, 10)
+    assert polys_from_recurrence(rc, 10) == gram_schmidt(u, 10)[1].polys
     with pytest.raises(TruncationExhausted):
         polys_from_recurrence(rc, 11)
+
+
+def test_smop_builds_its_polynomials_only_when_read(monkeypatch):
+    built = []
+
+    def counting(rc, n_max):
+        built.append(n_max)
+        return polys_from_recurrence(rc, n_max)
+
+    monkeypatch.setattr(orthopoly, "polys_from_recurrence", counting)
+    rc, system = smop_from_moments(families.laguerre(0, 16), 8)
+    assert built == [] and system.n_max == 8
+    assert system.poly(8) == polys_from_recurrence(rc, 8)[8]
+    assert system.polys is system.polys
+    assert built == [8]
 
 
 def test_jacobi_matrix_layout():
