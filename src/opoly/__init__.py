@@ -2,9 +2,10 @@
 orthogonal polynomial sequences, and the spectral transformations that
 connect them.
 
-Everything is computed twice wherever the theory offers two routes —
+Producers compute one route.  Where the theory offers a second route —
 determinants against recurrences, eliminations against ratio formulas,
-series against convolutions — and compared at exact equality.
+series against convolutions — it lives in the `verify` identity that
+compares the two at exact equality.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ module builds that system and its recurrence by two independent routes.
 """
 
 from . import functional as fa
-from .errors import NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
+from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
 from .orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
@@ -27,7 +27,12 @@ def associated_polys(rc, k, n_max):
 
 
 def associated_functional(rc, k, norm0, n):
-    """n moments of the k-th associated functional, scaled so its first is norm0."""
+    """n moments of the k-th associated functional, scaled so its first is norm0.
+
+    norm0 = 0 would give the zero functional, so it raises DegenerateParameter.
+    """
+    if rat(norm0) == 0:
+        raise DegenerateParameter("the associated functional needs a nonzero first moment")
     shifted = rc.shifted(k)
     return moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm0, n)
 
@@ -173,13 +178,6 @@ def corecursive_functional_check(u, alpha):
         predicate="normalized",
         alpha=str(alpha),
     )
-
-
-def first_kind_functional(u, norm1, n):
-    """n moments of the first-associated functional with first moment norm1."""
-    depth = (n + 1) // 2 + 1
-    rc, _ = smop_from_moments(u, depth)
-    return associated_functional(rc, 1, norm1, n)
 
 
 def inverse_functional_identity_check(u, norm1=ONE):

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 
 from . import __version__
 from . import families
@@ -282,85 +283,113 @@ def cmd_factorize(args):
     return True
 
 
-VERIFY_SUMMARIES = {
-    "repChris": "multiplication step: (x-c) times each transformed polynomial is a two-term combination of the originals, with pivots matching value ratios",
-    "fu1": "the first-associated functional equals an explicit multiple of x^2 times the convolution inverse",
-    "identidad": "the generating series of a functional and of its convolution inverse multiply to z^-2",
-    "relationS": "the first-associated generating series as an affine expression in the inverse one",
-    "funccorre": "the co-recursive functional via normalization of the perturbed inverse",
-    "pade": "the series remainder against P_n vanishes from z^(n-1) through z^-n and resumes with the norm",
-    "conex2": "(x-c)^2 times each polynomial is a three-term combination of the double-kernel SMOP",
-    "propLUinversa": "the squared shifted Jacobi matrices factor as the two swapped products of one triband pair",
-    "relationlu": "the origin analogue of the swapped triband factorization for the inverse SMOP",
-    "g-matrix": "the dense quotient of the inverse Jacobi matrix by the lower factor links both factorizations",
-    "pro5": "associated-then-multiplied SMOP equals a one-parameter perturbation of the first-associated SMOP",
-    "coro1": "the first-associated functional of the multiplied functional is the multiplied perturbed functional (normalized)",
-    "shifted-lu": "dropping the leading row and column of both factors refactors the perturbed matrix",
-    "gero1": "(x-c) times the transformed first-associated polynomials is a two-term combination of the auxiliary family",
-    "gero2": "the auxiliary family is a two-term combination of the transformed first-associated polynomials",
-    "pro6": "the transformed functional's first-associated is a multiplication transform of the perturbed one, with matching shifted factors",
-    "asociadosrepr": "each associated polynomial is a divided difference of the previous associated level",
-    "linearcombination": "higher associated polynomials as a fixed polynomial combination of the base and first-associated families",
-    "christoffel+assoc": "the full multiplication-side interplay bundle",
-    "geronimus+assoc": "the full division-side interplay bundle",
+# run(u, params) returns an identity's CheckReports; least_n is the smallest
+# --n its matrices can use; chain marks a bundle reported as a chain record
+Identity = namedtuple("Identity", "summary run least_n chain", defaults=(1, False))
+
+
+def _linear_combination(u, p):
+    if p["k"] > p["n"]:
+        raise UsageError("linearcombination needs --k <= --n")
+    return [linear_combination_check(u, p["k"], p["n"])]
+
+
+# every `verify` identity, in `verify --list` order
+IDENTITIES = {
+    "repChris": Identity(
+        "multiplication step: (x-c) times each transformed polynomial is a two-term combination of the originals, with pivots matching value ratios",
+        lambda u, p: [christoffel_connection_check(u, p["c"], p["n"])],
+    ),
+    "fu1": Identity(
+        "the first-associated functional equals an explicit multiple of x^2 times the convolution inverse",
+        lambda u, p: [inverse_functional_identity_check(u, p["norm"])],
+    ),
+    "identidad": Identity(
+        "the generating series of a functional and of its convolution inverse multiply to z^-2",
+        lambda u, p: [inverse_series_check(u)],
+    ),
+    "relationS": Identity(
+        "the first-associated generating series as an affine expression in the inverse one",
+        lambda u, p: [first_kind_series_check(u, p["norm"])],
+    ),
+    "funccorre": Identity(
+        "the co-recursive functional via normalization of the perturbed inverse",
+        lambda u, p: [corecursive_functional_check(u, p["alpha"])],
+    ),
+    "pade": Identity(
+        "the series remainder against P_n vanishes from z^(n-1) through z^-n and resumes with the norm",
+        lambda u, p: [pade_approximation_check(u, p["n"])],
+    ),
+    "conex2": Identity(
+        "(x-c)^2 times each polynomial is a three-term combination of the double-kernel SMOP",
+        lambda u, p: [quadratic_connection_check(u, p["c"], p["m0"], p["m1"], p["n"])],
+    ),
+    "propLUinversa": Identity(
+        "the squared shifted Jacobi matrices factor as the two swapped products of one triband pair",
+        lambda u, p: [quadratic_factorization_check(u, p["c"], p["m0"], p["m1"], p["n"])],
+        least_n=2,
+    ),
+    "relationlu": Identity(
+        "the origin analogue of the swapped triband factorization for the inverse SMOP",
+        lambda u, p: [assoc_inverse_factorization_check(u, p["norm"], p["n"])],
+        least_n=3,
+    ),
+    "g-matrix": Identity(
+        "the dense quotient of the inverse Jacobi matrix by the lower factor links both factorizations",
+        lambda u, p: [g_matrix_check(u, p["n"])],
+        least_n=3,
+    ),
+    "pro5": Identity(
+        "associated-then-multiplied SMOP equals a one-parameter perturbation of the first-associated SMOP",
+        lambda u, p: [christoffel_assoc_check(u, p["c"], p["n"])],
+    ),
+    "coro1": Identity(
+        "the first-associated functional of the multiplied functional is the multiplied perturbed functional (normalized)",
+        lambda u, p: [christoffel_assoc_functional_check(u, p["c"])],
+    ),
+    "shifted-lu": Identity(
+        "dropping the leading row and column of both factors refactors the perturbed matrix",
+        lambda u, p: [shifted_factor_check(u, p["c"], p["n"])],
+        least_n=2,
+    ),
+    "gero1": Identity(
+        "(x-c) times the transformed first-associated polynomials is a two-term combination of the auxiliary family",
+        lambda u, p: [geronimus_assoc_connection_check(u, p["c"], p["m0"], p["n"])],
+    ),
+    "gero2": Identity(
+        "the auxiliary family is a two-term combination of the transformed first-associated polynomials",
+        lambda u, p: [geronimus_assoc_second_check(u, p["c"], p["m0"], p["n"])],
+    ),
+    "pro6": Identity(
+        "the transformed functional's first-associated is a multiplication transform of the perturbed one, with matching shifted factors",
+        lambda u, p: [geronimus_assoc_factor_check(u, p["c"], p["m0"], p["n"])],
+    ),
+    "asociadosrepr": Identity(
+        "each associated polynomial is a divided difference of the previous associated level",
+        lambda u, p: [assoc_representation_check(u, p["k"], p["n"])],
+    ),
+    "linearcombination": Identity(
+        "higher associated polynomials as a fixed polynomial combination of the base and first-associated families",
+        _linear_combination,
+    ),
+    "christoffel+assoc": Identity(
+        "the full multiplication-side interplay bundle",
+        lambda u, p: christoffel_assoc_chain(u, p["c"], p["n"], p["n"]),
+        chain=True,
+    ),
+    "geronimus+assoc": Identity(
+        "the full division-side interplay bundle",
+        lambda u, p: geronimus_assoc_chain(u, p["c"], p["m0"], p["n"], p["n"]),
+        chain=True,
+    ),
 }
 
-
-# identities whose matrices need more than one row; every other one takes --n >= 1
-VERIFY_MIN_N = {"propLUinversa": 2, "shifted-lu": 2, "g-matrix": 3, "relationlu": 3}
+VERIFY_SUMMARIES = {name: identity.summary for name, identity in IDENTITIES.items()}
 
 
 def run_verify(name, u, params):
-    c = params["c"]
-    m0 = params["m0"]
-    m1 = params["m1"]
-    alpha = params["alpha"]
-    k = params["k"]
-    norm = params["norm"]
-    n = params["n"]
-    if name == "repChris":
-        return [christoffel_connection_check(u, c, n)]
-    if name == "fu1":
-        return [inverse_functional_identity_check(u, norm)]
-    if name == "identidad":
-        return [inverse_series_check(u)]
-    if name == "relationS":
-        return [first_kind_series_check(u, norm)]
-    if name == "funccorre":
-        return [corecursive_functional_check(u, alpha)]
-    if name == "pade":
-        return [pade_approximation_check(u, n)]
-    if name == "conex2":
-        return [quadratic_connection_check(u, c, m0, m1, n)]
-    if name == "propLUinversa":
-        return [quadratic_factorization_check(u, c, m0, m1, n)]
-    if name == "relationlu":
-        return [assoc_inverse_factorization_check(u, norm, n)]
-    if name == "g-matrix":
-        return [g_matrix_check(u, n)]
-    if name == "pro5":
-        return [christoffel_assoc_check(u, c, n)]
-    if name == "coro1":
-        return [christoffel_assoc_functional_check(u, c)]
-    if name == "shifted-lu":
-        return [shifted_factor_check(u, c, n)]
-    if name == "gero1":
-        return [geronimus_assoc_connection_check(u, c, m0, n)]
-    if name == "gero2":
-        return [geronimus_assoc_second_check(u, c, m0, n)]
-    if name == "pro6":
-        return [geronimus_assoc_factor_check(u, c, m0, n)]
-    if name == "asociadosrepr":
-        return [assoc_representation_check(u, k, n)]
-    if name == "linearcombination":
-        return [linear_combination_check(u, k, n)]
-    if name == "christoffel+assoc":
-        return christoffel_assoc_chain(u, c, n, n)
-    if name == "geronimus+assoc":
-        return geronimus_assoc_chain(u, c, m0, n, n)
-    raise UsageError(
-        "unknown identity %r; run `opoly verify --list` for the catalogue" % name
-    )
+    """The CheckReports of one registered identity."""
+    return IDENTITIES[name].run(u, params)
 
 
 def cmd_verify(args):
@@ -377,7 +406,7 @@ def cmd_verify(args):
     if not args.name:
         raise UsageError("name an identity to verify, or pass --list")
     name = args.name
-    if name not in VERIFY_SUMMARIES:
+    if name not in IDENTITIES:
         raise UsageError(
             "unknown identity %r; run `opoly verify --list` for the catalogue" % name
         )
@@ -389,12 +418,10 @@ def cmd_verify(args):
         "alpha": parse_param(args.alpha, "--alpha"),
         "k": checked_size(args.k, "--k"),
         "norm": parse_param(args.norm, "--norm"),
-        "n": checked_size(args.n, "--n", least=VERIFY_MIN_N.get(name, 1)),
+        "n": checked_size(args.n, "--n", least=IDENTITIES[name].least_n),
     }
-    if name == "linearcombination" and params["k"] > params["n"]:
-        raise UsageError("linearcombination needs --k <= --n")
     reports = run_verify(name, u, params)
-    if name.endswith("+assoc"):
+    if IDENTITIES[name].chain:
         shown = {
             "m0": rat_str(params["m0"]),
             "n": params["n"],

@@ -54,13 +54,7 @@ def christoffel_assoc_polys(u, c, n_max):
     base = polys_from_recurrence(rc, n_max + 1)
     first = associated_polys(rc, 1, n_max)
     scale = u0 / tilde0
-    out = []
-    for n in range(n_max + 1):
-        r = scale * ((X - c) * first[n] - base[n + 1])
-        if r.degree != n or not (n == 0 or r.is_monic):
-            raise AssertionError("kernel combination lost monicity at degree %d" % n)
-        out.append(r)
-    return tuple(out)
+    return tuple(scale * ((X - c) * first[n] - base[n + 1]) for n in range(n_max + 1))
 
 
 def corecursive_parameter(u, c):

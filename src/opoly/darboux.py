@@ -10,14 +10,7 @@ margin bookkeeping records.
 
 from . import functional as fa
 from .errors import DegenerateParameter, ZeroPivot
-from .matrices import (
-    UnitLowerBidiagonal,
-    UpperBidiagonal,
-    common_reliable,
-    equal_on_block,
-    mat_multiply,
-    shifted,
-)
+from .matrices import UnitLowerBidiagonal, UpperBidiagonal
 from .orthopoly import (
     RecurrenceCoefficients,
     jacobi_matrix,
@@ -25,8 +18,8 @@ from .orthopoly import (
     recurrence_from_jacobi,
     smop_from_moments,
 )
-from .poly import Polynomial, X
-from .rational import ONE, rat
+from .poly import X
+from .rational import rat
 from .reports import CheckReport, combine
 
 
@@ -57,19 +50,10 @@ def christoffel_lu(j, c):
         betas.append(beta)
         if beta == 0:
             raise ZeroPivot(k)
-    lower = UnitLowerBidiagonal(n, ells)
-    upper = UpperBidiagonal(n, betas)
-    product = mat_multiply(lower.to_band(), upper.to_band())
-    if not equal_on_block(product, shifted(j, c), common_reliable(product)):
-        raise AssertionError("bidiagonal elimination failed to reproduce J - cI")
     new_b = tuple(betas[k] + ells[k] + c for k in range(n - 1))
     new_a = tuple(betas[k] * ells[k - 1] for k in range(1, n - 1))
     transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n - 1)
-    swapped = mat_multiply(upper.to_band(), lower.to_band())
-    block = common_reliable(swapped, shifted(transformed, c))
-    if not equal_on_block(swapped, shifted(transformed, c), block):
-        raise AssertionError("swapped factors disagree with the transformed matrix")
-    return lower, upper, transformed
+    return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
 def geronimus_ul(j, c, beta0):
@@ -95,19 +79,10 @@ def geronimus_ul(j, c, beta0):
             raise ZeroPivot(k)
         ells.append(ell)
         betas.append(a[k - 1] / ell)
-    lower = UnitLowerBidiagonal(n, ells)
-    upper = UpperBidiagonal(n, betas)
-    product = mat_multiply(upper.to_band(), lower.to_band())
-    block = common_reliable(product, j)
-    if not equal_on_block(product, shifted(j, c), block):
-        raise AssertionError("bidiagonal elimination failed to reproduce J - cI")
     new_b = [betas[0] + c] + [betas[k] + ells[k - 1] + c for k in range(1, n)]
     new_a = [ells[k - 1] * betas[k - 1] for k in range(1, n)]
     transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n)
-    swapped = mat_multiply(lower.to_band(), upper.to_band())
-    if not equal_on_block(swapped, shifted(transformed, c), common_reliable(swapped)):
-        raise AssertionError("swapped factors disagree with the transformed matrix")
-    return lower, upper, transformed
+    return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
 def christoffel_connection_check(u, c, n):

@@ -1,7 +1,7 @@
 """Monic orthogonal polynomial sequences: moments to recurrence and back."""
 
 from .errors import NotQuasiDefinite, TruncationExhausted
-from .functional import MomentFunctional, apply
+from .functional import MomentFunctional
 from .matrices import BandMatrix
 from .poly import ONE_POLY, Polynomial
 from .rational import ZERO, ONE, rat
@@ -303,25 +303,3 @@ def hankel_minor(u, k):
                     rows[r][c] -= factor * rows[col][c]
     return det
 
-
-def expand_in_basis(u, system, q):
-    """Fourier coefficients of q in the system: c_m = <u, q P_m> / K_m.
-
-    The reconstruction sum is re-checked exactly before returning.
-    """
-    d = q.degree
-    if d < 0:
-        return ()
-    if d > len(system.norms) - 1:
-        raise TruncationExhausted(
-            "need norms up to level %d, have %d" % (d, len(system.norms))
-        )
-    coeffs = tuple(
-        apply(u, q * system.polys[m]) / system.norms[m] for m in range(d + 1)
-    )
-    recon = Polynomial(())
-    for c, p in zip(coeffs, system.polys):
-        recon = recon + c * p
-    if recon != q:
-        raise AssertionError("orthogonal expansion failed to reconstruct its input")
-    return coeffs

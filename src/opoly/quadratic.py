@@ -10,14 +10,13 @@ matrices of the first-associated and inverse SMOPs.
 
 from . import functional as fa
 from .associated import (
-    associated_functional,
     associated_polys,
     inverse_connection,
     inverse_functional_identity_check,
     inverse_recurrence,
     inverse_smop,
 )
-from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
+from .errors import DegenerateParameter, NotQuasiDefinite
 from .matrices import (
     UnitLowerTriband,
     UpperTriband,
@@ -37,8 +36,8 @@ from .orthopoly import (
     smop_from_moments,
 )
 from .poly import Polynomial, X, derivatives_at, wronskian
-from .rational import ONE, ZERO, rat
-from .reports import CheckReport, combine
+from .rational import rat
+from .reports import CheckReport
 
 
 def _kernel_data(u, c, m0, m1, n_top):
@@ -82,8 +81,7 @@ def quadratic_geronimus_smop(u, c, m0, m1, n_max):
     Q_0 = 1, Q_1 = x - m1/m0; higher degrees come from a 3x3 determinant
     mixing P_n, P_{n-1}, P_{n-2} with values of S and S' + m0 P at c,
     normalized by d*_n.  Norms are evaluated against the transformed
-    moments; S' is cross-checked through the divided second difference
-    of u, which must reproduce the derivative exactly.
+    moments.
 
     Returns (system, d_star) with d_star[n] for n = 2..n_max+1.
     """
@@ -93,18 +91,7 @@ def quadratic_geronimus_smop(u, c, m0, m1, n_max):
     m0 = rat(m0)
     m1 = rat(m1)
     n_top = n_max + 1
-    rc, base, s_polys, s_at_c, t_at_c = _kernel_data(u, c, m0, m1, n_top)
-    u0 = u.moments[0]
-    first = associated_polys(rc, 1, n_top - 1)
-    # derivative cross-check: (P^(1)_{n-1})'(c) must match <(x-c)^{-2} u, P_n>/u_0
-    residual = fa.divide_power(u, c, 2)
-    for n in range(1, n_top + 1):
-        direct = derivatives_at(first[n - 1], c, 1)[1]
-        via_functional = fa.apply(residual, base[n]) / u0
-        if direct != via_functional:
-            raise AssertionError(
-                "derivative of the first-associated sequence lost exactness at %d" % n
-            )
+    _, base, _, s_at_c, t_at_c = _kernel_data(u, c, m0, m1, n_top)
     d_star = {}
     for n in range(2, n_max + 2):
         d = _d_star(s_at_c, t_at_c, n)
@@ -130,8 +117,7 @@ def quadratic_connection(u, c, m0, m1, n_max):
 
     alpha1[1] = b_0 - m1/m0; for n >= 2 both coefficients are determinant
     ratios: alpha2[n] = d*_{n+1}/d*_n and alpha1[n] trades the middle
-    column for the outer ones.  They are cross-checked against the
-    Fourier coefficients <v-preimage route> before being returned.
+    column for the outer ones.
     """
     c = rat(c)
     m0 = rat(m0)
@@ -156,9 +142,7 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
 
     bhat_n = b_n + alpha1[n] - alpha1[n+1]; ahat_1 and ahat_2 have closed
     forms in the masses, and ahat_n = (alpha2[n]/alpha2[n-1]) a_{n-2} for
-    n >= 3.  The result must agree with the moments-to-recurrence route
-    (the Chebyshev algorithm) on the transformed moments; any discrepancy
-    raises.
+    n >= 3.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -182,12 +166,7 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
         a_s.append(u0 * m0 * alpha2[2] / denom)
     for n in range(3, n_max):
         a_s.append(alpha2[n] / alpha2[n - 1] * rc.a_at(n - 2))
-    result = RecurrenceCoefficients(bs, a_s)
-    v = fa.quadratic_geronimus(u, c, m0, m1)
-    direct, _ = smop_from_moments(v, n_max)
-    if direct != result:
-        raise AssertionError("connection route disagrees with the moments of the transform")
-    return result
+    return RecurrenceCoefficients(bs, a_s)
 
 
 def quadratic_factorization(u, c, m0, m1, size):
@@ -195,9 +174,7 @@ def quadratic_factorization(u, c, m0, m1, size):
 
     L carries the connection coefficients; U's entries are Wronskian
     ratios of consecutive Q's at c (the second superdiagonal is all
-    ones).  Verifies (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the
-    reliable blocks, and that the polynomial identities hold degree by
-    degree, before returning (L, U).
+    ones).  Returns (L, U); `quadratic_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
@@ -207,8 +184,6 @@ def quadratic_factorization(u, c, m0, m1, size):
     alpha1, alpha2, _ = quadratic_connection(u, c, m0, m1, size - 1)
     system, _ = quadratic_geronimus_smop(u, c, m0, m1, size + 1)
     q_polys = system.polys
-    rc, _ = smop_from_moments(u, size + 2)
-    base = polys_from_recurrence(rc, size + 1)
     sub1 = [alpha1[n] for n in range(1, size)]
     sub2 = [alpha2[n] for n in range(2, size)]
     lower = UnitLowerTriband(size, sub1, sub2)
@@ -220,60 +195,66 @@ def quadratic_factorization(u, c, m0, m1, size):
             raise NotQuasiDefinite(n, guard="W(Q_{n+1}, Q_n)(c)")
     diag = [wr[n + 1] / wr[n] for n in range(size)]
     super1 = [-wronskian(q_polys[n], q_polys[n + 2], c) / wr[n] for n in range(size - 1)]
-    upper = UpperTriband(size, diag, super1)
-    # degree-by-degree: Q_n = sum of L row n against P, and (x-c)^2 P_n = U row n against Q
-    for n in range(size):
-        lhs = q_polys[n]
+    return lower, UpperTriband(size, diag, super1)
+
+
+def _triband_failure(base, q_polys, lower, upper, c):
+    """Where Q = L P or (x - c)^2 P = U Q first fails degree by degree, or None."""
+    for n in range(lower.size):
         rhs = base[n]
         if n >= 1:
-            rhs = rhs + alpha1[n] * base[n - 1]
+            rhs = rhs + lower.sub1[n - 1] * base[n - 1]
         if n >= 2:
-            rhs = rhs + alpha2[n] * base[n - 2]
-        if lhs != rhs:
-            raise AssertionError("tri-band connection failed at degree %d" % n)
-    for n in range(size - 1):
+            rhs = rhs + lower.sub2[n - 2] * base[n - 2]
+        if q_polys[n] != rhs:
+            return {"part": "Q = L P", "level": n}
+    for n in range(upper.size - 1):
         lhs = (X - c) * (X - c) * base[n]
-        rhs = q_polys[n + 2] + super1[n] * q_polys[n + 1] + diag[n] * q_polys[n]
+        rhs = q_polys[n + 2] + upper.super1[n] * q_polys[n + 1] + upper.diag[n] * q_polys[n]
         if lhs != rhs:
-            raise AssertionError("tri-band inverse connection failed at degree %d" % n)
-    j = jacobi_matrix(rc, size)
-    hat_rc, _ = smop_from_moments(fa.quadratic_geronimus(u, c, m0, m1), size)
-    j_hat = jacobi_matrix(hat_rc, size)
-    _verify_squares(j, j_hat, lower, upper, c)
-    return lower, upper
+            return {"part": "(x - c)^2 P = U Q", "level": n}
+    return None
 
 
-def _verify_squares(j, j_hat, lower, upper, c):
-    """(J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable blocks."""
-    lhs_sq = mat_power(shifted(j, c), 2)
-    ul = mat_multiply(upper.to_band(), lower.to_band())
-    block = common_reliable(lhs_sq, ul)
-    if not equal_on_block(lhs_sq, ul, block):
-        raise AssertionError(
-            "squared identity failed at block %s" % first_block_mismatch(lhs_sq, ul, block)
-        )
-    hat_sq = mat_power(shifted(j_hat, c), 2)
-    lu = mat_multiply(lower.to_band(), upper.to_band())
-    block = common_reliable(hat_sq, lu)
-    if not equal_on_block(hat_sq, lu, block):
-        raise AssertionError(
-            "swapped squared identity failed at block %s"
-            % first_block_mismatch(hat_sq, lu, block)
-        )
+def _squares_failure(parts, left, right, lower, upper):
+    """Where left^2 = U L or right^2 = L U first fails on its reliable block, or None.
+
+    `parts` names the two identities for the failure record.
+    """
+    l_band = lower.to_band()
+    u_band = upper.to_band()
+    for part, m, product in zip(parts, (left, right), ((u_band, l_band), (l_band, u_band))):
+        square = mat_power(m, 2)
+        swapped = mat_multiply(*product)
+        block = common_reliable(square, swapped)
+        if not equal_on_block(square, swapped, block):
+            return {"part": part, "block": first_block_mismatch(square, swapped, block)}
+    return None
 
 
 def quadratic_factorization_check(u, c, m0, m1, size):
-    """Identity "propLUinversa" wrapper: build the factors, verify, report.
+    """Identity "propLUinversa": the tri-band factors against the transform's moments.
 
-    The factorization re-derives the connection degree by degree against
-    the determinant-built SMOP, so a passing report certifies both
-    squared block identities and the polynomial connections.
+    The factors come from determinants and Wronskians at c; Jhat and Q
+    come from the moments of (x - c)^{-2} u by the Chebyshev algorithm.
+    Checks Q = L P and (x - c)^2 P = U Q degree by degree, then
+    (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable blocks.
     """
     c = rat(c)
-    try:
-        lower, upper = quadratic_factorization(u, c, m0, m1, size)
-    except AssertionError as exc:
-        return CheckReport.failing("propLUinversa", size, {"reason": str(exc)})
+    lower, upper = quadratic_factorization(u, c, m0, m1, size)
+    rc, _ = smop_from_moments(u, size)
+    hat_rc, _ = smop_from_moments(fa.quadratic_geronimus(u, c, m0, m1), size)
+    failure = _triband_failure(
+        polys_from_recurrence(rc, size - 1), polys_from_recurrence(hat_rc, size), lower, upper, c
+    ) or _squares_failure(
+        ("(J - cI)^2 = U L", "(Jhat - cI)^2 = L U"),
+        shifted(jacobi_matrix(rc, size), c),
+        shifted(jacobi_matrix(hat_rc, size), c),
+        lower,
+        upper,
+    )
+    if failure:
+        return CheckReport.failing("propLUinversa", size, failure)
     ul_block = size - 2
     lu_block = size - 1
     return CheckReport.passing(
@@ -314,17 +295,15 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
     return CheckReport.passing("conex2", n_max, c=str(c), m0=str(m0), m1=str(m1))
 
 
-def assoc_inverse_factorization(u, norm1, size):
+def assoc_inverse_factorization(u, size):
     """Tri-band factors linking the first-associated and inverse SMOPs at c = 0.
 
     L's entries are Wronskian ratios of the base SMOP at 0 (the inverse
     connection); U's are Wronskian ratios of the inverse SMOP at 0.
-    Verifies (J^(1))^2 = U L and (J^-)^2 = L U on reliable blocks, plus
-    the first-associated scaling identity through the moment algebra.
+    Returns (L, U); `assoc_inverse_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    norm1 = rat(norm1)
     alpha1, alpha2, _ = inverse_connection(u, size - 1)
     sub1 = [alpha1[n] for n in range(1, size)]
     sub2 = [alpha2[n] for n in range(2, size)]
@@ -337,42 +316,31 @@ def assoc_inverse_factorization(u, norm1, size):
             raise NotQuasiDefinite(n, guard="W(P-_{n+1}, P-_n)(0)")
     diag = [wr[n + 1] / wr[n] for n in range(size)]
     super1 = [-wronskian(p_minus[n], p_minus[n + 2], 0) / wr[n] for n in range(size - 1)]
-    upper = UpperTriband(size, diag, super1)
-    rc, _ = smop_from_moments(u, size + 1)
-    j_first = jacobi_matrix(rc.shifted(1), size)
-    j_minus = jacobi_matrix(inverse_recurrence(u, size), size)
-    _verify_squares_at_zero(j_first, j_minus, lower, upper)
-    scaling = inverse_functional_identity_check(u, norm1)
-    if not scaling.passed:
-        raise AssertionError("first-associated scaling identity failed")
-    return lower, upper
-
-
-def _verify_squares_at_zero(j_first, j_minus, lower, upper):
-    lhs_sq = mat_power(j_first, 2)
-    ul = mat_multiply(upper.to_band(), lower.to_band())
-    block = common_reliable(lhs_sq, ul)
-    if not equal_on_block(lhs_sq, ul, block):
-        raise AssertionError(
-            "squared first-associated identity failed at block %s"
-            % first_block_mismatch(lhs_sq, ul, block)
-        )
-    minus_sq = mat_power(j_minus, 2)
-    lu = mat_multiply(lower.to_band(), upper.to_band())
-    block = common_reliable(minus_sq, lu)
-    if not equal_on_block(minus_sq, lu, block):
-        raise AssertionError(
-            "squared inverse identity failed at block %s"
-            % first_block_mismatch(minus_sq, lu, block)
-        )
+    return lower, UpperTriband(size, diag, super1)
 
 
 def assoc_inverse_factorization_check(u, norm1, size):
-    """Identity "relationlu" wrapper."""
-    try:
-        lower, upper = assoc_inverse_factorization(u, norm1, size)
-    except AssertionError as exc:
-        return CheckReport.failing("relationlu", size, {"reason": str(exc)})
+    """Identity "relationlu": (J^(1))^2 = U L and (J^-)^2 = L U on reliable blocks.
+
+    J^(1) is the shifted recurrence of u and J^- comes from
+    `inverse_recurrence`, neither from the factors.  The first-associated
+    scaling identity "fu1" at norm1 rides along.
+    """
+    lower, upper = assoc_inverse_factorization(u, size)
+    rc, _ = smop_from_moments(u, size + 1)
+    failure = _squares_failure(
+        ("(J^(1))^2 = U L", "(J^-)^2 = L U"),
+        jacobi_matrix(rc.shifted(1), size),
+        jacobi_matrix(inverse_recurrence(u, size), size),
+        lower,
+        upper,
+    )
+    if failure is None:
+        scaling = inverse_functional_identity_check(u, norm1)
+        if not scaling.passed:
+            failure = dict(part="fu1", **scaling.first_failure)
+    if failure:
+        return CheckReport.failing("relationlu", size, failure)
     return CheckReport.passing(
         "relationlu",
         size,

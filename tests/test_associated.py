@@ -13,7 +13,6 @@ from opoly.associated import (
     corecursive_polys,
     corecursive_two_route_check,
     divided_difference,
-    first_kind_functional,
     inverse_connection,
     inverse_functional_identity_check,
     inverse_level_one,
@@ -101,8 +100,6 @@ def test_first_kind_functional_scaling_identity():
         report = inverse_functional_identity_check(u, rat(3, 2))
         assert report.passed
         assert report.identity == "fu1"
-    w = first_kind_functional(families.chebyshev_u(20), rat(3, 2), 7)
-    assert w.moments[0] == rat(3, 2)
 
 
 def test_origin_wronskians_match_the_frozen_table():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from opoly import __version__, families, serialize
+from opoly import __version__, families, quadratic, serialize
 from opoly.cli import VERIFY_SUMMARIES, main
 from opoly.rational import rat
 
@@ -532,6 +532,39 @@ def test_verify_zero_mass_is_a_typed_error(monkeypatch, capsys, name):
     )
     assert code == 1
     assert json.loads(out)["error"] == "DegenerateParameter"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fu1", "--family", "chebyshev-u"],
+        ["verify", "relationS", "--family", "chebyshev-u"],
+        ["verify", "relationlu", "--family", "chebyshev-u"],
+        ["transform", "associated"],
+    ],
+)
+def test_zero_norm_is_a_typed_error(monkeypatch, capsys, argv):
+    # a zero first moment makes the associated functional vanish, so both
+    # sides of fu1/relationS/relationlu would agree vacuously
+    code, out, _ = invoke(
+        monkeypatch, capsys, argv + ["--norm", "0"], stdin_text=family_json(families.chebyshev_u(12))
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "DegenerateParameter"
+
+
+@pytest.mark.parametrize(
+    "name,helper", [("propLUinversa", "quadratic_connection"), ("relationlu", "inverse_smop")]
+)
+def test_a_library_assertion_is_not_an_identity_failure(monkeypatch, capsys, name, helper):
+    # a broken producer is a library bug: it must propagate, never be
+    # reported as the paper's identity failing
+    def broken(*args):
+        raise AssertionError("inside the producer")
+
+    monkeypatch.setattr(quadratic, helper, broken)
+    with pytest.raises(AssertionError, match="inside the producer"):
+        invoke(monkeypatch, capsys, ["verify", name, "--family", "chebyshev-u"])
 
 
 def test_a_zero_division_inside_the_math_is_not_a_usage_error():

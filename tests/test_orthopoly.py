@@ -10,7 +10,6 @@ from opoly.functional import MomentFunctional
 from opoly.orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
-    expand_in_basis,
     hankel_minor,
     jacobi_matrix,
     moments_from_jacobi,
@@ -190,14 +189,3 @@ def test_hankel_minors_are_products_of_norms():
 def test_hankel_minor_detects_degeneracy():
     u = MomentFunctional((1, 0, 0))
     assert hankel_minor(u, 1) == 0
-
-
-def test_expand_in_basis_reproduces_fourier_coefficients():
-    u = families.chebyshev_u(12)
-    _, system = smop_from_moments(u, 5)
-    q = 3 * X * X + rat(1, 2) * X - 1
-    coeffs = expand_in_basis(u, system, q)
-    rebuilt = sum(
-        (c * p for c, p in zip(coeffs, system.polys)), 0 * X
-    )
-    assert rebuilt == q

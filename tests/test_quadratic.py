@@ -2,10 +2,13 @@
 
 import pytest
 
-from opoly import families
+from opoly import families, quadratic
 from opoly import functional as fa
+from opoly.associated import associated_polys
 from opoly.errors import DegenerateParameter, NotQuasiDefinite
-from opoly.orthopoly import smop_from_moments
+from opoly.matrices import UnitLowerTriband
+from opoly.orthopoly import polys_from_recurrence, smop_from_moments
+from opoly.poly import derivatives_at
 from opoly.quadratic import (
     assoc_inverse_factorization,
     assoc_inverse_factorization_check,
@@ -18,6 +21,7 @@ from opoly.quadratic import (
     quadratic_recurrence,
 )
 from opoly.rational import rat
+from opoly.reports import CheckReport
 
 PARAMS = (
     (families.chebyshev_u(24), rat(1), rat(1), rat(1, 5)),
@@ -30,10 +34,24 @@ def test_determinant_smop_equals_gram_schmidt_on_the_transform():
     for u, c, m0, m1 in PARAMS:
         system, d_star = quadratic_geronimus_smop(u, c, m0, m1, 8)
         v = fa.quadratic_geronimus(u, c, m0, m1)
+        assert v.moments[:2] == (m0, m1)
         _, direct = smop_from_moments(v, 8)
         assert system.polys == direct.polys
         assert system.norms == direct.norms
         assert set(d_star) == set(range(2, 10))
+
+
+def test_first_associated_derivative_at_c_is_a_moment_of_the_division():
+    # (P^(1)_{n-1})'(c) = <(x - c)^{-2} u, P_n> / u_0, with (x - c)^{-2} u
+    # the division that adds no mass at c
+    for u, c, _, _ in PARAMS:
+        rc, _ = smop_from_moments(u, 9)
+        base = polys_from_recurrence(rc, 9)
+        first = associated_polys(rc, 1, 8)
+        residual = fa.divide_power(u, c, 2)
+        for n in range(1, 10):
+            slope = derivatives_at(first[n - 1], c, 1)[1]
+            assert slope == fa.apply(residual, base[n]) / u.moments[0]
 
 
 def test_degree_one_polynomial_carries_the_mass_ratio():
@@ -82,6 +100,45 @@ def test_known_degenerate_instance_trips_the_d_star_guard():
         quadratic_connection(u, 1, 1, 0, 4)
 
 
+def perturbing_sub1(factorization, index):
+    """The factorization with one first-subdiagonal entry of L moved by 1."""
+
+    def producer(*args):
+        lower, upper = factorization(*args)
+        sub1 = list(lower.sub1)
+        sub1[index] += 1
+        return UnitLowerTriband(lower.size, sub1, lower.sub2), upper
+
+    return producer
+
+
+def test_factorization_checks_locate_a_perturbed_lower_factor(monkeypatch):
+    u, c, m0, m1 = PARAMS[1]
+    monkeypatch.setattr(
+        quadratic, "quadratic_factorization", perturbing_sub1(quadratic_factorization, 3)
+    )
+    report = quadratic_factorization_check(u, c, m0, m1, 8)
+    assert report.status == "fail"
+    assert report.first_failure == {"part": "Q = L P", "level": 4}
+    monkeypatch.setattr(
+        quadratic, "assoc_inverse_factorization", perturbing_sub1(assoc_inverse_factorization, 3)
+    )
+    report = assoc_inverse_factorization_check(families.chebyshev_t(28), 1, 8)
+    assert report.status == "fail"
+    assert report.first_failure == {"part": "(J^(1))^2 = U L", "block": 4}
+
+
+def test_origin_factorization_check_reports_a_failed_scaling_identity(monkeypatch):
+    monkeypatch.setattr(
+        quadratic,
+        "inverse_functional_identity_check",
+        lambda u, norm1: CheckReport.failing("fu1", 5, {"moment": 2}),
+    )
+    report = assoc_inverse_factorization_check(families.chebyshev_u(28), 1, 8)
+    assert report.status == "fail"
+    assert report.first_failure == {"part": "fu1", "moment": 2}
+
+
 def test_connection_check_passes():
     for u, c, m0, m1 in PARAMS:
         report = quadratic_connection_check(u, c, m0, m1, 8)
@@ -122,7 +179,7 @@ def test_origin_factorization_and_g_matrix():
 
 def test_origin_factorization_returns_tribands():
     u = families.chebyshev_u(28)
-    lower, upper = assoc_inverse_factorization(u, 1, 6)
+    lower, upper = assoc_inverse_factorization(u, 6)
     assert lower.size == 6 and upper.size == 6
     # its first subdiagonal carries the inverse connection coefficients,
     # which vanish for a symmetric family
