@@ -1,10 +1,14 @@
 """Associated sequences, co-recursive perturbations, and the inverse functional.
 
 The k-th associated sequence drops the first k recurrence coefficients.
-The inverse functional (under moment convolution) has an SMOP expressible
-through first-associated polynomials and Wronskians at the origin; this
-module builds that system and its recurrence by two independent routes.
+Division by (x - c)^2 has an O(n) kernel over values and slopes at c
+(`quadratic_kernel`).  The inverse functional (under moment convolution)
+is that division at c = 0 of a multiple of the first-associated
+functional, so its SMOP, connection and recurrence come from the same
+kernel (`inverse_kernel`).
 """
+
+from collections import namedtuple
 
 from . import functional as fa
 from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
@@ -15,6 +19,7 @@ from .orthopoly import (
     moments_from_jacobi,
     polys_from_recurrence,
     smop_from_moments,
+    values_and_slopes,
 )
 from .poly import Polynomial, X
 from .rational import ZERO, ONE, rat
@@ -202,48 +207,88 @@ def inverse_functional_identity_check(u, norm1=ONE):
     return CheckReport.failing("fu1", order - 1, {"moment": k}, norm1=str(norm1))
 
 
-def origin_wronskians(u, n_max):
-    """Origin Wronskians of the SMOP of u, from its recurrence in O(n_max).
+Division = namedtuple("Division", "alpha1 alpha2 d_star recurrence norms diag super1")
 
-    Returns (rc, skips, ws): ws[n] = W(P_n, P_{n-1})(0) for n = 1..n_max+1
-    and skips[n] = W(P_{n+1}, P_{n-1})(0) for n = 1..n_max, as dicts,
-    with W(p, q)(0) = p(0) q'(0) - p'(0) q(0).  The values p[m] = P_m(0)
-    and slopes dp[m] = P_m'(0) run through the recurrence at x = 0 and
-    its derivative, P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}'.
+
+def quadratic_kernel(rc, w0, c, m0, m1, s, t, n_max):
+    """The SMOP of v with (x - c)^2 v = w, v_0 = m0 and v_1 = m1, in O(n_max).
+
+    rc is the recurrence of w and w0 its first moment.  s[n] = S_n(c) and
+    t[n] = T_n(c) for n = 0..n_max, where S_n = (m1 - c m0) P_n +
+    w0 P^(1)_{n-1} spans the kernel of the map back to w and
+    T_n = S_n'(c) + m0 P_n(c).  Negating s negates every d*_n and changes
+    nothing else.  Returns a Division of:
+
+    - d_star[n] = s[n-2] t[n-1] - s[n-1] t[n-2] for n = 2..n_max+1;
+    - alpha1[n] (n = 1..n_max) and alpha2[n] = d*_{n+1}/d*_n
+      (n = 2..n_max), with Q_n = P_n + alpha1[n] P_{n-1} + alpha2[n] P_{n-2};
+    - the recurrence of the Q_n (length n_max) and their norms K_0 = m0,
+      K_1 = (w0 m0 - (m1 - c m0)^2)/m0 and K_n = alpha2[n] k_{n-2}, with
+      k the norms of w, since <v, Q_n (x - c)^2 P_{n-2}> = <w, Q_n P_{n-2}>;
+    - U of (x - c)^2 P_n = Q_{n+2} + super1[n] Q_{n+1} + diag[n] Q_n:
+      pairing with Q_n under v gives diag[n] = k_n/K_n (n < n_max), and
+      the x^{n+1} coefficients give super1[n] = b_n + b_{n+1} - 2c -
+      alpha1[n+2] (n < n_max - 1).
+
+    Raises NotQuasiDefinite(n - 1, guard="d_star") at the first n = 2..n_max
+    with d*_n = 0: then K_{n-1} = 0, so the (n-1)-st Hankel minor of v is
+    its first to vanish.
     """
+    d_star = {n: s[n - 2] * t[n - 1] - s[n - 1] * t[n - 2] for n in range(2, n_max + 2)}
+    alpha1 = {1: rc.b[0] - m1 / m0}
+    alpha2 = {}
+    for n in range(2, n_max + 1):
+        if d_star[n] == 0:
+            raise NotQuasiDefinite(n - 1, guard="d_star")
+        alpha1[n] = (t[n - 2] * s[n] - t[n] * s[n - 2]) / d_star[n]
+        alpha2[n] = d_star[n + 1] / d_star[n]
+    base_norms = [w0]
+    for n in range(1, n_max):
+        base_norms.append(base_norms[-1] * rc.a[n - 1])
+    norms = [m0]
+    if n_max >= 2:
+        norms.append((w0 * m0 - (m1 - c * m0) ** 2) / m0)
+    norms += [alpha2[n] * base_norms[n - 2] for n in range(2, n_max)]
+    bs = [m1 / m0] + [rc.b[n] + alpha1[n] - alpha1[n + 1] for n in range(1, n_max)]
+    a_s = [norms[n] / norms[n - 1] for n in range(1, n_max)]
+    return Division(
+        alpha1,
+        alpha2,
+        d_star,
+        RecurrenceCoefficients(bs, a_s),
+        norms,
+        [k / norm for k, norm in zip(base_norms, norms)],
+        [rc.b[n] + rc.b[n + 1] - 2 * c - alpha1[n + 2] for n in range(n_max - 1)],
+    )
+
+
+def inverse_kernel(u, n_max):
+    """The inverse functional as a quadratic Geronimus transform at 0.
+
+    By "fu1", x^2 u^{-1} = kappa u^(1) with kappa = -a_1/u_0, and u^{-1}
+    has moments 1/u_0 and -b_0/u_0.  So u^{-1} is `quadratic_kernel` at
+    c = 0 on w = kappa u^(1), whose recurrence is u's shifted by one.
+    From P_{n+1} = (x - b_0) P^(1)_n - a_1 P^(2)_{n-1}, the kernel values
+    are S_n(0) = P_{n+1}(0)/u_0 and T_n(0) = P_{n+1}'(0)/u_0 on u's own
+    recurrence.  S enters negated, so d*_n = W(P_n, P_{n-1})(0)/u_0^2,
+    which holds for d*_1 = -1/u_0^2 too.  Needs 2*(n_max + 1) moments.
+    """
+    u0 = u.moments[0]
+    if u0 == 0:
+        raise ZeroFirstMoment("inverse transform needs u_0 != 0")
     rc, _ = smop_from_moments(u, n_max + 1)
-    p = [ONE]
-    dp = [ZERO]
-    for m in range(n_max + 1):
-        value = -rc.b[m] * p[m]
-        slope = p[m] - rc.b[m] * dp[m]
-        if m >= 1:
-            value -= rc.a[m - 1] * p[m - 1]
-            slope -= rc.a[m - 1] * dp[m - 1]
-        p.append(value)
-        dp.append(slope)
-    ws = {n: p[n] * dp[n - 1] - dp[n] * p[n - 1] for n in range(1, n_max + 2)}
-    skips = {n: p[n + 1] * dp[n - 1] - dp[n + 1] * p[n - 1] for n in range(1, n_max + 1)}
-    return rc, skips, ws
-
-
-def inverse_level_one(rc):
-    """The quantity -(b_0^2 + a_1); it is a_1^- and must be nonzero at level one."""
-    return -(rc.b_at(0) ** 2 + rc.a_at(1))
-
-
-def _inverse_guards(rc, ws, top):
-    """Quasi-definiteness guards for the inverse functional.
-
-    Level one fails exactly when b_0^2 + a_1 = 0 (the inverse's second
-    Hankel minor vanishes); level n >= 2 fails when the normalized
-    origin Wronskian d*_n = W(P_n, P_{n-1})(0)/u_0^2 vanishes.
-    """
-    if inverse_level_one(rc) == 0:
-        raise NotQuasiDefinite(1, guard="b_0^2 + a_1")
-    for n in range(2, top + 1):
-        if ws[n] == 0:
-            raise NotQuasiDefinite(n, guard="d_star")
+    p, dp = values_and_slopes(rc, ZERO, n_max + 1)
+    kernel = quadratic_kernel(
+        rc.shifted(1),
+        -rc.a_at(1) / u0,
+        ZERO,
+        1 / u0,
+        -rc.b_at(0) / u0,
+        [-value / u0 for value in p[1:]],
+        [slope / u0 for slope in dp[1:]],
+        n_max,
+    )
+    return kernel._replace(d_star={1: -1 / u0 ** 2, **kernel.d_star})
 
 
 def inverse_connection(u, n_max):
@@ -253,67 +298,38 @@ def inverse_connection(u, n_max):
     n = 1..n_max, alpha2[n] multiplies P^(1)_{n-2} for n = 2..n_max, and
     d_star[n] = W(P_n, P_{n-1})(0)/u_0^2 for n = 1..n_max+1, all as dicts.
     """
-    if u.moments[0] == 0:
-        raise ZeroFirstMoment("inverse transform needs u_0 != 0")
-    rc, skips, ws = origin_wronskians(u, n_max)
-    _inverse_guards(rc, ws, n_max)
-    u0sq = u.moments[0] ** 2
-    d_star = {n: ws[n] / u0sq for n in range(1, n_max + 2)}
-    alpha1 = {n: -skips[n] / ws[n] for n in range(1, n_max + 1)}
-    alpha2 = {n: ws[n + 1] / ws[n] for n in range(2, n_max + 1)}
-    return alpha1, alpha2, d_star
+    kernel = inverse_kernel(u, n_max)
+    return kernel.alpha1, kernel.alpha2, kernel.d_star
 
 
 def inverse_smop(u, n_max):
-    """The SMOP of the convolution inverse, built from Wronskian data.
+    """The SMOP of the convolution inverse, with the d*_n sequence (a dict from 1).
 
-    Degrees 0 and 1 are explicit; degree n >= 2 combines three consecutive
-    first-associated polynomials with the connection coefficients.  Norms
-    are evaluated against the inverse moments, so the returned system
-    carries its own quasi-definiteness certificate.  Also returns the
-    d*_n sequence (as a dict indexed from 1).
+    Degree n >= 2 is P^(1)_n + alpha1[n] P^(1)_{n-1} + alpha2[n] P^(1)_{n-2};
+    the system holds the recurrence and the norms `inverse_kernel` reads
+    off the connection, not the inverse moments, and builds the
+    polynomials when they are read.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    alpha1, alpha2, d_star = inverse_connection(u, n_max)
-    rc, _ = smop_from_moments(u, n_max + 1)
-    first = associated_polys(rc, 1, n_max)
-    polys = [Polynomial((1,)), X + rc.b_at(0)]
-    for n in range(2, n_max + 1):
-        polys.append(first[n] + alpha1[n] * first[n - 1] + alpha2[n] * first[n - 2])
-    uinv = fa.invert(u)
-    norms = [fa.apply(uinv, p * p) for p in polys[:-1]]
-    return OrthogonalSystem(polys, norms), d_star
+    kernel = inverse_kernel(u, n_max)
+    return OrthogonalSystem.from_recurrence(kernel.recurrence, kernel.norms), kernel.d_star
 
 
 def inverse_recurrence(u, n_max):
-    """Recurrence coefficients of the inverse SMOP, by Wronskian ratios.
+    """Recurrence coefficients of the inverse SMOP, from `inverse_kernel`.
 
-    b^-_0 = -b_0 (the degree-one polynomial is x + b_0); for n >= 1,
-    b^-_n telescopes two consecutive Wronskian ratios against b_{n+1};
-    a^-_1 = -(b_0^2 + a_1) and higher a^-_n scale a_{n-1} by a square of
-    Wronskian ratios.  The result is cross-checked against the
-    moments-to-recurrence route (the Chebyshev algorithm) on the inverted
-    moments, which uses no Wronskian, before being returned.
+    b^-_0 = -b_0, b^-_n = b_{n+1} + alpha1[n] - alpha1[n+1], and
+    a^-_n = K^-_n / K^-_{n-1}, so a^-_1 = -(b_0^2 + a_1).  The result is
+    cross-checked against the moments-to-recurrence route (the Chebyshev
+    algorithm) on the inverted moments, which uses no kernel, before
+    being returned.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rc, skips, ws = origin_wronskians(u, n_max)
-    _inverse_guards(rc, ws, n_max)
-    bs = [-rc.b_at(0)]
-    for n in range(1, n_max):
-        middle = skips[n] / ws[n]
-        last = skips[n + 1] / ws[n + 1]
-        bs.append(rc.b_at(n + 1) - middle + last)
-    a_s = []
-    if n_max >= 2:
-        a_s.append(inverse_level_one(rc))
-    for n in range(2, n_max):
-        ratio = ws[n + 1] * ws[n - 1] / ws[n] ** 2
-        a_s.append(ratio * rc.a_at(n - 1))
-    result = RecurrenceCoefficients(bs, a_s)
+    result = inverse_kernel(u, n_max).recurrence
     check_depth = min(n_max, u.order // 2)
     direct, _ = smop_from_moments(fa.invert(u), check_depth)
     if direct != result.truncated(check_depth):
-        raise AssertionError("Wronskian route disagrees with the moments of u^{-1}")
+        raise AssertionError("the kernel route disagrees with the moments of u^{-1}")
     return result

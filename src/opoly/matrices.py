@@ -152,10 +152,6 @@ def identity(size):
     return BandMatrix(size, {0: (ONE,) * size})
 
 
-def mat_add(a, b):
-    return _combine(a, b, lambda x, y: x + y)
-
-
 def mat_sub(a, b):
     return _combine(a, b, lambda x, y: x - y)
 

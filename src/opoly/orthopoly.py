@@ -204,6 +204,31 @@ def polys_from_recurrence(rc, n_max):
     return tuple(Polynomial(row) for row in rows)
 
 
+def values_and_slopes(rc, c, n):
+    """P_m(c) and P_m'(c) for m = 0..n, as two lists, in O(n).
+
+    Runs the recurrence and its derivative,
+    P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}', at x = c.
+    """
+    if n > rc.length:
+        raise TruncationExhausted(
+            "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n)
+        )
+    c = rat(c)
+    p = [ONE]
+    dp = [ZERO]
+    for m in range(n):
+        shift = c - rc.b[m]
+        value = shift * p[m]
+        slope = p[m] + shift * dp[m]
+        if m >= 1:
+            value -= rc.a[m - 1] * p[m - 1]
+            slope -= rc.a[m - 1] * dp[m - 1]
+        p.append(value)
+        dp.append(slope)
+    return p, dp
+
+
 def jacobi_matrix(rc, size):
     """Monic Jacobi truncation: diagonal b, subdiagonal a, unit superdiagonal."""
     if size < 1:

@@ -170,10 +170,6 @@ ONE_POLY = Polynomial((1,))
 X = Polynomial((0, 1))
 
 
-def constant(c):
-    return Polynomial((rat(c),))
-
-
 def monomial(k, c=1):
     return Polynomial((ZERO,) * k + (rat(c),))
 

@@ -3,20 +3,23 @@
 The transformed SMOP lives three terms wide over the original one: Q = L P
 with L unit lower tri-band, and (x - c)^2 P = U Q with U upper tri-band.
 Consequently (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable
-truncation blocks.  The same structure, at c = 0 and with the prescribed
-masses coming from the inverse functional, factors the squared Jacobi
-matrices of the first-associated and inverse SMOPs.
+truncation blocks.  Every producer here reads its result off one O(n)
+kernel over values and slopes at c (`associated.quadratic_kernel`).  The
+inverse functional is the same division at c = 0 (`inverse_kernel`), so
+the same code factors the squared Jacobi matrices of the
+first-associated and inverse SMOPs.  The Wronskian and moment routes
+live only in the checks.
 """
 
 from . import functional as fa
 from .associated import (
-    associated_polys,
     inverse_connection,
     inverse_functional_identity_check,
+    inverse_kernel,
     inverse_recurrence,
-    inverse_smop,
+    quadratic_kernel,
 )
-from .errors import DegenerateParameter, NotQuasiDefinite
+from .errors import DegenerateParameter
 from .matrices import (
     UnitLowerTriband,
     UpperTriband,
@@ -30,22 +33,22 @@ from .matrices import (
 )
 from .orthopoly import (
     OrthogonalSystem,
-    RecurrenceCoefficients,
     jacobi_matrix,
     polys_from_recurrence,
     smop_from_moments,
+    values_and_slopes,
 )
-from .poly import Polynomial, X, derivatives_at, wronskian
-from .rational import rat
+from .poly import X, wronskian
+from .rational import ZERO, rat
 from .reports import CheckReport
 
 
-def _kernel_data(u, c, m0, m1, n_top):
-    """Shared scaffolding: base SMOP, first associated, S_n, and T_n = S'_n(c) + m0 P_n(c).
+def _division(u, c, m0, m1, n_max):
+    """`quadratic_kernel` for (x - c)^2 v = u with v_0 = m0 and v_1 = m1.
 
-    S_n = (m1 - c m0) P_n + u_0 P^(1)_{n-1} spans the kernel of the map
-    back to u; its values and derivatives at c drive every determinant
-    below.  Returns (rc, base, S list, S(c) list, T list).
+    S_n(c) = (m1 - c m0) P_n(c) + u_0 P^(1)_{n-1}(c) and
+    T_n = S_n'(c) + m0 P_n(c) come from the values and slopes at c of the
+    base and first-associated recurrences.
     """
     c = rat(c)
     m0 = rat(m0)
@@ -53,63 +56,32 @@ def _kernel_data(u, c, m0, m1, n_top):
     if m0 == 0:
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
     u0 = u.moments[0]
-    rc, _ = smop_from_moments(u, n_top)
-    base = polys_from_recurrence(rc, n_top)
-    first = associated_polys(rc, 1, n_top - 1)
+    rc, _ = smop_from_moments(u, n_max + 1)
+    p, dp = values_and_slopes(rc, c, n_max)
+    q, dq = values_and_slopes(rc.shifted(1), c, n_max - 1)
+    q = [ZERO] + q
+    dq = [ZERO] + dq
     weight = m1 - c * m0
-    s_polys = [Polynomial((weight,))]
-    for n in range(1, n_top + 1):
-        s_polys.append(weight * base[n] + u0 * first[n - 1])
-    s_at_c = []
-    t_at_c = []
-    for n in range(n_top + 1):
-        sc, dsc = derivatives_at(s_polys[n], c, 1)
-        pc = base[n](c)
-        s_at_c.append(sc)
-        t_at_c.append(dsc + m0 * pc)
-    return rc, base, s_polys, s_at_c, t_at_c
-
-
-def _d_star(s_at_c, t_at_c, n):
-    """The 2x2 determinant steering level n (defined for n >= 2)."""
-    return s_at_c[n - 2] * t_at_c[n - 1] - s_at_c[n - 1] * t_at_c[n - 2]
+    s = [weight * p[n] + u0 * q[n] for n in range(n_max + 1)]
+    t = [weight * dp[n] + u0 * dq[n] + m0 * p[n] for n in range(n_max + 1)]
+    return quadratic_kernel(rc, u0, c, m0, m1, s, t, n_max)
 
 
 def quadratic_geronimus_smop(u, c, m0, m1, n_max):
     """SMOP of the functional with (x - c)^2 v = u, v_0 = m0, v_1 = m1.
 
-    Q_0 = 1, Q_1 = x - m1/m0; higher degrees come from a 3x3 determinant
-    mixing P_n, P_{n-1}, P_{n-2} with values of S and S' + m0 P at c,
-    normalized by d*_n.  Norms are evaluated against the transformed
-    moments.
+    Q_0 = 1, Q_1 = x - m1/m0, and Q_n = P_n + alpha1[n] P_{n-1} +
+    alpha2[n] P_{n-2} with the coefficients of `quadratic_connection`.
+    The system holds the kernel's recurrence and norms, not norms taken
+    against the transformed moments, and builds the polynomials when
+    they are read.
 
     Returns (system, d_star) with d_star[n] for n = 2..n_max+1.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
-    n_top = n_max + 1
-    _, base, _, s_at_c, t_at_c = _kernel_data(u, c, m0, m1, n_top)
-    d_star = {}
-    for n in range(2, n_max + 2):
-        d = _d_star(s_at_c, t_at_c, n)
-        if d == 0 and n <= n_max:
-            raise NotQuasiDefinite(n, guard="d_star")
-        d_star[n] = d
-    polys = [Polynomial((1,)), X - m1 / m0]
-    for n in range(2, n_max + 1):
-        minor_n = t_at_c[n - 1] * s_at_c[n - 2] - t_at_c[n - 2] * s_at_c[n - 1]
-        minor_n1 = t_at_c[n] * s_at_c[n - 2] - t_at_c[n - 2] * s_at_c[n]
-        minor_n2 = t_at_c[n] * s_at_c[n - 1] - t_at_c[n - 1] * s_at_c[n]
-        q = (base[n] * minor_n - base[n - 1] * minor_n1 + base[n - 2] * minor_n2) * (
-            1 / d_star[n]
-        )
-        polys.append(q)
-    v = fa.quadratic_geronimus(u, c, m0, m1)
-    norms = [fa.apply(v, p * p) for p in polys[:-1]]
-    return OrthogonalSystem(polys, norms), d_star
+    kernel = _division(u, c, m0, m1, n_max)
+    return OrthogonalSystem.from_recurrence(kernel.recurrence, kernel.norms), kernel.d_star
 
 
 def quadratic_connection(u, c, m0, m1, n_max):
@@ -119,83 +91,42 @@ def quadratic_connection(u, c, m0, m1, n_max):
     ratios: alpha2[n] = d*_{n+1}/d*_n and alpha1[n] trades the middle
     column for the outer ones.
     """
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
-    n_top = n_max + 1
-    rc, base, s_polys, s_at_c, t_at_c = _kernel_data(u, c, m0, m1, n_top)
-    d_star = {n: _d_star(s_at_c, t_at_c, n) for n in range(2, n_max + 2)}
-    for n in range(2, n_max + 1):
-        if d_star[n] == 0:
-            raise NotQuasiDefinite(n, guard="d_star")
-    alpha1 = {1: rc.b_at(0) - m1 / m0}
-    alpha2 = {}
-    for n in range(2, n_max + 1):
-        num = t_at_c[n] * s_at_c[n - 2] - t_at_c[n - 2] * s_at_c[n]
-        alpha1[n] = -num / d_star[n]
-        alpha2[n] = d_star[n + 1] / d_star[n]
-    return alpha1, alpha2, d_star
+    kernel = _division(u, c, m0, m1, n_max)
+    return kernel.alpha1, kernel.alpha2, kernel.d_star
 
 
 def quadratic_recurrence(u, c, m0, m1, n_max):
     """Recurrence of the transformed SMOP from the connection coefficients.
 
-    bhat_n = b_n + alpha1[n] - alpha1[n+1]; ahat_1 and ahat_2 have closed
-    forms in the masses, and ahat_n = (alpha2[n]/alpha2[n-1]) a_{n-2} for
-    n >= 3.
+    bhat_0 = m1/m0, bhat_n = b_n + alpha1[n] - alpha1[n+1], and
+    ahat_n = K_n / K_{n-1} with the norms of `quadratic_kernel`, so
+    ahat_1 = (u_0 m0 - (m1 - c m0)^2)/m0^2.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
-    alpha1, alpha2, _ = quadratic_connection(u, c, m0, m1, n_max + 1)
-    rc, _ = smop_from_moments(u, n_max + 1)
-    u0 = u.moments[0]
-    weight = m1 - c * m0
-    denom = u0 * m0 - weight * weight
-    if denom == 0:
-        raise NotQuasiDefinite(1, guard="u_0 m_0 - (m_1 - c m_0)^2")
-    bs = [rc.b_at(0) - alpha1[1]]
-    for n in range(1, n_max):
-        bs.append(rc.b_at(n) + alpha1[n] - alpha1[n + 1])
-    a_s = []
-    if n_max >= 2:
-        a_s.append(denom / (m0 * m0))
-    if n_max >= 3:
-        a_s.append(u0 * m0 * alpha2[2] / denom)
-    for n in range(3, n_max):
-        a_s.append(alpha2[n] / alpha2[n - 1] * rc.a_at(n - 2))
-    return RecurrenceCoefficients(bs, a_s)
+    return _division(u, c, m0, m1, n_max + 1).recurrence.truncated(n_max)
+
+
+def _factors(kernel, size):
+    """The size-N tri-band factors L and U from a kernel with n_max >= N."""
+    lower = UnitLowerTriband(
+        size,
+        [kernel.alpha1[n] for n in range(1, size)],
+        [kernel.alpha2[n] for n in range(2, size)],
+    )
+    return lower, UpperTriband(size, kernel.diag[:size], kernel.super1[: size - 1])
 
 
 def quadratic_factorization(u, c, m0, m1, size):
     """Tri-band factors: Q = L P and (x - c)^2 P = U Q on a size-N truncation.
 
-    L carries the connection coefficients; U's entries are Wronskian
-    ratios of consecutive Q's at c (the second superdiagonal is all
-    ones).  Returns (L, U); `quadratic_factorization_check` certifies them.
+    L carries the connection coefficients and U the kernel's norm ratios
+    and coefficient differences (its second superdiagonal is all ones).
+    Returns (L, U); `quadratic_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
-    alpha1, alpha2, _ = quadratic_connection(u, c, m0, m1, size - 1)
-    system, _ = quadratic_geronimus_smop(u, c, m0, m1, size + 1)
-    q_polys = system.polys
-    sub1 = [alpha1[n] for n in range(1, size)]
-    sub2 = [alpha2[n] for n in range(2, size)]
-    lower = UnitLowerTriband(size, sub1, sub2)
-    wr = {
-        n: wronskian(q_polys[n], q_polys[n + 1], c) for n in range(size + 1)
-    }
-    for n in range(size + 1):
-        if wr[n] == 0:
-            raise NotQuasiDefinite(n, guard="W(Q_{n+1}, Q_n)(c)")
-    diag = [wr[n + 1] / wr[n] for n in range(size)]
-    super1 = [-wronskian(q_polys[n], q_polys[n + 2], c) / wr[n] for n in range(size - 1)]
-    return lower, UpperTriband(size, diag, super1)
+    return _factors(_division(u, c, m0, m1, size + 1), size)
 
 
 def _triband_failure(base, q_polys, lower, upper, c):
@@ -235,8 +166,8 @@ def _squares_failure(parts, left, right, lower, upper):
 def quadratic_factorization_check(u, c, m0, m1, size):
     """Identity "propLUinversa": the tri-band factors against the transform's moments.
 
-    The factors come from determinants and Wronskians at c; Jhat and Q
-    come from the moments of (x - c)^{-2} u by the Chebyshev algorithm.
+    The factors come from the kernel at c; Jhat and Q come from the
+    moments of (x - c)^{-2} u by the Chebyshev algorithm.
     Checks Q = L P and (x - c)^2 P = U Q degree by degree, then
     (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable blocks.
     """
@@ -298,40 +229,30 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
 def assoc_inverse_factorization(u, size):
     """Tri-band factors linking the first-associated and inverse SMOPs at c = 0.
 
-    L's entries are Wronskian ratios of the base SMOP at 0 (the inverse
-    connection); U's are Wronskian ratios of the inverse SMOP at 0.
-    Returns (L, U); `assoc_inverse_factorization_check` certifies them.
+    The same L/U construction as `quadratic_factorization`, on `inverse_kernel`:
+    L carries the inverse connection and U turns x^2 P^(1)_n into the
+    inverse SMOP.  Returns (L, U); `assoc_inverse_factorization_check`
+    certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    alpha1, alpha2, _ = inverse_connection(u, size - 1)
-    sub1 = [alpha1[n] for n in range(1, size)]
-    sub2 = [alpha2[n] for n in range(2, size)]
-    lower = UnitLowerTriband(size, sub1, sub2)
-    inv_system, _ = inverse_smop(u, size + 1)
-    p_minus = inv_system.polys
-    wr = {n: wronskian(p_minus[n], p_minus[n + 1], 0) for n in range(size + 1)}
-    for n in range(size + 1):
-        if wr[n] == 0:
-            raise NotQuasiDefinite(n, guard="W(P-_{n+1}, P-_n)(0)")
-    diag = [wr[n + 1] / wr[n] for n in range(size)]
-    super1 = [-wronskian(p_minus[n], p_minus[n + 2], 0) / wr[n] for n in range(size - 1)]
-    return lower, UpperTriband(size, diag, super1)
+    return _factors(inverse_kernel(u, size + 1), size)
 
 
 def assoc_inverse_factorization_check(u, norm1, size):
     """Identity "relationlu": (J^(1))^2 = U L and (J^-)^2 = L U on reliable blocks.
 
-    J^(1) is the shifted recurrence of u and J^- comes from
-    `inverse_recurrence`, neither from the factors.  The first-associated
-    scaling identity "fu1" at norm1 rides along.
+    J^(1) is the shifted recurrence of u and J^- comes from the moments
+    of u^{-1} by the Chebyshev algorithm, neither from the factors.  The
+    first-associated scaling identity "fu1" at norm1 rides along.
     """
     lower, upper = assoc_inverse_factorization(u, size)
     rc, _ = smop_from_moments(u, size + 1)
+    inverse_rc, _ = smop_from_moments(fa.invert(u), size)
     failure = _squares_failure(
         ("(J^(1))^2 = U L", "(J^-)^2 = L U"),
         jacobi_matrix(rc.shifted(1), size),
-        jacobi_matrix(inverse_recurrence(u, size), size),
+        jacobi_matrix(inverse_rc, size),
         lower,
         upper,
     )

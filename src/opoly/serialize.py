@@ -1,4 +1,4 @@
-"""JSON records for functionals, recurrences, factors and series.
+"""JSON records for functionals, recurrences, factors and check chains.
 
 Rationals travel as strings "p/q" so round trips stay exact.  Record
 key order is fixed so identical inputs always serialize to identical
@@ -8,7 +8,6 @@ bytes (no timestamps, no environment data).
 import json
 
 from .functional import MomentFunctional
-from .orthopoly import RecurrenceCoefficients
 from .rational import parse_rational, rat_str
 
 
@@ -52,16 +51,6 @@ def recurrence_record(rc, norms=None):
     return record
 
 
-def recurrence_from_json(obj):
-    if not isinstance(obj, dict) or "b" not in obj or "a" not in obj:
-        raise ValueError("expected a recurrence record with b and a")
-    rc = RecurrenceCoefficients(
-        parse_rational_list(obj["b"]), parse_rational_list(obj["a"])
-    )
-    norms = parse_rational_list(obj.get("norms", []))
-    return rc, norms
-
-
 def factor_record(c, ell, beta, transformed_rc):
     return {
         "c": rat_str(c),
@@ -78,14 +67,6 @@ def triband_record(lower, upper):
         "sub2": rational_list(lower.sub2),
         "diag": rational_list(upper.diag),
         "super1": rational_list(upper.super1),
-    }
-
-
-def series_record(s):
-    return {
-        "max_power": s.max_power,
-        "min_power": s.min_power,
-        "coeffs": rational_list(s.coeffs),
     }
 
 

@@ -18,7 +18,6 @@ from opoly.associated import (
     corecursive_functional_check,
     corecursive_two_route_check,
     inverse_connection,
-    inverse_level_one,
     inverse_recurrence,
     inverse_smop,
 )
@@ -309,7 +308,7 @@ def criterion_8():
         size = rng.randint(4, 5)
         rc = draw_recurrence(size, positive_a=True)
         u = moments_from_jacobi(jacobi_matrix(rc, size), 1, 2 * size - 1)
-        level_one = inverse_level_one(rc)
+        level_one = -(rc.b_at(0) ** 2 + rc.a_at(1))
         assert rc.a_at(1) > 0
         assert level_one < 0
         rc_inv = inverse_recurrence(u, 2)

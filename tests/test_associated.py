@@ -15,11 +15,9 @@ from opoly.associated import (
     divided_difference,
     inverse_connection,
     inverse_functional_identity_check,
-    inverse_level_one,
     inverse_recurrence,
     inverse_smop,
     linear_combination_check,
-    origin_wronskians,
 )
 from opoly.errors import NotQuasiDefinite, ZeroFirstMoment
 from opoly.functional import MomentFunctional
@@ -102,14 +100,6 @@ def test_first_kind_functional_scaling_identity():
         assert report.identity == "fu1"
 
 
-def test_origin_wronskians_match_the_frozen_table():
-    u = families.chebyshev_u(24)
-    _, _, ws = origin_wronskians(u, 10)
-    # u_0 = 1, so d*_n equals the raw Wronskian
-    for n in range(1, 12):
-        assert ws[n] == families.chebyshev_u_d_star(n)
-
-
 def test_inverse_connection_tables_match_closed_forms():
     u = families.chebyshev_u(24)
     alpha1, alpha2, d_star = inverse_connection(u, 10)
@@ -167,7 +157,7 @@ def test_inverse_recurrence_conventions():
     assert rc_inv.b[0] == -(alpha + 2)
     assert rc_inv.a[0] == -(alpha + 2) * (alpha + 3)
     rc, _ = smop_from_moments(u, 2)
-    assert inverse_level_one(rc) == rc_inv.a[0]
+    assert -(rc.b_at(0) ** 2 + rc.a_at(1)) == rc_inv.a[0]
     for n in range(8):
         assert rc_inv.b[n] == families.laguerre_inverse_b(alpha, n)
     for n in range(1, 8):
@@ -189,16 +179,16 @@ def test_inverse_recurrence_chebyshev_tables():
 
 
 def test_level_one_guard_fires_when_b0_squared_plus_a1_vanishes():
-    # b_0 = 1, a_1 = -1 gives b_0^2 + a_1 = 0; such a functional has no
-    # quasi-definite convolution inverse past level one.
-    rc = RecurrenceCoefficients((1, 0, 0), (-1, 1))
-    u = moments_from_jacobi(jacobi_matrix(rc, 3), 1, 5)
-    with pytest.raises(NotQuasiDefinite) as info:
-        inverse_recurrence(u, 1)
-    assert info.value.level == 1
-    assert info.value.guard == "b_0^2 + a_1"
-    with pytest.raises(NotQuasiDefinite):
-        inverse_connection(u, 1)
+    # b_0 = 1, a_1 = -1 gives b_0^2 + a_1 = 0, so d*_2 = 0: the inverse's
+    # level-one Hankel minor vanishes and it has no quasi-definite SMOP
+    # past level one.  A one-term inverse recurrence does not reach it.
+    rc = RecurrenceCoefficients((1, 0, 0, 0), (-1, 1, 1))
+    u = moments_from_jacobi(jacobi_matrix(rc, 4), 1, 7)
+    for producer in (inverse_recurrence, inverse_connection, inverse_smop):
+        with pytest.raises(NotQuasiDefinite) as info:
+            producer(u, 2)
+        assert (info.value.level, info.value.guard) == (1, "d_star")
+    assert inverse_recurrence(u, 1).b == (-1,)
 
 
 def test_inverse_transform_requires_nonzero_first_moment():

@@ -321,7 +321,8 @@ def test_factorize_quadratic_triband_shape(monkeypatch, capsys):
 
 
 def test_factorize_quadratic_degenerate_parameters_report_the_guard(monkeypatch, capsys):
-    # m1 = 0 with m0 = 1 at c = 1 kills the second minor for chebyshev-u
+    # m1 = 0 with m0 = 1 at c = 1 kills the transform's level-one Hankel
+    # minor for chebyshev-u
     code, out, _ = invoke(
         monkeypatch,
         capsys,
@@ -331,7 +332,7 @@ def test_factorize_quadratic_degenerate_parameters_report_the_guard(monkeypatch,
     assert code == 1
     payload = json.loads(out)
     assert payload["error"] == "NotQuasiDefinite"
-    assert payload["level"] == 2
+    assert payload["level"] == 1
     assert payload["guard"] == "d_star"
 
 
@@ -554,7 +555,7 @@ def test_zero_norm_is_a_typed_error(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "name,helper", [("propLUinversa", "quadratic_connection"), ("relationlu", "inverse_smop")]
+    "name,helper", [("propLUinversa", "quadratic_kernel"), ("relationlu", "inverse_kernel")]
 )
 def test_a_library_assertion_is_not_an_identity_failure(monkeypatch, capsys, name, helper):
     # a broken producer is a library bug: it must propagate, never be

@@ -7,7 +7,6 @@ from opoly.poly import (
     X,
     ZERO_POLY,
     Polynomial,
-    constant,
     derivatives_at,
     linear_power,
     monomial,
@@ -47,7 +46,6 @@ def test_arithmetic_identities():
 def test_scalar_coercion():
     assert X + rat(1, 3) == Polynomial((rat(1, 3), 1))
     assert rat(2) * X == Polynomial((0, 2))
-    assert constant(rat(5, 2)) == Polynomial((rat(5, 2),))
 
 
 def test_floats_are_rejected():

@@ -5,7 +5,14 @@ from conftest import gram_schmidt
 from hypothesis import assume, given, settings, strategies as st
 
 from opoly import functional as fa
-from opoly.associated import corecursive_two_route_check, origin_wronskians
+from opoly.associated import (
+    associated_functional,
+    associated_polys,
+    corecursive_two_route_check,
+    inverse_connection,
+    inverse_recurrence,
+    inverse_smop,
+)
 from opoly.errors import NotQuasiDefinite
 from opoly.matrices import band_from_entries, mat_multiply, mat_power
 from opoly.orthopoly import (
@@ -16,8 +23,16 @@ from opoly.orthopoly import (
     moments_from_jacobi,
     polys_from_recurrence,
     smop_from_moments,
+    values_and_slopes,
 )
-from opoly.poly import linear_power, wronskian
+from opoly.poly import derivatives_at, linear_power, wronskian
+from opoly.quadratic import (
+    assoc_inverse_factorization,
+    quadratic_connection,
+    quadratic_factorization,
+    quadratic_geronimus_smop,
+    quadratic_recurrence,
+)
 from opoly.rational import ONE, rat
 from opoly.series import LaurentSeries, series_multiply
 
@@ -196,17 +211,117 @@ def test_lazy_system_builds_the_eager_polynomials(drawn):
     assert lazy.polys == eager.polys == gram_schmidt(u, n_max)[1].polys
 
 
+@given(recurrence_moments(), rationals)
+def test_values_and_slopes_match_derivatives_at(drawn, c):
+    rc, _ = drawn
+    n = rc.length
+    polys = polys_from_recurrence(rc, n)
+    for at in (c, rat(0)):
+        values, slopes = values_and_slopes(rc, at, n)
+        assert list(zip(values, slopes)) == [derivatives_at(p, at, 1) for p in polys]
+
+
+# -- the inverse functional is the quadratic Geronimus transform at 0
+
 @given(recurrence_moments(min_order=6))
-def test_origin_wronskians_match_polynomial_wronskians(drawn):
+def test_inverse_d_star_is_the_origin_wronskian(drawn):
     rc, u = drawn
     n_max = u.order // 2 - 1
-    got_rc, skips, ws = origin_wronskians(u, n_max)
-    assert got_rc == rc.truncated(n_max + 1)
     base = polys_from_recurrence(rc, n_max + 1)
-    assert ws == {n: wronskian(base[n], base[n - 1], 0) for n in range(1, n_max + 2)}
-    assert skips == {
-        n: wronskian(base[n + 1], base[n - 1], 0) for n in range(1, n_max + 1)
-    }
+    ws = {m: wronskian(base[m], base[m - 1], 0) for m in range(1, n_max + 2)}
+    assume(all(ws[m] != 0 for m in range(2, n_max + 1)))
+    _, _, d_star = inverse_connection(u, n_max)
+    assert d_star == {m: w / u.moments[0] ** 2 for m, w in ws.items()}
+
+
+@given(recurrence_moments(min_order=12))
+def test_inverse_producers_are_the_quadratic_ones_on_the_scaled_associated(drawn):
+    # x^2 u^{-1} = kappa u^(1), with kappa = -a_1/u_0, and u^{-1} has
+    # moments 1/u_0, -b_0/u_0: each inverse producer must agree with its
+    # quadratic counterpart run on the moments of kappa u^(1) at c = 0
+    rc, u = drawn
+    u0 = u.moments[0]
+    n = rc.length - 4
+    w = associated_functional(rc, 1, -rc.a_at(1) / u0, 2 * rc.length - 3)
+    m0, m1 = 1 / u0, -rc.b_at(0) / u0
+    try:
+        want_rc = quadratic_recurrence(w, 0, m0, m1, n)
+    except NotQuasiDefinite:
+        assume(False)
+    assert inverse_recurrence(u, n) == want_rc
+    got, got_d = inverse_smop(u, n)
+    want, want_d = quadratic_geronimus_smop(w, 0, m0, m1, n)
+    assert got.polys == want.polys and got.norms == want.norms
+    assert got_d[1] == -1 / u0 ** 2
+    assert all(got_d[m] == -want_d[m] for m in range(2, n + 2))
+    got_l, got_u = assoc_inverse_factorization(u, n)
+    want_l, want_u = quadratic_factorization(w, 0, m0, m1, n)
+    assert got_l.to_band() == want_l.to_band() and got_u.to_band() == want_u.to_band()
+
+
+# -- degenerate transforms fail at the first vanishing Hankel minor
+
+@given(recurrence_moments(min_order=8), rationals, rationals, st.data())
+def test_a_vanishing_d_star_fails_every_quadratic_producer_at_its_minor(drawn, c, weight, data):
+    # with the weight m1 - c m0 fixed, S_n does not depend on m0 and
+    # T_n = S_n'(c) + m0 P_n(c) is affine in it, so d*_{k+1} is too
+    rc, u = drawn
+    level = data.draw(st.integers(1, u.order // 2 - 3))
+    base = polys_from_recurrence(rc, level + 1)
+    first = associated_polys(rc, 1, level)
+    s, ds, p = [], [], []
+    for n in (level - 1, level):
+        s_poly = weight * base[n] + (u.moments[0] * first[n - 1] if n else 0)
+        s_value, s_slope = derivatives_at(s_poly, c, 1)
+        s.append(s_value)
+        ds.append(s_slope)
+        p.append(base[n](c))
+    slope_part = s[0] * ds[1] - s[1] * ds[0]
+    mass_part = s[0] * p[1] - s[1] * p[0]
+    assume(mass_part != 0 and slope_part != 0)
+    m0 = -slope_part / mass_part
+    m1 = weight + c * m0
+    v = fa.quadratic_geronimus(u, c, m0, m1)
+    assume(all(hankel_minor(v, k) != 0 for k in range(level)))
+    assert hankel_minor(v, level) == 0
+    producers = (
+        lambda: quadratic_geronimus_smop(u, c, m0, m1, level + 1),
+        lambda: quadratic_connection(u, c, m0, m1, level + 1),
+        lambda: quadratic_recurrence(u, c, m0, m1, level + 1),
+        lambda: quadratic_factorization(u, c, m0, m1, max(level, 2)),
+    )
+    for producer in producers:
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            producer()
+        assert (excinfo.value.level, excinfo.value.guard) == (level, "d_star")
+
+
+@given(recurrence_moments(min_order=8), st.data())
+def test_a_vanishing_origin_wronskian_fails_every_inverse_producer_at_its_minor(drawn, data):
+    # W(P_{k+1}, P_k)(0) = a_k W(P_k, P_{k-1})(0) - P_k(0)^2 is affine in a_k
+    rc, u = drawn
+    level = data.draw(st.integers(1, u.order // 2 - 2))
+    base = polys_from_recurrence(rc, level)
+    ws = [wronskian(base[m], base[m - 1], 0) for m in range(1, level + 1)]
+    assume(all(ws))
+    a = list(rc.a)
+    a[level - 1] = base[level](0) ** 2 / ws[-1]
+    assume(a[level - 1] != 0)
+    rc = RecurrenceCoefficients(rc.b, a)
+    u = moments_from_jacobi(jacobi_matrix(rc, rc.length), u.moments[0], u.order)
+    inverse = fa.invert(u)
+    assert all(hankel_minor(inverse, k) != 0 for k in range(level))
+    assert hankel_minor(inverse, level) == 0
+    producers = (
+        lambda: inverse_connection(u, level + 1),
+        lambda: inverse_smop(u, level + 1),
+        lambda: inverse_recurrence(u, level + 1),
+        lambda: assoc_inverse_factorization(u, max(level, 2)),
+    )
+    for producer in producers:
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            producer()
+        assert (excinfo.value.level, excinfo.value.guard) == (level, "d_star")
 
 
 @given(st.data())

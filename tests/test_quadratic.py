@@ -7,7 +7,7 @@ from opoly import functional as fa
 from opoly.associated import associated_polys
 from opoly.errors import DegenerateParameter, NotQuasiDefinite
 from opoly.matrices import UnitLowerTriband
-from opoly.orthopoly import polys_from_recurrence, smop_from_moments
+from opoly.orthopoly import hankel_minor, polys_from_recurrence, smop_from_moments
 from opoly.poly import derivatives_at
 from opoly.quadratic import (
     assoc_inverse_factorization,
@@ -90,14 +90,19 @@ def test_zero_mass_is_rejected():
 
 def test_known_degenerate_instance_trips_the_d_star_guard():
     # chebyshev-u, c = 1, m0 = 1, m1 = 0: S_1(1) = 0 and T_1(1) = 0 make
-    # the level-two determinant vanish
+    # d*_2 vanish, and with it the transform's level-one Hankel minor
     u = families.chebyshev_u(16)
     with pytest.raises(NotQuasiDefinite) as info:
         quadratic_geronimus_smop(u, 1, 1, 0, 4)
-    assert info.value.level == 2
+    assert info.value.level == 1
     assert info.value.guard == "d_star"
     with pytest.raises(NotQuasiDefinite):
         quadratic_connection(u, 1, 1, 0, 4)
+    v = fa.quadratic_geronimus(u, 1, 1, 0)
+    assert hankel_minor(v, 0) != 0 and hankel_minor(v, 1) == 0
+    with pytest.raises(NotQuasiDefinite) as info:
+        smop_from_moments(v, 4)
+    assert info.value.level == 1
 
 
 def perturbing_sub1(factorization, index):

@@ -17,9 +17,7 @@ from opoly.serialize import (
     moments_record,
     parse_rational_list,
     rational_list,
-    recurrence_from_json,
     recurrence_record,
-    series_record,
     triband_record,
 )
 
@@ -82,17 +80,11 @@ def test_recurrence_record_round_trip():
         "a": ["1/4"],
         "norms": ["1", "1/4"],
     }
-    again, norms = recurrence_from_json(record)
-    assert again.b == rc.b
-    assert again.a == rc.a
-    assert norms == (1, rat(1, 4))
 
 
 def test_recurrence_record_with_no_norms():
     rc = RecurrenceCoefficients((rat(3),), ())
     assert recurrence_record(rc)["norms"] == []
-    with pytest.raises(ValueError):
-        recurrence_from_json({"b": ["1"]})
 
 
 def test_factor_record_shape():
@@ -118,17 +110,6 @@ def test_triband_record_shape():
         "sub2": ["4", "5"],
         "diag": ["6", "7", "8", "9"],
         "super1": ["1/2", "1/2", "1/2"],
-    }
-
-
-def test_series_record_shape():
-    from opoly.stieltjes import stieltjes_series
-
-    record = series_record(stieltjes_series(families.chebyshev_u(4)))
-    assert record == {
-        "max_power": -1,
-        "min_power": -4,
-        "coeffs": ["1", "0", "1/4", "0"],
     }
 
 
