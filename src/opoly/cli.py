@@ -73,6 +73,17 @@ class UsageError(Exception):
     """Bad arguments or malformed input; maps to exit status 2."""
 
 
+class UpstreamError(OpolyError):
+    """A typed error record on stdin: an earlier stage of the pipeline failed.
+
+    It is passed on unchanged, with exit status 1.
+    """
+
+    def __init__(self, payload):
+        self.payload = payload
+        super().__init__(payload.get("message", payload["error"]))
+
+
 def max_order_cap():
     raw = os.environ.get("OPOLY_MAX_ORDER", "64")
     try:
@@ -108,6 +119,8 @@ def read_functional(stream):
         obj = serialize.loads(data)
     except json.JSONDecodeError as exc:
         raise UsageError("malformed JSON on standard input: %s" % exc)
+    if isinstance(obj, dict) and isinstance(obj.get("error"), str):
+        raise UpstreamError(obj)
     try:
         u = serialize.functional_from_json(obj)
     except (ValueError, ZeroDivisionError) as exc:
@@ -160,6 +173,8 @@ def emit_csv(header, rows, out_path):
 
 
 def error_payload(exc):
+    if isinstance(exc, UpstreamError):
+        return exc.payload
     payload = {"version": __version__, "error": type(exc).__name__}
     if isinstance(exc, NotQuasiDefinite):
         payload["level"] = exc.level
@@ -253,7 +268,12 @@ def cmd_transform(args):
 def cmd_factorize(args):
     u = read_functional(sys.stdin)
     c = parse_param(args.c, "--c")
-    size = args.size if args.size is not None else u.order // 2
+    # by default the largest size the input supports: lu/ul read 2*size
+    # moments, quadratic 2*size + 2
+    if args.size is not None:
+        size = args.size
+    else:
+        size = u.order // 2 - (1 if args.mode == "quadratic" else 0)
     # a quadratic (triband) factorization needs three rows, lu and ul two
     checked_size(size, "--size", least=3 if args.mode == "quadratic" else 2)
     if args.mode == "lu":
@@ -637,7 +657,13 @@ def build_parser():
     p_factor.add_argument("--c", default="1", help="shift point (default 1)")
     p_factor.add_argument("--m0", default="1", help="mass for ul/quadratic (default 1)")
     p_factor.add_argument("--m1", default="0", help="derivative mass for quadratic (default 0)")
-    p_factor.add_argument("--size", type=int, default=None, help="matrix size (default order/2)")
+    p_factor.add_argument(
+        "--size",
+        type=int,
+        default=None,
+        help="matrix size (default: the largest the input supports, order/2, or order/2 - 1 "
+        "for quadratic)",
+    )
     p_factor.add_argument("--out", default=None)
     p_factor.set_defaults(handler=cmd_factorize)
 

@@ -6,9 +6,11 @@ products with a polynomial lose its degree, division by a power of (x - c)
 gains that power, everything else preserves or intersects orders.
 """
 
+from math import gcd
+
 from .errors import DegenerateParameter, TruncationExhausted, ZeroFirstMoment
 from .poly import Polynomial, linear_power, monomial
-from .rational import ZERO, ONE, rat
+from .rational import ZERO, ONE, Rational, common_denominator, rat
 
 
 class MomentFunctional:
@@ -118,18 +120,32 @@ def convolve(u, v):
 
 
 def invert(u):
-    """Convolution inverse: u * invert(u) has moments (1, 0, 0, ...)."""
-    u0 = u.moments[0]
-    if u0 == 0:
+    """Convolution inverse: u * invert(u) has moments (1, 0, 0, ...).
+
+    Runs on integers: u_n = N_n / D over one common denominator, and the
+    inverse moments found so far are v_k = V_k / E over the least common
+    one.  The next is v_n = -(sum_{k<n} N_{n-k} V_k) / (D E u_0), reduced
+    by one gcd; V is brought over the lcm of E and its denominator, so
+    the integers stay the size of the reduced moments.
+    """
+    nums, den = common_denominator(u.moments)
+    p0, q0 = u.moments[0].numerator, u.moments[0].denominator
+    if p0 == 0:
         raise ZeroFirstMoment("u_0 = 0 has no convolution inverse")
-    inv0 = 1 / u0
-    out = [inv0]
+    # 1/u_0 = sign q0 / |p0|; denominators stay positive
+    sign = 1 if p0 > 0 else -1
+    vs, e = [sign * q0], abs(p0)
     for n in range(1, u.order):
-        acc = ZERO
-        for k in range(n):
-            acc += u.moments[n - k] * out[k]
-        out.append(-inv0 * acc)
-    return MomentFunctional(out)
+        num = -sign * q0 * sum(nums[n - k] * vs[k] for k in range(n))
+        d = den * e * abs(p0)
+        g = gcd(num, d)
+        num, d = num // g, d // g
+        scale = d // gcd(e, d)
+        if scale > 1:
+            vs = [v * scale for v in vs]
+            e *= scale
+        vs.append(num * (e // d))
+    return MomentFunctional(Rational(v, e) for v in vs)
 
 
 def apply(u, p):

@@ -1,10 +1,12 @@
 """Monic orthogonal polynomial sequences: moments to recurrence and back."""
 
+from math import gcd, lcm
+
 from .errors import NotQuasiDefinite, TruncationExhausted
 from .functional import MomentFunctional
 from .matrices import BandMatrix
 from .poly import ONE_POLY, Polynomial
-from .rational import ZERO, ONE, rat
+from .rational import ZERO, ONE, Rational, common_denominator, rat
 
 
 class RecurrenceCoefficients:
@@ -140,6 +142,13 @@ def smop_from_moments(u, n_max):
     b_k = s_{k,k+1} / K_k - s_{k-1,k} / K_{k-1} (Gautschi, Orthogonal
     Polynomials: Computation and Approximation, 2004, section 2.1.7).
 
+    Each row runs on integers over one denominator: s_{k,l} = sigma[l] /
+    den.  The row is formed with integer factors that bring both terms of
+    the recurrence over the lcm of their denominators, then divided once
+    by gcd(den, *row), so no entry is a rational.  b_k needs no
+    denominator at all: b_k = sigma_k[k+1]/sigma_k[k] -
+    sigma_{k-1}[k]/sigma_{k-1}[k-1].
+
     Needs 2*n_max moments.  Returns the recurrence coefficients
     (b_0..b_{n_max-1}, a_1..a_{n_max-1}) and the system P_0..P_{n_max}
     with norms K_0..K_{n_max-1}; the polynomials are built only when
@@ -153,9 +162,10 @@ def smop_from_moments(u, n_max):
             "need %d moments for n_max=%d, have %d" % (2 * n_max, n_max, u.order)
         )
     width = 2 * n_max
-    # sigma[l] = s_{k,l} and below[l] = s_{k-1,l}; only l >= k is used
-    below = [ZERO] * width
-    sigma = list(u.moments[:width])
+    # s_{k,l} = sigma[l] / den and s_{k-1,l} = below[l] / below_den; only
+    # l >= k is used
+    sigma, den = common_denominator(u.moments[:width])
+    below, below_den = [0] * width, 1
     norms = []
     bs = []
     a_s = []
@@ -163,16 +173,30 @@ def smop_from_moments(u, n_max):
         if k >= 1:
             b = bs[k - 1]
             a = a_s[k - 2] if k >= 2 else ZERO
-            below, sigma = sigma, [ZERO] * k + [
-                sigma[l + 1] - b * sigma[l] - a * below[l] for l in range(k, width - k)
-            ]
-        norm_k = sigma[k]
-        if norm_k == 0:
+            # with b = pb/qb and a = pa/qa, s_{k,l} is
+            # (qb sigma[l+1] - pb sigma[l]) / (den qb) - pa below[l] / (below_den qa)
+            left = den * b.denominator
+            right = below_den * a.denominator
+            new_den = lcm(left, right)
+            f_left = new_den // left
+            x, y, z = f_left * b.denominator, f_left * b.numerator, new_den // right * a.numerator
+            row = [x * sigma[l + 1] - y * sigma[l] - z * below[l] for l in range(k, width - k)]
+            g = gcd(new_den, *row)
+            if g > 1:
+                row = [v // g for v in row]
+                new_den //= g
+            below, below_den = sigma, den
+            sigma, den = [0] * k + row, new_den
+        if sigma[k] == 0:
             raise NotQuasiDefinite(k, guard="norm")
-        b_k = sigma[k + 1] / norm_k
-        if k >= 1:
-            b_k -= below[k] / norms[k - 1]
-            a_s.append(norm_k / norms[k - 1])
+        norm_k = Rational(sigma[k], den)
+        if k == 0:
+            b_k = Rational(sigma[1], sigma[0])
+        else:
+            b_k = Rational(
+                sigma[k + 1] * below[k - 1] - below[k] * sigma[k], sigma[k] * below[k - 1]
+            )
+            a_s.append(Rational(sigma[k] * below_den, den * below[k - 1]))
         norms.append(norm_k)
         bs.append(b_k)
     rc = RecurrenceCoefficients(bs, a_s)
@@ -264,6 +288,13 @@ def moments_from_jacobi(j, u0, n):
     Entries of J^k only involve indices up to ceil(k/2), so the truncated
     matrix reproduces the untruncated moments exactly for n <= 2*size - 1
     (counting only the reliable block when the matrix carries a margin).
+
+    The iteration runs on integers: with q the lcm of the denominators of
+    J's entries, qJ is an integer matrix, J^t e_0 = w / den with w an
+    integer vector, and the t-th moment is u0 * w[0] / den.  Each step
+    multiplies by qJ and q and divides w and den by gcd(den, *w) once, so
+    den stays the lcm of the entries' reduced denominators instead of
+    q^t, which matters when J's denominators differ from row to row.
     """
     u0 = rat(u0)
     if n < 1:
@@ -276,21 +307,30 @@ def moments_from_jacobi(j, u0, n):
         )
     size = j.size
     lower, upper = j.lower, j.upper
-    # a monic Jacobi matrix has a unit superdiagonal: add without multiplying
+    scaled = {d: common_denominator(entries) for d, entries in j.diagonals.items()}
+    q = lcm(*(diag_den for _, diag_den in scaled.values()))
+    # a monic Jacobi matrix with integer entries has a unit superdiagonal:
+    # add without multiplying
     diagonals = tuple(
-        (d, entries, min(d, 0), all(c == 1 for c in entries))
-        for d, entries in j.diagonals.items()
+        (
+            d,
+            [c * (q // diag_den) for c in entries],
+            min(d, 0),
+            q == 1 and all(c == 1 for c in entries),
+        )
+        for d, (entries, diag_den) in scaled.items()
     )
-    w = [ONE]
+    # J^t e_0 = w / den
+    w, den = [1], 1
     moments = [u0]
     for t in range(n - 1):
-        # w = J^(t+1) e_0 is supported on indices <= (t+1)*lower, and index
-        # i can still reach w[0] in the n-2-t steps left only if
+        # J^(t+1) e_0 is supported on indices <= (t+1)*lower, and index i
+        # can still reach w[0] in the n-2-t steps left only if
         # i <= (n-2-t)*upper; the other entries never touch a moment.
         top = min(size - 1, (t + 1) * lower, (n - 2 - t) * upper)
-        nxt = [ZERO] * (top + 1)
+        nxt = [0] * (top + 1)
         for d, entries, offset, unit in diagonals:
-            # J[i, i+d] = entries[min(i, i+d)]
+            # qJ[i, i+d] = entries[min(i, i+d)]
             rows = range(max(0, -d), min(top, len(w) - 1 - d) + 1)
             if unit:
                 for i in rows:
@@ -298,8 +338,12 @@ def moments_from_jacobi(j, u0, n):
             else:
                 for i in rows:
                     nxt[i] += entries[i + offset] * w[i + d]
-        w = nxt
-        moments.append(u0 * w[0])
+        w, den = nxt, den * q
+        g = gcd(den, *w)
+        if g > 1:
+            w = [v // g for v in w]
+            den //= g
+        moments.append(u0 * Rational(w[0], den))
     return MomentFunctional(moments)
 
 

@@ -100,11 +100,12 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
 
     bhat_0 = m1/m0, bhat_n = b_n + alpha1[n] - alpha1[n+1], and
     ahat_n = K_n / K_{n-1} with the norms of `quadratic_kernel`, so
-    ahat_1 = (u_0 m0 - (m1 - c m0)^2)/m0^2.
+    ahat_1 = (u_0 m0 - (m1 - c m0)^2)/m0^2.  Needs 2*n_max + 2 moments
+    and guards d*_2..d*_{n_max}, the levels the result reads.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return _division(u, c, m0, m1, n_max + 1).recurrence.truncated(n_max)
+    return _division(u, c, m0, m1, n_max).recurrence
 
 
 def _factors(kernel, size):
@@ -122,11 +123,12 @@ def quadratic_factorization(u, c, m0, m1, size):
 
     L carries the connection coefficients and U the kernel's norm ratios
     and coefficient differences (its second superdiagonal is all ones).
-    Returns (L, U); `quadratic_factorization_check` certifies them.
+    Needs 2*size + 2 moments and guards d*_2..d*_size.  Returns (L, U);
+    `quadratic_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    return _factors(_division(u, c, m0, m1, size + 1), size)
+    return _factors(_division(u, c, m0, m1, size), size)
 
 
 def _triband_failure(base, q_polys, lower, upper, c):
@@ -231,12 +233,13 @@ def assoc_inverse_factorization(u, size):
 
     The same L/U construction as `quadratic_factorization`, on `inverse_kernel`:
     L carries the inverse connection and U turns x^2 P^(1)_n into the
-    inverse SMOP.  Returns (L, U); `assoc_inverse_factorization_check`
-    certifies them.
+    inverse SMOP.  Needs 2*size + 2 moments and guards the inverse's
+    levels up to size - 1.  Returns (L, U);
+    `assoc_inverse_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    return _factors(inverse_kernel(u, size + 1), size)
+    return _factors(inverse_kernel(u, size), size)
 
 
 def assoc_inverse_factorization_check(u, norm1, size):

@@ -11,6 +11,7 @@ module is backend-agnostic.
 import os
 import re
 from fractions import Fraction
+from math import lcm
 
 _requested = os.environ.get("OPOLY_RATIONAL_BACKEND", "auto").strip().lower()
 
@@ -74,3 +75,13 @@ def rat_str(x):
 
 def is_zero(x):
     return x == 0
+
+
+def common_denominator(values):
+    """Integers (n_0, ...) and the least den > 0 with values[i] = n_i / den.
+
+    Reads only .numerator and .denominator, so the integer kernels built on
+    it run the same over either backend; `Rational(n_i, den)` goes back.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -1,15 +1,18 @@
-"""Shared helpers for the test suite: committed fixtures, family builders and
-the Gram-Schmidt reference for moments to recurrence."""
+"""Shared helpers for the test suite: committed fixtures, family builders,
+the Gram-Schmidt reference for moments to recurrence, and the rational
+(one Fraction per entry) Chebyshev and inverse loops that the integer
+kernels replaced, kept as references for the property tests."""
 
 import json
 from pathlib import Path
 
 from opoly import functional as fa
-from opoly.errors import NotQuasiDefinite
+from opoly.errors import NotQuasiDefinite, ZeroFirstMoment
+from opoly.functional import MomentFunctional
 from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
 from opoly.poly import ONE_POLY, X
 from opoly.serialize import functional_from_json, parse_rational_list
-from opoly.rational import parse_rational
+from opoly.rational import ZERO, parse_rational
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -67,3 +70,44 @@ def gram_schmidt(u, n_max):
         bs.append(b)
         polys.append(nxt)
     return RecurrenceCoefficients(bs, a_s), OrthogonalSystem(polys, norms)
+
+
+def chebyshev_reference(u, n_max):
+    """The Chebyshev algorithm with one rational per mixed moment.
+
+    s_{k,l} = s_{k-1,l+1} - b_{k-1} s_{k-1,l} - a_{k-1} s_{k-2,l}; returns
+    (b's, a's, norms) as lists and raises at the first vanishing norm.
+    """
+    width = 2 * n_max
+    below = [ZERO] * width
+    sigma = list(u.moments[:width])
+    norms, bs, a_s = [], [], []
+    for k in range(n_max):
+        if k >= 1:
+            b = bs[k - 1]
+            a = a_s[k - 2] if k >= 2 else ZERO
+            below, sigma = sigma, [ZERO] * k + [
+                sigma[l + 1] - b * sigma[l] - a * below[l] for l in range(k, width - k)
+            ]
+        norm_k = sigma[k]
+        if norm_k == 0:
+            raise NotQuasiDefinite(k, guard="norm")
+        b_k = sigma[k + 1] / norm_k
+        if k >= 1:
+            b_k -= below[k] / norms[k - 1]
+            a_s.append(norm_k / norms[k - 1])
+        norms.append(norm_k)
+        bs.append(b_k)
+    return bs, a_s, norms
+
+
+def invert_reference(u):
+    """Convolution inverse, one rational per term: v_n = -(1/u_0) sum_{k<n} u_{n-k} v_k."""
+    u0 = u.moments[0]
+    if u0 == 0:
+        raise ZeroFirstMoment("u_0 = 0 has no convolution inverse")
+    out = [1 / u0]
+    for n in range(1, u.order):
+        acc = sum((u.moments[n - k] * out[k] for k in range(n)), ZERO)
+        out.append(-acc / u0)
+    return MomentFunctional(out)

@@ -336,6 +336,38 @@ def test_factorize_quadratic_degenerate_parameters_report_the_guard(monkeypatch,
     assert payload["guard"] == "d_star"
 
 
+def test_factorize_quadratic_defaults_to_the_largest_size_the_input_supports(
+    monkeypatch, capsys
+):
+    # 16 moments carry a size-7 triband factorization (2*size + 2 moments)
+    code, out, _ = invoke(
+        monkeypatch,
+        capsys,
+        ["factorize", "quadratic", "--c", "0", "--m1", "1/5"],
+        stdin_text=family_json(families.chebyshev_u(16)),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["diag"]) == 7
+    assert payload["diag"][:2] == ["1", "25/96"]
+
+
+def test_an_error_record_on_stdin_passes_through_with_exit_1(monkeypatch, capsys):
+    # the first stage of `moments | transform associated | smop` fails on a
+    # functional whose level-1 Hankel minor vanishes
+    code, failed, _ = invoke(
+        monkeypatch,
+        capsys,
+        ["transform", "associated"],
+        stdin_text=json.dumps(["1", "0", "0", "0", "1", "0"]),
+    )
+    assert code == 1
+    code, out, err = invoke(monkeypatch, capsys, ["smop"], stdin_text=failed)
+    assert (code, out, err) == (1, failed, "")
+    assert json.loads(out)["error"] == "NotQuasiDefinite"
+    assert json.loads(out)["level"] == 1
+
+
 def test_factorize_ul_rejects_zero_mass(monkeypatch, capsys):
     code, _, err = invoke(
         monkeypatch,

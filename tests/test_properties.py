@@ -1,19 +1,28 @@
 """Randomized exact-arithmetic properties (hypothesis)."""
 
+import contextlib
+import io
+import json
+import sys
+
 import pytest
-from conftest import gram_schmidt
+from conftest import chebyshev_reference, gram_schmidt, invert_reference
 from hypothesis import assume, given, settings, strategies as st
 
 from opoly import functional as fa
+from opoly import serialize
 from opoly.associated import (
     associated_functional,
     associated_polys,
+    corecursive_functional,
     corecursive_two_route_check,
     inverse_connection,
     inverse_recurrence,
     inverse_smop,
 )
-from opoly.errors import NotQuasiDefinite
+from opoly.cli import main
+from opoly.darboux import christoffel_lu, geronimus_ul
+from opoly.errors import NotQuasiDefinite, ZeroPivot
 from opoly.matrices import band_from_entries, mat_multiply, mat_power
 from opoly.orthopoly import (
     OrthogonalSystem,
@@ -170,6 +179,34 @@ def recurrence_moments(draw, min_order=4, max_order=40):
     return rc, u
 
 
+# large, mostly coprime denominators, so one common denominator is big
+wide_denominators = st.one_of(
+    st.sampled_from((1, 2, 3, 7, 101, 9973, 65537, 999983, 2**31 - 1)),
+    st.integers(1, 10**9),
+)
+wide_rationals = st.one_of(
+    st.just(rat(0)), st.builds(rat, st.integers(-(10**9), 10**9), wide_denominators)
+)
+wide_nonzero = st.builds(
+    rat, st.integers(-(10**9), 10**9).filter(lambda n: n != 0), wide_denominators
+)
+
+
+@st.composite
+def wide_recurrence_moments(draw, min_order=4, max_order=16):
+    """(rc, u) as in recurrence_moments, with coefficients and u_0 of wide height.
+
+    Many b's are zero; u_0 is any nonzero rational, negative included.
+    """
+    order = draw(st.integers(min_order, max_order))
+    length = order // 2 + 1
+    b = draw(st.lists(wide_rationals, min_size=length, max_size=length))
+    a = draw(st.lists(wide_nonzero, min_size=length - 1, max_size=length - 1))
+    rc = RecurrenceCoefficients(b, a)
+    u = moments_from_jacobi(jacobi_matrix(rc, length), draw(wide_nonzero), order)
+    return rc, u
+
+
 @given(recurrence_moments())
 def test_chebyshev_algorithm_matches_gram_schmidt_and_hankel_ratios(drawn):
     rc, u = drawn
@@ -184,15 +221,18 @@ def test_chebyshev_algorithm_matches_gram_schmidt_and_hankel_ratios(drawn):
         assert got.norms[k] == minors[k] / minors[k - 1]
 
 
-@given(recurrence_moments(min_order=6), st.data())
+@given(
+    st.one_of(recurrence_moments(min_order=6), wide_recurrence_moments(min_order=6, max_order=12)),
+    st.data(),
+)
 def test_a_vanishing_a_k_fails_at_level_k_on_every_route(drawn, data):
-    rc, _ = drawn
+    rc, u = drawn
     n_max = rc.length - 1
     level = data.draw(st.integers(1, n_max - 1))
     a = list(rc.a)
     a[level - 1] = rat(0)
     broken = RecurrenceCoefficients(rc.b, a)
-    u = moments_from_jacobi(jacobi_matrix(broken, broken.length), 1, 2 * n_max)
+    u = moments_from_jacobi(jacobi_matrix(broken, broken.length), u.moments[0], 2 * n_max)
     for route in (smop_from_moments, gram_schmidt):
         with pytest.raises(NotQuasiDefinite) as excinfo:
             route(u, n_max)
@@ -288,7 +328,7 @@ def test_a_vanishing_d_star_fails_every_quadratic_producer_at_its_minor(drawn, c
         lambda: quadratic_geronimus_smop(u, c, m0, m1, level + 1),
         lambda: quadratic_connection(u, c, m0, m1, level + 1),
         lambda: quadratic_recurrence(u, c, m0, m1, level + 1),
-        lambda: quadratic_factorization(u, c, m0, m1, max(level, 2)),
+        lambda: quadratic_factorization(u, c, m0, m1, level + 1),
     )
     for producer in producers:
         with pytest.raises(NotQuasiDefinite) as excinfo:
@@ -316,7 +356,7 @@ def test_a_vanishing_origin_wronskian_fails_every_inverse_producer_at_its_minor(
         lambda: inverse_connection(u, level + 1),
         lambda: inverse_smop(u, level + 1),
         lambda: inverse_recurrence(u, level + 1),
-        lambda: assoc_inverse_factorization(u, max(level, 2)),
+        lambda: assoc_inverse_factorization(u, level + 1),
     )
     for producer in producers:
         with pytest.raises(NotQuasiDefinite) as excinfo:
@@ -331,14 +371,171 @@ def test_banded_moments_match_matrix_powers(data):
     highest = data.draw(st.integers(0, 3))
     margin = data.draw(st.integers(1, size - 1))
     unit_top = data.draw(st.booleans())
-    grid = [[data.draw(rationals) for _ in range(size)] for _ in range(size)]
+    entries = data.draw(st.sampled_from((rationals, wide_rationals)))
+    grid = [[data.draw(entries) for _ in range(size)] for _ in range(size)]
 
     def entry(i, j):
         return ONE if unit_top and j - i == highest else grid[i][j]
 
     j = band_from_entries(size, lowest, highest, entry, margin=margin)
     assume(j.lower > 1 or j.upper > 1)
-    u0 = data.draw(nonzero)
+    u0 = data.draw(st.one_of(nonzero, wide_nonzero))
     n = data.draw(st.integers(1, 2 * j.reliable - 1))
     got = moments_from_jacobi(j, u0, n)
     assert list(got.moments) == [u0 * mat_power(j, k).entry(0, 0) for k in range(n)]
+
+
+# -- the integer kernels against the rational loops they replaced and matrix powers
+
+@given(wide_recurrence_moments())
+def test_integer_chebyshev_matches_the_rational_loop(drawn):
+    rc, u = drawn
+    n_max = u.order // 2
+    got_rc, got = smop_from_moments(u, n_max)
+    bs, a_s, norms = chebyshev_reference(u, n_max)
+    assert got_rc == RecurrenceCoefficients(bs, a_s) == rc.truncated(n_max)
+    assert got.norms == tuple(norms)
+    assert all(type(x) is type(ONE) for x in got_rc.b + got_rc.a + got.norms)
+
+
+@given(st.lists(wide_rationals, min_size=2, max_size=14))
+def test_integer_chebyshev_fails_where_the_rational_loop_does(moments):
+    # arbitrary moments: both routes agree on the recurrence or on the level
+    u = fa.functional(moments)
+    n_max = u.order // 2
+    try:
+        want = chebyshev_reference(u, n_max)
+    except NotQuasiDefinite as exc:
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            smop_from_moments(u, n_max)
+        assert (excinfo.value.level, excinfo.value.guard) == (exc.level, "norm")
+        assert hankel_minor(u, exc.level) == 0
+        return
+    got_rc, got = smop_from_moments(u, n_max)
+    assert [list(got_rc.b), list(got_rc.a), list(got.norms)] == list(want)
+
+
+@given(wide_recurrence_moments(max_order=10), wide_nonzero)
+def test_integer_vector_iteration_matches_matrix_powers(drawn, u0):
+    rc, _ = drawn
+    j = jacobi_matrix(rc, rc.length)
+    n = 2 * rc.length - 1
+    got = moments_from_jacobi(j, u0, n)
+    assert list(got.moments) == [u0 * mat_power(j, k).entry(0, 0) for k in range(n)]
+
+
+@given(wide_nonzero, st.lists(wide_rationals, min_size=0, max_size=16))
+def test_integer_inverse_matches_the_rational_loop_and_convolves_to_delta(first, rest):
+    u = make_functional(first, rest)
+    inverse = fa.invert(u)
+    assert inverse == invert_reference(u)
+    assert fa.convolve(u, inverse) == fa.delta(0, u.order)
+
+
+# -- degenerate degree-one transforms and the associated shift: the library
+# and the `transform | smop` pipeline fail at the transform's first
+# vanishing Hankel minor
+
+def run_cli(argv, stdin_text):
+    """(exit status, stdout) of one in-process `opoly` call."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def assert_pipeline_fails_at(u, transform_args, level):
+    """`transform ... | smop` on u exits 1 with a typed NotQuasiDefinite at level."""
+    stdin = serialize.dumps(serialize.moments_record(u))
+    _, transformed = run_cli(["transform"] + transform_args, stdin)
+    code, out = run_cli(["smop"], transformed)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NotQuasiDefinite"
+    assert (payload["level"], payload["guard"]) == (level, "norm")
+
+
+def assert_first_vanishing_minor(v, level):
+    assert all(hankel_minor(v, k) != 0 for k in range(level))
+    assert hankel_minor(v, level) == 0
+    with pytest.raises(NotQuasiDefinite) as excinfo:
+        smop_from_moments(v, v.order // 2)
+    assert (excinfo.value.level, excinfo.value.guard) == (level, "norm")
+
+
+def with_moments_of(rc, u):
+    """The functional of rc with u's first moment and order."""
+    return moments_from_jacobi(jacobi_matrix(rc, rc.length), u.moments[0], u.order)
+
+
+@given(recurrence_moments(min_order=6), rationals, st.data())
+def test_a_christoffel_point_at_a_zero_of_p_k_plus_1_fails_at_level_k(drawn, c, data):
+    # H_k((x - c) u) is a nonzero multiple of P_{k+1}(c), and
+    # P_{k+1}(c) = (c - b_k) P_k(c) - a_k P_{k-1}(c) is affine in b_k
+    rc, u = drawn
+    level = data.draw(st.integers(0, (u.order - 1) // 2 - 1))
+    values, _ = values_and_slopes(rc, c, level)
+    assume(all(values))
+    b = list(rc.b)
+    b[level] = c - (rc.a_at(level) * values[level - 1] / values[level] if level else 0)
+    rc = RecurrenceCoefficients(b, rc.a)
+    u = with_moments_of(rc, u)
+    assert_first_vanishing_minor(fa.multiply_poly(u, linear_power(c, 1)), level)
+    with pytest.raises(ZeroPivot) as excinfo:
+        christoffel_lu(jacobi_matrix(rc, level + 2), c)
+    assert excinfo.value.index == level
+    assert_pipeline_fails_at(u, ["christoffel", "--c=%s" % c], level)
+
+
+@given(recurrence_moments(min_order=6), rationals, st.data())
+def test_a_geronimus_mass_that_kills_a_minor_fails_at_its_level(drawn, c, data):
+    # v = base + m0 delta_c, so each Hankel minor of v is affine in m0
+    rc, u = drawn
+    base = fa.divide_power(u, c, 1)
+    level = data.draw(st.integers(1, base.order // 2 - 1))
+    without = hankel_minor(base, level)
+    with_unit_mass = hankel_minor(fa.add(base, fa.delta(c, base.order)), level)
+    assume(with_unit_mass != without)
+    m0 = without / (without - with_unit_mass)
+    assume(m0 != 0)
+    v = fa.geronimus(u, c, m0)
+    assume(all(hankel_minor(v, k) != 0 for k in range(level)))
+    assert_first_vanishing_minor(v, level)
+    with pytest.raises(ZeroPivot) as excinfo:
+        geronimus_ul(jacobi_matrix(rc, level + 1), c, u.moments[0] / m0)
+    assert excinfo.value.index == level
+    assert_pipeline_fails_at(u, ["geronimus", "--c=%s" % c, "--m0=%s" % m0], level)
+
+
+@given(recurrence_moments(min_order=6), rationals, st.data())
+def test_a_corecursive_transform_keeps_the_level_of_a_vanishing_a_k(drawn, alpha, data):
+    # H_k = u_0^(k+1) a_1^k ... a_k: the perturbation of b_0 moves no minor
+    rc, u = drawn
+    level = data.draw(st.integers(1, u.order // 2 - 1))
+    a = list(rc.a)
+    a[level - 1] = rat(0)
+    u = with_moments_of(RecurrenceCoefficients(rc.b, a), u)
+    assert_first_vanishing_minor(corecursive_functional(u, alpha), level)
+    assert_pipeline_fails_at(u, ["corecursive", "--alpha=%s" % alpha], level)
+
+
+@given(recurrence_moments(min_order=8), st.integers(1, 2), nonzero, st.data())
+def test_an_associated_functional_fails_where_its_shifted_a_vanishes(drawn, k, norm0, data):
+    # the k-th associated functional has the recurrence shifted by k, so a
+    # vanishing a_{k+j} is its level j; the CLI reads u's recurrence first,
+    # which fails at level k + j, and smop passes that typed error on
+    rc, u = drawn
+    assume(rc.length - k - 2 >= 1)
+    level = data.draw(st.integers(1, rc.length - k - 2))
+    a = list(rc.a)
+    a[k + level - 1] = rat(0)
+    broken = RecurrenceCoefficients(rc.b, a)
+    w = associated_functional(broken, k, norm0, 2 * (broken.length - k) - 1)
+    assert_first_vanishing_minor(w, level)
+    u = with_moments_of(broken, u)
+    assert_pipeline_fails_at(u, ["associated", "--k", str(k), "--norm=%s" % norm0], k + level)

@@ -5,7 +5,7 @@ import pytest
 from opoly import families, quadratic
 from opoly import functional as fa
 from opoly.associated import associated_polys
-from opoly.errors import DegenerateParameter, NotQuasiDefinite
+from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
 from opoly.matrices import UnitLowerTriband
 from opoly.orthopoly import hankel_minor, polys_from_recurrence, smop_from_moments
 from opoly.poly import derivatives_at
@@ -190,3 +190,32 @@ def test_origin_factorization_returns_tribands():
     # which vanish for a symmetric family
     assert all(x == 0 for x in lower.sub1)
     assert all(x != 0 for x in lower.sub2)
+
+
+def test_producers_guard_only_the_levels_they_read():
+    # with m1 = 0 at c = 1, chebyshev-u's transform has a vanishing level-1
+    # Hankel minor; a depth-1 recurrence reads only level 0
+    u = families.chebyshev_u(24)
+    assert quadratic_recurrence(u, 1, 1, 0, 1).b == (0,)
+    assert hankel_minor(fa.quadratic_geronimus(u, 1, 1, 0), 1) == 0
+    for read_level_one in (
+        lambda: quadratic_recurrence(u, 1, 1, 0, 2),
+        lambda: quadratic_factorization(u, 1, 1, 0, 2),
+    ):
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            read_level_one()
+        assert (excinfo.value.level, excinfo.value.guard) == (1, "d_star")
+
+
+def test_producers_need_two_moments_per_size_and_two_more():
+    for u, c, m0, m1 in PARAMS:
+        short = u.truncated(18)
+        assert quadratic_recurrence(short, c, m0, m1, 8) == quadratic_recurrence(u, c, m0, m1, 8)
+        lower, upper = quadratic_factorization(short, c, m0, m1, 8)
+        want_lower, want_upper = quadratic_factorization(u, c, m0, m1, 8)
+        assert lower.to_band() == want_lower.to_band()
+        assert upper.to_band() == want_upper.to_band()
+        with pytest.raises(TruncationExhausted):
+            quadratic_factorization(u.truncated(17), c, m0, m1, 8)
+    lower, _ = assoc_inverse_factorization(families.chebyshev_u(14), 6)
+    assert lower.size == 6
