@@ -262,7 +262,7 @@ def quadratic_kernel(rc, w0, c, m0, m1, s, t, n_max):
     )
 
 
-def inverse_kernel(u, n_max):
+def inverse_kernel(u, n_max, rc=None):
     """The inverse functional as a quadratic Geronimus transform at 0.
 
     By "fu1", x^2 u^{-1} = kappa u^(1) with kappa = -a_1/u_0, and u^{-1}
@@ -272,11 +272,14 @@ def inverse_kernel(u, n_max):
     are S_n(0) = P_{n+1}(0)/u_0 and T_n(0) = P_{n+1}'(0)/u_0 on u's own
     recurrence.  S enters negated, so d*_n = W(P_n, P_{n-1})(0)/u_0^2,
     which holds for d*_1 = -1/u_0^2 too.  Needs 2*(n_max + 1) moments.
+    `rc` is u's recurrence with n_max + 1 coefficients, when the caller
+    already has it; otherwise it is computed from u.
     """
     u0 = u.moments[0]
     if u0 == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
-    rc, _ = smop_from_moments(u, n_max + 1)
+    if rc is None:
+        rc, _ = smop_from_moments(u, n_max + 1)
     p, dp = values_and_slopes(rc, ZERO, n_max + 1)
     kernel = quadratic_kernel(
         rc.shifted(1),

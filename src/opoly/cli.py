@@ -42,7 +42,7 @@ from .composition import (
     shifted_factor_check,
 )
 from .darboux import christoffel_lu, christoffel_connection_check, geronimus_ul
-from .errors import OpolyError, NotQuasiDefinite, ZeroPivot
+from .errors import OpolyError, NotQuasiDefinite, TruncationExhausted, ZeroPivot
 from .orthopoly import jacobi_matrix, recurrence_from_jacobi, smop_from_moments
 from .poly import X
 from .quadratic import (
@@ -268,14 +268,22 @@ def cmd_transform(args):
 def cmd_factorize(args):
     u = read_functional(sys.stdin)
     c = parse_param(args.c, "--c")
-    # by default the largest size the input supports: lu/ul read 2*size
-    # moments, quadratic 2*size + 2
+    # lu/ul read 2*size moments, quadratic 2*size + 2; a quadratic
+    # (triband) factorization needs three rows, lu and ul two
+    extra = 2 if args.mode == "quadratic" else 0
+    least = 3 if args.mode == "quadratic" else 2
     if args.size is not None:
-        size = args.size
+        size = checked_size(args.size, "--size", least=least)
     else:
-        size = u.order // 2 - (1 if args.mode == "quadratic" else 0)
-    # a quadratic (triband) factorization needs three rows, lu and ul two
-    checked_size(size, "--size", least=3 if args.mode == "quadratic" else 2)
+        # by default the largest size the input supports; an input too
+        # short for the smallest is a mathematical failure, not a usage error
+        size = (u.order - extra) // 2
+        if size < least:
+            raise TruncationExhausted(
+                "factorize %s needs %d moments for its smallest size %d, have %d"
+                % (args.mode, 2 * least + extra, least, u.order)
+            )
+        checked_size(size, "--size")
     if args.mode == "lu":
         rc, _ = smop_from_moments(u, size)
         lower, upper, transformed = christoffel_lu(jacobi_matrix(rc, size), c)

@@ -9,7 +9,7 @@ gains that power, everything else preserves or intersects orders.
 from math import gcd
 
 from .errors import DegenerateParameter, TruncationExhausted, ZeroFirstMoment
-from .poly import Polynomial, linear_power, monomial
+from .poly import Polynomial
 from .rational import ZERO, ONE, Rational, common_denominator, rat
 
 
@@ -184,17 +184,25 @@ def divide_power(u, c, m):
 
     Moment n of the result is <u, q_n> with q_n the exact polynomial
     quotient of x^n by (x - c)^m; the first m moments vanish and the
-    order grows by m.  Adding multiples of evaluations/derivatives at c
-    is the caller's business (see geronimus / quadratic_geronimus).
+    order grows by m.  Since x^n // (x - c) = sum_{k<n} c^{n-1-k} x^k,
+    one division is Maroni's step w_0 = 0, w_{n+1} = c w_n + u_n, i.e.
+    <(x - c)^{-1} u, p> = <u, (p - p(c))/(x - c)> (P. Maroni, Une théorie
+    algébrique des polynômes orthogonaux, 1991).  Because
+    (p // (x - c)) // (x - c) = p // (x - c)^2, division by (x - c)^m is
+    that step applied m times, in O(order * m).  Adding multiples of
+    evaluations/derivatives at c is the caller's business (see geronimus /
+    quadratic_geronimus).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    lp = linear_power(c, m)
-    out = []
-    for n in range(u.order + m):
-        q = monomial(n) // lp
-        out.append(apply(u, q))
-    return MomentFunctional(out)
+    c = rat(c)
+    moments = u.moments
+    for _ in range(m):
+        w = [ZERO]
+        for un in moments:
+            w.append(c * w[-1] + un)
+        moments = w
+    return MomentFunctional(moments)
 
 
 def geronimus(u, c, m0):

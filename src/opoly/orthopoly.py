@@ -206,26 +206,37 @@ def smop_from_moments(u, n_max):
 def polys_from_recurrence(rc, n_max):
     """Run the three-term recurrence forward; P_0..P_{n_max}.
 
-    (x - b_k) P_k is formed on coefficient lists, as a shift minus a
-    scaled copy.
+    Each P_k is integers over one denominator (`Polynomial.num`, `.den`).
+    With b_k = pb/qb and a_k = pa/qa, P_{k+1} = (x - b_k) P_k - a_k P_{k-1}
+    is formed, as in `smop_from_moments`, with integer factors that bring
+    both terms over the lcm of their denominators: a shift minus scaled
+    copies, reduced once by `Polynomial.from_integers`.
     """
     if n_max > rc.length:
         raise TruncationExhausted(
             "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n_max)
         )
-    rows = [[ONE]]
+    polys = [ONE_POLY]
+    below, below_den, a = (), 1, ZERO
     for k in range(n_max):
-        pk = rows[k]
+        cur, den = polys[k].num, polys[k].den
         b = rc.b[k]
-        nxt = [ZERO] + pk
-        for i, c in enumerate(pk):
-            nxt[i] -= b * c
         if k >= 1:
             a = rc.a[k - 1]
-            for i, c in enumerate(rows[k - 1]):
-                nxt[i] -= a * c
-        rows.append(nxt)
-    return tuple(Polynomial(row) for row in rows)
+            below, below_den = polys[k - 1].num, polys[k - 1].den
+        # (x - b) cur / den - a below / below_den over new_den:
+        # row[i] = x cur[i-1] - y cur[i] - z below[i]
+        left = den * b.denominator
+        right = below_den * a.denominator
+        new_den = lcm(left, right)
+        f_left = new_den // left
+        x, y, z = f_left * b.denominator, f_left * b.numerator, new_den // right * a.numerator
+        row = [
+            x * s - y * v - z * w
+            for s, v, w in zip((0,) + cur, cur + (0,), below + (0, 0))
+        ]
+        polys.append(Polynomial.from_integers(row, new_den))
+    return tuple(polys)
 
 
 def values_and_slopes(rc, c, n):

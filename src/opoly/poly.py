@@ -1,86 +1,151 @@
-"""Dense univariate polynomials over exact rationals."""
+"""Dense univariate polynomials over exact rationals.
 
-from .rational import ZERO, ONE, rat
+A polynomial is stored as integer numerators over one positive
+denominator: coefficient k is num[k] / den, with gcd(den, *num) = 1 and
+no trailing zero numerator, so equal polynomials have equal (num, den).
+Sums, products, evaluation, derivatives and Wronskians run on these
+integers and build one rational per value they return; `coeffs`, the
+tuple of rational coefficients, is built only when read.
+"""
+
+from math import gcd, lcm
+
+from .rational import ZERO, Rational, common_denominator, rat
+
+
+def _scalar(value):
+    """(numerator, denominator) of an exact scalar; floats are rejected by `rat`."""
+    if type(value) is int:
+        return value, 1
+    value = rat(value)
+    return value.numerator, value.denominator
 
 
 def _coerce(value):
     if isinstance(value, Polynomial):
         return value
-    return Polynomial((rat(value),))
+    p, q = _scalar(value)
+    return Polynomial.from_integers([p], q)
 
 
 class Polynomial:
     """A polynomial in one variable; coeffs[k] is the coefficient of x**k.
 
-    Trailing zero coefficients are never stored, so degree and leading
-    coefficient read off the tuple directly.  The zero polynomial has
-    degree -1.
+    `num` is the tuple of integer numerators and `den` the positive
+    common denominator, reduced and without trailing zeros, so degree and
+    leading coefficient read off the tuple directly.  The zero polynomial
+    has degree -1, num == () and den == 1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(*common_denominator([rat(c) for c in coeffs]))
+
+    def _set(self, num, den):
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num)
+            if g > 1:
+                num = [v // g for v in num]
+                den //= g
+        self.num = tuple(num)
+        self.den = den
+        self._coeffs = None
+
+    @classmethod
+    def from_integers(cls, num, den):
+        """The polynomial with coefficients num[k] / den, for integers num and den > 0."""
+        if den <= 0:
+            raise ValueError("the common denominator must be positive, got %d" % den)
+        p = cls.__new__(cls)
+        p._set(list(num), den)
+        return p
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Rational(v, den) for v in self.num)
+        return self._coeffs
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else ZERO
+        return Rational(self.num[-1], self.den) if self.num else ZERO
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def coefficient(self, k):
         """Coefficient of x**k (zero outside the stored range)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Rational(self.num[k], self.den)
         return ZERO
 
     def evaluate(self, c):
-        """Exact value at a rational point, by Horner's scheme."""
-        c = rat(c)
-        acc = ZERO
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
+        """Exact value at a rational point c = p/q, by Horner's scheme on integers.
+
+        sum_k num[k] p^k q^(d-k) is one integer; the value is it over den q^d.
+        """
+        p, q = _scalar(c)
+        if not self.num:
+            return ZERO
+        acc, scale = 0, 1
+        for v in reversed(self.num):
+            acc = acc * p + v * scale
+            scale *= q
+        # scale is q^(d+1) after the loop
+        return Rational(acc, self.den * (scale // q))
 
     __call__ = evaluate
 
     def derivative(self):
-        return Polynomial(tuple(k * a for k, a in enumerate(self.coeffs) if k))
+        return Polynomial.from_integers([k * v for k, v in enumerate(self.num)][1:], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        try:
-            other = _coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if not isinstance(other, Polynomial):
+            try:
+                other = _coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if len(self.num) <= 1:
+            # a constant equals its scalar, so it hashes like it
+            return hash(self.coefficient(0))
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return Polynomial(tuple(-a for a in self.coeffs))
+        return Polynomial.from_integers([-v for v in self.num], self.den)
 
     def __add__(self, other):
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        a, b = self.num, other.num
+        den = self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a = [v * sa for v in a]
+            b = [v * sb for v in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return Polynomial.from_integers(out, den)
 
     __radd__ = __add__
 
@@ -92,17 +157,17 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = rat(other)
-            return Polynomial(tuple(c * a for a in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+            p, q = _scalar(other)
+            return Polynomial.from_integers([p * v for v in self.num], self.den * q)
+        a, b = self.num, other.num
+        if not a or not b:
+            return ZERO_POLY
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial.from_integers(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -170,46 +235,55 @@ ONE_POLY = Polynomial((1,))
 X = Polynomial((0, 1))
 
 
-def monomial(k, c=1):
-    return Polynomial((ZERO,) * k + (rat(c),))
+def _taylor(p, cp, cq, k):
+    """Integer Taylor coefficients of p at c = cp/cq, through order k.
 
-
-def linear_power(c, m):
-    """(x - c)**m."""
-    return Polynomial((-rat(c), ONE)) ** m
+    With D = max(deg p, k), r(x) = den cq^D p(x / cq) has the integer
+    coefficients num[i] cq^(D-i), and its Taylor coefficients at the
+    integer cp are R_j = den cq^(D-j) p^(j)(c) / j!.  Each comes from one
+    synthetic-division pass by (x - cp).  Returns (R_0..R_k, D).
+    """
+    d = max(p.degree, k)
+    rem = [v * cq ** (d - i) for i, v in enumerate(p.num)]
+    taylor = []
+    for _ in range(k + 1):
+        if not rem:
+            taylor.append(0)
+            continue
+        # one synthetic-division pass; rem[0] becomes the remainder
+        carry = 0
+        for i in range(len(rem) - 1, -1, -1):
+            carry = rem[i] + carry * cp
+            rem[i] = carry
+        taylor.append(rem.pop(0))
+    return taylor, d
 
 
 def derivatives_at(p, c, k):
     """(p(c), p'(c), ..., p^(k)(c)) by repeated synthetic division at c.
 
     Dividing repeatedly by (x - c) yields the Taylor coefficients at c;
-    multiplying by factorials recovers the derivatives exactly.
+    multiplying by factorials recovers the derivatives exactly.  The
+    passes run on integers (`_taylor`), with one rational per value.
     """
-    c = rat(c)
-    rem = list(p.coeffs)
-    taylor = []
-    for _ in range(k + 1):
-        if not rem:
-            taylor.append(ZERO)
-            continue
-        # one synthetic-division pass by (x - c); rem[0] becomes the remainder
-        carry = ZERO
-        for i in range(len(rem) - 1, -1, -1):
-            carry = rem[i] + carry * c
-            rem[i] = carry
-        taylor.append(rem.pop(0))
+    cp, cq = _scalar(c)
+    taylor, d = _taylor(p, cp, cq, k)
     out = []
     fact = 1
-    for i, t in enumerate(taylor):
-        if i:
-            fact *= i
-        out.append(t * fact)
+    for j, t in enumerate(taylor):
+        if j:
+            fact *= j
+        out.append(Rational(t * fact, p.den * cq ** (d - j)))
     return tuple(out)
 
 
 def wronskian(p, q, c):
-    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c)."""
-    c = rat(c)
-    pc, dpc = derivatives_at(p, c, 1)
-    qc, dqc = derivatives_at(q, c, 1)
-    return pc * dqc - dpc * qc
+    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c).
+
+    With `_taylor`'s scaling both products share the denominator
+    den_p den_q cq^(D_p + D_q - 1), so W is one integer over it.
+    """
+    cp, cq = _scalar(c)
+    (p0, p1), dp = _taylor(p, cp, cq, 1)
+    (q0, q1), dq = _taylor(q, cp, cq, 1)
+    return Rational(p0 * q1 - p1 * q0, p.den * q.den * cq ** (dp + dq - 1))

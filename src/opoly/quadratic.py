@@ -19,7 +19,7 @@ from .associated import (
     inverse_recurrence,
     quadratic_kernel,
 )
-from .errors import DegenerateParameter
+from .errors import DegenerateParameter, ZeroFirstMoment
 from .matrices import (
     UnitLowerTriband,
     UpperTriband,
@@ -228,18 +228,19 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
     return CheckReport.passing("conex2", n_max, c=str(c), m0=str(m0), m1=str(m1))
 
 
-def assoc_inverse_factorization(u, size):
+def assoc_inverse_factorization(u, size, rc=None):
     """Tri-band factors linking the first-associated and inverse SMOPs at c = 0.
 
     The same L/U construction as `quadratic_factorization`, on `inverse_kernel`:
     L carries the inverse connection and U turns x^2 P^(1)_n into the
     inverse SMOP.  Needs 2*size + 2 moments and guards the inverse's
-    levels up to size - 1.  Returns (L, U);
+    levels up to size - 1; `rc`, u's recurrence with size + 1
+    coefficients, is passed on to the kernel.  Returns (L, U);
     `assoc_inverse_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    return _factors(inverse_kernel(u, size), size)
+    return _factors(inverse_kernel(u, size, rc), size)
 
 
 def assoc_inverse_factorization_check(u, norm1, size):
@@ -249,8 +250,11 @@ def assoc_inverse_factorization_check(u, norm1, size):
     of u^{-1} by the Chebyshev algorithm, neither from the factors.  The
     first-associated scaling identity "fu1" at norm1 rides along.
     """
-    lower, upper = assoc_inverse_factorization(u, size)
+    if u.moments[0] == 0:
+        raise ZeroFirstMoment("inverse transform needs u_0 != 0")
+    # the factors and J^(1) read the same recurrence of u
     rc, _ = smop_from_moments(u, size + 1)
+    lower, upper = assoc_inverse_factorization(u, size, rc)
     inverse_rc, _ = smop_from_moments(fa.invert(u), size)
     failure = _squares_failure(
         ("(J^(1))^2 = U L", "(J^-)^2 = L U"),

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: committed fixtures, family builders,
 the Gram-Schmidt reference for moments to recurrence, and the rational
-(one Fraction per entry) Chebyshev and inverse loops that the integer
-kernels replaced, kept as references for the property tests."""
+(one Fraction per entry) code that the integer kernels replaced, kept as
+references for the property tests: the Chebyshev and inverse loops, the
+polynomial with one Fraction per coefficient, the recurrence run on it,
+and division by (x - c)^m through long division."""
 
 import json
 from pathlib import Path
@@ -10,9 +12,9 @@ from opoly import functional as fa
 from opoly.errors import NotQuasiDefinite, ZeroFirstMoment
 from opoly.functional import MomentFunctional
 from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
-from opoly.poly import ONE_POLY, X
+from opoly.poly import ONE_POLY, Polynomial, X
 from opoly.serialize import functional_from_json, parse_rational_list
-from opoly.rational import ZERO, parse_rational
+from opoly.rational import ONE, ZERO, parse_rational, rat
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -110,4 +112,150 @@ def invert_reference(u):
     for n in range(1, u.order):
         acc = sum((u.moments[n - k] * out[k] for k in range(n)), ZERO)
         out.append(-acc / u0)
+    return MomentFunctional(out)
+
+
+def monomial(k, c=1):
+    """c x^k."""
+    return Polynomial((ZERO,) * k + (rat(c),))
+
+
+def linear_power(c, m):
+    """(x - c)**m."""
+    return Polynomial((-rat(c), ONE)) ** m
+
+
+class FractionPolynomial:
+    """Reference polynomial: one Fraction per coefficient, coeffs[k] of x**k.
+
+    Trailing zero coefficients are never stored; the zero polynomial has
+    degree -1.  Every operation makes a rational per coefficient
+    operation, the way opoly's Polynomial did before it moved to integer
+    numerators over one denominator.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def coefficient(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+
+    def evaluate(self, c):
+        c = rat(c)
+        acc = ZERO
+        for a in reversed(self.coeffs):
+            acc = acc * c + a
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial(tuple(k * a for k, a in enumerate(self.coeffs) if k))
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPolynomial) and self.coeffs == other.coeffs
+
+    def __neg__(self):
+        return FractionPolynomial(tuple(-a for a in self.coeffs))
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPolynomial(
+            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            c = rat(other)
+            return FractionPolynomial(tuple(c * a for a in self.coeffs))
+        if not self.coeffs or not other.coeffs:
+            return FractionPolynomial()
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def __pow__(self, n):
+        result = FractionPolynomial((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __divmod__(self, other):
+        """Long division: self = q*other + r with deg r < deg other."""
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dv = other.coeffs
+        dq = len(rem) - len(dv)
+        if dq < 0:
+            return FractionPolynomial(), self
+        quot = [ZERO] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c = rem[k + len(dv) - 1] / dv[-1]
+            quot[k] = c
+            for j, b in enumerate(dv):
+                rem[k + j] -= c * b
+        return FractionPolynomial(quot), FractionPolynomial(rem[: len(dv) - 1])
+
+
+def fraction_derivatives_at(p, c, k):
+    """(p(c), ..., p^(k)(c)) of a FractionPolynomial, by repeated synthetic division."""
+    c = rat(c)
+    rem = list(p.coeffs)
+    out = []
+    fact = 1
+    for i in range(k + 1):
+        if i:
+            fact *= i
+        if not rem:
+            out.append(ZERO)
+            continue
+        carry = ZERO
+        for j in range(len(rem) - 1, -1, -1):
+            carry = rem[j] + carry * c
+            rem[j] = carry
+        out.append(rem.pop(0) * fact)
+    return tuple(out)
+
+
+def fraction_wronskian(p, q, c):
+    """p(c) q'(c) - p'(c) q(c) of two FractionPolynomials."""
+    pc, dpc = fraction_derivatives_at(p, c, 1)
+    qc, dqc = fraction_derivatives_at(q, c, 1)
+    return pc * dqc - dpc * qc
+
+
+def polys_reference(rc, n_max):
+    """P_0..P_{n_max} as FractionPolynomials, one rational per coefficient operation."""
+    rows = [[ONE]]
+    for k in range(n_max):
+        nxt = [ZERO] + rows[k]
+        for i, c in enumerate(rows[k]):
+            nxt[i] -= rc.b[k] * c
+        if k >= 1:
+            for i, c in enumerate(rows[k - 1]):
+                nxt[i] -= rc.a[k - 1] * c
+        rows.append(nxt)
+    return tuple(FractionPolynomial(row) for row in rows)
+
+
+def divide_power_reference(u, c, m):
+    """Moment n is <u, x^n // (x - c)^m>, the quotient found by long division."""
+    lp = FractionPolynomial((-rat(c), ONE)) ** m
+    out = []
+    for n in range(u.order + m):
+        q = divmod(FractionPolynomial((ZERO,) * n + (ONE,)), lp)[0]
+        out.append(sum((a * u.moments[k] for k, a in enumerate(q.coeffs)), ZERO))
     return MomentFunctional(out)

@@ -10,6 +10,7 @@ import random
 import sys
 from pathlib import Path
 
+from conftest import linear_power
 from opoly import families
 from opoly import functional as fa
 from opoly import serialize
@@ -32,7 +33,6 @@ from opoly.orthopoly import (
     recurrence_from_jacobi,
     smop_from_moments,
 )
-from opoly.poly import linear_power
 from opoly.quadratic import (
     assoc_inverse_factorization_check,
     g_matrix_check,

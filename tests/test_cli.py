@@ -393,6 +393,30 @@ def test_factorize_rejects_a_size_below_the_smallest_factorization(
     assert "--size must be at least %d" % smallest in err
 
 
+@pytest.mark.parametrize(
+    "mode,order,smallest,needed",
+    [("lu", 3, 2, 4), ("ul", 3, 2, 4), ("quadratic", 6, 3, 8), ("quadratic", 7, 3, 8)],
+)
+def test_factorize_on_an_input_too_short_for_the_default_size_is_truncation(
+    monkeypatch, capsys, mode, order, smallest, needed
+):
+    # without --size the size comes from the input, so a short input is a
+    # mathematical failure (exit 1); an explicit --size below the smallest
+    # stays a usage error (exit 2)
+    stdin_text = family_json(families.chebyshev_u(order))
+    code, out, err = invoke(monkeypatch, capsys, ["factorize", mode], stdin_text=stdin_text)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["error"] == "TruncationExhausted"
+    assert "needs %d moments" % needed in payload["message"]
+    assert "have %d" % order in payload["message"]
+    code, out, err = invoke(
+        monkeypatch, capsys, ["factorize", mode, "--size", str(smallest - 1)], stdin_text=stdin_text
+    )
+    assert (code, out) == (2, "")
+    assert "--size must be at least %d" % smallest in err
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_list_catalogue(monkeypatch, capsys):

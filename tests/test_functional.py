@@ -1,6 +1,7 @@
 """Moment functionals and their algebra: convolution, polynomial action, division."""
 
 import pytest
+from conftest import linear_power
 
 from opoly import families
 from opoly import functional as fa
@@ -10,7 +11,7 @@ from opoly.errors import (
     ZeroFirstMoment,
 )
 from opoly.functional import MomentFunctional, functional
-from opoly.poly import X, ZERO_POLY, linear_power
+from opoly.poly import X, ZERO_POLY
 from opoly.rational import rat
 
 

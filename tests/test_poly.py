@@ -1,6 +1,7 @@
 """Polynomial arithmetic, exact division, and point evaluation with derivatives."""
 
 import pytest
+from conftest import linear_power, monomial
 
 from opoly.poly import (
     ONE_POLY,
@@ -8,8 +9,6 @@ from opoly.poly import (
     ZERO_POLY,
     Polynomial,
     derivatives_at,
-    linear_power,
-    monomial,
     wronskian,
 )
 from opoly.rational import rat

@@ -4,9 +4,20 @@ import contextlib
 import io
 import json
 import sys
+from math import gcd
 
 import pytest
-from conftest import chebyshev_reference, gram_schmidt, invert_reference
+from conftest import (
+    FractionPolynomial,
+    chebyshev_reference,
+    divide_power_reference,
+    fraction_derivatives_at,
+    fraction_wronskian,
+    gram_schmidt,
+    invert_reference,
+    linear_power,
+    polys_reference,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from opoly import functional as fa
@@ -34,7 +45,7 @@ from opoly.orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from opoly.poly import derivatives_at, linear_power, wronskian
+from opoly.poly import Polynomial, X, derivatives_at, wronskian
 from opoly.quadratic import (
     assoc_inverse_factorization,
     quadratic_connection,
@@ -430,6 +441,116 @@ def test_integer_inverse_matches_the_rational_loop_and_convolves_to_delta(first,
     inverse = fa.invert(u)
     assert inverse == invert_reference(u)
     assert fa.convolve(u, inverse) == fa.delta(0, u.order)
+
+
+# -- Polynomial on integer numerators over one denominator, against the
+# reference with one Fraction per coefficient
+
+poly_coeffs = st.lists(st.one_of(rationals, wide_rationals), max_size=7)
+scalars = st.one_of(rationals, wide_rationals)
+# a non-integer point of wide height
+fractional = st.builds(rat, st.integers(-(10**9), 10**9), st.integers(2, 10**9)).filter(
+    lambda c: c.denominator > 1
+)
+
+
+def assert_matches(p, ref):
+    """p is in canonical form and has the reference's coefficients."""
+    assert isinstance(p, Polynomial)
+    assert p.den > 0
+    assert gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.coeffs == ref.coeffs
+    assert all(type(x) is type(ONE) for x in p.coeffs)
+
+
+@given(poly_coeffs, poly_coeffs, scalars)
+def test_polynomial_operators_match_the_fraction_reference(cs, ds, scalar):
+    p, q = Polynomial(cs), Polynomial(ds)
+    rp, rq = FractionPolynomial(cs), FractionPolynomial(ds)
+    constant = FractionPolynomial((scalar,))
+    assert_matches(p, rp)
+    assert_matches(p + q, rp + rq)
+    assert_matches(p - q, rp - rq)
+    assert_matches(-p, -rp)
+    assert_matches(p * q, rp * rq)
+    assert_matches(p * scalar, rp * scalar)
+    assert_matches(scalar * p, rp * scalar)
+    assert_matches(p + scalar, rp + constant)
+    assert_matches(scalar + p, rp + constant)
+    assert_matches(p - scalar, rp - constant)
+    assert_matches(scalar - p, constant - rp)
+    assert_matches(p ** 3, rp ** 3)
+    assert_matches(p.derivative(), rp.derivative())
+    assert (p == q) == (rp == rq)
+    assert (p == scalar) == (rp == constant)
+    assert p.degree == rp.degree
+    assert p.leading_coefficient == (rp.coeffs[-1] if rp.coeffs else 0)
+    assert p.is_monic == (bool(rp.coeffs) and rp.coeffs[-1] == 1)
+    assert [p.coefficient(k) for k in range(-1, 9)] == [rp.coefficient(k) for k in range(-1, 9)]
+    if rq.coeffs:
+        quotient, remainder = divmod(p, q)
+        want_quotient, want_remainder = divmod(rp, rq)
+        assert_matches(quotient, want_quotient)
+        assert_matches(remainder, want_remainder)
+        assert p // q == quotient and p % q == remainder
+
+
+@given(poly_coeffs, wide_nonzero, st.integers(1, 10**6))
+def test_equal_polynomials_have_one_representation_and_one_hash(cs, scalar, spread):
+    p = Polynomial(cs)
+    others = (
+        (p * scalar) * (1 / scalar),
+        p * X * (1 / scalar) * scalar - p * X + p,
+        Polynomial.from_integers([v * spread for v in p.num], p.den * spread),
+    )
+    for other in others:
+        assert (other.num, other.den) == (p.num, p.den)
+        assert other == p and hash(other) == hash(p)
+    assert p + 1 != p
+    for constant in (Polynomial((scalar,)), Polynomial(), Polynomial((spread,))):
+        value = constant.coefficient(0)
+        assert constant == value and hash(constant) == hash(value)
+    assert hash(Polynomial((spread,))) == hash(spread)
+    with pytest.raises(ValueError):
+        Polynomial.from_integers(p.num, -p.den)
+
+
+@given(poly_coeffs, poly_coeffs, st.integers(-5, 5), scalars, fractional, st.integers(0, 4))
+def test_values_derivatives_and_wronskians_match_the_fraction_reference(cs, ds, k, c, frac, order):
+    p, q = Polynomial(cs), Polynomial(ds)
+    rp, rq = FractionPolynomial(cs), FractionPolynomial(ds)
+    for at in (k, rat(k), c, frac):
+        assert p(at) == p.evaluate(at) == rp.evaluate(at)
+        assert type(p(at)) is type(ONE)
+        assert derivatives_at(p, at, order) == fraction_derivatives_at(rp, at, order)
+        assert wronskian(p, q, at) == fraction_wronskian(rp, rq, at)
+        assert type(wronskian(p, q, at)) is type(ONE)
+
+
+@given(st.data())
+def test_polys_from_recurrence_matches_the_fraction_reference_on_wide_recurrences(data):
+    # denominators up to 10^9, many zero b's, a's of either sign (zero too)
+    length = data.draw(st.integers(1, 9))
+    b = data.draw(st.lists(wide_rationals, min_size=length, max_size=length))
+    a = data.draw(st.lists(wide_rationals, min_size=length - 1, max_size=length - 1))
+    rc = RecurrenceCoefficients(b, a)
+    got = polys_from_recurrence(rc, length)
+    want = polys_reference(rc, length)
+    assert len(got) == len(want) == length + 1
+    for n, (p, ref) in enumerate(zip(got, want)):
+        assert_matches(p, ref)
+        assert p.degree == n and p.is_monic
+
+
+@given(nonzero, st.lists(scalars, min_size=0, max_size=9), st.integers(-5, 5), fractional)
+def test_divide_power_matches_long_division(first, rest, k, frac):
+    u = make_functional(first, rest)
+    for c in (rat(0), rat(k), frac):
+        for m in (1, 2, 3):
+            got = fa.divide_power(u, c, m)
+            assert got == divide_power_reference(u, c, m)
+            assert got.order == u.order + m
 
 
 # -- degenerate degree-one transforms and the associated shift: the library
