@@ -10,6 +10,7 @@ depth and size argument as a safety valve.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -212,8 +213,17 @@ def cmd_moments(args):
 
 def cmd_smop(args):
     u = read_functional(sys.stdin)
-    n = args.n if args.n is not None else u.order // 2
-    checked_size(n, "--n")
+    if args.n is not None:
+        n = checked_size(args.n, "--n")
+    else:
+        # by default the largest depth the input supports; an input too
+        # short for depth 1 is a mathematical failure, not a usage error
+        n = u.order // 2
+        if n < 1:
+            raise TruncationExhausted(
+                "smop needs 2 moments for its smallest depth 1, have %d" % u.order
+            )
+        checked_size(n, "--n")
     rc, system = smop_from_moments(u, n)
     if args.csv:
         rows = []
@@ -702,9 +712,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def shared_parser():
+    """The parser of this process, built on the first `main` call.
+
+    argparse keeps no state between parses: every `parse_args` starts a
+    fresh namespace from the defaults, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = shared_parser().parse_args(argv)
     try:
         ok = args.handler(args)
     except UsageError as exc:

@@ -199,11 +199,16 @@ def _nonzero_mass(m0):
     return m0
 
 
-def geronimus_assoc_polys(v, m0, n_max):
-    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
+def geronimus_assoc_polys(v, m0, n_max, rc=None):
+    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step.
+
+    `rc` is v's recurrence to depth n_max + 1 when the caller already has
+    it; the checks below take it the same way.
+    """
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
-    rc, _ = smop_from_moments(v, n_max + 1)
+    if rc is None:
+        rc, _ = smop_from_moments(v, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
     first = associated_polys(rc, 1, n_max - 1)
     out = [Polynomial((1,))]
@@ -212,7 +217,7 @@ def geronimus_assoc_polys(v, m0, n_max):
     return tuple(out)
 
 
-def geronimus_corecursive_check(v, m0, n_max):
+def geronimus_corecursive_check(v, m0, n_max, rc=None):
     """The kernel sequence is co-recursive of parameter -v_0/m0 for v itself.
 
     Checked as polynomials (two routes) and as functionals: the moments
@@ -222,8 +227,9 @@ def geronimus_corecursive_check(v, m0, n_max):
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
-    direct = geronimus_assoc_polys(v, m0, n_max)
-    rc, _ = smop_from_moments(v, n_max + 1)
+    if rc is None:
+        rc, _ = smop_from_moments(v, n_max + 1)
+    direct = geronimus_assoc_polys(v, m0, n_max, rc)
     routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
     for n in range(n_max + 1):
         if direct[n] != routed[n]:
@@ -246,10 +252,11 @@ def geronimus_corecursive_check(v, m0, n_max):
     return CheckReport.passing("S-corecursive", n_max, alpha=str(alpha))
 
 
-def _hat_first(v, c, m0, size):
+def _hat_first(v, c, m0, size, rc=None):
     """Factorization route to the transformed functional's associated SMOP."""
     v0 = v.moments[0]
-    rc, _ = smop_from_moments(v, size + 1)
+    if rc is None:
+        rc, _ = smop_from_moments(v, size + 1)
     lower, upper, transformed = geronimus_ul(
         jacobi_matrix(rc, size + 1), rat(c), v0 / _nonzero_mass(m0)
     )
@@ -257,7 +264,7 @@ def _hat_first(v, c, m0, size):
     return rc, lower, upper, hat_rc
 
 
-def geronimus_assoc_connection_check(v, c, m0, n_max):
+def geronimus_assoc_connection_check(v, c, m0, n_max, rc=None):
     """Identity "gero1": (x - c) Phat^(1)_{n-1} = S_n + ell_n S_{n-1}.
 
     Phat^(1) comes from the shifted transformed recurrence (factorization
@@ -265,9 +272,9 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
     formula, so the three ingredients are independently produced.
     """
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max, rc)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
+    s_polys = geronimus_assoc_polys(v, m0, n_max, rc)
     for n in range(1, n_max + 1):
         lhs = (X - c) * hat_first[n - 1]
         rhs = s_polys[n] + lower.sub[n - 1] * s_polys[n - 1]
@@ -276,12 +283,12 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
     return CheckReport.passing("gero1", n_max, c=str(c), m0=str(rat(m0)))
 
 
-def geronimus_assoc_second_check(v, c, m0, n_max):
+def geronimus_assoc_second_check(v, c, m0, n_max, rc=None):
     """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max, rc)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
+    s_polys = geronimus_assoc_polys(v, m0, n_max, rc)
     for n in range(n_max + 1):
         rhs = hat_first[n] + (upper.diag[n] * hat_first[n - 1] if n >= 1 else Polynomial())
         if s_polys[n] != rhs:
@@ -289,7 +296,7 @@ def geronimus_assoc_second_check(v, c, m0, n_max):
     return CheckReport.passing("gero2", n_max, c=str(c), m0=str(rat(m0)))
 
 
-def geronimus_assoc_factor_check(v, c, m0, size):
+def geronimus_assoc_factor_check(v, c, m0, size, rc=None):
     """Identity "pro6": moments and shifted-factor identities for the division step.
 
     (i) the associated functional of the transform equals (x - c) times
@@ -302,7 +309,7 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, size)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, size, rc)
     reports = []
     # (i) normalized moment identity
     hat_shift = hat_rc.shifted(1)
@@ -375,10 +382,18 @@ def christoffel_assoc_chain(u, c, n_max, size):
 
 
 def geronimus_assoc_chain(v, c, m0, n_max, size):
-    """All division-side interplay checks, bundled."""
+    """All division-side interplay checks, bundled, over one recurrence of v.
+
+    The mass is checked before the recurrence is computed, so a zero m0
+    is reported ahead of a vanishing Hankel minor, as the first check
+    alone would report it.
+    """
+    m0 = _nonzero_mass(m0)
+    rc, _ = smop_from_moments(v, n_max + 1)
+    # pro6 reads v's recurrence to depth size + 1
     return [
-        geronimus_corecursive_check(v, m0, n_max),
-        geronimus_assoc_connection_check(v, c, m0, n_max),
-        geronimus_assoc_second_check(v, c, m0, n_max),
-        geronimus_assoc_factor_check(v, c, m0, size),
+        geronimus_corecursive_check(v, m0, n_max, rc),
+        geronimus_assoc_connection_check(v, c, m0, n_max, rc),
+        geronimus_assoc_second_check(v, c, m0, n_max, rc),
+        geronimus_assoc_factor_check(v, c, m0, size, rc if size == n_max else None),
     ]

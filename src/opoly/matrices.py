@@ -9,7 +9,9 @@ entrywise combinations inherit the max.  Dense matrices count as having
 full bandwidth size - 1.
 """
 
-from .rational import ZERO, ONE, rat
+from math import gcd
+
+from .rational import ONE, ZERO, Rational, rat
 
 
 class BandMatrix:
@@ -194,24 +196,38 @@ def shifted(a, c):
 
 
 def mat_multiply(a, b):
-    """Product with margin tracking; dense if either factor is dense."""
+    """Product with margin tracking; dense if either factor is dense.
+
+    Each entry sums its terms as an integer numerator over one running
+    denominator, the lcm of the terms' denominators so far, and becomes
+    a single Rational at the end.
+    """
     if a.size != b.size:
         raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
     n = a.size
-    margin = max(a.margin, b.margin) + min(a.upper, b.lower)
+    a_lower, a_upper, b_lower, b_upper = a.lower, a.upper, b.lower, b.upper
+    margin = max(a.margin, b.margin) + min(a_upper, b_lower)
+    a_entry, b_entry = a.entry, b.entry
 
     def dot(i, j):
-        lo = max(i - a.lower, j - b.upper, 0)
-        hi = min(i + a.upper, j + b.lower, n - 1)
-        total = ZERO
+        lo = max(i - a_lower, j - b_upper, 0)
+        hi = min(i + a_upper, j + b_lower, n - 1)
+        num, den = 0, 1
         for k in range(lo, hi + 1):
-            x = a.entry(i, k)
-            if x != 0:
-                total += x * b.entry(k, j)
-        return total
+            x = a_entry(i, k)
+            if x:
+                y = b_entry(k, j)
+                d = x.denominator * y.denominator
+                if d == den:
+                    num += x.numerator * y.numerator
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + x.numerator * y.numerator * (den // g)
+                    den = den // g * d
+        return Rational(num, den)
 
     if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
-        return band_from_entries(n, -(a.lower + b.lower), a.upper + b.upper, dot, margin)
+        return band_from_entries(n, -(a_lower + b_lower), a_upper + b_upper, dot, margin)
     return DenseMatrix(
         tuple(tuple(dot(i, j) for j in range(n)) for i in range(n)), margin=margin
     )

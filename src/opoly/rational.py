@@ -55,8 +55,11 @@ def rat(p=0, q=None):
     """Coerce to Rational.  Accepts ints, rational strings, and rationals.
 
     Floats are rejected: they would silently smuggle binary rounding into
-    an exact computation.
+    an exact computation.  A Rational comes back as itself: rationals are
+    immutable, so rebuilding one would only repeat its gcd.
     """
+    if q is None and type(p) is Rational:
+        return p
     if isinstance(p, float) or isinstance(q, float):
         raise TypeError("floats are not exact; pass ints, strings, or rationals")
     if q is not None:

@@ -3,7 +3,8 @@ the Gram-Schmidt reference for moments to recurrence, and the rational
 (one Fraction per entry) code that the integer kernels replaced, kept as
 references for the property tests: the Chebyshev and inverse loops, the
 polynomial with one Fraction per coefficient, the recurrence run on it,
-and division by (x - c)^m through long division."""
+division by (x - c)^m through long division, and the matrix product with
+one Fraction per multiply-add."""
 
 import json
 from pathlib import Path
@@ -259,3 +260,12 @@ def divide_power_reference(u, c, m):
         q = divmod(FractionPolynomial((ZERO,) * n + (ONE,)), lp)[0]
         out.append(sum((a * u.moments[k] for k, a in enumerate(q.coeffs)), ZERO))
     return MomentFunctional(out)
+
+
+def product_reference(a, b):
+    """Rows of a b, one rational per multiply-add over every k: no band limits."""
+    n = a.size
+    return [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from opoly import __version__, families, quadratic, serialize
+from opoly import __version__, cli, composition, families, quadratic, serialize
 from opoly.cli import VERIFY_SUMMARIES, main
 from opoly.rational import rat
 
@@ -114,6 +114,21 @@ def test_smop_reports_quasi_definiteness_failures_as_json(monkeypatch, capsys):
     assert payload["level"] == 1
     assert payload["guard"] == "norm"
     assert payload["version"] == __version__
+
+
+def test_smop_on_an_input_too_short_for_the_default_depth_is_truncation(monkeypatch, capsys):
+    # without --n the depth comes from the input, so one moment is a
+    # mathematical failure (exit 1); an explicit --n 0 stays a usage error
+    code, out, err = invoke(monkeypatch, capsys, ["smop"], stdin_text='["1"]')
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["error"] == "TruncationExhausted"
+    assert "needs 2 moments" in payload["message"]
+    assert "have 1" in payload["message"]
+    for stdin_text in ('["1"]', family_json(families.chebyshev_u(8))):
+        code, out, err = invoke(monkeypatch, capsys, ["smop", "--n", "0"], stdin_text=stdin_text)
+        assert (code, out) == (2, "")
+        assert "--n must be at least 1" in err
 
 
 def test_smop_rejects_empty_input(monkeypatch, capsys):
@@ -727,6 +742,61 @@ def test_output_is_deterministic(monkeypatch, capsys):
     _, first, _ = invoke(monkeypatch, capsys, argv)
     _, second, _ = invoke(monkeypatch, capsys, argv)
     assert first == second
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys, tmp_path):
+    # `main` parses with one parser per process: each call must give what a
+    # freshly built parser gives, whatever the calls before it did
+    target = tmp_path / "out.json"
+    moments = family_json(families.chebyshev_t(16))
+    identidad = ["verify", "identidad", "--family", "chebyshev-u", "--order", "16"]
+    calls = [
+        (["verify", "--n", "x"], ""),  # argparse rejects it: SystemExit(2)
+        (["verify"], ""),  # the handler rejects it: exit 2
+        (["verify", "--list"], ""),
+        (["verify", "pro5", "--family", "chebyshev-u", "--order", "20", "--c", "1/2"], ""),
+        (["verify", "conex2", "--family", "chebyshev-u"], ""),  # typed error
+        (identidad, ""),
+        (identidad + ["--out", str(target)], ""),
+        (["verify", "pade", "--n", "3"], moments),
+        (["smop", "--n", "4", "--csv"], moments),
+    ]
+    # a wrong co-recursive parameter makes pro5 fail: exit 1 with a report
+    monkeypatch.setattr(composition, "corecursive_parameter", lambda u, c: rat(5))
+
+    def run(fresh):
+        results = []
+        for argv, stdin_text in calls:
+            if fresh:
+                cli.shared_parser.cache_clear()
+            target.unlink(missing_ok=True)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = target.read_text() if target.exists() else None
+            results.append((code, out, err, written))
+        return results
+
+    want = run(fresh=True)
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli.shared_parser.cache_clear()
+    assert run(fresh=False) == want
+    assert len(builds) == 1
+    assert [code for code, _, _, _ in want] == [2, 2, 0, 1, 1, 0, 0, 0, 0]
+    assert "invalid int value" in want[0][2]
+    assert json.loads(want[3][1])["checks"][0]["status"] == "fail"
+    assert want[6][1] == "" and want[6][3] == want[5][1]
+    assert want[7][1] and want[7][3] is None
 
 
 def test_out_flag_writes_a_file(monkeypatch, capsys, tmp_path):

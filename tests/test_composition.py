@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_functional
 
-from opoly import families
+from opoly import composition, families
 from opoly import functional as fa
 from opoly.composition import (
     christoffel_assoc_chain,
@@ -21,7 +21,7 @@ from opoly.composition import (
     geronimus_assoc_second_check,
     shifted_factor_check,
 )
-from opoly.errors import DegenerateParameter
+from opoly.errors import DegenerateParameter, NotQuasiDefinite
 from opoly.poly import X
 from opoly.rational import rat
 
@@ -153,3 +153,34 @@ def test_both_chains_pass_on_the_committed_random_functional():
         "gero2",
         "pro6",
     ]
+
+
+def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
+    u, c, m0 = random_functional()
+    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
+    inputs = []
+    real = composition.smop_from_moments
+
+    def counted(v, n_max):
+        inputs.append((v.moments, n_max))
+        return real(v, n_max)
+
+    monkeypatch.setattr(composition, "smop_from_moments", counted)
+    assert [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)] == want
+    assert inputs == [(u.moments, 9)]
+    # gero1 and gero2 on their own reuse the recurrence that the
+    # factorization route read
+    for check in (geronimus_assoc_connection_check, geronimus_assoc_second_check):
+        inputs.clear()
+        assert check(u, c, m0, 8).passed
+        assert inputs == [(u.moments, 9)]
+
+
+def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():
+    # H_1 = u_0 u_2 - u_1^2 = 0: the recurrence fails at level 1
+    v = fa.functional((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(DegenerateParameter):
+        geronimus_assoc_chain(v, 1, 0, 4, 4)
+    with pytest.raises(NotQuasiDefinite) as caught:
+        geronimus_assoc_chain(v, 1, 1, 4, 4)
+    assert caught.value.level == 1

@@ -17,6 +17,7 @@ from conftest import (
     invert_reference,
     linear_power,
     polys_reference,
+    product_reference,
 )
 from hypothesis import assume, given, settings, strategies as st
 
@@ -34,7 +35,7 @@ from opoly.associated import (
 from opoly.cli import main
 from opoly.darboux import christoffel_lu, geronimus_ul
 from opoly.errors import NotQuasiDefinite, ZeroPivot
-from opoly.matrices import band_from_entries, mat_multiply, mat_power
+from opoly.matrices import BandMatrix, DenseMatrix, band_from_entries, mat_multiply, mat_power
 from opoly.orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
@@ -53,7 +54,7 @@ from opoly.quadratic import (
     quadratic_geronimus_smop,
     quadratic_recurrence,
 )
-from opoly.rational import ONE, rat
+from opoly.rational import ONE, Rational, rat
 from opoly.series import LaurentSeries, series_multiply
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=25)
@@ -551,6 +552,52 @@ def test_divide_power_matches_long_division(first, rest, k, frac):
             got = fa.divide_power(u, c, m)
             assert got == divide_power_reference(u, c, m)
             assert got.order == u.order + m
+
+
+@st.composite
+def wide_band(draw, size):
+    """A BandMatrix of wide-height entries: random offsets, some diagonals all
+    zero (dropped, so the bandwidths shrink), and a margin."""
+    offsets = draw(st.lists(st.integers(-(size - 1), size - 1), unique=True, max_size=4))
+    diagonals = {}
+    for d in offsets:
+        entries = draw(st.lists(wide_rationals, min_size=size - abs(d), max_size=size - abs(d)))
+        diagonals[d] = [0] * len(entries) if draw(st.integers(0, 3)) == 0 else entries
+    return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
+
+
+@st.composite
+def wide_dense(draw, size):
+    row = st.lists(wide_rationals, min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    return DenseMatrix(rows, margin=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_mat_multiply_matches_the_fraction_dot_product(data):
+    # entries, margins and bandwidths of band x band, band x dense,
+    # dense x band and dense x dense products with denominators up to 10^9
+    size = data.draw(st.integers(1, 6))
+    kinds = data.draw(st.sampled_from(
+        [("band", "band"), ("band", "dense"), ("dense", "band"), ("dense", "dense")]
+    ))
+    a, b = (data.draw(wide_band(size) if kind == "band" else wide_dense(size)) for kind in kinds)
+    got = mat_multiply(a, b)
+    want = product_reference(a, b)
+    for i in range(size):
+        for j in range(size):
+            assert got.entry(i, j) == want[i][j]
+            assert type(got.entry(i, j)) is Rational
+    assert got.margin == min(max(a.margin, b.margin) + min(a.upper, b.lower), size)
+    if kinds == ("band", "band"):
+        assert isinstance(got, BandMatrix)
+        support = [j - i for i in range(size) for j in range(size) if want[i][j] != 0]
+        assert got.lower == max([-d for d in support] + [0])
+        assert got.upper == max(support + [0])
+    else:
+        assert isinstance(got, DenseMatrix)
+        assert got.lower == got.upper == size - 1
 
 
 # -- degenerate degree-one transforms and the associated shift: the library

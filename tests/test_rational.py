@@ -49,6 +49,17 @@ def test_floats_are_rejected():
         rat(1, 2.0)
 
 
+def test_a_rational_comes_back_as_itself():
+    x = rat(-22, 7)
+    assert rat(x) is x
+    assert rat(ZERO) is ZERO
+    # only a rational alone: a pair is still divided, a string still parsed
+    assert rat(x, 2) == rat(-11, 7)
+    assert rat("-22/7") == x
+    with pytest.raises(TypeError):
+        rat(0.5)
+
+
 def test_rat_str_is_canonical():
     assert rat_str(rat(2, 4)) == "1/2"
     assert rat_str(rat(-2, 4)) == "-1/2"
