@@ -22,7 +22,7 @@ from .orthopoly import (
     values_and_slopes,
 )
 from .poly import Polynomial, X
-from .rational import ZERO, ONE, rat
+from .rational import ZERO, ONE, Rational, rat
 from .reports import CheckReport
 
 
@@ -207,41 +207,49 @@ def inverse_functional_identity_check(u, norm1=ONE):
     return CheckReport.failing("fu1", order - 1, {"moment": k}, norm1=str(norm1))
 
 
-Division = namedtuple("Division", "alpha1 alpha2 d_star recurrence norms diag super1")
+Division = namedtuple("Division", "alpha1 alpha2 d_star recurrence norms base_norms")
 
 
-def quadratic_kernel(rc, w0, c, m0, m1, s, t, n_max):
+def quadratic_kernel(rc, w0, c, m0, m1, s, t, den, n_max):
     """The SMOP of v with (x - c)^2 v = w, v_0 = m0 and v_1 = m1, in O(n_max).
 
-    rc is the recurrence of w and w0 its first moment.  s[n] = S_n(c) and
-    t[n] = T_n(c) for n = 0..n_max, where S_n = (m1 - c m0) P_n +
-    w0 P^(1)_{n-1} spans the kernel of the map back to w and
-    T_n = S_n'(c) + m0 P_n(c).  Negating s negates every d*_n and changes
-    nothing else.  Returns a Division of:
+    rc is the recurrence of w and w0 its first moment.  For n = 0..n_max,
+    S_n(c) = s[n] / den[n] and T_n(c) = t[n] / den[n], integers over one
+    denominator per level, where S_n = (m1 - c m0) P_n + w0 P^(1)_{n-1}
+    spans the kernel of the map back to w and T_n = S_n'(c) + m0 P_n(c).
+    Negating s negates every d*_n, and scaling s and t by one constant
+    scales every d*_n by its square; neither changes anything else.
+    Returns a Division of:
 
-    - d_star[n] = s[n-2] t[n-1] - s[n-1] t[n-2] for n = 2..n_max+1;
+    - d_star[n] = S_{n-2} T_{n-1} - S_{n-1} T_{n-2} for n = 2..n_max+1;
     - alpha1[n] (n = 1..n_max) and alpha2[n] = d*_{n+1}/d*_n
       (n = 2..n_max), with Q_n = P_n + alpha1[n] P_{n-1} + alpha2[n] P_{n-2};
     - the recurrence of the Q_n (length n_max) and their norms K_0 = m0,
       K_1 = (w0 m0 - (m1 - c m0)^2)/m0 and K_n = alpha2[n] k_{n-2}, with
       k the norms of w, since <v, Q_n (x - c)^2 P_{n-2}> = <w, Q_n P_{n-2}>;
-    - U of (x - c)^2 P_n = Q_{n+2} + super1[n] Q_{n+1} + diag[n] Q_n:
-      pairing with Q_n under v gives diag[n] = k_n/K_n (n < n_max), and
-      the x^{n+1} coefficients give super1[n] = b_n + b_{n+1} - 2c -
-      alpha1[n+2] (n < n_max - 1).
+    - base_norms, the norms k_0 = w0, k_n = k_{n-1} a_n of w for
+      n < n_max, from which `quadratic._factors` reads U.
+
+    d*_n, alpha1[n] and alpha2[n] are integer cross products of s and t
+    over products of the level denominators, one rational each:
+    with D_n = s[n-2] t[n-1] - s[n-1] t[n-2], d*_n = D_n / (den[n-2]
+    den[n-1]), alpha1[n] = (t[n-2] s[n] - t[n] s[n-2]) den[n-1] /
+    (den[n] D_n) and alpha2[n] = D_{n+1} den[n-2] / (den[n] D_n).
 
     Raises NotQuasiDefinite(n - 1, guard="d_star") at the first n = 2..n_max
     with d*_n = 0: then K_{n-1} = 0, so the (n-1)-st Hankel minor of v is
     its first to vanish.
     """
-    d_star = {n: s[n - 2] * t[n - 1] - s[n - 1] * t[n - 2] for n in range(2, n_max + 2)}
+    cross = {n: s[n - 2] * t[n - 1] - s[n - 1] * t[n - 2] for n in range(2, n_max + 2)}
+    d_star = {n: Rational(d, den[n - 2] * den[n - 1]) for n, d in cross.items()}
     alpha1 = {1: rc.b[0] - m1 / m0}
     alpha2 = {}
     for n in range(2, n_max + 1):
-        if d_star[n] == 0:
+        d = cross[n]
+        if d == 0:
             raise NotQuasiDefinite(n - 1, guard="d_star")
-        alpha1[n] = (t[n - 2] * s[n] - t[n] * s[n - 2]) / d_star[n]
-        alpha2[n] = d_star[n + 1] / d_star[n]
+        alpha1[n] = Rational((t[n - 2] * s[n] - t[n] * s[n - 2]) * den[n - 1], den[n] * d)
+        alpha2[n] = Rational(cross[n + 1] * den[n - 2], den[n] * d)
     base_norms = [w0]
     for n in range(1, n_max):
         base_norms.append(base_norms[-1] * rc.a[n - 1])
@@ -251,47 +259,41 @@ def quadratic_kernel(rc, w0, c, m0, m1, s, t, n_max):
     norms += [alpha2[n] * base_norms[n - 2] for n in range(2, n_max)]
     bs = [m1 / m0] + [rc.b[n] + alpha1[n] - alpha1[n + 1] for n in range(1, n_max)]
     a_s = [norms[n] / norms[n - 1] for n in range(1, n_max)]
-    return Division(
-        alpha1,
-        alpha2,
-        d_star,
-        RecurrenceCoefficients(bs, a_s),
-        norms,
-        [k / norm for k, norm in zip(base_norms, norms)],
-        [rc.b[n] + rc.b[n + 1] - 2 * c - alpha1[n + 2] for n in range(n_max - 1)],
-    )
+    return Division(alpha1, alpha2, d_star, RecurrenceCoefficients(bs, a_s), norms, base_norms)
 
 
-def inverse_kernel(u, n_max, rc=None):
+def inverse_kernel(u, n_max):
     """The inverse functional as a quadratic Geronimus transform at 0.
 
     By "fu1", x^2 u^{-1} = kappa u^(1) with kappa = -a_1/u_0, and u^{-1}
     has moments 1/u_0 and -b_0/u_0.  So u^{-1} is `quadratic_kernel` at
     c = 0 on w = kappa u^(1), whose recurrence is u's shifted by one.
     From P_{n+1} = (x - b_0) P^(1)_n - a_1 P^(2)_{n-1}, the kernel values
-    are S_n(0) = P_{n+1}(0)/u_0 and T_n(0) = P_{n+1}'(0)/u_0 on u's own
-    recurrence.  S enters negated, so d*_n = W(P_n, P_{n-1})(0)/u_0^2,
-    which holds for d*_1 = -1/u_0^2 too.  Needs 2*(n_max + 1) moments.
-    `rc` is u's recurrence with n_max + 1 coefficients, when the caller
-    already has it; otherwise it is computed from u.
+    are S_n(0) = -P_{n+1}(0)/u_0 and T_n(0) = P_{n+1}'(0)/u_0 on u's own
+    recurrence.  The kernel runs on P_{n+1}(0) and P_{n+1}'(0) as they
+    are, which scales S and T by u_0 and negates S: only d* changes, and
+    one factor -1/u_0^2 gives back d*_n = W(P_n, P_{n-1})(0)/u_0^2, which
+    holds for d*_1 = -1/u_0^2 too.  Needs 2*(n_max + 1) moments.
     """
     u0 = u.moments[0]
     if u0 == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
-    if rc is None:
-        rc, _ = smop_from_moments(u, n_max + 1)
-    p, dp = values_and_slopes(rc, ZERO, n_max + 1)
+    rc, _ = smop_from_moments(u, n_max + 1)
+    p, dp, den = values_and_slopes(rc, ZERO, n_max + 1)
     kernel = quadratic_kernel(
         rc.shifted(1),
         -rc.a_at(1) / u0,
         ZERO,
         1 / u0,
         -rc.b_at(0) / u0,
-        [-value / u0 for value in p[1:]],
-        [slope / u0 for slope in dp[1:]],
+        p[1:],
+        dp[1:],
+        den[1:],
         n_max,
     )
-    return kernel._replace(d_star={1: -1 / u0 ** 2, **kernel.d_star})
+    scale = -1 / u0 ** 2
+    d_star = {n: scale * d for n, d in kernel.d_star.items()}
+    return kernel._replace(d_star={1: scale, **d_star})
 
 
 def inverse_connection(u, n_max):

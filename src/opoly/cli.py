@@ -27,9 +27,8 @@ from .associated import (
     associated_polys,
     corecursive_functional,
     corecursive_functional_check,
-    inverse_connection,
     inverse_functional_identity_check,
-    inverse_recurrence,
+    inverse_kernel,
     linear_combination_check,
 )
 from .composition import (
@@ -259,7 +258,10 @@ def cmd_transform(args):
         depth = u.order // 2
         count = 2 * (depth - k) - 1
         if count < 1:
-            raise UsageError("order %d leaves no moments at level k=%d" % (u.order, k))
+            # the input, not --k, is at fault: a mathematical failure
+            raise TruncationExhausted(
+                "associated at level k=%d needs %d moments, have %d" % (k, 2 * k + 2, u.order)
+            )
         rc, _ = smop_from_moments(u, depth)
         result = associated_functional(rc, k, norm0, count).relabeled("associated-%d" % k)
     elif kind == "corecursive":
@@ -496,8 +498,9 @@ def family_reproduction(name, alpha, order):
     each compared against its frozen closed form."""
     u = build_family(name, alpha, order)
     n_max = order // 2 - 1
-    rc_inv = inverse_recurrence(u, n_max)
-    alpha1, alpha2, d_star = inverse_connection(u, n_max)
+    # one kernel gives all four tables; their closed forms check it
+    kernel = inverse_kernel(u, n_max)
+    rc_inv, alpha1, alpha2, d_star = kernel.recurrence, kernel.alpha1, kernel.alpha2, kernel.d_star
 
     if name == "chebyshev-u":
         want_b = [families.chebyshev_u_inverse_b(n) for n in range(n_max)]

@@ -199,16 +199,11 @@ def _nonzero_mass(m0):
     return m0
 
 
-def geronimus_assoc_polys(v, m0, n_max, rc=None):
-    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step.
-
-    `rc` is v's recurrence to depth n_max + 1 when the caller already has
-    it; the checks below take it the same way.
-    """
+def geronimus_assoc_polys(v, m0, n_max):
+    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
-    if rc is None:
-        rc, _ = smop_from_moments(v, n_max + 1)
+    rc, _ = smop_from_moments(v, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
     first = associated_polys(rc, 1, n_max - 1)
     out = [Polynomial((1,))]
@@ -217,7 +212,7 @@ def geronimus_assoc_polys(v, m0, n_max, rc=None):
     return tuple(out)
 
 
-def geronimus_corecursive_check(v, m0, n_max, rc=None):
+def geronimus_corecursive_check(v, m0, n_max):
     """The kernel sequence is co-recursive of parameter -v_0/m0 for v itself.
 
     Checked as polynomials (two routes) and as functionals: the moments
@@ -227,9 +222,8 @@ def geronimus_corecursive_check(v, m0, n_max, rc=None):
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
-    if rc is None:
-        rc, _ = smop_from_moments(v, n_max + 1)
-    direct = geronimus_assoc_polys(v, m0, n_max, rc)
+    rc, _ = smop_from_moments(v, n_max + 1)
+    direct = geronimus_assoc_polys(v, m0, n_max)
     routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
     for n in range(n_max + 1):
         if direct[n] != routed[n]:
@@ -252,11 +246,10 @@ def geronimus_corecursive_check(v, m0, n_max, rc=None):
     return CheckReport.passing("S-corecursive", n_max, alpha=str(alpha))
 
 
-def _hat_first(v, c, m0, size, rc=None):
+def _hat_first(v, c, m0, size):
     """Factorization route to the transformed functional's associated SMOP."""
     v0 = v.moments[0]
-    if rc is None:
-        rc, _ = smop_from_moments(v, size + 1)
+    rc, _ = smop_from_moments(v, size + 1)
     lower, upper, transformed = geronimus_ul(
         jacobi_matrix(rc, size + 1), rat(c), v0 / _nonzero_mass(m0)
     )
@@ -264,7 +257,7 @@ def _hat_first(v, c, m0, size, rc=None):
     return rc, lower, upper, hat_rc
 
 
-def geronimus_assoc_connection_check(v, c, m0, n_max, rc=None):
+def geronimus_assoc_connection_check(v, c, m0, n_max):
     """Identity "gero1": (x - c) Phat^(1)_{n-1} = S_n + ell_n S_{n-1}.
 
     Phat^(1) comes from the shifted transformed recurrence (factorization
@@ -272,9 +265,9 @@ def geronimus_assoc_connection_check(v, c, m0, n_max, rc=None):
     formula, so the three ingredients are independently produced.
     """
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max, rc)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
-    s_polys = geronimus_assoc_polys(v, m0, n_max, rc)
+    s_polys = geronimus_assoc_polys(v, m0, n_max)
     for n in range(1, n_max + 1):
         lhs = (X - c) * hat_first[n - 1]
         rhs = s_polys[n] + lower.sub[n - 1] * s_polys[n - 1]
@@ -283,12 +276,12 @@ def geronimus_assoc_connection_check(v, c, m0, n_max, rc=None):
     return CheckReport.passing("gero1", n_max, c=str(c), m0=str(rat(m0)))
 
 
-def geronimus_assoc_second_check(v, c, m0, n_max, rc=None):
+def geronimus_assoc_second_check(v, c, m0, n_max):
     """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max, rc)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
-    s_polys = geronimus_assoc_polys(v, m0, n_max, rc)
+    s_polys = geronimus_assoc_polys(v, m0, n_max)
     for n in range(n_max + 1):
         rhs = hat_first[n] + (upper.diag[n] * hat_first[n - 1] if n >= 1 else Polynomial())
         if s_polys[n] != rhs:
@@ -296,7 +289,7 @@ def geronimus_assoc_second_check(v, c, m0, n_max, rc=None):
     return CheckReport.passing("gero2", n_max, c=str(c), m0=str(rat(m0)))
 
 
-def geronimus_assoc_factor_check(v, c, m0, size, rc=None):
+def geronimus_assoc_factor_check(v, c, m0, size):
     """Identity "pro6": moments and shifted-factor identities for the division step.
 
     (i) the associated functional of the transform equals (x - c) times
@@ -309,7 +302,7 @@ def geronimus_assoc_factor_check(v, c, m0, size, rc=None):
     m0 = _nonzero_mass(m0)
     v0 = v.moments[0]
     alpha = -v0 / m0
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, size, rc)
+    rc, lower, upper, hat_rc = _hat_first(v, c, m0, size)
     reports = []
     # (i) normalized moment identity
     hat_shift = hat_rc.shifted(1)
@@ -384,16 +377,15 @@ def christoffel_assoc_chain(u, c, n_max, size):
 def geronimus_assoc_chain(v, c, m0, n_max, size):
     """All division-side interplay checks, bundled, over one recurrence of v.
 
-    The mass is checked before the recurrence is computed, so a zero m0
-    is reported ahead of a vanishing Hankel minor, as the first check
-    alone would report it.
+    Every check reads v's recurrence through `smop_from_moments`, whose
+    memo on v lets all four share one run of the Chebyshev algorithm
+    when size <= n_max.  The first check tests the mass before it reads
+    the recurrence, so a zero m0 is reported ahead of a vanishing Hankel
+    minor.
     """
-    m0 = _nonzero_mass(m0)
-    rc, _ = smop_from_moments(v, n_max + 1)
-    # pro6 reads v's recurrence to depth size + 1
     return [
-        geronimus_corecursive_check(v, m0, n_max, rc),
-        geronimus_assoc_connection_check(v, c, m0, n_max, rc),
-        geronimus_assoc_second_check(v, c, m0, n_max, rc),
-        geronimus_assoc_factor_check(v, c, m0, size, rc if size == n_max else None),
+        geronimus_corecursive_check(v, m0, n_max),
+        geronimus_assoc_connection_check(v, c, m0, n_max),
+        geronimus_assoc_second_check(v, c, m0, n_max),
+        geronimus_assoc_factor_check(v, c, m0, size),
     ]

@@ -14,7 +14,16 @@ from .rational import ZERO, ONE, Rational, common_denominator, rat
 
 
 class MomentFunctional:
-    __slots__ = ("moments", "label")
+    """The moments (u_0, ..., u_{N-1}) of a functional, with an optional label.
+
+    `_recurrence` is `smop_from_moments`'s memo: the recurrence and norms
+    of the deepest Chebyshev run that succeeded on these moments, or None.
+    Shallower depths are its truncations, so a functional runs the
+    algorithm again only when asked for a deeper recurrence than it holds.
+    Equality, hashing and repr read the moments alone.
+    """
+
+    __slots__ = ("moments", "label", "_recurrence")
 
     def __init__(self, moments, label=None):
         ms = tuple(rat(m) for m in moments)
@@ -22,6 +31,7 @@ class MomentFunctional:
             raise ValueError("a moment functional needs at least one moment")
         self.moments = ms
         self.label = label
+        self._recurrence = None
 
     @property
     def order(self):

@@ -134,7 +134,37 @@ class OrthogonalSystem:
 
 
 def smop_from_moments(u, n_max):
-    """Moments to recurrence by the Chebyshev algorithm, in O(n_max^2).
+    """Moments to recurrence by the Chebyshev algorithm (`_chebyshev`), in O(n_max^2).
+
+    Needs 2*n_max moments.  Returns the recurrence coefficients
+    (b_0..b_{n_max-1}, a_1..a_{n_max-1}) and the system P_0..P_{n_max}
+    with norms K_0..K_{n_max-1}; the polynomials are built only when
+    read.  Raises NotQuasiDefinite at the first vanishing norm, whose
+    index equals the offending Hankel level, since K_k = H_k / H_{k-1}.
+
+    The recurrence and norms of the deepest run that succeeded on u are
+    kept on u (`MomentFunctional._recurrence`), and a call no deeper
+    returns their truncation: producers and checks that read one
+    functional share one run, and only a deeper call runs again.  A run
+    that raises keeps nothing.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if u.order < 2 * n_max:
+        raise TruncationExhausted(
+            "need %d moments for n_max=%d, have %d" % (2 * n_max, n_max, u.order)
+        )
+    if u._recurrence is not None and u._recurrence[0].length >= n_max:
+        rc, norms = u._recurrence
+        if rc.length > n_max:
+            rc, norms = rc.truncated(n_max), norms[:n_max]
+    else:
+        rc, norms = u._recurrence = _chebyshev(u.moments, n_max)
+    return rc, OrthogonalSystem.from_recurrence(rc, norms)
+
+
+def _chebyshev(moments, n_max):
+    """The recurrence (length n_max) and norms of 2*n_max moments.
 
     Runs over the mixed moments s_{k,l} = <u, P_k x^l>, two rows at a
     time: s_{k,l} = s_{k-1,l+1} - b_{k-1} s_{k-1,l} - a_{k-1} s_{k-2,l},
@@ -147,24 +177,13 @@ def smop_from_moments(u, n_max):
     the recurrence over the lcm of their denominators, then divided once
     by gcd(den, *row), so no entry is a rational.  b_k needs no
     denominator at all: b_k = sigma_k[k+1]/sigma_k[k] -
-    sigma_{k-1}[k]/sigma_{k-1}[k-1].
-
-    Needs 2*n_max moments.  Returns the recurrence coefficients
-    (b_0..b_{n_max-1}, a_1..a_{n_max-1}) and the system P_0..P_{n_max}
-    with norms K_0..K_{n_max-1}; the polynomials are built only when
-    read.  Raises NotQuasiDefinite at the first vanishing norm, whose
-    index equals the offending Hankel level, since K_k = H_k / H_{k-1}.
+    sigma_{k-1}[k]/sigma_{k-1}[k-1].  Raises NotQuasiDefinite(k) at the
+    first k with K_k = 0.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if u.order < 2 * n_max:
-        raise TruncationExhausted(
-            "need %d moments for n_max=%d, have %d" % (2 * n_max, n_max, u.order)
-        )
     width = 2 * n_max
     # s_{k,l} = sigma[l] / den and s_{k-1,l} = below[l] / below_den; only
     # l >= k is used
-    sigma, den = common_denominator(u.moments[:width])
+    sigma, den = common_denominator(moments[:width])
     below, below_den = [0] * width, 1
     norms = []
     bs = []
@@ -199,8 +218,7 @@ def smop_from_moments(u, n_max):
             a_s.append(Rational(sigma[k] * below_den, den * below[k - 1]))
         norms.append(norm_k)
         bs.append(b_k)
-    rc = RecurrenceCoefficients(bs, a_s)
-    return rc, OrthogonalSystem.from_recurrence(rc, norms)
+    return RecurrenceCoefficients(bs, a_s), tuple(norms)
 
 
 def polys_from_recurrence(rc, n_max):
@@ -240,28 +258,46 @@ def polys_from_recurrence(rc, n_max):
 
 
 def values_and_slopes(rc, c, n):
-    """P_m(c) and P_m'(c) for m = 0..n, as two lists, in O(n).
+    """P_m(c) and P_m'(c) for m = 0..n in O(n), over one denominator per level.
 
-    Runs the recurrence and its derivative,
-    P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}', at x = c.
+    Returns three lists (p, dp, den) of integers with P_m(c) = p[m] / den[m]
+    and P_m'(c) = dp[m] / den[m].  Runs the recurrence and its derivative,
+    P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}', at x = c.  As in
+    `polys_from_recurrence`, with c - b_m = ps/qs and a_m = pa/qa, integer
+    factors bring both terms over the lcm of their denominators, and each
+    level is reduced once by gcd(den, value, slope), so no step makes a
+    rational.
     """
     if n > rc.length:
         raise TruncationExhausted(
             "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n)
         )
     c = rat(c)
-    p = [ONE]
-    dp = [ZERO]
+    pc, qc = c.numerator, c.denominator
+    p, dp, den = [1], [0], [1]
+    below, below_slope, below_den, a = 0, 0, 1, ZERO
     for m in range(n):
-        shift = c - rc.b[m]
-        value = shift * p[m]
-        slope = p[m] + shift * dp[m]
+        b = rc.b[m]
+        qs = lcm(qc, b.denominator)
+        ps = pc * (qs // qc) - b.numerator * (qs // b.denominator)
         if m >= 1:
-            value -= rc.a[m - 1] * p[m - 1]
-            slope -= rc.a[m - 1] * dp[m - 1]
-        p.append(value)
-        dp.append(slope)
-    return p, dp
+            a = rc.a[m - 1]
+            below, below_slope, below_den = p[m - 1], dp[m - 1], den[m - 1]
+        # value = (c - b) P_m - a P_{m-1} and slope = P_m + (c - b) P_m' -
+        # a P_{m-1}', with the P_m terms over qs den[m] and the P_{m-1}
+        # terms over qa den[m - 1]
+        left = qs * den[m]
+        right = a.denominator * below_den
+        new_den = lcm(left, right)
+        f_left = new_den // left
+        f_right = new_den // right * a.numerator
+        value = f_left * ps * p[m] - f_right * below
+        slope = f_left * (qs * p[m] + ps * dp[m]) - f_right * below_slope
+        g = gcd(new_den, value, slope)
+        p.append(value // g)
+        dp.append(slope // g)
+        den.append(new_den // g)
+    return p, dp, den
 
 
 def jacobi_matrix(rc, size):

@@ -11,6 +11,8 @@ first-associated and inverse SMOPs.  The Wronskian and moment routes
 live only in the checks.
 """
 
+from math import lcm
+
 from . import functional as fa
 from .associated import (
     inverse_connection,
@@ -48,7 +50,8 @@ def _division(u, c, m0, m1, n_max):
 
     S_n(c) = (m1 - c m0) P_n(c) + u_0 P^(1)_{n-1}(c) and
     T_n = S_n'(c) + m0 P_n(c) come from the values and slopes at c of the
-    base and first-associated recurrences.
+    base and first-associated recurrences, each level brought over the
+    lcm of its two denominators with integer factors.
     """
     c = rat(c)
     m0 = rat(m0)
@@ -57,14 +60,25 @@ def _division(u, c, m0, m1, n_max):
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
     u0 = u.moments[0]
     rc, _ = smop_from_moments(u, n_max + 1)
-    p, dp = values_and_slopes(rc, c, n_max)
-    q, dq = values_and_slopes(rc.shifted(1), c, n_max - 1)
-    q = [ZERO] + q
-    dq = [ZERO] + dq
+    p, dp, p_den = values_and_slopes(rc, c, n_max)
+    q, dq, q_den = values_and_slopes(rc.shifted(1), c, n_max - 1)
+    q, dq, q_den = [0] + q, [0] + dq, [1] + q_den
     weight = m1 - c * m0
-    s = [weight * p[n] + u0 * q[n] for n in range(n_max + 1)]
-    t = [weight * dp[n] + u0 * dq[n] + m0 * p[n] for n in range(n_max + 1)]
-    return quadratic_kernel(rc, u0, c, m0, m1, s, t, n_max)
+    # weight = w / g and m0 = m / g
+    g = lcm(weight.denominator, m0.denominator)
+    w = weight.numerator * (g // weight.denominator)
+    m = m0.numerator * (g // m0.denominator)
+    s, t, den = [], [], []
+    for n in range(n_max + 1):
+        left = g * p_den[n]
+        right = u0.denominator * q_den[n]
+        common = lcm(left, right)
+        f_left = common // left
+        f_right = common // right * u0.numerator
+        s.append(f_left * w * p[n] + f_right * q[n])
+        t.append(f_left * (w * dp[n] + m * p[n]) + f_right * dq[n])
+        den.append(common)
+    return quadratic_kernel(rc, u0, c, m0, m1, s, t, den, n_max)
 
 
 def quadratic_geronimus_smop(u, c, m0, m1, n_max):
@@ -108,14 +122,26 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
     return _division(u, c, m0, m1, n_max).recurrence
 
 
-def _factors(kernel, size):
-    """The size-N tri-band factors L and U from a kernel with n_max >= N."""
+def _factors(kernel, b, c, size):
+    """The size-N tri-band factors L and U from a kernel with n_max >= N.
+
+    b is the diagonal of the divided functional's recurrence.  L carries
+    the connection coefficients.  U is (x - c)^2 P_n = Q_{n+2} +
+    super1[n] Q_{n+1} + diag[n] Q_n: pairing with Q_n under the
+    transformed functional gives diag[n] = k_n/K_n, with k the norms of
+    the divided functional and K those of the transformed one, and the
+    x^{n+1} coefficients give super1[n] = b_n + b_{n+1} - 2c - alpha1[n+2].
+    The kernel leaves U to this function, so producers that need only
+    the recurrence or the connection do not pay for it.
+    """
     lower = UnitLowerTriband(
         size,
         [kernel.alpha1[n] for n in range(1, size)],
         [kernel.alpha2[n] for n in range(2, size)],
     )
-    return lower, UpperTriband(size, kernel.diag[:size], kernel.super1[: size - 1])
+    diag = [k / norm for k, norm in zip(kernel.base_norms[:size], kernel.norms)]
+    super1 = [b[n] + b[n + 1] - 2 * c - kernel.alpha1[n + 2] for n in range(size - 1)]
+    return lower, UpperTriband(size, diag, super1)
 
 
 def quadratic_factorization(u, c, m0, m1, size):
@@ -128,7 +154,9 @@ def quadratic_factorization(u, c, m0, m1, size):
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    return _factors(_division(u, c, m0, m1, size), size)
+    kernel = _division(u, c, m0, m1, size)
+    rc, _ = smop_from_moments(u, size + 1)
+    return _factors(kernel, rc.b, rat(c), size)
 
 
 def _triband_failure(base, q_polys, lower, upper, c):
@@ -228,19 +256,20 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
     return CheckReport.passing("conex2", n_max, c=str(c), m0=str(m0), m1=str(m1))
 
 
-def assoc_inverse_factorization(u, size, rc=None):
+def assoc_inverse_factorization(u, size):
     """Tri-band factors linking the first-associated and inverse SMOPs at c = 0.
 
     The same L/U construction as `quadratic_factorization`, on `inverse_kernel`:
     L carries the inverse connection and U turns x^2 P^(1)_n into the
     inverse SMOP.  Needs 2*size + 2 moments and guards the inverse's
-    levels up to size - 1; `rc`, u's recurrence with size + 1
-    coefficients, is passed on to the kernel.  Returns (L, U);
+    levels up to size - 1.  Returns (L, U);
     `assoc_inverse_factorization_check` certifies them.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    return _factors(inverse_kernel(u, size, rc), size)
+    kernel = inverse_kernel(u, size)
+    rc, _ = smop_from_moments(u, size + 1)
+    return _factors(kernel, rc.b[1:], ZERO, size)
 
 
 def assoc_inverse_factorization_check(u, norm1, size):
@@ -254,7 +283,7 @@ def assoc_inverse_factorization_check(u, norm1, size):
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
     # the factors and J^(1) read the same recurrence of u
     rc, _ = smop_from_moments(u, size + 1)
-    lower, upper = assoc_inverse_factorization(u, size, rc)
+    lower, upper = assoc_inverse_factorization(u, size)
     inverse_rc, _ = smop_from_moments(fa.invert(u), size)
     failure = _squares_failure(
         ("(J^(1))^2 = U L", "(J^-)^2 = L U"),

@@ -3,14 +3,16 @@ the Gram-Schmidt reference for moments to recurrence, and the rational
 (one Fraction per entry) code that the integer kernels replaced, kept as
 references for the property tests: the Chebyshev and inverse loops, the
 polynomial with one Fraction per coefficient, the recurrence run on it,
-division by (x - c)^m through long division, and the matrix product with
-one Fraction per multiply-add."""
+division by (x - c)^m through long division, the matrix product with
+one Fraction per multiply-add, and the values, slopes and quadratic
+kernel with one Fraction per operation."""
 
 import json
 from pathlib import Path
 
 from opoly import functional as fa
-from opoly.errors import NotQuasiDefinite, ZeroFirstMoment
+from opoly.associated import Division
+from opoly.errors import NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
 from opoly.functional import MomentFunctional
 from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
 from opoly.poly import ONE_POLY, Polynomial, X
@@ -269,3 +271,45 @@ def product_reference(a, b):
         [sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), ZERO) for j in range(n)]
         for i in range(n)
     ]
+
+
+def values_and_slopes_reference(rc, c, n):
+    """P_m(c) and P_m'(c) for m = 0..n as two lists, one rational per operation."""
+    if n > rc.length:
+        raise TruncationExhausted("recurrence too short")
+    c = rat(c)
+    p = [ONE]
+    dp = [ZERO]
+    for m in range(n):
+        shift = c - rc.b[m]
+        value = shift * p[m]
+        slope = p[m] + shift * dp[m]
+        if m >= 1:
+            value -= rc.a[m - 1] * p[m - 1]
+            slope -= rc.a[m - 1] * dp[m - 1]
+        p.append(value)
+        dp.append(slope)
+    return p, dp
+
+
+def quadratic_kernel_reference(rc, w0, c, m0, m1, s, t, n_max):
+    """`associated.quadratic_kernel` on rational S_n(c) = s[n] and T_n(c) = t[n],
+    one rational per operation."""
+    d_star = {n: s[n - 2] * t[n - 1] - s[n - 1] * t[n - 2] for n in range(2, n_max + 2)}
+    alpha1 = {1: rc.b[0] - m1 / m0}
+    alpha2 = {}
+    for n in range(2, n_max + 1):
+        if d_star[n] == 0:
+            raise NotQuasiDefinite(n - 1, guard="d_star")
+        alpha1[n] = (t[n - 2] * s[n] - t[n] * s[n - 2]) / d_star[n]
+        alpha2[n] = d_star[n + 1] / d_star[n]
+    base_norms = [w0]
+    for n in range(1, n_max):
+        base_norms.append(base_norms[-1] * rc.a[n - 1])
+    norms = [m0]
+    if n_max >= 2:
+        norms.append((w0 * m0 - (m1 - c * m0) ** 2) / m0)
+    norms += [alpha2[n] * base_norms[n - 2] for n in range(2, n_max)]
+    bs = [m1 / m0] + [rc.b[n] + alpha1[n] - alpha1[n + 1] for n in range(1, n_max)]
+    a_s = [norms[n] / norms[n - 1] for n in range(1, n_max)]
+    return Division(alpha1, alpha2, d_star, RecurrenceCoefficients(bs, a_s), norms, base_norms)

@@ -131,6 +131,28 @@ def test_smop_on_an_input_too_short_for_the_default_depth_is_truncation(monkeypa
         assert "--n must be at least 1" in err
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_associated_on_an_input_too_short_for_its_level_is_truncation(
+    monkeypatch, capsys, order
+):
+    # level k reads the recurrence to depth k + 1, so 2k + 2 moments: a
+    # shorter input is a mathematical failure (exit 1) whether or not --k
+    # was passed; --k 0 stays a usage error
+    stdin_text = family_json(families.chebyshev_u(order))
+    for argv, k in ((["transform", "associated"], 1), (["transform", "associated", "--k", "2"], 2)):
+        code, out, err = invoke(monkeypatch, capsys, argv, stdin_text=stdin_text)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["error"] == "TruncationExhausted"
+        assert "level k=%d needs %d moments" % (k, 2 * k + 2) in payload["message"]
+        assert "have %d" % order in payload["message"]
+    code, out, err = invoke(
+        monkeypatch, capsys, ["transform", "associated", "--k", "0"], stdin_text=stdin_text
+    )
+    assert (code, out) == (2, "")
+    assert "--k must be at least 1" in err
+
+
 def test_smop_rejects_empty_input(monkeypatch, capsys):
     code, _, err = invoke(monkeypatch, capsys, ["smop"], stdin_text="")
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_functional
 
-from opoly import composition, families
+from opoly import families, orthopoly
 from opoly import functional as fa
 from opoly.composition import (
     christoffel_assoc_chain,
@@ -22,6 +22,7 @@ from opoly.composition import (
     shifted_factor_check,
 )
 from opoly.errors import DegenerateParameter, NotQuasiDefinite
+from opoly.functional import MomentFunctional
 from opoly.poly import X
 from opoly.rational import rat
 
@@ -156,24 +157,30 @@ def test_both_chains_pass_on_the_committed_random_functional():
 
 
 def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
+    # every check reads v's recurrence through smop_from_moments; the memo
+    # on v must let the Chebyshev algorithm run once for all four, so a
+    # check that recomputes the recurrence on its own copy of v fails here
     u, c, m0 = random_functional()
     want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
-    inputs = []
-    real = composition.smop_from_moments
+    runs = []
+    real = orthopoly._chebyshev
 
-    def counted(v, n_max):
-        inputs.append((v.moments, n_max))
-        return real(v, n_max)
+    def counted(moments, n_max):
+        runs.append((moments, n_max))
+        return real(moments, n_max)
 
-    monkeypatch.setattr(composition, "smop_from_moments", counted)
-    assert [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)] == want
-    assert inputs == [(u.moments, 9)]
+    def fresh():
+        return MomentFunctional(u.moments)
+
+    monkeypatch.setattr(orthopoly, "_chebyshev", counted)
+    assert [report.to_json() for report in geronimus_assoc_chain(fresh(), c, m0, 8, 8)] == want
+    assert runs == [(u.moments, 9)]
     # gero1 and gero2 on their own reuse the recurrence that the
     # factorization route read
     for check in (geronimus_assoc_connection_check, geronimus_assoc_second_check):
-        inputs.clear()
-        assert check(u, c, m0, 8).passed
-        assert inputs == [(u.moments, 9)]
+        runs.clear()
+        assert check(fresh(), c, m0, 8).passed
+        assert runs == [(u.moments, 9)]
 
 
 def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():

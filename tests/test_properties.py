@@ -18,23 +18,28 @@ from conftest import (
     linear_power,
     polys_reference,
     product_reference,
+    quadratic_kernel_reference,
+    values_and_slopes_reference,
 )
 from hypothesis import assume, given, settings, strategies as st
 
 from opoly import functional as fa
-from opoly import serialize
+from opoly import quadratic, serialize
 from opoly.associated import (
     associated_functional,
     associated_polys,
     corecursive_functional,
     corecursive_two_route_check,
     inverse_connection,
+    inverse_kernel,
     inverse_recurrence,
     inverse_smop,
+    quadratic_kernel,
 )
 from opoly.cli import main
 from opoly.darboux import christoffel_lu, geronimus_ul
 from opoly.errors import NotQuasiDefinite, ZeroPivot
+from opoly.functional import MomentFunctional
 from opoly.matrices import BandMatrix, DenseMatrix, band_from_entries, mat_multiply, mat_power
 from opoly.orthopoly import (
     OrthogonalSystem,
@@ -202,6 +207,7 @@ wide_rationals = st.one_of(
 wide_nonzero = st.builds(
     rat, st.integers(-(10**9), 10**9).filter(lambda n: n != 0), wide_denominators
 )
+scalars = st.one_of(rationals, wide_rationals)
 
 
 @st.composite
@@ -269,8 +275,10 @@ def test_values_and_slopes_match_derivatives_at(drawn, c):
     n = rc.length
     polys = polys_from_recurrence(rc, n)
     for at in (c, rat(0)):
-        values, slopes = values_and_slopes(rc, at, n)
-        assert list(zip(values, slopes)) == [derivatives_at(p, at, 1) for p in polys]
+        values, slopes, dens = values_and_slopes(rc, at, n)
+        assert [(Rational(v, d), Rational(s, d)) for v, s, d in zip(values, slopes, dens)] == [
+            derivatives_at(p, at, 1) for p in polys
+        ]
 
 
 # -- the inverse functional is the quadratic Geronimus transform at 0
@@ -346,6 +354,13 @@ def test_a_vanishing_d_star_fails_every_quadratic_producer_at_its_minor(drawn, c
         with pytest.raises(NotQuasiDefinite) as excinfo:
             producer()
         assert (excinfo.value.level, excinfo.value.guard) == (level, "d_star")
+    # and so does every CLI consumer of the kernel: factorize quadratic at
+    # its default (largest) size, conex2 at --n reading d*_2..d*_{n+2} and
+    # propLUinversa at --n reading d*_2..d*_n
+    params = ["--c=%s" % c, "--m0=%s" % m0, "--m1=%s" % m1]
+    assert_cli_fails_at(["factorize", "quadratic"] + params, u, level)
+    for name, n in (("conex2", max(1, level - 1)), ("propLUinversa", level + 1)):
+        assert_cli_fails_at(["verify", name, "--n", str(n)] + params, u, level)
 
 
 @given(recurrence_moments(min_order=8), st.data())
@@ -374,6 +389,19 @@ def test_a_vanishing_origin_wronskian_fails_every_inverse_producer_at_its_minor(
         with pytest.raises(NotQuasiDefinite) as excinfo:
             producer()
         assert (excinfo.value.level, excinfo.value.guard) == (level, "d_star")
+    # relationlu at --n reads the inverse's d*_2..d*_n, g-matrix at --n
+    # reads d*_2..d*_{n-1}
+    for name, n in (("relationlu", max(3, level + 1)), ("g-matrix", max(3, level + 2))):
+        assert_cli_fails_at(["verify", name, "--n", str(n)], u, level)
+
+
+def assert_cli_fails_at(argv, u, level):
+    """`opoly argv` on u's moments exits 1 with a typed d* failure at level."""
+    code, out = run_cli(argv, serialize.dumps(serialize.moments_record(u)))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NotQuasiDefinite"
+    assert (payload["level"], payload["guard"]) == (level, "d_star")
 
 
 @given(st.data())
@@ -444,11 +472,146 @@ def test_integer_inverse_matches_the_rational_loop_and_convolves_to_delta(first,
     assert fa.convolve(u, inverse) == fa.delta(0, u.order)
 
 
+# -- smop_from_moments keeps the deepest recurrence on the functional
+
+def assert_matches_a_fresh_run(u, n):
+    """smop_from_moments(u, n), memo and all, equals a run on a copy of u."""
+    got_rc, got = smop_from_moments(u, n)
+    want_rc, want = smop_from_moments(MomentFunctional(u.moments), n)
+    assert got_rc == want_rc and got_rc.length == n
+    assert got.norms == want.norms and got.n_max == n
+    assert got.polys == want.polys
+
+
+@given(wide_recurrence_moments(), st.data())
+def test_every_depth_from_the_memo_equals_a_fresh_run(drawn, data):
+    _, u = drawn
+    top = u.order // 2
+    fresh = MomentFunctional(u.moments)
+    smop_from_moments(u, top)
+    assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+    for n in range(1, top + 1):
+        assert_matches_a_fresh_run(u, n)
+    # any order of depths: deeper calls run again, shallower ones truncate
+    u = MomentFunctional(u.moments)
+    for n in data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6)):
+        assert_matches_a_fresh_run(u, n)
+
+
+@given(recurrence_moments(min_order=6), st.data())
+def test_a_run_that_fails_leaves_the_memo_correct(drawn, data):
+    # a_level = 0 makes K_level the first vanishing norm
+    rc, u = drawn
+    top = u.order // 2
+    level = data.draw(st.integers(1, top - 1))
+    a = list(rc.a)
+    a[level - 1] = rat(0)
+    u = with_moments_of(RecurrenceCoefficients(rc.b, a), u)
+    before = data.draw(st.integers(0, level))
+    if before:
+        smop_from_moments(u, before)
+    with pytest.raises(NotQuasiDefinite) as excinfo:
+        smop_from_moments(u, data.draw(st.integers(level + 1, top)))
+    assert excinfo.value.level == level
+    for n in range(1, top + 1):
+        if n <= level:
+            assert_matches_a_fresh_run(u, n)
+        else:
+            with pytest.raises(NotQuasiDefinite) as excinfo:
+                smop_from_moments(u, n)
+            assert (excinfo.value.level, excinfo.value.guard) == (level, "norm")
+
+
+# -- values, slopes and the quadratic kernel on integers, against the
+# rational loops they replaced
+
+@given(wide_recurrence_moments(), scalars)
+def test_integer_values_and_slopes_match_the_rational_loop(drawn, c):
+    rc, _ = drawn
+    for at in (c, rat(0)):
+        p, dp, den = values_and_slopes(rc, at, rc.length)
+        want_p, want_dp = values_and_slopes_reference(rc, at, rc.length)
+        assert [Rational(x, d) for x, d in zip(p, den)] == want_p
+        assert [Rational(x, d) for x, d in zip(dp, den)] == want_dp
+        assert all(d > 0 and gcd(d, x, y) == 1 for x, y, d in zip(p, dp, den))
+
+
+def same_kernel_or_error(got, want):
+    """Both calls give the same Division, or both fail at the same level."""
+    try:
+        expected = want()
+    except NotQuasiDefinite as exc:
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            got()
+        assert (excinfo.value.level, excinfo.value.guard) == (exc.level, exc.guard)
+        return
+    division = got()
+    assert division == expected
+    assert all(
+        type(x) is type(ONE)
+        for x in list(division.alpha1.values()) + list(division.alpha2.values())
+        + list(division.d_star.values()) + division.norms + division.base_norms
+    )
+
+
+# s and t numerators: small ones make a vanishing d* likely
+kernel_numerators = st.one_of(st.integers(-3, 3), st.integers(-(10**9), 10**9))
+
+
+@given(wide_recurrence_moments(min_order=6), wide_nonzero, scalars, wide_nonzero, scalars, st.data())
+def test_integer_quadratic_kernel_matches_the_rational_one(drawn, w0, c, m0, m1, data):
+    # the kernel is algebra on s and t, so any values over any
+    # denominators test it
+    rc, _ = drawn
+    n_max = data.draw(st.integers(1, rc.length))
+    assume(w0 * m0 != (m1 - c * m0) ** 2)
+    count = n_max + 1
+    s = data.draw(st.lists(kernel_numerators, min_size=count, max_size=count))
+    t = data.draw(st.lists(kernel_numerators, min_size=count, max_size=count))
+    den = data.draw(st.lists(wide_denominators, min_size=count, max_size=count))
+    same_kernel_or_error(
+        lambda: quadratic_kernel(rc, w0, c, m0, m1, s, t, den, n_max),
+        lambda: quadratic_kernel_reference(
+            rc, w0, c, m0, m1,
+            [Rational(x, d) for x, d in zip(s, den)],
+            [Rational(x, d) for x, d in zip(t, den)],
+            n_max,
+        ),
+    )
+
+
+@given(wide_recurrence_moments(min_order=6), scalars, wide_nonzero, scalars)
+def test_the_division_producers_match_the_rational_kernel(drawn, c, m0, m1):
+    rc, u = drawn
+    u0 = u.moments[0]
+    n = u.order // 2 - 1
+
+    def inverse_reference():
+        # S_n(0) = -P_{n+1}(0)/u_0 and T_n(0) = P_{n+1}'(0)/u_0
+        p, dp = values_and_slopes_reference(rc, 0, n + 1)
+        kernel = quadratic_kernel_reference(
+            rc.shifted(1), -rc.a_at(1) / u0, rat(0), 1 / u0, -rc.b_at(0) / u0,
+            [-x / u0 for x in p[1:]], [x / u0 for x in dp[1:]], n,
+        )
+        return kernel._replace(d_star={1: -1 / u0 ** 2, **kernel.d_star})
+
+    def division_reference():
+        p, dp = values_and_slopes_reference(rc, c, n)
+        q, dq = values_and_slopes_reference(rc.shifted(1), c, n - 1)
+        q, dq = [0] + q, [0] + dq
+        weight = m1 - c * m0
+        s = [weight * p[k] + u0 * q[k] for k in range(n + 1)]
+        t = [weight * dp[k] + u0 * dq[k] + m0 * p[k] for k in range(n + 1)]
+        return quadratic_kernel_reference(rc, u0, c, m0, m1, s, t, n)
+
+    same_kernel_or_error(lambda: inverse_kernel(u, n), inverse_reference)
+    same_kernel_or_error(lambda: quadratic._division(u, c, m0, m1, n), division_reference)
+
+
 # -- Polynomial on integer numerators over one denominator, against the
 # reference with one Fraction per coefficient
 
 poly_coeffs = st.lists(st.one_of(rationals, wide_rationals), max_size=7)
-scalars = st.one_of(rationals, wide_rationals)
 # a non-integer point of wide height
 fractional = st.builds(rat, st.integers(-(10**9), 10**9), st.integers(2, 10**9)).filter(
     lambda c: c.denominator > 1
@@ -647,10 +810,14 @@ def test_a_christoffel_point_at_a_zero_of_p_k_plus_1_fails_at_level_k(drawn, c, 
     # P_{k+1}(c) = (c - b_k) P_k(c) - a_k P_{k-1}(c) is affine in b_k
     rc, u = drawn
     level = data.draw(st.integers(0, (u.order - 1) // 2 - 1))
-    values, _ = values_and_slopes(rc, c, level)
+    values, _, dens = values_and_slopes(rc, c, level)
     assume(all(values))
     b = list(rc.b)
-    b[level] = c - (rc.a_at(level) * values[level - 1] / values[level] if level else 0)
+    b[level] = c - (
+        rc.a_at(level) * Rational(values[level - 1] * dens[level], dens[level - 1] * values[level])
+        if level
+        else 0
+    )
     rc = RecurrenceCoefficients(b, rc.a)
     u = with_moments_of(rc, u)
     assert_first_vanishing_minor(fa.multiply_poly(u, linear_power(c, 1)), level)
