@@ -22,7 +22,7 @@ from .orthopoly import (
     values_and_slopes,
 )
 from .poly import Polynomial, X
-from .rational import ZERO, ONE, Rational, rat
+from .rational import ZERO, ONE, Rational, common_denominator, rat
 from .reports import CheckReport
 
 
@@ -46,7 +46,10 @@ def divided_difference(u, p):
     """(1/u_0) <u_y, (p(x) - p(y))/(x - y)> as a polynomial in x.
 
     Expanding the difference quotient monomial by monomial, the x^i
-    coefficient is sum_{j > i} p_j u_{j-1-i}, scaled by 1/u_0.
+    coefficient is sum_{j > i} p_j u_{j-1-i}, scaled by 1/u_0.  The sums
+    run on p's integer numerators and the moments' numerators over one
+    common denominator, so the result is one integer polynomial over one
+    denominator.
     """
     u0 = u.moments[0]
     if u0 == 0:
@@ -55,13 +58,19 @@ def divided_difference(u, p):
         raise TruncationExhausted(
             "divided difference of degree %d needs %d moments" % (p.degree, p.degree)
         )
-    coeffs = []
-    for i in range(max(p.degree, 0)):
-        acc = ZERO
-        for j in range(i + 1, p.degree + 1):
-            acc += p.coeffs[j] * u.moments[j - 1 - i]
-        coeffs.append(acc / u0)
-    return Polynomial(coeffs)
+    nums, den = common_denominator(u.moments[: max(p.degree, 0)])
+    # 1/u_0 = r/q with q > 0, so the common denominator stays positive
+    r, q = u0.denominator, u0.numerator
+    if q < 0:
+        q, r = -q, -r
+    coeffs = p.num
+    return Polynomial.from_integers(
+        [
+            r * sum(coeffs[j] * nums[j - 1 - i] for j in range(i + 1, len(coeffs)))
+            for i in range(max(p.degree, 0))
+        ],
+        p.den * den * q,
+    )
 
 
 def assoc_representation_check(u, k, n):

@@ -42,7 +42,13 @@ from .composition import (
     shifted_factor_check,
 )
 from .darboux import christoffel_lu, christoffel_connection_check, geronimus_ul
-from .errors import OpolyError, NotQuasiDefinite, TruncationExhausted, ZeroPivot
+from .errors import (
+    DegenerateParameter,
+    NotQuasiDefinite,
+    OpolyError,
+    TruncationExhausted,
+    ZeroPivot,
+)
 from .orthopoly import jacobi_matrix, recurrence_from_jacobi, smop_from_moments
 from .poly import X
 from .quadratic import (
@@ -305,7 +311,7 @@ def cmd_factorize(args):
     elif args.mode == "ul":
         m0 = parse_param(args.m0, "--m0")
         if m0 == 0:
-            raise UsageError("--m0 must be nonzero")
+            raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
         rc, _ = smop_from_moments(u, size)
         beta0 = u.moments[0] / m0
         lower, upper, transformed = geronimus_ul(jacobi_matrix(rc, size), c, beta0)

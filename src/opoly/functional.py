@@ -170,7 +170,9 @@ def apply(u, p):
 def multiply_poly(u, p):
     """Left multiplication by a polynomial: (p u)_n = <u, p x^n>.
 
-    The order drops by deg p, since the top moments are consumed.
+    The order drops by deg p, since the top moments are consumed.  Each
+    moment is a dot product of p's integer numerators with the moments'
+    numerators over one common denominator, and one rational.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial((rat(p),)) if not isinstance(p, (list, tuple)) else Polynomial(p)
@@ -181,12 +183,12 @@ def multiply_poly(u, p):
         raise TruncationExhausted(
             "order %d cannot absorb a degree-%d factor" % (u.order, p.degree)
         )
-    out = []
-    for n in range(order):
-        out.append(
-            sum((c * u.moments[n + k] for k, c in enumerate(p.coeffs)), ZERO)
-        )
-    return MomentFunctional(out)
+    nums, den = common_denominator(u.moments)
+    den *= p.den
+    coeffs = p.num
+    return MomentFunctional(
+        Rational(sum(c * v for c, v in zip(coeffs, nums[n:])), den) for n in range(order)
+    )
 
 
 def divide_power(u, c, m):

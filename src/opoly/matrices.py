@@ -7,6 +7,15 @@ margin of a product grows by min(upper bandwidth of the left factor,
 lower bandwidth of the right factor) on top of the inherited margins;
 entrywise combinations inherit the max.  Dense matrices count as having
 full bandwidth size - 1.
+
+The kernels follow the storage.  A band product convolves the stored
+diagonals: diagonal p of the left factor meets diagonal q of the right
+one along a slice of each, and lands on diagonal p + q.  Products with a
+dense factor, and forward substitution, combine whole rows, each held as
+its nonzero (column, numerator, denominator) triples.  Either way every
+entry sums its terms as an integer numerator over a running denominator,
+the lcm of its terms' denominators so far, and becomes one Rational at
+the end.  Block equality compares slices of the stored diagonals or rows.
 """
 
 from math import gcd
@@ -42,6 +51,16 @@ class BandMatrix:
         self.diagonals = clean
         self.margin = min(int(margin), size)
 
+    @classmethod
+    def _checked(cls, size, diagonals, margin):
+        """A BandMatrix from diagonals that are already tuples of Rationals of
+        the right lengths, at offsets in range, none of them all zero."""
+        m = cls.__new__(cls)
+        m.size = size
+        m.diagonals = diagonals
+        m.margin = min(margin, size)
+        return m
+
     @property
     def lower(self):
         return max((-d for d in self.diagonals if d < 0), default=0)
@@ -62,19 +81,15 @@ class BandMatrix:
         return diag[min(i, j)] if diag is not None else ZERO
 
     def to_dense(self):
-        return DenseMatrix(
-            tuple(tuple(self.entry(i, j) for j in range(self.size)) for i in range(self.size)),
-            margin=self.margin,
+        n = self.size
+        return DenseMatrix._checked(
+            tuple(_leading_row(self, i, n) for i in range(n)), self.margin
         )
 
     def __eq__(self, other):
         if not isinstance(other, (BandMatrix, DenseMatrix)):
             return NotImplemented
-        return self.size == other.size and all(
-            self.entry(i, j) == other.entry(i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self.size == other.size and equal_on_block(self, other, self.size)
 
     def __hash__(self):
         return hash((self.size, tuple(sorted(self.diagonals.items()))))
@@ -102,6 +117,15 @@ class DenseMatrix:
         self.rows = rows
         self.margin = min(int(margin), size)
 
+    @classmethod
+    def _checked(cls, rows, margin):
+        """A DenseMatrix from rows that are already a square tuple of tuples of Rationals."""
+        m = cls.__new__(cls)
+        m.size = len(rows)
+        m.rows = rows
+        m.margin = min(margin, m.size)
+        return m
+
     @property
     def lower(self):
         return self.size - 1
@@ -123,11 +147,7 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, (BandMatrix, DenseMatrix)):
             return NotImplemented
-        return self.size == other.size and all(
-            self.entry(i, j) == other.entry(i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self.size == other.size and equal_on_block(self, other, self.size)
 
     def __hash__(self):
         return hash(self.rows)
@@ -191,53 +211,136 @@ def mat_scale(c, a):
 
 
 def shifted(a, c):
-    """a - c*I."""
-    return mat_sub(a, mat_scale(rat(c), identity(a.size)))
+    """a - c*I: only the main diagonal is rewritten; the margin carries over."""
+    c = rat(c)
+    if isinstance(a, DenseMatrix):
+        return DenseMatrix._checked(
+            tuple(row[:i] + (row[i] - c,) + row[i + 1 :] for i, row in enumerate(a.rows)),
+            a.margin,
+        )
+    diagonals = dict(a.diagonals)
+    main = tuple(x - c for x in diagonals.pop(0, (ZERO,) * a.size))
+    if any(main):
+        diagonals[0] = main
+    return BandMatrix._checked(a.size, diagonals, a.margin)
+
+
+def _add_term(nums, dens, k, num, den):
+    """nums[k]/dens[k] += num/den, kept over the lcm of the two denominators."""
+    old = dens[k]
+    if den == old:
+        nums[k] += num
+    else:
+        g = gcd(old, den)
+        nums[k] = nums[k] * (den // g) + num * (old // g)
+        dens[k] = old // g * den
+
+
+def _split(entries):
+    """Numerators and denominators of a sequence of Rationals, as two lists."""
+    return [x.numerator for x in entries], [x.denominator for x in entries]
+
+
+def _band_product(a, b, margin):
+    """a b for two BandMatrix factors, by convolving their diagonals.
+
+    Row i of diagonal p of a (entry (i, i + p)) meets row i + p of
+    diagonal q of b and adds to row i of diagonal d = p + q of the
+    product, for every i that keeps all three inside the matrix; a
+    diagonal's entry on row i sits at index i + min(offset, 0).
+    """
+    n = a.size
+    right = [(q, *_split(diag)) for q, diag in b.diagonals.items()]
+    sums = {}
+    for p, diag in a.diagonals.items():
+        xn, xd = _split(diag)
+        for q, yn, yd in right:
+            d = p + q
+            lo = max(0, -p, -d)
+            hi = min(n, n - p, n - d)
+            if lo >= hi:
+                continue
+            if d not in sums:
+                sums[d] = ([0] * (n - abs(d)), [1] * (n - abs(d)))
+            nums, dens = sums[d]
+            # the three indices of row i: on diagonal p of a, on diagonal q
+            # of b (row i + p there) and on diagonal d of the product
+            ia, ib, ic = min(p, 0), p + min(q, 0), min(d, 0)
+            for i in range(lo, hi):
+                x = xn[i + ia]
+                if x:
+                    y = yn[i + ib]
+                    if y:
+                        _add_term(nums, dens, i + ic, x * y, xd[i + ia] * yd[i + ib])
+    diagonals = {
+        d: tuple(map(Rational, nums, dens))
+        for d, (nums, dens) in sorted(sums.items())
+        if any(nums)
+    }
+    return BandMatrix._checked(n, diagonals, margin)
+
+
+def _rows(m):
+    """Each row of m as a list of its nonzero (column, numerator, denominator) triples."""
+    if isinstance(m, DenseMatrix):
+        return [
+            [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x] for row in m.rows
+        ]
+    rows = [[] for _ in range(m.size)]
+    for d, diag in sorted(m.diagonals.items()):
+        first = max(0, -d)
+        for t, x in enumerate(diag):
+            if x:
+                rows[first + t].append((first + t + d, x.numerator, x.denominator))
+    return rows
+
+
+def _row_combination(terms, n):
+    """The row sum of c * row over (c numerator, c denominator, row) terms.
+
+    Rows are lists of (column, numerator, denominator) triples; the
+    result is one Rational per column of a length-n row.
+    """
+    nums = [0] * n
+    dens = [1] * n
+    for cn, cd, row in terms:
+        for j, yn, yd in row:
+            _add_term(nums, dens, j, cn * yn, cd * yd)
+    return tuple(map(Rational, nums, dens))
 
 
 def mat_multiply(a, b):
     """Product with margin tracking; dense if either factor is dense.
 
-    Each entry sums its terms as an integer numerator over one running
-    denominator, the lcm of the terms' denominators so far, and becomes
-    a single Rational at the end.
+    Two band factors are multiplied by convolving their diagonals
+    (`_band_product`); otherwise row i of the product is the combination
+    of b's rows that row i of a prescribes.  Each entry's terms are summed
+    as an integer numerator over a running denominator and make a single
+    Rational.
     """
     if a.size != b.size:
         raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
-    n = a.size
-    a_lower, a_upper, b_lower, b_upper = a.lower, a.upper, b.lower, b.upper
-    margin = max(a.margin, b.margin) + min(a_upper, b_lower)
-    a_entry, b_entry = a.entry, b.entry
-
-    def dot(i, j):
-        lo = max(i - a_lower, j - b_upper, 0)
-        hi = min(i + a_upper, j + b_lower, n - 1)
-        num, den = 0, 1
-        for k in range(lo, hi + 1):
-            x = a_entry(i, k)
-            if x:
-                y = b_entry(k, j)
-                d = x.denominator * y.denominator
-                if d == den:
-                    num += x.numerator * y.numerator
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + x.numerator * y.numerator * (den // g)
-                    den = den // g * d
-        return Rational(num, den)
-
+    margin = max(a.margin, b.margin) + min(a.upper, b.lower)
     if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
-        return band_from_entries(n, -(a_lower + b_lower), a_upper + b_upper, dot, margin)
-    return DenseMatrix(
-        tuple(tuple(dot(i, j) for j in range(n)) for i in range(n)), margin=margin
+        return _band_product(a, b, margin)
+    n = a.size
+    right = _rows(b)
+    return DenseMatrix._checked(
+        tuple(
+            _row_combination([(xn, xd, right[k]) for k, xn, xd in row], n) for row in _rows(a)
+        ),
+        margin,
     )
 
 
 def mat_power(a, k):
+    """a**k as k - 1 products starting from a; a**0 is the identity."""
     if k < 0:
         raise ValueError("only nonnegative matrix powers are supported")
-    result = identity(a.size)
-    for _ in range(k):
+    if k == 0:
+        return identity(a.size)
+    result = a
+    for _ in range(k - 1):
         result = mat_multiply(result, a)
     return result
 
@@ -284,36 +387,63 @@ def shift_cols_left(a):
 def solve_unit_lower(lower_mat, rhs):
     """Solve L X = B by forward substitution for unit lower-triangular L.
 
-    Because L and its inverse are lower triangular, each entry of X only
-    involves the leading block of L and B, so the result's margin is just
-    the max of the inputs'.
+    Row i of X is row i of B minus the combination of the rows of X
+    above it that row i of L prescribes, summed on integers like a
+    product row.  Because L and its inverse are lower triangular, each
+    entry of X only involves the leading block of L and B, so the
+    result's margin is just the max of the inputs'.
     """
     n = lower_mat.size
     if rhs.size != n:
         raise ValueError("size mismatch: %d vs %d" % (n, rhs.size))
     if lower_mat.upper != 0:
         raise ValueError("matrix is not lower triangular")
-    for i in range(n):
-        if lower_mat.entry(i, i) != 1:
-            raise ValueError("matrix does not have a unit diagonal")
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        lo = max(0, i - lower_mat.lower)
-        for j in range(n):
-            acc = rhs.entry(i, j)
-            for k in range(lo, i):
-                c = lower_mat.entry(i, k)
-                if c != 0:
-                    acc -= c * rows[k][j]
-            rows[i][j] = acc
-    return DenseMatrix(tuple(tuple(row) for row in rows), margin=max(lower_mat.margin, rhs.margin))
+    if any(lower_mat.entry(i, i) != 1 for i in range(n)):
+        raise ValueError("matrix does not have a unit diagonal")
+    l_rows = _rows(lower_mat)
+    b_rows = _rows(rhs)
+    rows = []
+    x_rows = []
+    for i, row in enumerate(l_rows):
+        terms = [(1, 1, b_rows[i])] + [(-cn, cd, x_rows[k]) for k, cn, cd in row if k < i]
+        x = _row_combination(terms, n)
+        rows.append(x)
+        x_rows.append([(j, v.numerator, v.denominator) for j, v in enumerate(x) if v])
+    return DenseMatrix._checked(tuple(rows), max(lower_mat.margin, rhs.margin))
+
+
+def _leading_row(m, i, k):
+    """The first k entries of row i of m, as a tuple."""
+    if isinstance(m, DenseMatrix):
+        return m.rows[i][:k]
+    row = [ZERO] * k
+    for d, diag in m.diagonals.items():
+        j = i + d
+        if 0 <= j < k:
+            row[j] = diag[min(i, j)]
+    return tuple(row)
 
 
 def equal_on_block(a, b, k):
-    """Entrywise equality of the leading k x k blocks."""
+    """Entrywise equality of the leading k x k blocks.
+
+    For two band matrices that is the leading k - |d| entries of each
+    diagonal d (a diagonal one side lacks must be zero there); otherwise
+    the leading k entries of each of the first k rows.
+    """
     if k > min(a.size, b.size):
         raise ValueError("block size %d exceeds matrix sizes" % k)
-    return all(a.entry(i, j) == b.entry(i, j) for i in range(k) for j in range(k))
+    if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
+        for d in a.diagonals.keys() | b.diagonals.keys():
+            length = k - abs(d)
+            if length > 0:
+                x, y = a.diagonals.get(d), b.diagonals.get(d)
+                x = x[:length] if x is not None else (ZERO,) * length
+                y = y[:length] if y is not None else (ZERO,) * length
+                if x != y:
+                    return False
+        return True
+    return all(_leading_row(a, i, k) == _leading_row(b, i, k) for i in range(k))
 
 
 def common_reliable(*mats):

@@ -184,24 +184,38 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
-        """Exact rational polynomial division: self = q*other + r, deg r < deg other."""
+        """Exact rational polynomial division: self = q*other + r, deg r < deg other.
+
+        Pseudo-division on the numerators: with A = self.num, B = other.num
+        and lead = B[-1], lead^(dq+1) A = Q B + R over the integers, where
+        dq = deg A - deg B.  So q = Q other.den / (lead^(dq+1) self.den) and
+        r = R / (lead^(dq+1) self.den), each reduced once.
+        """
         other = _coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
+        rem = list(self.num)
+        dv = other.num
         dq = len(rem) - len(dv)
         if dq < 0:
-            return Polynomial(), self
-        quot = [ZERO] * (dq + 1)
-        inv_lead = 1 / dv[-1]
+            return ZERO_POLY, self
+        lead = dv[-1]
+        quot = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + len(dv) - 1] * inv_lead
+            # lead rem - c x^k B cancels rem's top term c; quot follows
+            c = rem[-1]
+            rem = [lead * v for v in rem[:-1]]
+            quot = [lead * v for v in quot]
             quot[k] = c
-            if c != 0:
-                for j, b in enumerate(dv):
-                    rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem[: len(dv) - 1])
+            for j, b in enumerate(dv[:-1]):
+                rem[k + j] -= c * b
+        scale = lead ** (dq + 1)
+        if scale < 0:
+            scale, quot, rem = -scale, [-v for v in quot], [-v for v in rem]
+        return (
+            Polynomial.from_integers([v * other.den for v in quot], scale * self.den),
+            Polynomial.from_integers(rem, scale * self.den),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -5,10 +5,13 @@ above max_power are exactly zero by construction; powers below min_power
 are unknown unless the series is marked exact (then they are zero too).
 Operations propagate the largest window on which the result is provably
 correct, so comparing two series never silently reads unknown terms.
+A product convolves the two windows on integers: each factor's
+coefficients are numerators over one common denominator, and each
+coefficient of the result is one rational.
 """
 
 from .errors import TruncationExhausted
-from .rational import ZERO, rat
+from .rational import ZERO, Rational, common_denominator, rat
 
 
 class LaurentSeries:
@@ -126,6 +129,9 @@ def series_multiply(s, t):
     A coefficient of the product is known when every contribution that
     could involve an unknown factor coefficient is provably zero: below
     max_power(other) + min_power(non-exact side) that guarantee is lost.
+    Inside the window the product is the convolution of the stored
+    coefficients, run on each factor's integer numerators over its one
+    common denominator, with one rational per coefficient of the result.
     """
     exact = s.exact and t.exact
     hi = s.max_power + t.max_power
@@ -142,17 +148,16 @@ def series_multiply(s, t):
         lo = max(candidates)
     if lo > hi:
         return LaurentSeries(hi, (), exact=exact)
+    # coeffs[i] multiplies z^(max_power - i), so index r of the product
+    # (power hi - r) sums x[i] y[r - i]
+    x, x_den = common_denominator(s.coeffs)
+    y, y_den = common_denominator(t.coeffs)
+    den = x_den * y_den
     out = []
-    for m in range(hi, lo - 1, -1):
-        acc = ZERO
-        for p in range(s.min_power, s.max_power + 1):
-            q = m - p
-            if q > t.max_power or q < t.min_power:
-                continue
-            a = s.coefficient(p)
-            if a != 0:
-                acc += a * t.coefficient(q)
-        out.append(acc)
+    for r in range(hi - lo + 1):
+        first = max(0, r - len(y) + 1)
+        total = sum(x[i] * y[r - i] for i in range(first, min(r + 1, len(x))))
+        out.append(Rational(total, den))
     return LaurentSeries(hi, out, exact=exact)
 
 

@@ -5,7 +5,11 @@ references for the property tests: the Chebyshev and inverse loops, the
 polynomial with one Fraction per coefficient, the recurrence run on it,
 division by (x - c)^m through long division, the matrix product with
 one Fraction per multiply-add, and the values, slopes and quadratic
-kernel with one Fraction per operation."""
+kernel with one Fraction per operation; and the certificate kernels
+that read one entry or one coefficient at a time: the shift, power,
+block comparison and forward substitution of the matrices, the series
+product, the product of a functional by a polynomial and the divided
+difference."""
 
 import json
 from pathlib import Path
@@ -14,10 +18,12 @@ from opoly import functional as fa
 from opoly.associated import Division
 from opoly.errors import NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
 from opoly.functional import MomentFunctional
+from opoly.matrices import DenseMatrix, identity, mat_scale, mat_sub
 from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
 from opoly.poly import ONE_POLY, Polynomial, X
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
+from opoly.series import LaurentSeries
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -271,6 +277,86 @@ def product_reference(a, b):
         [sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), ZERO) for j in range(n)]
         for i in range(n)
     ]
+
+
+def shifted_reference(a, c):
+    """a - c I as the entrywise difference with c times the identity."""
+    return mat_sub(a, mat_scale(c, identity(a.size)))
+
+
+def power_reference(a, k):
+    """Rows of a**k: k products by a, starting from the identity."""
+    result = identity(a.size)
+    for _ in range(k):
+        result = DenseMatrix(product_reference(result, a))
+    return [[result.entry(i, j) for j in range(a.size)] for i in range(a.size)]
+
+
+def equal_on_block_reference(a, b, k):
+    """Entry-by-entry comparison of the leading k x k blocks."""
+    return all(a.entry(i, j) == b.entry(i, j) for i in range(k) for j in range(k))
+
+
+def solve_unit_lower_reference(lower_mat, rhs):
+    """Rows of X with L X = B, forward substitution with one rational per term."""
+    n = lower_mat.size
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = rhs.entry(i, j)
+            for k in range(i):
+                acc -= lower_mat.entry(i, k) * rows[k][j]
+            rows[i][j] = acc
+    return rows
+
+
+def series_multiply_reference(s, t):
+    """`series.series_multiply` reading one coefficient at a time, one rational
+    per multiply-add."""
+    exact = s.exact and t.exact
+    hi = s.max_power + t.max_power
+    if exact:
+        if not s.coeffs or not t.coeffs:
+            return LaurentSeries(0, (), exact=True)
+        lo = s.min_power + t.min_power
+    else:
+        candidates = []
+        if not s.exact:
+            candidates.append(s.min_power + t.max_power)
+        if not t.exact:
+            candidates.append(t.min_power + s.max_power)
+        lo = max(candidates)
+    if lo > hi:
+        return LaurentSeries(hi, (), exact=exact)
+    out = []
+    for m in range(hi, lo - 1, -1):
+        acc = ZERO
+        for p in range(s.min_power, s.max_power + 1):
+            q = m - p
+            if t.min_power <= q <= t.max_power:
+                acc += s.coefficient(p) * t.coefficient(q)
+        out.append(acc)
+    return LaurentSeries(hi, out, exact=exact)
+
+
+def multiply_poly_reference(u, p):
+    """Moments of p u: (p u)_n = sum_k p_k u_{n+k}, one rational per term."""
+    order = u.order - p.degree
+    return MomentFunctional(
+        sum((c * u.moments[n + k] for k, c in enumerate(p.coeffs)), ZERO) for n in range(order)
+    )
+
+
+def divided_difference_reference(u, p):
+    """(1/u_0) <u_y, (p(x) - p(y))/(x - y)> coefficient by coefficient, one
+    rational per term."""
+    coeffs = []
+    for i in range(max(p.degree, 0)):
+        acc = ZERO
+        for j in range(i + 1, p.degree + 1):
+            acc += p.coefficient(j) * u.moments[j - 1 - i]
+        coeffs.append(acc / u.moments[0])
+    return Polynomial(coeffs)
 
 
 def values_and_slopes_reference(rc, c, n):

@@ -406,14 +406,45 @@ def test_an_error_record_on_stdin_passes_through_with_exit_1(monkeypatch, capsys
 
 
 def test_factorize_ul_rejects_zero_mass(monkeypatch, capsys):
-    code, _, err = invoke(
+    # like `factorize quadratic --m0 0` and `verify ... --m0 0`: a
+    # mathematical failure, not a usage error
+    code, out, err = invoke(
         monkeypatch,
         capsys,
         ["factorize", "ul", "--m0", "0"],
         stdin_text=family_json(families.chebyshev_u(12)),
     )
-    assert code == 2
-    assert "--m0 must be nonzero" in err
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "DegenerateParameter"
+
+
+def assert_factorize_zero_pivot(monkeypatch, capsys, argv, u, level):
+    code, out, err = invoke(monkeypatch, capsys, ["factorize"] + argv, stdin_text=family_json(u))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["error"], payload["level"]) == ("ZeroPivot", level)
+
+
+@pytest.mark.parametrize("size", [[], ["--size", "6"]])
+@pytest.mark.parametrize("c,level", [("0", 0), ("1/2", 1)])
+def test_factorize_lu_at_a_zero_of_p_k_plus_1_is_zero_pivot_k(monkeypatch, capsys, size, c, level):
+    # the monic Chebyshev U polynomials have P_1 = x and P_2 = x^2 - 1/4
+    u = families.chebyshev_u(16)
+    assert_factorize_zero_pivot(monkeypatch, capsys, ["lu", "--c", c] + size, u, level)
+
+
+@pytest.mark.parametrize("size", [[], ["--size", "6"]])
+@pytest.mark.parametrize(
+    "u,b0,c",
+    [(families.chebyshev_u(16), 0, "1/2"), (families.laguerre(0, 16), 2, "0")],
+)
+def test_factorize_ul_with_the_mass_that_kills_ell_1_is_zero_pivot_1(
+    monkeypatch, capsys, size, u, b0, c
+):
+    # m0 = u_0 / (b_0 - c) makes beta_0 = b_0 - c, so ell_1 = b_0 - c - beta_0 = 0
+    m0 = u.moments[0] / (b0 - rat(c))
+    argv = ["ul", "--c", c, "--m0", str(m0)] + size
+    assert_factorize_zero_pivot(monkeypatch, capsys, argv, u, 1)
 
 
 @pytest.mark.parametrize("mode,smallest", [("lu", 2), ("ul", 2), ("quadratic", 3)])

@@ -11,21 +11,29 @@ from conftest import (
     FractionPolynomial,
     chebyshev_reference,
     divide_power_reference,
+    divided_difference_reference,
+    equal_on_block_reference,
     fraction_derivatives_at,
     fraction_wronskian,
     gram_schmidt,
     invert_reference,
     linear_power,
+    multiply_poly_reference,
     polys_reference,
+    power_reference,
     product_reference,
     quadratic_kernel_reference,
+    series_multiply_reference,
+    shifted_reference,
+    solve_unit_lower_reference,
     values_and_slopes_reference,
 )
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from opoly import functional as fa
 from opoly import quadratic, serialize
 from opoly.associated import (
+    divided_difference,
     associated_functional,
     associated_polys,
     corecursive_functional,
@@ -40,7 +48,17 @@ from opoly.cli import main
 from opoly.darboux import christoffel_lu, geronimus_ul
 from opoly.errors import NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
-from opoly.matrices import BandMatrix, DenseMatrix, band_from_entries, mat_multiply, mat_power
+from opoly.matrices import (
+    BandMatrix,
+    DenseMatrix,
+    band_from_entries,
+    equal_on_block,
+    identity,
+    mat_multiply,
+    mat_power,
+    shifted,
+    solve_unit_lower,
+)
 from opoly.orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
@@ -62,7 +80,15 @@ from opoly.quadratic import (
 from opoly.rational import ONE, Rational, rat
 from opoly.series import LaurentSeries, series_multiply
 
-settings.register_profile("suite", deadline=None, derandomize=True, max_examples=25)
+# no explain phase: on a failure with huge rational reprs it can run for
+# minutes before the report; every example is still generated and shrunk
+settings.register_profile(
+    "suite",
+    deadline=None,
+    derandomize=True,
+    max_examples=25,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 settings.load_profile("suite")
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
@@ -720,11 +746,14 @@ def test_divide_power_matches_long_division(first, rest, k, frac):
 @st.composite
 def wide_band(draw, size):
     """A BandMatrix of wide-height entries: random offsets, some diagonals all
-    zero (dropped, so the bandwidths shrink), and a margin."""
+    zero (dropped, so the bandwidths shrink), and a margin.  Some matrices
+    take their entries from {-1, 0, 1} instead, so that diagonals of their
+    products often cancel to zero."""
     offsets = draw(st.lists(st.integers(-(size - 1), size - 1), unique=True, max_size=4))
+    values = draw(st.sampled_from([wide_rationals, st.sampled_from([rat(-1), rat(0), rat(1)])]))
     diagonals = {}
     for d in offsets:
-        entries = draw(st.lists(wide_rationals, min_size=size - abs(d), max_size=size - abs(d)))
+        entries = draw(st.lists(values, min_size=size - abs(d), max_size=size - abs(d)))
         diagonals[d] = [0] * len(entries) if draw(st.integers(0, 3)) == 0 else entries
     return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
 
@@ -754,13 +783,167 @@ def test_mat_multiply_matches_the_fraction_dot_product(data):
             assert type(got.entry(i, j)) is Rational
     assert got.margin == min(max(a.margin, b.margin) + min(a.upper, b.lower), size)
     if kinds == ("band", "band"):
+        # exactly the diagonals where the product is nonzero are stored
         assert isinstance(got, BandMatrix)
-        support = [j - i for i in range(size) for j in range(size) if want[i][j] != 0]
+        support = {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
+        assert set(got.diagonals) == support
         assert got.lower == max([-d for d in support] + [0])
-        assert got.upper == max(support + [0])
+        assert got.upper == max(support | {0})
     else:
         assert isinstance(got, DenseMatrix)
         assert got.lower == got.upper == size - 1
+
+
+# -- the certificate kernels against their entry-by-entry references
+
+def assert_same_matrix(got, want_rows, margin):
+    size = len(want_rows)
+    assert got.size == size and got.margin == min(margin, size)
+    for i in range(size):
+        for j in range(size):
+            assert got.entry(i, j) == want_rows[i][j]
+            assert type(got.entry(i, j)) is Rational
+
+
+@st.composite
+def full_band(draw, size, lower, upper):
+    """A BandMatrix with every diagonal in [-lower, upper] drawn (some may
+    come out all zero and be dropped), and a margin."""
+    diagonals = {
+        d: draw(st.lists(wide_rationals, min_size=size - abs(d), max_size=size - abs(d)))
+        for d in range(-min(lower, size - 1), min(upper, size - 1) + 1)
+    }
+    return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_products_of_full_bands_match_the_fraction_dot_product(data):
+    # every diagonal in the band drawn, with unequal bandwidths on the two sides
+    size = data.draw(st.integers(1, 7))
+    a = data.draw(full_band(size, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))))
+    b = data.draw(full_band(size, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))))
+    got = mat_multiply(a, b)
+    want = product_reference(a, b)
+    assert_same_matrix(got, want, max(a.margin, b.margin) + min(a.upper, b.lower))
+    assert set(got.diagonals) == {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
+
+
+@given(st.data())
+def test_a_product_whose_diagonal_cancels_drops_it(data):
+    # (I + S)(I - S) = I - S^2 for S on one off-diagonal: that diagonal cancels
+    size = data.draw(st.integers(2, 7))
+    offset = data.draw(st.sampled_from([d for d in range(-(size - 1), size) if d]))
+    length = size - abs(offset)
+    entries = data.draw(st.lists(wide_nonzero, min_size=length, max_size=length))
+    ones = (1,) * size
+    plus = BandMatrix(size, {0: ones, offset: entries})
+    minus = BandMatrix(size, {0: ones, offset: [-x for x in entries]})
+    got = mat_multiply(plus, minus)
+    assert offset not in got.diagonals
+    assert_same_matrix(got, product_reference(plus, minus), min(plus.upper, minus.lower))
+    square = {2 * offset} if abs(2 * offset) < size else set()
+    assert set(got.diagonals) == {0} | square
+
+
+@given(st.data())
+def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
+    size = data.draw(st.integers(1, 6))
+    a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
+    i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    # a different value at (i, j); the offset j - i may lie outside a's band
+    new = a.entry(i, j) + data.draw(wide_nonzero)
+    changed = band_from_entries(
+        size,
+        -(size - 1),
+        size - 1,
+        lambda r, s: new if (r, s) == (i, j) else a.entry(r, s),
+        margin=a.margin,
+    )
+    dense, changed_dense = a.to_dense(), changed.to_dense()
+    pairs = [(a, changed), (changed, a), (dense, changed), (a, changed_dense), (dense, changed_dense)]
+    for k in range(size + 1):
+        for x, y in pairs:
+            assert equal_on_block(x, y, k) is (max(i, j) >= k)
+            assert equal_on_block(x, y, k) == equal_on_block_reference(x, y, k)
+            assert equal_on_block(x, x, k)
+    assert a != changed and dense != changed and a == dense
+    with pytest.raises(ValueError):
+        equal_on_block(a, changed, size + 1)
+
+
+@given(st.data(), scalars)
+def test_a_shift_rewrites_only_the_main_diagonal(data, c):
+    size = data.draw(st.integers(1, 6))
+    a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
+    for point in (c, rat(0)):
+        for m in (a, a.to_dense()):
+            got = shifted(m, point)
+            want = shifted_reference(m, point)
+            assert type(got) is type(m)
+            rows = [[want.entry(i, j) for j in range(size)] for i in range(size)]
+            assert_same_matrix(got, rows, m.margin)
+        assert shifted(a, 0) == a and shifted(a, 0).diagonals == a.diagonals
+    # a main diagonal of c's shifts to zero and is dropped
+    corner = {size - 1: (1,)} if size > 1 else {}
+    flat = BandMatrix(size, {0: (c,) * size, **corner})
+    assert set(shifted(flat, c).diagonals) == set(corner)
+
+
+@given(st.data())
+def test_powers_start_from_the_matrix(data):
+    size = data.draw(st.integers(1, 6))
+    a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
+    for m in (a, a.to_dense()):
+        assert_same_matrix(mat_power(m, 0), power_reference(m, 0), 0)
+        assert mat_power(m, 0) == identity(size)
+        assert_same_matrix(mat_power(m, 1), power_reference(m, 1), m.margin)
+        assert_same_matrix(mat_power(m, 2), power_reference(m, 2), m.margin + min(m.upper, m.lower))
+        assert type(mat_power(m, 2)) is type(m)
+    with pytest.raises(ValueError):
+        mat_power(a, -1)
+
+
+@given(st.data())
+def test_forward_substitution_matches_the_fraction_loop(data):
+    size = data.draw(st.integers(1, 6))
+    drawn = data.draw(full_band(size, data.draw(st.integers(0, 3)), 0))
+    lower = BandMatrix(size, {**drawn.diagonals, 0: (1,) * size}, margin=drawn.margin)
+    rhs = data.draw(st.one_of(wide_dense(size), full_band(size, 2, 2)))
+    got = solve_unit_lower(lower, rhs)
+    assert isinstance(got, DenseMatrix)
+    assert_same_matrix(got, solve_unit_lower_reference(lower, rhs), max(lower.margin, rhs.margin))
+    assert equal_on_block(mat_multiply(lower, got), rhs, size)
+
+
+window = st.lists(st.one_of(rationals, wide_rationals), max_size=6)
+
+
+@given(window, window, st.integers(-4, 4), st.integers(-4, 4), st.booleans(), st.booleans())
+def test_series_products_match_the_fraction_convolution(xs, ys, up_x, up_y, exact_x, exact_y):
+    # exact and truncated windows, empty ones and zeros at either end included
+    s = LaurentSeries(up_x, xs, exact=exact_x)
+    t = LaurentSeries(up_y, ys, exact=exact_y)
+    for left, right in ((s, t), (t, s)):
+        got = series_multiply(left, right)
+        want = series_multiply_reference(left, right)
+        assert (got.max_power, got.coeffs, got.exact) == (want.max_power, want.coeffs, want.exact)
+        assert all(type(x) is Rational for x in got.coeffs)
+
+
+@given(st.one_of(nonzero, wide_nonzero), st.lists(scalars, min_size=0, max_size=9), poly_coeffs)
+def test_polynomial_products_and_divided_differences_match_the_fraction_sums(first, rest, cs):
+    # u_0 of either sign and any height; p of degree up to 6
+    u = make_functional(first, rest)
+    p = Polynomial(cs)
+    if not p.is_zero and p.degree < u.order:
+        got = fa.multiply_poly(u, p)
+        assert got == multiply_poly_reference(u, p)
+        assert all(type(x) is Rational for x in got.moments)
+    if p.degree <= u.order:
+        got = divided_difference(u, p)
+        want = divided_difference_reference(u, p)
+        assert got.coeffs == want.coeffs and got == want
 
 
 # -- degenerate degree-one transforms and the associated shift: the library
@@ -789,6 +972,14 @@ def assert_pipeline_fails_at(u, transform_args, level):
     payload = json.loads(out)
     assert payload["error"] == "NotQuasiDefinite"
     assert (payload["level"], payload["guard"]) == (level, "norm")
+
+
+def assert_factorize_fails_at(u, factorize_args, level):
+    """`factorize ...` on u exits 1 with a typed ZeroPivot at level."""
+    code, out = run_cli(["factorize"] + factorize_args, serialize.dumps(serialize.moments_record(u)))
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["error"], payload["level"]) == ("ZeroPivot", level)
 
 
 def assert_first_vanishing_minor(v, level):
@@ -824,6 +1015,7 @@ def test_a_christoffel_point_at_a_zero_of_p_k_plus_1_fails_at_level_k(drawn, c, 
     with pytest.raises(ZeroPivot) as excinfo:
         christoffel_lu(jacobi_matrix(rc, level + 2), c)
     assert excinfo.value.index == level
+    assert_factorize_fails_at(u, ["lu", "--c=%s" % c], level)
     assert_pipeline_fails_at(u, ["christoffel", "--c=%s" % c], level)
 
 
@@ -844,6 +1036,9 @@ def test_a_geronimus_mass_that_kills_a_minor_fails_at_its_level(drawn, c, data):
     with pytest.raises(ZeroPivot) as excinfo:
         geronimus_ul(jacobi_matrix(rc, level + 1), c, u.moments[0] / m0)
     assert excinfo.value.index == level
+    if level < u.order // 2:
+        # factorize's default size, u.order // 2, reaches the pivot
+        assert_factorize_fails_at(u, ["ul", "--c=%s" % c, "--m0=%s" % m0], level)
     assert_pipeline_fails_at(u, ["geronimus", "--c=%s" % c, "--m0=%s" % m0], level)
 
 
