@@ -9,6 +9,7 @@ kernel (`inverse_kernel`).
 """
 
 from collections import namedtuple
+from operator import mul
 
 from . import functional as fa
 from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
@@ -22,7 +23,7 @@ from .orthopoly import (
     values_and_slopes,
 )
 from .poly import Polynomial, X
-from .rational import ZERO, ONE, Rational, common_denominator, rat
+from .rational import ZERO, ONE, Rational, rat
 from .reports import CheckReport
 
 
@@ -47,29 +48,23 @@ def divided_difference(u, p):
 
     Expanding the difference quotient monomial by monomial, the x^i
     coefficient is sum_{j > i} p_j u_{j-1-i}, scaled by 1/u_0.  The sums
-    run on p's integer numerators and the moments' numerators over one
-    common denominator, so the result is one integer polynomial over one
-    denominator.
+    run on p's integer numerators and the moments' numerators N_k; with
+    u_k = N_k / D, the factor 1/u_0 = D / N_0 cancels D, so the result is
+    one integer polynomial over p's denominator times |N_0|.
     """
-    u0 = u.moments[0]
-    if u0 == 0:
+    nums = u.num
+    first = nums[0]
+    if first == 0:
         raise ZeroFirstMoment("divided difference needs u_0 != 0")
     if p.degree > u.order:
         raise TruncationExhausted(
             "divided difference of degree %d needs %d moments" % (p.degree, p.degree)
         )
-    nums, den = common_denominator(u.moments[: max(p.degree, 0)])
-    # 1/u_0 = r/q with q > 0, so the common denominator stays positive
-    r, q = u0.denominator, u0.numerator
-    if q < 0:
-        q, r = -q, -r
+    sign = 1 if first > 0 else -1
     coeffs = p.num
     return Polynomial.from_integers(
-        [
-            r * sum(coeffs[j] * nums[j - 1 - i] for j in range(i + 1, len(coeffs)))
-            for i in range(max(p.degree, 0))
-        ],
-        p.den * den * q,
+        [sign * sum(map(mul, coeffs[i + 1 :], nums)) for i in range(max(p.degree, 0))],
+        p.den * abs(first),
     )
 
 
@@ -158,7 +153,7 @@ def corecursive_functional(u, alpha, norm0=None):
     moment (defaults to u_0).
     """
     alpha = rat(alpha)
-    u0 = u.moments[0]
+    u0 = u.moment(0)
     if u0 == 0:
         raise ZeroFirstMoment("co-recursive transform needs u_0 != 0")
     if norm0 is None:
@@ -177,7 +172,7 @@ def corecursive_functional_check(u, alpha):
     rc, _ = smop_from_moments(u, n_base)
     perturbed = rc.corecursive(alpha)
     j = jacobi_matrix(perturbed, perturbed.length)
-    via_recurrence = moments_from_jacobi(j, u.moments[0], 2 * perturbed.length - 1)
+    via_recurrence = moments_from_jacobi(j, u.moment(0), 2 * perturbed.length - 1)
     via_inversion = corecursive_functional(u, alpha)
     order = min(via_recurrence.order, via_inversion.order)
     if fa.equal_normalized(via_recurrence, via_inversion, order=order):
@@ -206,7 +201,7 @@ def inverse_functional_identity_check(u, norm1=ONE):
     n_base = u.order // 2
     rc, _ = smop_from_moments(u, n_base)
     a1 = rc.a_at(1)
-    u0 = u.moments[0]
+    u0 = u.moment(0)
     lhs = associated_functional(rc, 1, norm1, 2 * (n_base - 1) - 1)
     rhs = fa.scale(-(norm1 * u0) / a1, fa.multiply_poly(fa.invert(u), X * X))
     order = min(lhs.order, rhs.order)
@@ -284,7 +279,7 @@ def inverse_kernel(u, n_max):
     one factor -1/u_0^2 gives back d*_n = W(P_n, P_{n-1})(0)/u_0^2, which
     holds for d*_1 = -1/u_0^2 too.  Needs 2*(n_max + 1) moments.
     """
-    u0 = u.moments[0]
+    u0 = u.moment(0)
     if u0 == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
     rc, _ = smop_from_moments(u, n_max + 1)

@@ -313,7 +313,7 @@ def cmd_factorize(args):
         if m0 == 0:
             raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
         rc, _ = smop_from_moments(u, size)
-        beta0 = u.moments[0] / m0
+        beta0 = u.moment(0) / m0
         lower, upper, transformed = geronimus_ul(jacobi_matrix(rc, size), c, beta0)
         record = serialize.factor_record(
             c, lower.sub, upper.diag, recurrence_from_jacobi(transformed)
@@ -561,7 +561,7 @@ def family_reproduction(name, alpha, order):
             )
         )
     elif name == "laguerre":
-        beta0 = u.moments[0] * (rat(alpha) + 1)
+        beta0 = u.moment(0) * (rat(alpha) + 1)
         lower, upper, _ = geronimus_ul(jacobi_matrix(rc, size), rat(0), beta0)
         checks.append(
             _table_check(

@@ -46,8 +46,8 @@ def christoffel_assoc_polys(u, c, n_max):
     degree n by construction of the prefactor.
     """
     c = rat(c)
-    u0 = u.moments[0]
-    tilde0 = u.moments[1] - c * u0
+    u0 = u.moment(0)
+    tilde0 = u.moment(1) - c * u0
     if tilde0 == 0:
         raise DegenerateParameter("(x - c) u has vanishing first moment")
     rc, _ = smop_from_moments(u, n_max + 1)
@@ -60,8 +60,8 @@ def christoffel_assoc_polys(u, c, n_max):
 def corecursive_parameter(u, c):
     """alpha = -a_1 u_0 / utilde_0, the perturbation matching the two routes."""
     c = rat(c)
-    u0 = u.moments[0]
-    tilde0 = u.moments[1] - c * u0
+    u0 = u.moment(0)
+    tilde0 = u.moment(1) - c * u0
     if tilde0 == 0:
         raise DegenerateParameter("(x - c) u has vanishing first moment")
     rc, _ = smop_from_moments(u, 2)
@@ -202,7 +202,7 @@ def _nonzero_mass(m0):
 def geronimus_assoc_polys(v, m0, n_max):
     """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
     m0 = _nonzero_mass(m0)
-    v0 = v.moments[0]
+    v0 = v.moment(0)
     rc, _ = smop_from_moments(v, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
     first = associated_polys(rc, 1, n_max - 1)
@@ -220,7 +220,7 @@ def geronimus_corecursive_check(v, m0, n_max):
     route through v^{-1} - (1/m0) delta_0'.
     """
     m0 = _nonzero_mass(m0)
-    v0 = v.moments[0]
+    v0 = v.moment(0)
     alpha = -v0 / m0
     rc, _ = smop_from_moments(v, n_max + 1)
     direct = geronimus_assoc_polys(v, m0, n_max)
@@ -248,7 +248,7 @@ def geronimus_corecursive_check(v, m0, n_max):
 
 def _hat_first(v, c, m0, size):
     """Factorization route to the transformed functional's associated SMOP."""
-    v0 = v.moments[0]
+    v0 = v.moment(0)
     rc, _ = smop_from_moments(v, size + 1)
     lower, upper, transformed = geronimus_ul(
         jacobi_matrix(rc, size + 1), rat(c), v0 / _nonzero_mass(m0)
@@ -300,7 +300,7 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     """
     c = rat(c)
     m0 = _nonzero_mass(m0)
-    v0 = v.moments[0]
+    v0 = v.moment(0)
     alpha = -v0 / m0
     rc, lower, upper, hat_rc = _hat_first(v, c, m0, size)
     reports = []

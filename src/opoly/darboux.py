@@ -145,7 +145,7 @@ def geronimus_connection_check(v, c, m0, n):
     m0 = rat(m0)
     if m0 == 0:
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
-    v0 = v.moments[0]
+    v0 = v.moment(0)
     rc, _ = smop_from_moments(v, n + 1)
     base = polys_from_recurrence(rc, n + 1)
     first = polys_from_recurrence(rc.shifted(1), n)

@@ -21,44 +21,49 @@ def pochhammer(x, n):
     return out
 
 
+def _even_moments(order, central, label):
+    """Moments central(k) / 4^k at 2k and zero at odd indices, over one
+    denominator 4^K (K the last even index's k)."""
+    top = (order - 1) // 2
+    nums = []
+    for n in range(order):
+        nums.append(0 if n % 2 else central(n // 2) * 4 ** (top - n // 2))
+    return MomentFunctional.from_integers(nums, 4 ** top, label)
+
+
 def chebyshev_u(order):
     """Moments of the normalized weight sqrt(1-x^2) on [-1, 1]:
-    moment 2k is Catalan(k)/4^k, odd moments vanish."""
-    moments = []
-    for n in range(order):
-        if n % 2:
-            moments.append(ZERO)
-        else:
-            k = n // 2
-            moments.append(rat(math.comb(2 * k, k), (k + 1) * 4 ** k))
-    return MomentFunctional(moments, label="chebyshev-u")
+    moment 2k is Catalan(k)/4^k = binom(2k, k)/((k+1) 4^k), odd moments
+    vanish."""
+    return _even_moments(order, lambda k: math.comb(2 * k, k) // (k + 1), "chebyshev-u")
 
 
 def chebyshev_t(order):
     """Moments of the normalized weight 1/sqrt(1-x^2) on [-1, 1]:
     moment 2k is binom(2k, k)/4^k, odd moments vanish."""
-    moments = []
-    for n in range(order):
-        if n % 2:
-            moments.append(ZERO)
-        else:
-            k = n // 2
-            moments.append(rat(math.comb(2 * k, k), 4 ** k))
-    return MomentFunctional(moments, label="chebyshev-t")
+    return _even_moments(order, lambda k: math.comb(2 * k, k), "chebyshev-t")
 
 
 def laguerre(alpha, order):
     """Moments (alpha+2)_n of the normalized weight x^(alpha+1) e^(-x)
-    on [0, inf); requires alpha > -1."""
+    on [0, inf); requires alpha > -1.
+
+    With alpha = p/q, (alpha+2)_n = prod_{k<n} (p + (k+2) q) / q^n: a
+    running integer product, brought over the one denominator q^(N-1)."""
     alpha = rat(alpha)
     if not alpha > -1:
         raise ValueError("alpha must exceed -1")
-    moments = []
-    acc = ONE
+    p, q = alpha.numerator, alpha.denominator
+    nums = []
+    acc = 1
     for n in range(order):
-        moments.append(acc)
-        acc = acc * (alpha + 2 + n)
-    return MomentFunctional(moments, label="laguerre")
+        nums.append(acc)
+        acc *= p + (n + 2) * q
+    scale = 1
+    for n in range(order - 1, -1, -1):
+        nums[n] *= scale
+        scale *= q
+    return MomentFunctional.from_integers(nums, scale // q, "laguerre")
 
 
 def chebyshev_u_recurrence(n_max):

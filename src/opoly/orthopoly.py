@@ -159,12 +159,12 @@ def smop_from_moments(u, n_max):
         if rc.length > n_max:
             rc, norms = rc.truncated(n_max), norms[:n_max]
     else:
-        rc, norms = u._recurrence = _chebyshev(u.moments, n_max)
+        rc, norms = u._recurrence = _chebyshev(u.num, u.den, n_max)
     return rc, OrthogonalSystem.from_recurrence(rc, norms)
 
 
-def _chebyshev(moments, n_max):
-    """The recurrence (length n_max) and norms of 2*n_max moments.
+def _chebyshev(nums, den, n_max):
+    """The recurrence (length n_max) and norms of the moments nums[l] / den, l < 2*n_max.
 
     Runs over the mixed moments s_{k,l} = <u, P_k x^l>, two rows at a
     time: s_{k,l} = s_{k-1,l+1} - b_{k-1} s_{k-1,l} - a_{k-1} s_{k-2,l},
@@ -183,7 +183,11 @@ def _chebyshev(moments, n_max):
     width = 2 * n_max
     # s_{k,l} = sigma[l] / den and s_{k-1,l} = below[l] / below_den; only
     # l >= k is used
-    sigma, den = common_denominator(moments[:width])
+    sigma = list(nums[:width])
+    g = gcd(den, *sigma)
+    if g > 1:
+        sigma = [v // g for v in sigma]
+        den //= g
     below, below_den = [0] * width, 1
     norms = []
     bs = []
@@ -301,51 +305,73 @@ def values_and_slopes(rc, c, n):
 
 
 def jacobi_matrix(rc, size):
-    """Monic Jacobi truncation: diagonal b, subdiagonal a, unit superdiagonal."""
+    """Monic Jacobi truncation: diagonal b, subdiagonal a, unit superdiagonal.
+
+    As `BandMatrix` does, an all-zero diagonal is not stored (b = 0 for
+    the Chebyshev families, or a = 0, as when a_1 = 0 at size 2).
+    """
     if size < 1:
         raise ValueError("size must be positive")
     if size > rc.length:
         raise TruncationExhausted(
             "recurrence has %d coefficients; cannot fill size %d" % (rc.length, size)
         )
-    diagonals = {0: rc.b[:size]}
+    diagonals = {}
+    b = rc.b[:size]
+    if any(b):
+        diagonals[0] = b
     if size > 1:
         diagonals[1] = (ONE,) * (size - 1)
-        diagonals[-1] = rc.a[: size - 1]
-    return BandMatrix(size, diagonals)
+        a = rc.a[: size - 1]
+        if any(a):
+            diagonals[-1] = a
+    return BandMatrix._checked(size, diagonals, 0)
+
+
+def _jacobi_diagonals(j):
+    """(b, a) of a monic Jacobi truncation, read off its stored diagonals.
+
+    A diagonal that is not stored is all zeros.  Raises ValueError when
+    the superdiagonal is not all ones.
+    """
+    size = j.size
+    diagonals = j.diagonals
+    if size > 1 and any(x != 1 for x in diagonals.get(1, (ZERO,))):
+        raise ValueError("matrix is not a monic Jacobi truncation")
+    return diagonals.get(0, (ZERO,) * size), diagonals.get(-1, (ZERO,) * (size - 1))
 
 
 def recurrence_from_jacobi(j):
     """Read RecurrenceCoefficients off a monic Jacobi truncation."""
-    n = j.size
-    for k in range(n - 1):
-        if j.entry(k, k + 1) != 1:
-            raise ValueError("matrix is not a monic Jacobi truncation")
-    b = tuple(j.entry(k, k) for k in range(n))
-    a = tuple(j.entry(k, k - 1) for k in range(1, n))
-    return RecurrenceCoefficients(b, a)
+    return RecurrenceCoefficients(*_jacobi_diagonals(j))
 
 
 def moments_from_jacobi(j, u0, n):
-    """Moments u0 * (J^k)_{0,0} for k < n, read off by vector iteration.
+    """Moments u0 * (J^k)_{0,0} for k < n of a monic Jacobi truncation J.
 
-    `j` is a BandMatrix; each step reads its diagonals directly and keeps
-    only the entries of J^k e_0 that can still reach the (0, 0) entry.
+    `j` is a BandMatrix with diagonal b, subdiagonal a and unit
+    superdiagonal (as `jacobi_matrix` builds it); any other band raises
+    ValueError.  The moments come from the vector iteration
+    (J w)_i = a_i w_{i-1} + b_i w_i + w_{i+1} from w = e_0, keeping only
+    the entries of J^k e_0 that can still reach the (0, 0) entry.
 
     Entries of J^k only involve indices up to ceil(k/2), so the truncated
     matrix reproduces the untruncated moments exactly for n <= 2*size - 1
     (counting only the reliable block when the matrix carries a margin).
 
     The iteration runs on integers: with q the lcm of the denominators of
-    J's entries, qJ is an integer matrix, J^t e_0 = w / den with w an
-    integer vector, and the t-th moment is u0 * w[0] / den.  Each step
-    multiplies by qJ and q and divides w and den by gcd(den, *w) once, so
-    den stays the lcm of the entries' reduced denominators instead of
-    q^t, which matters when J's denominators differ from row to row.
+    b and a, B = q b and A = q a are integer, J^t e_0 = w / den with w an
+    integer vector, and the t-th moment is u0 * w[0] / den.  Each step is
+    one list comprehension over A, B and three shifted views of w, then
+    one division of w and den by gcd(den, *w), so den stays the lcm of
+    the entries' reduced denominators instead of q^t.
     """
     u0 = rat(u0)
     if n < 1:
         raise ValueError("n must be at least 1")
+    if any(d not in (-1, 0, 1) for d in j.diagonals):
+        raise ValueError("matrix is not a monic Jacobi truncation")
+    b, a = _jacobi_diagonals(j)
     usable = j.reliable
     if n > 2 * usable - 1:
         raise TruncationExhausted(
@@ -353,45 +379,39 @@ def moments_from_jacobi(j, u0, n):
             % (usable, usable, max(2 * usable - 1, 0), n)
         )
     size = j.size
-    lower, upper = j.lower, j.upper
-    scaled = {d: common_denominator(entries) for d, entries in j.diagonals.items()}
-    q = lcm(*(diag_den for _, diag_den in scaled.values()))
-    # a monic Jacobi matrix with integer entries has a unit superdiagonal:
-    # add without multiplying
-    diagonals = tuple(
-        (
-            d,
-            [c * (q // diag_den) for c in entries],
-            min(d, 0),
-            q == 1 and all(c == 1 for c in entries),
-        )
-        for d, (entries, diag_den) in scaled.items()
-    )
-    # J^t e_0 = w / den
+    b_num, b_den = common_denominator(b)
+    a_num, a_den = common_denominator(a)
+    q = lcm(b_den, a_den)
+    big_b = [v * (q // b_den) for v in b_num]
+    # A[i] multiplies w[i-1]; row 0 has no subdiagonal entry
+    big_a = [0] + [v * (q // a_den) for v in a_num]
+    # J^t e_0 = w / den; the moments are u0 * tops[t] / dens[t]
     w, den = [1], 1
-    moments = [u0]
+    tops, dens = [1], [1]
     for t in range(n - 1):
-        # J^(t+1) e_0 is supported on indices <= (t+1)*lower, and index i
-        # can still reach w[0] in the n-2-t steps left only if
-        # i <= (n-2-t)*upper; the other entries never touch a moment.
-        top = min(size - 1, (t + 1) * lower, (n - 2 - t) * upper)
-        nxt = [0] * (top + 1)
-        for d, entries, offset, unit in diagonals:
-            # qJ[i, i+d] = entries[min(i, i+d)]
-            rows = range(max(0, -d), min(top, len(w) - 1 - d) + 1)
-            if unit:
-                for i in rows:
-                    nxt[i] += w[i + d]
-            else:
-                for i in rows:
-                    nxt[i] += entries[i + offset] * w[i + d]
-        w, den = nxt, den * q
+        # J^(t+1) e_0 is supported on indices <= t+1, and index i can
+        # still reach w[0] in the n-2-t steps left only if i <= n-2-t;
+        # the other entries never touch a moment
+        top = min(size, t + 2, n - 1 - t)
+        padded = [0, *w, 0, 0]
+        w = [
+            x * left + y * mid + q * right
+            for x, y, left, mid, right in zip(
+                big_a[:top], big_b[:top], padded, padded[1:], padded[2:]
+            )
+        ]
+        den *= q
         g = gcd(den, *w)
         if g > 1:
             w = [v // g for v in w]
             den //= g
-        moments.append(u0 * Rational(w[0], den))
-    return MomentFunctional(moments)
+        tops.append(w[0])
+        dens.append(den)
+    common = lcm(*dens)
+    p0 = u0.numerator
+    return MomentFunctional.from_integers(
+        [p0 * v * (common // d) for v, d in zip(tops, dens)], common * u0.denominator
+    )
 
 
 def hankel_minor(u, k):

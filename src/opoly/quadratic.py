@@ -58,7 +58,7 @@ def _division(u, c, m0, m1, n_max):
     m1 = rat(m1)
     if m0 == 0:
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
-    u0 = u.moments[0]
+    u0 = u.moment(0)
     rc, _ = smop_from_moments(u, n_max + 1)
     p, dp, p_den = values_and_slopes(rc, c, n_max)
     q, dq, q_den = values_and_slopes(rc.shifted(1), c, n_max - 1)
@@ -279,7 +279,7 @@ def assoc_inverse_factorization_check(u, norm1, size):
     of u^{-1} by the Chebyshev algorithm, neither from the factors.  The
     first-associated scaling identity "fu1" at norm1 rides along.
     """
-    if u.moments[0] == 0:
+    if u.moment(0) == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
     # the factors and J^(1) read the same recurrence of u
     rc, _ = smop_from_moments(u, size + 1)

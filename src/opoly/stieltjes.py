@@ -45,7 +45,7 @@ def continued_fraction_check(u, norm1=ONE):
         series_multiply(from_polynomial(X - rc.b_at(0)), s_u),
         series_scale(rc.a_at(1) / norm1, series_multiply(s_first, s_u)),
     )
-    rhs = monomial_series(0, u.moments[0])
+    rhs = monomial_series(0, u.moment(0))
     bad = first_series_mismatch(lhs, rhs)
     if bad is None:
         return CheckReport.passing("continued-fraction", -lhs.min_power)
@@ -80,7 +80,7 @@ def pade_approximation_check(u, n):
         first_assoc = polys_from_recurrence(rc.shifted(1), n - 1)[n - 1]
     err = series_sub(
         series_multiply(stieltjes_series(u), from_polynomial(p_n)),
-        series_scale(u.moments[0], from_polynomial(first_assoc)),
+        series_scale(u.moment(0), from_polynomial(first_assoc)),
     )
     for m in range(n - 1, -n - 1, -1):
         if err.coefficient(m) != 0:
@@ -102,7 +102,7 @@ def first_kind_series_check(u, norm1=ONE):
     if depth < 2:
         raise TruncationExhausted("need at least 4 moments")
     rc, _ = smop_from_moments(u, depth)
-    u0 = u.moments[0]
+    u0 = u.moment(0)
     a1 = rc.a_at(1)
     lhs = stieltjes_series(associated_functional(rc, 1, norm1, 2 * (depth - 1) - 1))
     shifted_inverse = series_shift(stieltjes_series(fa.invert(u)), 2)

@@ -165,22 +165,22 @@ def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
     runs = []
     real = orthopoly._chebyshev
 
-    def counted(moments, n_max):
-        runs.append((moments, n_max))
-        return real(moments, n_max)
+    def counted(nums, den, n_max):
+        runs.append((nums, den, n_max))
+        return real(nums, den, n_max)
 
     def fresh():
         return MomentFunctional(u.moments)
 
     monkeypatch.setattr(orthopoly, "_chebyshev", counted)
     assert [report.to_json() for report in geronimus_assoc_chain(fresh(), c, m0, 8, 8)] == want
-    assert runs == [(u.moments, 9)]
+    assert runs == [(u.num, u.den, 9)]
     # gero1 and gero2 on their own reuse the recurrence that the
     # factorization route read
     for check in (geronimus_assoc_connection_check, geronimus_assoc_second_check):
         runs.clear()
         assert check(fresh(), c, m0, 8).passed
-        assert runs == [(u.moments, 9)]
+        assert runs == [(u.num, u.den, 9)]
 
 
 def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():

@@ -431,7 +431,10 @@ def assert_cli_fails_at(argv, u, level):
 
 
 @given(st.data())
-def test_banded_moments_match_matrix_powers(data):
+def test_moments_from_jacobi_rejects_a_band_that_is_not_monic_jacobi(data):
+    # a general band: moments_from_jacobi takes only diagonal b, subdiagonal
+    # a and a unit superdiagonal, and matrix powers stay the reference for
+    # the draws that have that shape
     size = data.draw(st.integers(3, 8))
     lowest = data.draw(st.integers(-3, 0))
     highest = data.draw(st.integers(0, 3))
@@ -444,11 +447,15 @@ def test_banded_moments_match_matrix_powers(data):
         return ONE if unit_top and j - i == highest else grid[i][j]
 
     j = band_from_entries(size, lowest, highest, entry, margin=margin)
-    assume(j.lower > 1 or j.upper > 1)
     u0 = data.draw(st.one_of(nonzero, wide_nonzero))
     n = data.draw(st.integers(1, 2 * j.reliable - 1))
-    got = moments_from_jacobi(j, u0, n)
-    assert list(got.moments) == [u0 * mat_power(j, k).entry(0, 0) for k in range(n)]
+    superdiagonal = j.diagonals.get(1, (rat(0),))
+    if set(j.diagonals) <= {-1, 0, 1} and all(x == 1 for x in superdiagonal):
+        got = moments_from_jacobi(j, u0, n)
+        assert list(got.moments) == [u0 * mat_power(j, k).entry(0, 0) for k in range(n)]
+    else:
+        with pytest.raises(ValueError):
+            moments_from_jacobi(j, u0, n)
 
 
 # -- the integer kernels against the rational loops they replaced and matrix powers
@@ -496,6 +503,105 @@ def test_integer_inverse_matches_the_rational_loop_and_convolves_to_delta(first,
     inverse = fa.invert(u)
     assert inverse == invert_reference(u)
     assert fa.convolve(u, inverse) == fa.delta(0, u.order)
+
+
+# -- MomentFunctional on integer numerators over one denominator
+
+def assert_canonical(u):
+    assert u.den > 0 and gcd(u.den, *u.num) == 1
+    assert all(type(v) is int for v in u.num)
+
+
+@given(st.lists(scalars, min_size=1, max_size=12), st.integers(1, 10**6), st.data())
+def test_a_functional_from_rationals_equals_one_from_integers(ms, spread, data):
+    u = MomentFunctional(ms)
+    den = 1
+    for m in ms:
+        den = den * m.denominator // gcd(den, m.denominator)
+    # the same values over a denominator that is not the least one
+    nums = [m.numerator * (den // m.denominator) * spread for m in ms]
+    v = MomentFunctional.from_integers(nums, den * spread)
+    for w in (u, v):
+        assert_canonical(w)
+        assert w.moments == tuple(ms) and w.order == len(ms)
+        assert all(type(m) is type(ONE) for m in w.moments)
+    assert (u.num, u.den) == (v.num, v.den)
+    assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+    k = data.draw(st.integers(0, len(ms) - 1))
+    assert v.moment(k) == ms[k]
+    if any(ms):
+        other = list(ms)
+        other[k] += 1
+        assert MomentFunctional(other) != u
+        assert fa.first_moment_mismatch(MomentFunctional(other), u) == k
+
+
+@given(st.lists(scalars, min_size=1, max_size=12), st.data())
+def test_truncated_normalized_and_relabeled_keep_exact_values(ms, data):
+    built = MomentFunctional(ms)
+    u = MomentFunctional.from_integers(built.num, built.den, label="drawn")
+    order = data.draw(st.integers(1, len(ms)))
+    cut = u.truncated(order)
+    assert cut.moments == tuple(ms[:order]) and cut.label == "drawn"
+    assert_canonical(cut)
+    assert fa.equal_functionals(u, cut) and fa.equal_functionals(u, cut, order=order)
+    renamed = u.relabeled("other")
+    assert renamed == u and renamed.label == "other" and renamed.moments == tuple(ms)
+    if ms[0] != 0:
+        unit = u.normalized()
+        assert unit.moments == tuple(m / ms[0] for m in ms)
+        assert_canonical(unit)
+        assert fa.equal_normalized(u, fa.scale(data.draw(nonzero), u))
+
+
+@given(
+    st.lists(scalars, min_size=2, max_size=10),
+    st.lists(scalars, min_size=1, max_size=10),
+    scalars,
+)
+def test_the_functional_algebra_on_integers_matches_the_rational_formulas(ms, ns, c):
+    u, v = MomentFunctional(ms), MomentFunctional(ns)
+    order = min(len(ms), len(ns))
+    assert fa.add(u, v).moments == tuple(ms[k] + ns[k] for k in range(order))
+    assert fa.sub(u, v).moments == tuple(ms[k] - ns[k] for k in range(order))
+    assert fa.scale(c, u).moments == tuple(c * m for m in ms)
+    assert fa.convolve(u, v).moments == tuple(
+        sum((ms[k] * ns[n - k] for k in range(n + 1)), rat(0)) for n in range(order)
+    )
+    assert fa.delta(c, len(ms)).moments == tuple(c**k for k in range(len(ms)))
+    assert fa.derivative(u).moments == (rat(0),) + tuple(
+        -n * ms[n - 1] for n in range(1, len(ms))
+    )
+    p = Polynomial(ns[: len(ms)])
+    assert fa.apply(u, p) == sum((a * m for a, m in zip(p.coeffs, ms)), rat(0))
+    for w in (fa.add(u, v), fa.scale(c, u), fa.convolve(u, v), fa.delta(c, len(ms))):
+        assert_canonical(w)
+
+
+@given(
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from(("zero", "negative", "any")),
+    st.booleans(),
+    st.data(),
+)
+def test_the_fused_moments_loop_matches_matrix_powers(size, b_zero, first, full, data):
+    # b = 0 leaves the main diagonal unstored, size 1 has no off-diagonals
+    b = [rat(0)] * size if b_zero else data.draw(
+        st.lists(wide_rationals, min_size=size, max_size=size)
+    )
+    a = data.draw(st.lists(wide_nonzero, min_size=size - 1, max_size=size - 1))
+    u0 = {
+        "zero": rat(0),
+        "negative": -abs(data.draw(wide_nonzero)),
+        "any": data.draw(wide_rationals),
+    }[first]
+    j = jacobi_matrix(RecurrenceCoefficients(b, a), size)
+    assert (0 in j.diagonals) == any(b)
+    n = 2 * size - 1 if full else data.draw(st.integers(1, 2 * size - 1))
+    got = moments_from_jacobi(j, u0, n)
+    assert_canonical(got)
+    assert list(got.moments) == [u0 * mat_power(j, k).entry(0, 0) for k in range(n)]
 
 
 # -- smop_from_moments keeps the deepest recurrence on the functional
