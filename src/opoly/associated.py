@@ -1,6 +1,9 @@
 """Associated sequences, co-recursive perturbations, and the inverse functional.
 
-The k-th associated sequence drops the first k recurrence coefficients.
+The k-th associated sequence drops the first k recurrence coefficients;
+its functional comes from the moments, by "fu1" applied k times through
+the convolution inverse (`associated_functional`), and the shifted
+recurrence's moments live only in the checks that compare the two.
 Division by (x - c)^2 has an O(n) kernel over values and slopes at c
 (`quadratic_kernel`).  The inverse functional (under moment convolution)
 is that division at c = 0 of a multiple of the first-associated
@@ -32,15 +35,31 @@ def associated_polys(rc, k, n_max):
     return polys_from_recurrence(rc.shifted(k), n_max)
 
 
-def associated_functional(rc, k, norm0, n):
-    """n moments of the k-th associated functional, scaled so its first is norm0.
+def associated_functional(u, k, norm0, n):
+    """n moments of the k-th associated functional of u, scaled so its first is norm0.
 
-    norm0 = 0 would give the zero functional, so it raises DegenerateParameter.
+    Applies "fu1" k times, reading no recurrence: the first associated
+    functional of w is a multiple of x^2 w^{-1}, whose first moment is
+    -a_1 when w_0 = 1.  Step j starts from the (j-1)-st associated
+    functional at first moment 1, so a_j = 0 is the vanishing first
+    moment that raises NotQuasiDefinite(j, guard="norm"), u's first
+    vanishing Hankel minor (u_0 = 0 is level 0).  Needs n + 2k moments;
+    norm0 = 0 would give the zero functional (DegenerateParameter).
     """
-    if rat(norm0) == 0:
+    norm0 = rat(norm0)
+    if norm0 == 0:
         raise DegenerateParameter("the associated functional needs a nonzero first moment")
-    shifted = rc.shifted(k)
-    return moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm0, n)
+    if u.order < n + 2 * k:
+        raise TruncationExhausted(
+            "level %d needs %d moments for %d, have %d" % (k, n + 2 * k, n, u.order)
+        )
+    w = u.truncated(n + 2 * k)
+    for j in range(k + 1):
+        if w.num[0] == 0:
+            raise NotQuasiDefinite(j, guard="norm")
+        if j == k:
+            return fa.scale(norm0, w.normalized())
+        w = fa.multiply_poly(fa.invert(w.normalized()), X * X)
 
 
 def divided_difference(u, p):
@@ -85,7 +104,7 @@ def assoc_representation_check(u, k, n):
         base_u = u
     else:
         base_polys = associated_polys(rc, k - 1, n)
-        base_u = associated_functional(rc, k - 1, ONE, n + 1)
+        base_u = associated_functional(u, k - 1, ONE, n + 1)
     for j in range(1, n + 1):
         got = divided_difference(base_u, base_polys[j])
         if got != target[j - 1]:
@@ -202,7 +221,11 @@ def inverse_functional_identity_check(u, norm1=ONE):
     rc, _ = smop_from_moments(u, n_base)
     a1 = rc.a_at(1)
     u0 = u.moment(0)
-    lhs = associated_functional(rc, 1, norm1, 2 * (n_base - 1) - 1)
+    if norm1 == 0:
+        raise DegenerateParameter("the associated functional needs a nonzero first moment")
+    # u^(1) by its recurrence, the route that the moments of u^{-1} check
+    shifted = rc.shifted(1)
+    lhs = moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1)
     rhs = fa.scale(-(norm1 * u0) / a1, fa.multiply_poly(fa.invert(u), X * X))
     order = min(lhs.order, rhs.order)
     if fa.equal_functionals(lhs, rhs, order=order):

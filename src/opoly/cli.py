@@ -243,42 +243,44 @@ def cmd_smop(args):
     return True
 
 
+def _associated(u, k, norm0):
+    depth = u.order // 2
+    count = 2 * (depth - k) - 1
+    if count < 1:
+        # the input, not --k, is at fault: a mathematical failure
+        raise TruncationExhausted(
+            "associated at level k=%d needs %d moments, have %d" % (k, 2 * k + 2, u.order)
+        )
+    # the moment route does not see a vanishing Hankel minor beyond level
+    # k, so u's recurrence is read to the depth the input supports
+    smop_from_moments(u, depth)
+    return associated_functional(u, k, norm0, count).relabeled("associated-%d" % k)
+
+
+# every `transform` kind: the options it reads, in order, and its producer,
+# called as produce(u, *values); a result without a label takes the kind's
+Transform = namedtuple("Transform", "params produce")
+
+TRANSFORMS = {
+    "christoffel": Transform(("c",), lambda u, c: fa.multiply_poly(u, X - c)),
+    "geronimus": Transform(("c", "m0"), fa.geronimus),
+    "quadratic-geronimus": Transform(("c", "m0", "m1"), fa.quadratic_geronimus),
+    "associated": Transform(("k", "norm"), _associated),
+    "corecursive": Transform(("alpha",), corecursive_functional),
+    "inverse": Transform((), fa.invert),
+}
+
+
 def cmd_transform(args):
     u = read_functional(sys.stdin)
-    kind = args.kind
-    if kind == "christoffel":
-        c = parse_param(args.c, "--c")
-        result = fa.multiply_poly(u, X - c).relabeled("christoffel")
-    elif kind == "geronimus":
-        c = parse_param(args.c, "--c")
-        m0 = parse_param(args.m0, "--m0")
-        result = fa.geronimus(u, c, m0).relabeled("geronimus")
-    elif kind == "quadratic-geronimus":
-        c = parse_param(args.c, "--c")
-        m0 = parse_param(args.m0, "--m0")
-        m1 = parse_param(args.m1, "--m1")
-        result = fa.quadratic_geronimus(u, c, m0, m1).relabeled("quadratic-geronimus")
-    elif kind == "associated":
-        k = checked_size(args.k, "--k")
-        norm0 = parse_param(args.norm, "--norm")
-        depth = u.order // 2
-        count = 2 * (depth - k) - 1
-        if count < 1:
-            # the input, not --k, is at fault: a mathematical failure
-            raise TruncationExhausted(
-                "associated at level k=%d needs %d moments, have %d" % (k, 2 * k + 2, u.order)
-            )
-        rc, _ = smop_from_moments(u, depth)
-        result = associated_functional(rc, k, norm0, count).relabeled("associated-%d" % k)
-    elif kind == "corecursive":
-        alpha = parse_param(args.alpha, "--alpha")
-        result = corecursive_functional(u, alpha).relabeled("corecursive")
-    elif kind == "inverse":
-        result = fa.invert(u).relabeled("inverse")
-    else:
-        raise UsageError("unknown transform kind %r" % kind)
+    transform = TRANSFORMS[args.kind]
+    values = [
+        checked_size(args.k, "--k") if name == "k" else parse_param(getattr(args, name), "--" + name)
+        for name in transform.params
+    ]
+    result = transform.produce(u, *values)
     payload = {"version": __version__}
-    payload.update(serialize.moments_record(result))
+    payload.update(serialize.moments_record(result.relabeled(result.label or args.kind)))
     emit_json(payload, args.out)
     return True
 
@@ -659,14 +661,7 @@ def build_parser():
     )
     p_transform.add_argument(
         "kind",
-        choices=[
-            "christoffel",
-            "geronimus",
-            "quadratic-geronimus",
-            "associated",
-            "corecursive",
-            "inverse",
-        ],
+        choices=list(TRANSFORMS),
     )
     p_transform.add_argument("--c", default="1", help="shift point (default 1)")
     p_transform.add_argument("--m0", default="1", help="new mass at c (default 1)")

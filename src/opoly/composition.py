@@ -4,6 +4,9 @@ Multiplying by (x - c) and then passing to the first associated sequence
 is, up to a co-recursive perturbation, the same as doing those steps in
 the other order; dividing by (x - c) has a mirror-image story.  Each
 statement below is checked along two independently computed routes.
+The two chains compute what their checks share once: (x - c) u, the
+combination SMOP, the kernel sequence and the UL elimination, and each
+functional's recurrence at the deepest depth a check reads.
 """
 
 from . import functional as fa
@@ -14,7 +17,7 @@ from .associated import (
     corecursive_polys,
 )
 from .darboux import christoffel_lu, geronimus_ul
-from .errors import DegenerateParameter, ZeroPivot
+from .errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from .matrices import (
     UpperBidiagonal,
     common_reliable,
@@ -46,32 +49,67 @@ def christoffel_assoc_polys(u, c, n_max):
     degree n by construction of the prefactor.
     """
     c = rat(c)
-    u0 = u.moment(0)
-    tilde0 = u.moment(1) - c * u0
-    if tilde0 == 0:
-        raise DegenerateParameter("(x - c) u has vanishing first moment")
+    scale = u.moment(0) / _tilde_first(u, c)
     rc, _ = smop_from_moments(u, n_max + 1)
     base = polys_from_recurrence(rc, n_max + 1)
     first = associated_polys(rc, 1, n_max)
-    scale = u0 / tilde0
     return tuple(scale * ((X - c) * first[n] - base[n + 1]) for n in range(n_max + 1))
 
 
 def corecursive_parameter(u, c):
     """alpha = -a_1 u_0 / utilde_0, the perturbation matching the two routes."""
     c = rat(c)
+    tilde0 = _tilde_first(u, c)
+    rc, _ = smop_from_moments(u, 2)
+    return -rc.a_at(1) * u.moment(0) / tilde0
+
+
+def _tilde_first(u, c):
+    """utilde_0 = u_1 - c u_0, the first moment of (x - c) u, which must not vanish."""
     u0 = u.moment(0)
     tilde0 = u.moment(1) - c * u0
     if tilde0 == 0:
         raise DegenerateParameter("(x - c) u has vanishing first moment")
-    rc, _ = smop_from_moments(u, 2)
-    return -rc.a_at(1) * u0 / tilde0
+    return tilde0
+
+
+def _christoffel(u, c):
+    """(x - c) u, once its first moment is known not to vanish."""
+    _tilde_first(u, c)
+    return fa.multiply_poly(u, X - c)
+
+
+def _block_report(name, left, right, block):
+    """The part `name`: left = right on the leading block of that size."""
+    ok = equal_on_block(left, right, block)
+    return CheckReport(
+        name, "pass" if ok else "fail", block,
+        None if ok else {"block": first_block_mismatch(left, right, block)},
+    )
+
+
+def _read_deepest(u, depth):
+    """Run the Chebyshev algorithm on u at the deepest depth its checks read.
+
+    `smop_from_moments` keeps the run on u, so the checks' reads are its
+    truncations.  A run that raises keeps nothing and is left to the
+    checks, so each meets the error it meets on its own, in order.
+    """
+    depth = min(depth, u.order // 2)
+    if depth >= 1:
+        try:
+            smop_from_moments(u, depth)
+        except NotQuasiDefinite:
+            pass
 
 
 def christoffel_assoc_check(u, c, n_max):
     """Identity "pro5": the kernel-combination SMOP is co-recursive for u^(1)."""
     c = rat(c)
-    direct = christoffel_assoc_polys(u, c, n_max)
+    return _pro5(u, c, n_max, christoffel_assoc_polys(u, c, n_max))
+
+
+def _pro5(u, c, n_max, direct):
     alpha = corecursive_parameter(u, c)
     rc, _ = smop_from_moments(u, n_max + 1)
     routed = corecursive_polys(rc.shifted(1), alpha, n_max)
@@ -89,9 +127,12 @@ def christoffel_assoc_connection_check(u, c, n_max):
     with Ptilde^(1) built independently from the transformed moments."""
     c = rat(c)
     combo = christoffel_assoc_polys(u, c, n_max)
+    return _connection(u, c, n_max, combo, _christoffel(u, c))
+
+
+def _connection(u, c, n_max, combo, tilde_u):
     rc, _ = smop_from_moments(u, n_max + 1)
     base = polys_from_recurrence(rc, n_max + 1)
-    tilde_u = fa.multiply_poly(u, X - c)
     tilde_rc, _ = smop_from_moments(tilde_u, n_max)
     tilde_first = associated_polys(tilde_rc, 1, n_max - 1)
     for n in range(1, n_max + 1):
@@ -108,24 +149,31 @@ def christoffel_assoc_connection_check(u, c, n_max):
 def christoffel_assoc_functional_check(u, c):
     """Identity "coro1": associated-of-transformed equals transformed-of-perturbed.
 
-    Both sides are produced as moment sequences (one through the shifted
-    Jacobi matrix of (x - c) u, one through the perturbed recurrence) and
+    Both sides are produced as moment sequences (one as the associated
+    functional of (x - c) u, one through the perturbed recurrence) and
     compared after normalization, since the associated functionals' first
     moments are free.
     """
     c = rat(c)
-    alpha = corecursive_parameter(u, c)
+    return _coro1(u, c, _christoffel(u, c))
+
+
+def _coro1(u, c, tilde_u):
     depth = u.order // 2
+    # the deepest read of u comes first, so `corecursive_parameter` reads
+    # its truncation; below 3 the read at 2 raises as it always did
+    rc, _ = smop_from_moments(u, max(depth, 2))
+    alpha = corecursive_parameter(u, c)
     if depth < 3:
         raise DegenerateParameter("need at least 6 moments for a meaningful check")
-    rc, _ = smop_from_moments(u, depth)
     perturbed = rc.shifted(1).corecursive(alpha)
     j_alpha = jacobi_matrix(perturbed, perturbed.length)
     u_alpha = moments_from_jacobi(j_alpha, ONE, 2 * perturbed.length - 1)
     lhs = fa.multiply_poly(u_alpha, X - c)
-    tilde_u = fa.multiply_poly(u, X - c)
-    tilde_rc, _ = smop_from_moments(tilde_u, depth - 1)
-    rhs = associated_functional(tilde_rc, 1, ONE, 2 * (depth - 2) - 1)
+    # the moment route does not see a vanishing minor of (x - c) u beyond
+    # level 1, so its recurrence is read to the depth the check compares
+    smop_from_moments(tilde_u, depth - 1)
+    rhs = associated_functional(tilde_u, 1, ONE, 2 * (depth - 2) - 1)
     order = min(lhs.order, rhs.order)
     if fa.equal_normalized(lhs, rhs, order=order):
         return CheckReport.passing(
@@ -165,29 +213,14 @@ def shifted_factor_check(u, c, size):
         )
     )
     prod = mat_multiply(l1, u1)
-    block = common_reliable(prod, j_alpha)
-    ok = equal_on_block(prod, shifted(j_alpha, c), block)
     reports.append(
-        CheckReport(
-            "tail-product",
-            "pass" if ok else "fail",
-            block,
-            None if ok else {"block": first_block_mismatch(prod, shifted(j_alpha, c), block)},
-        )
+        _block_report("tail-product", prod, shifted(j_alpha, c), common_reliable(prod, j_alpha))
     )
     swapped = mat_multiply(u1, l1)
     assoc_transformed = shift_conjugate(transformed)
     block = common_reliable(swapped, assoc_transformed)
-    ok = equal_on_block(swapped, shifted(assoc_transformed, c), block)
     reports.append(
-        CheckReport(
-            "swapped-tail-product",
-            "pass" if ok else "fail",
-            block,
-            None if ok else {
-                "block": first_block_mismatch(swapped, shifted(assoc_transformed, c), block)
-            },
-        )
+        _block_report("swapped-tail-product", swapped, shifted(assoc_transformed, c), block)
     )
     return combine("shifted-lu", reports, c=str(c), alpha=str(alpha))
 
@@ -219,11 +252,14 @@ def geronimus_corecursive_check(v, m0, n_max):
     regenerated from the perturbed recurrence must match the convolution
     route through v^{-1} - (1/m0) delta_0'.
     """
-    m0 = _nonzero_mass(m0)
+    direct = geronimus_assoc_polys(v, m0, n_max)
+    return _s_corecursive(v, rat(m0), n_max, direct)
+
+
+def _s_corecursive(v, m0, n_max, direct):
     v0 = v.moment(0)
     alpha = -v0 / m0
     rc, _ = smop_from_moments(v, n_max + 1)
-    direct = geronimus_assoc_polys(v, m0, n_max)
     routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
     for n in range(n_max + 1):
         if direct[n] != routed[n]:
@@ -247,7 +283,11 @@ def geronimus_corecursive_check(v, m0, n_max):
 
 
 def _hat_first(v, c, m0, size):
-    """Factorization route to the transformed functional's associated SMOP."""
+    """Factorization route to the transformed functional's associated SMOP.
+
+    Returns (rc, lower, upper, hat_rc): v's recurrence and the UL
+    elimination at size + 1.
+    """
     v0 = v.moment(0)
     rc, _ = smop_from_moments(v, size + 1)
     lower, upper, transformed = geronimus_ul(
@@ -265,9 +305,13 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
     formula, so the three ingredients are independently produced.
     """
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    hat = _hat_first(v, c, m0, n_max)
+    return _gero1(c, m0, n_max, hat, geronimus_assoc_polys(v, m0, n_max))
+
+
+def _gero1(c, m0, n_max, hat, s_polys):
+    _, lower, _, hat_rc = hat
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
     for n in range(1, n_max + 1):
         lhs = (X - c) * hat_first[n - 1]
         rhs = s_polys[n] + lower.sub[n - 1] * s_polys[n - 1]
@@ -279,9 +323,13 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
 def geronimus_assoc_second_check(v, c, m0, n_max):
     """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
     c = rat(c)
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    hat = _hat_first(v, c, m0, n_max)
+    return _gero2(c, m0, n_max, hat, geronimus_assoc_polys(v, m0, n_max))
+
+
+def _gero2(c, m0, n_max, hat, s_polys):
+    _, _, upper, hat_rc = hat
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
     for n in range(n_max + 1):
         rhs = hat_first[n] + (upper.diag[n] * hat_first[n - 1] if n >= 1 else Polynomial())
         if s_polys[n] != rhs:
@@ -293,20 +341,25 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     """Identity "pro6": moments and shifted-factor identities for the division step.
 
     (i) the associated functional of the transform equals (x - c) times
-    the co-recursive functional of parameter -v_0/m0, normalized;
+    the co-recursive functional of parameter -v_0/m0, normalized; the
+    transform is `fa.geronimus(v, c, m0)`, whose recurrence the
+    elimination gives, since beta_0 = v_0/m0 (certified by (ii), (iii),
+    gero1 and gero2);
     (ii) J_alpha - cI = Lhat Uhat with Lhat, Uhat the one-sided shifts
     of the elimination factors; (iii) Jhat^(1) - cI = Uhat Lhat; and the
     structural reading of Uhat as the pure index shift of L.
     """
     c = rat(c)
     m0 = _nonzero_mass(m0)
-    v0 = v.moment(0)
-    alpha = -v0 / m0
-    rc, lower, upper, hat_rc = _hat_first(v, c, m0, size)
+    return _pro6(v, c, m0, size, _hat_first(v, c, m0, size))
+
+
+def _pro6(v, c, m0, size, hat):
+    rc, lower, upper, hat_rc = hat
+    alpha = -v.moment(0) / m0
     reports = []
     # (i) normalized moment identity
-    hat_shift = hat_rc.shifted(1)
-    lhs = associated_functional(hat_rc, 1, ONE, 2 * hat_shift.length - 1)
+    lhs = associated_functional(fa.geronimus(v, c, m0), 1, ONE, 2 * size - 1)
     perturbed = rc.truncated(size).corecursive(alpha)
     v_alpha = moments_from_jacobi(jacobi_matrix(perturbed, size), ONE, 2 * size - 1)
     rhs = fa.multiply_poly(v_alpha, X - c)
@@ -329,47 +382,34 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     j_alpha = jacobi_matrix(rc.corecursive(alpha), size + 1)
     prod = mat_multiply(l_hat, u_hat)
     block = common_reliable(prod, j_alpha)
-    ok = equal_on_block(prod, shifted(j_alpha, c), block)
-    reports.append(
-        CheckReport(
-            "shifted-product",
-            "pass" if ok else "fail",
-            block,
-            None if ok else {"block": first_block_mismatch(prod, shifted(j_alpha, c), block)},
-        )
-    )
+    reports.append(_block_report("shifted-product", prod, shifted(j_alpha, c), block))
     hat_assoc = shift_conjugate(jacobi_matrix(hat_rc, size + 1))
     swapped = mat_multiply(u_hat, l_hat)
     block = common_reliable(swapped, hat_assoc)
-    ok = equal_on_block(swapped, shifted(hat_assoc, c), block)
-    reports.append(
-        CheckReport(
-            "swapped-shifted-product",
-            "pass" if ok else "fail",
-            block,
-            None if ok else {"block": first_block_mismatch(swapped, shifted(hat_assoc, c), block)},
-        )
-    )
+    reports.append(_block_report("swapped-shifted-product", swapped, shifted(hat_assoc, c), block))
     structural = UpperBidiagonal(size + 1, lower.sub + (ZERO,)).to_band()
     block = min(common_reliable(u_hat), size)
-    ok = equal_on_block(u_hat, structural, block)
-    reports.append(
-        CheckReport(
-            "shift-structure",
-            "pass" if ok else "fail",
-            block,
-            None if ok else {"block": first_block_mismatch(u_hat, structural, block)},
-        )
-    )
+    reports.append(_block_report("shift-structure", u_hat, structural, block))
     return combine("pro6", reports, c=str(c), m0=str(m0), alpha=str(alpha))
 
 
 def christoffel_assoc_chain(u, c, n_max, size):
-    """All multiplication-side interplay checks, bundled."""
+    """All multiplication-side interplay checks, bundled, over one (x - c) u.
+
+    u and (x - c) u run the Chebyshev algorithm once each, at the deepest
+    depth a check reads (coro1's order/2 and order/2 - 1, the others'
+    n_max + 1 and n_max), and pro5 and the connection check share R_n.
+    """
+    c = rat(c)
+    tilde_u = _christoffel(u, c)
+    depth = u.order // 2
+    _read_deepest(u, depth)
+    _read_deepest(tilde_u, max(n_max, depth - 1))
+    combo = christoffel_assoc_polys(u, c, n_max)
     return [
-        christoffel_assoc_check(u, c, n_max),
-        christoffel_assoc_connection_check(u, c, n_max),
-        christoffel_assoc_functional_check(u, c),
+        _pro5(u, c, n_max, combo),
+        _connection(u, c, n_max, combo, tilde_u),
+        _coro1(u, c, tilde_u),
         shifted_factor_check(u, c, size),
     ]
 
@@ -377,15 +417,17 @@ def christoffel_assoc_chain(u, c, n_max, size):
 def geronimus_assoc_chain(v, c, m0, n_max, size):
     """All division-side interplay checks, bundled, over one recurrence of v.
 
-    Every check reads v's recurrence through `smop_from_moments`, whose
-    memo on v lets all four share one run of the Chebyshev algorithm
-    when size <= n_max.  The first check tests the mass before it reads
-    the recurrence, so a zero m0 is reported ahead of a vanishing Hankel
-    minor.
+    S is built once and the UL elimination once (for pro6 too when
+    size == n_max); v's memo shares one Chebyshev run when size <= n_max.
+    S tests the mass before it reads the recurrence, so a zero m0 is
+    reported ahead of a vanishing Hankel minor.
     """
-    return [
-        geronimus_corecursive_check(v, m0, n_max),
-        geronimus_assoc_connection_check(v, c, m0, n_max),
-        geronimus_assoc_second_check(v, c, m0, n_max),
-        geronimus_assoc_factor_check(v, c, m0, size),
-    ]
+    s_polys = geronimus_assoc_polys(v, m0, n_max)
+    m0 = rat(m0)
+    reports = [_s_corecursive(v, m0, n_max, s_polys)]
+    c = rat(c)
+    hat = _hat_first(v, c, m0, n_max)
+    reports += [_gero1(c, m0, n_max, hat, s_polys), _gero2(c, m0, n_max, hat, s_polys)]
+    if size != n_max:
+        hat = _hat_first(v, c, m0, size)
+    return reports + [_pro6(v, c, m0, size, hat)]

@@ -291,13 +291,25 @@ def derivatives_at(p, c, k):
     return tuple(out)
 
 
-def wronskian(p, q, c):
-    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c).
+def wronskians_at(polys, c):
+    """The Wronskians W(p_i, p_j)(c) = p_i(c) p_j'(c) - p_i'(c) p_j(c), as w(i, j).
 
-    With `_taylor`'s scaling both products share the denominator
-    den_p den_q cq^(D_p + D_q - 1), so W is one integer over it.
+    One `_taylor` call per polynomial gives p(c) = v / d and p'(c) = cq s / d
+    with d = den cq^D at c = cp/cq, so W is cq (v_i s_j - s_i v_j) / (d_i d_j).
     """
     cp, cq = _scalar(c)
-    (p0, p1), dp = _taylor(p, cp, cq, 1)
-    (q0, q1), dq = _taylor(q, cp, cq, 1)
-    return Rational(p0 * q1 - p1 * q0, p.den * q.den * cq ** (dp + dq - 1))
+    pairs = []
+    for p in polys:
+        (v, s), d = _taylor(p, cp, cq, 1)
+        pairs.append((v, s, p.den * cq ** d))
+
+    def w(i, j):
+        (vi, si, di), (vj, sj, dj) = pairs[i], pairs[j]
+        return Rational(cq * (vi * sj - si * vj), di * dj)
+
+    return w
+
+
+def wronskian(p, q, c):
+    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c), by `wronskians_at`."""
+    return wronskians_at((p, q), c)(0, 1)

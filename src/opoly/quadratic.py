@@ -40,7 +40,7 @@ from .orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import X, wronskian
+from .poly import X, wronskians_at
 from .rational import ZERO, rat
 from .reports import CheckReport
 
@@ -238,14 +238,16 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
     q_polys = system.polys
     rc, _ = smop_from_moments(u, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
+    # each Q_m's value and slope at c, taken once, serve all three Wronskians
+    wronskian = wronskians_at(q_polys[: n_max + 3], c)
     failure = None
     for n in range(n_max + 1):
-        wn = wronskian(q_polys[n], q_polys[n + 1], c)
+        wn = wronskian(n, n + 1)
         if wn == 0:
             failure = {"level": n, "reason": "W(Q_{n+1}, Q_n)(c) = 0"}
             break
-        beta_nn = wronskian(q_polys[n + 1], q_polys[n + 2], c) / wn
-        beta_n_up = -wronskian(q_polys[n], q_polys[n + 2], c) / wn
+        beta_nn = wronskian(n + 1, n + 2) / wn
+        beta_n_up = -wronskian(n, n + 2) / wn
         lhs = (X - c) * (X - c) * base[n]
         rhs = q_polys[n + 2] + beta_n_up * q_polys[n + 1] + beta_nn * q_polys[n]
         if lhs != rhs:

@@ -6,9 +6,8 @@ here compares series only on certified coefficients.
 """
 
 from . import functional as fa
-from .associated import associated_functional
-from .errors import TruncationExhausted
-from .orthopoly import polys_from_recurrence, smop_from_moments
+from .errors import DegenerateParameter, TruncationExhausted
+from .orthopoly import jacobi_matrix, moments_from_jacobi, polys_from_recurrence, smop_from_moments
 from .poly import ONE_POLY, X
 from .rational import ONE, rat
 from .reports import CheckReport
@@ -39,8 +38,12 @@ def continued_fraction_check(u, norm1=ONE):
         raise TruncationExhausted("need at least 4 moments")
     rc, _ = smop_from_moments(u, depth)
     s_u = stieltjes_series(u)
-    first = associated_functional(rc, 1, norm1, 2 * (depth - 1) - 1)
-    s_first = stieltjes_series(first)
+    if norm1 == 0:
+        raise DegenerateParameter("the associated functional needs a nonzero first moment")
+    shifted = rc.shifted(1)
+    s_first = stieltjes_series(
+        moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1)
+    )
     lhs = series_sub(
         series_multiply(from_polynomial(X - rc.b_at(0)), s_u),
         series_scale(rc.a_at(1) / norm1, series_multiply(s_first, s_u)),
@@ -104,7 +107,13 @@ def first_kind_series_check(u, norm1=ONE):
     rc, _ = smop_from_moments(u, depth)
     u0 = u.moment(0)
     a1 = rc.a_at(1)
-    lhs = stieltjes_series(associated_functional(rc, 1, norm1, 2 * (depth - 1) - 1))
+    if norm1 == 0:
+        raise DegenerateParameter("the associated functional needs a nonzero first moment")
+    # S of u^(1) by its recurrence, the route that the series of u^{-1} checks
+    shifted = rc.shifted(1)
+    lhs = stieltjes_series(
+        moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1)
+    )
     shifted_inverse = series_shift(stieltjes_series(fa.invert(u)), 2)
     rhs = series_add(
         series_scale(-(u0 * norm1) / a1, shifted_inverse),

@@ -19,7 +19,12 @@ from opoly.associated import (
     inverse_smop,
     linear_combination_check,
 )
-from opoly.errors import NotQuasiDefinite, ZeroFirstMoment
+from opoly.errors import (
+    DegenerateParameter,
+    NotQuasiDefinite,
+    TruncationExhausted,
+    ZeroFirstMoment,
+)
 from opoly.functional import MomentFunctional
 from opoly.orthopoly import (
     RecurrenceCoefficients,
@@ -43,10 +48,36 @@ def test_first_associated_of_chebyshev_t_is_chebyshev_u():
 
 def test_associated_functional_has_prescribed_first_moment():
     u = families.chebyshev_u(20)
-    rc, _ = smop_from_moments(u, 10)
-    w = associated_functional(rc, 1, rat(5, 7), 9)
+    w = associated_functional(u, 1, rat(5, 7), 9)
     assert w.moments[0] == rat(5, 7)
     assert w.order == 9
+
+
+def test_associated_functionals_of_chebyshev_t_are_chebyshev_u():
+    # T's recurrence shifted by any k >= 1 is U's: every level's
+    # functional is U's normalized moments, through u^{-1} at each step
+    t = families.chebyshev_t(24)
+    for k in (1, 2, 3):
+        assert associated_functional(t, k, 1, 24 - 2 * k) == families.chebyshev_u(24 - 2 * k)
+
+
+def test_associated_functional_typed_errors():
+    # a_1 = 1/2, a_2 = 0: level 1 passes, level 2 meets the vanishing minor
+    u = moments_from_jacobi(
+        jacobi_matrix(RecurrenceCoefficients((0, 1, 2, 3), (rat(1, 2), 0, 5)), 4), 1, 7
+    )
+    assert associated_functional(u, 1, 1, 5).moment(0) == 1
+    for k in (2, 3):
+        with pytest.raises(NotQuasiDefinite) as excinfo:
+            associated_functional(u, k, 1, 1)
+        assert (excinfo.value.level, excinfo.value.guard) == (2, "norm")
+    with pytest.raises(NotQuasiDefinite) as excinfo:
+        associated_functional(MomentFunctional((0, 1, 2, 3)), 1, 1, 2)
+    assert excinfo.value.level == 0
+    with pytest.raises(DegenerateParameter):
+        associated_functional(u, 1, 0, 5)
+    with pytest.raises(TruncationExhausted):
+        associated_functional(u, 1, 1, 6)
 
 
 def test_divided_difference_small_oracle():

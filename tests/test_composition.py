@@ -1,10 +1,13 @@
 """Interplay of the degree-one transformations with the associated shift."""
 
+import io
+import sys
+
 import pytest
 
 from conftest import random_functional
 
-from opoly import families, orthopoly
+from opoly import associated, cli, composition, families, orthopoly, serialize
 from opoly import functional as fa
 from opoly.composition import (
     christoffel_assoc_chain,
@@ -191,3 +194,67 @@ def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():
     with pytest.raises(NotQuasiDefinite) as caught:
         geronimus_assoc_chain(v, 1, 1, 4, 4)
     assert caught.value.level == 1
+
+
+def counting(monkeypatch, module, name, keep=lambda *args: True):
+    """Calls of module.name, as argument tuples, for those that `keep` selects."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypatch):
+    # u and (x - c)u run the Chebyshev algorithm once each, at the deepest
+    # depth a check reads (coro1's), and (x - c)u is built once
+    u, c, m0 = random_functional()
+    want = [report.to_json() for report in christoffel_assoc_chain(u, c, 8, 8)]
+    fresh = MomentFunctional(u.moments)
+    runs = counting(monkeypatch, orthopoly, "_chebyshev")
+    products = counting(
+        monkeypatch, fa, "multiply_poly", lambda w, p: w is fresh and p == X - c
+    )
+    assert [report.to_json() for report in christoffel_assoc_chain(fresh, c, 8, 8)] == want
+    assert [n_max for _, _, n_max in runs] == [10, 9]
+    assert len(products) == 1
+    runs.clear()
+    assert christoffel_assoc_functional_check(MomentFunctional(u.moments), c).passed
+    assert [n_max for _, _, n_max in runs] == [10, 9]
+
+
+def test_the_division_chain_eliminates_and_builds_s_once(monkeypatch):
+    u, c, m0 = random_functional()
+    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
+    eliminations = counting(monkeypatch, composition, "geronimus_ul")
+    s_builds = counting(monkeypatch, composition, "geronimus_assoc_polys")
+    fresh = MomentFunctional(u.moments)
+    assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8, 8)] == want
+    assert len(eliminations) == len(s_builds) == 1
+
+
+def test_no_associated_functional_reads_moments_from_a_recurrence(monkeypatch, capsys):
+    # the producer goes through u^{-1}: the one moments_from_jacobi call
+    # left under coro1 and under pro6 is their perturbed second route
+    u, c, m0 = random_functional()
+    calls = [
+        counting(monkeypatch, module, "moments_from_jacobi")
+        for module in (associated, composition)
+    ]
+    stdin = serialize.dumps(serialize.moments_record(u))
+    for argv, want in (
+        (["transform", "associated", "--k", "2"], 0),
+        (["verify", "coro1", "--c=%s" % c], 1),
+        (["verify", "pro6", "--c=%s" % c, "--m0=%s" % m0], 1),
+    ):
+        for made in calls:
+            made.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert sum(map(len, calls)) == want, argv

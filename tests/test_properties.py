@@ -328,7 +328,10 @@ def test_inverse_producers_are_the_quadratic_ones_on_the_scaled_associated(drawn
     rc, u = drawn
     u0 = u.moments[0]
     n = rc.length - 4
-    w = associated_functional(rc, 1, -rc.a_at(1) / u0, 2 * rc.length - 3)
+    # w by the shifted recurrence, independent of the invert route that
+    # both associated_functional and the inverse producers take
+    shifted = rc.shifted(1)
+    w = moments_from_jacobi(jacobi_matrix(shifted, shifted.length), -rc.a_at(1) / u0, 2 * rc.length - 3)
     m0, m1 = 1 / u0, -rc.b_at(0) / u0
     try:
         want_rc = quadratic_recurrence(w, 0, m0, m1, n)
@@ -1171,7 +1174,63 @@ def test_an_associated_functional_fails_where_its_shifted_a_vanishes(drawn, k, n
     a = list(rc.a)
     a[k + level - 1] = rat(0)
     broken = RecurrenceCoefficients(rc.b, a)
-    w = associated_functional(broken, k, norm0, 2 * (broken.length - k) - 1)
-    assert_first_vanishing_minor(w, level)
     u = with_moments_of(broken, u)
+    w = associated_functional(u, k, norm0, u.order - 2 * k)
+    assert_first_vanishing_minor(w, level)
     assert_pipeline_fails_at(u, ["associated", "--k", str(k), "--norm=%s" % norm0], k + level)
+
+
+@given(
+    wide_recurrence_moments(min_order=6),
+    st.sampled_from(("raw", "christoffel", "geronimus")),
+    scalars,
+    wide_nonzero,
+    wide_nonzero,
+)
+def test_the_associated_functional_is_the_shifted_recurrence_route(drawn, kind, c, m0, norm0):
+    # "fu1" applied k times through u^{-1} gives exactly the moments of the
+    # recurrence shifted by k, on raw functionals and on their transforms
+    _, u = drawn
+    if kind == "christoffel":
+        u = fa.multiply_poly(u, X - c)
+    elif kind == "geronimus":
+        u = fa.geronimus(u, c, m0)
+    try:
+        rc, _ = smop_from_moments(u, u.order // 2)
+    except NotQuasiDefinite:
+        assume(False)
+    for k in range(1, min(3, rc.length - 1) + 1):
+        shifted = rc.shifted(k)
+        n = 2 * shifted.length - 1
+        want = moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm0, n)
+        assert associated_functional(u, k, norm0, n) == want
+
+
+@given(recurrence_moments(min_order=10), st.integers(1, 3), nonzero, st.data())
+def test_a_vanishing_a_j_below_the_level_is_a_typed_error_everywhere(drawn, k, norm0, data):
+    # step j of the producer starts from the (j-1)-st associated functional,
+    # whose x^2 w^{-1} has first moment -a_j: a_j = 0 with j <= k is u's
+    # first vanishing minor, raised as such and never as ZeroDivisionError;
+    # every CLI reader of the producer reports that level, with exit 1
+    rc, u = drawn
+    j = data.draw(st.integers(1, k))
+    a = list(rc.a)
+    a[j - 1] = rat(0)
+    u = with_moments_of(RecurrenceCoefficients(rc.b, a), u)
+    assert_first_vanishing_minor(u, j)
+    with pytest.raises(NotQuasiDefinite) as excinfo:
+        associated_functional(u, k, norm0, u.order - 2 * k)
+    assert (excinfo.value.level, excinfo.value.guard) == (j, "norm")
+    stdin = serialize.dumps(serialize.moments_record(u))
+    for argv in (
+        ["transform", "associated", "--k", str(k), "--norm=%s" % norm0],
+        ["verify", "coro1", "--c=%s" % (rc.b[0] + 1)],
+        ["verify", "pro6", "--n", "3"],
+        ["verify", "asociadosrepr", "--k", str(k), "--n", "3"],
+    ):
+        code, out = run_cli(argv, stdin)
+        payload = json.loads(out)
+        assert code == 1, argv
+        assert (payload["error"], payload["level"], payload["guard"]) == (
+            "NotQuasiDefinite", j, "norm"
+        ), argv
