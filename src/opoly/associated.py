@@ -25,7 +25,7 @@ from .orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import Polynomial, X
+from .poly import ONE_POLY, Polynomial, X
 from .rational import ZERO, ONE, Rational, rat
 from .reports import CheckReport
 
@@ -98,7 +98,8 @@ def assoc_representation_check(u, k, n):
         raise ValueError("need k >= 1 and n >= 1")
     depth = n + k - 1
     rc, _ = smop_from_moments(u, depth)
-    target = associated_polys(rc, k, n - 1)
+    # at n = 1 the target P^(k)_0 = 1 reads no shifted coefficient
+    target = associated_polys(rc, k, n - 1) if n > 1 else (ONE_POLY,)
     if k == 1:
         base_polys = polys_from_recurrence(rc, n)
         base_u = u

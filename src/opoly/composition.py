@@ -35,9 +35,10 @@ from .orthopoly import (
     polys_from_recurrence,
     recurrence_from_jacobi,
     smop_from_moments,
+    values_and_slopes,
 )
 from .poly import Polynomial, X
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
 
 
@@ -132,13 +133,13 @@ def christoffel_assoc_connection_check(u, c, n_max):
 
 def _connection(u, c, n_max, combo, tilde_u):
     rc, _ = smop_from_moments(u, n_max + 1)
-    base = polys_from_recurrence(rc, n_max + 1)
+    p, _, den = values_and_slopes(rc, c, n_max + 1)
     tilde_rc, _ = smop_from_moments(tilde_u, n_max)
     tilde_first = associated_polys(tilde_rc, 1, n_max - 1)
     for n in range(1, n_max + 1):
-        if base[n](c) == 0:
+        if p[n] == 0:
             raise ZeroPivot(n)
-        ratio = base[n + 1](c) / base[n](c)
+        ratio = Rational(p[n + 1] * den[n], den[n + 1] * p[n])
         if (X - c) * tilde_first[n - 1] != combo[n] - ratio * combo[n - 1]:
             return CheckReport.failing(
                 "christoffel-assoc-connection", n_max, {"level": n}, c=str(c)

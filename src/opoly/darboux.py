@@ -2,10 +2,11 @@
 
 Multiplying a functional by (x - c) corresponds to factoring J - cI into
 a unit lower bidiagonal times an upper bidiagonal and swapping the
-factors; dividing by (x - c) (with a free mass at c) runs the same
-elimination the other way around.  Both eliminations are exact; only the
-swapped product loses its bottom-right corner to truncation, which the
-margin bookkeeping records.
+factors; dividing by (x - c) (with a free mass at c) factors it the
+other way around.  Both read their pivots off values at c of the
+recurrence that `orthopoly` forms on integers, so neither runs an
+elimination of its own; only the swapped product loses its bottom-right
+corner to truncation, which the margin bookkeeping records.
 """
 
 from . import functional as fa
@@ -14,42 +15,36 @@ from .matrices import UnitLowerBidiagonal, UpperBidiagonal
 from .orthopoly import (
     RecurrenceCoefficients,
     jacobi_matrix,
+    kernel_values,
     polys_from_recurrence,
     recurrence_from_jacobi,
     smop_from_moments,
+    values_and_slopes,
 )
 from .poly import X
-from .rational import rat
+from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
-
-
-def _jacobi_data(j):
-    rc = recurrence_from_jacobi(j)
-    return rc.b, rc.a
 
 
 def christoffel_lu(j, c):
     """Factor J - cI = L U and swap: returns (L, U, transformed Jacobi).
 
-    The pivots are beta_n = -P_{n+1}(c)/P_n(c); a vanishing pivot means c
-    is a zero of some P_{n+1} and raises ZeroPivot(n).  The transformed
-    matrix is assembled entrywise from the factors, so all of its size-1
-    entries are exact despite the swapped product's corrupt corner.
+    The pivots are read off the values at c of J's recurrence
+    (`values_and_slopes`): beta_n = -P_{n+1}(c)/P_n(c) and
+    ell_n = a_n/beta_{n-1} = -a_n P_{n-1}(c)/P_n(c).  A vanishing pivot
+    means c is a zero of some P_{n+1}, and the first such n raises
+    ZeroPivot(n).  The transformed matrix is assembled entrywise from
+    the factors, so all of its size-1 entries are exact despite the
+    swapped product's corrupt corner.
     """
     c = rat(c)
-    b, a = _jacobi_data(j)
+    rc = recurrence_from_jacobi(j)
     n = j.size
-    betas = [b[0] - c]
-    ells = []
-    if betas[0] == 0:
-        raise ZeroPivot(0)
-    for k in range(1, n):
-        ell = a[k - 1] / betas[k - 1]
-        ells.append(ell)
-        beta = b[k] - c - ell
-        betas.append(beta)
-        if beta == 0:
-            raise ZeroPivot(k)
+    p, _, den = values_and_slopes(rc, c, n)
+    if 0 in p:
+        raise ZeroPivot(p.index(0) - 1)
+    betas = [Rational(-p[k + 1] * den[k], den[k + 1] * p[k]) for k in range(n)]
+    ells = [a / beta for a, beta in zip(rc.a, betas)]
     new_b = tuple(betas[k] + ells[k] + c for k in range(n - 1))
     new_a = tuple(betas[k] * ells[k - 1] for k in range(1, n - 1))
     transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n - 1)
@@ -60,25 +55,25 @@ def geronimus_ul(j, c, beta0):
     """Factor J - cI = U L with prescribed corner beta_0 and swap.
 
     beta_0 = v_0 / vhat_0 encodes the free mass of the inverse transform;
-    beta_0 = 0 makes the elimination undefined (DegenerateParameter), and
-    a vanishing ell_n pivot raises ZeroPivot(n).  The swapped product
-    L U is exact on the full truncation, so the transformed Jacobi matrix
-    keeps the original size.
+    beta_0 = 0 makes the elimination undefined (DegenerateParameter).
+    The pivots are ratios of the kernel values
+    Z_n = P_n(c) + beta_0 P^(1)_{n-1}(c) of J's recurrence
+    (`kernel_values`): ell_n = -Z_n/Z_{n-1} and
+    beta_n = a_n/ell_n = -a_n Z_{n-1}/Z_n, and the first vanishing Z_n
+    raises ZeroPivot(n).  The swapped product L U is exact on the full
+    truncation, so the transformed Jacobi matrix keeps the original size.
     """
     c = rat(c)
     beta0 = rat(beta0)
     if beta0 == 0:
         raise DegenerateParameter("beta_0 = 0 leaves the elimination undefined")
-    b, a = _jacobi_data(j)
+    rc = recurrence_from_jacobi(j)
     n = j.size
-    betas = [beta0]
-    ells = []
-    for k in range(1, n):
-        ell = b[k - 1] - c - betas[k - 1]
-        if ell == 0:
-            raise ZeroPivot(k)
-        ells.append(ell)
-        betas.append(a[k - 1] / ell)
+    z, _, den = kernel_values(rc, c, ONE, beta0, ZERO, n - 1)
+    if 0 in z:
+        raise ZeroPivot(z.index(0))
+    ells = [Rational(-z[k] * den[k - 1], den[k] * z[k - 1]) for k in range(1, n)]
+    betas = [beta0] + [a / ell for a, ell in zip(rc.a, ells)]
     new_b = [betas[0] + c] + [betas[k] + ells[k - 1] + c for k in range(1, n)]
     new_a = [ells[k - 1] * betas[k - 1] for k in range(1, n)]
     transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n)

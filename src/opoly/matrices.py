@@ -512,9 +512,9 @@ class UnitLowerTriband:
         self.size = size
 
     def to_band(self):
-        return BandMatrix(
-            self.size, {0: (ONE,) * self.size, -1: self.sub1, -2: self.sub2}
-        )
+        # the second subdiagonal fits from size 3 on
+        second = {-2: self.sub2} if self.size > 2 else {}
+        return BandMatrix(self.size, {0: (ONE,) * self.size, -1: self.sub1, **second})
 
 
 class UpperTriband:
@@ -530,6 +530,6 @@ class UpperTriband:
         self.size = size
 
     def to_band(self):
-        return BandMatrix(
-            self.size, {0: self.diag, 1: self.super1, 2: (ONE,) * (self.size - 2)}
-        )
+        # the second superdiagonal fits from size 3 on
+        second = {2: (ONE,) * (self.size - 2)} if self.size > 2 else {}
+        return BandMatrix(self.size, {0: self.diag, 1: self.super1, **second})

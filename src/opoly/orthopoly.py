@@ -304,6 +304,38 @@ def values_and_slopes(rc, c, n):
     return p, dp, den
 
 
+def kernel_values(rc, c, weight, mass, tilt, n):
+    """The kernel combination Z_m = weight P_m + mass P^(1)_{m-1} at c, m = 0..n.
+
+    Returns integer lists (z, t, den): Z_m(c) = z[m] / den[m] and
+    Z_m'(c) + tilt P_m(c) = t[m] / den[m], with P^(1)_{-1} = 0.  Each
+    level brings the `values_and_slopes` of rc and of rc.shifted(1) over
+    the lcm of their denominators.  The UL pivots are ratios of Z with
+    weight 1 and mass beta_0 (`darboux.geronimus_ul`); the division by
+    (x - c)^2 reads S_n(c) and T_n(c) from weight m1 - c m0, mass u_0 and
+    tilt m0 (`quadratic._division`).
+    """
+    weight, mass, tilt = rat(weight), rat(mass), rat(tilt)
+    p, dp, p_den = values_and_slopes(rc, c, n)
+    q, dq, q_den = values_and_slopes(rc.shifted(1), c, n - 1) if n else ([], [], [])
+    q, dq, q_den = [0] + q, [0] + dq, [1] + q_den
+    # weight = w / g and tilt = m / g
+    g = lcm(weight.denominator, tilt.denominator)
+    w = weight.numerator * (g // weight.denominator)
+    m = tilt.numerator * (g // tilt.denominator)
+    z, t, den = [], [], []
+    for k in range(n + 1):
+        left = g * p_den[k]
+        right = mass.denominator * q_den[k]
+        common = lcm(left, right)
+        f_left = common // left
+        f_right = common // right * mass.numerator
+        z.append(f_left * w * p[k] + f_right * q[k])
+        t.append(f_left * (w * dp[k] + m * p[k]) + f_right * dq[k])
+        den.append(common)
+    return z, t, den
+
+
 def jacobi_matrix(rc, size):
     """Monic Jacobi truncation: diagonal b, subdiagonal a, unit superdiagonal.
 

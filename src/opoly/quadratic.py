@@ -11,8 +11,6 @@ first-associated and inverse SMOPs.  The Wronskian and moment routes
 live only in the checks.
 """
 
-from math import lcm
-
 from . import functional as fa
 from .associated import (
     inverse_connection,
@@ -36,9 +34,9 @@ from .matrices import (
 from .orthopoly import (
     OrthogonalSystem,
     jacobi_matrix,
+    kernel_values,
     polys_from_recurrence,
     smop_from_moments,
-    values_and_slopes,
 )
 from .poly import X, wronskians_at
 from .rational import ZERO, rat
@@ -49,9 +47,9 @@ def _division(u, c, m0, m1, n_max):
     """`quadratic_kernel` for (x - c)^2 v = u with v_0 = m0 and v_1 = m1.
 
     S_n(c) = (m1 - c m0) P_n(c) + u_0 P^(1)_{n-1}(c) and
-    T_n = S_n'(c) + m0 P_n(c) come from the values and slopes at c of the
-    base and first-associated recurrences, each level brought over the
-    lcm of its two denominators with integer factors.
+    T_n = S_n'(c) + m0 P_n(c), n = 0..n_max, are the kernel values at c
+    of u's recurrence (`orthopoly.kernel_values`), integers over one
+    denominator per level.
     """
     c = rat(c)
     m0 = rat(m0)
@@ -60,24 +58,7 @@ def _division(u, c, m0, m1, n_max):
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
     u0 = u.moment(0)
     rc, _ = smop_from_moments(u, n_max + 1)
-    p, dp, p_den = values_and_slopes(rc, c, n_max)
-    q, dq, q_den = values_and_slopes(rc.shifted(1), c, n_max - 1)
-    q, dq, q_den = [0] + q, [0] + dq, [1] + q_den
-    weight = m1 - c * m0
-    # weight = w / g and m0 = m / g
-    g = lcm(weight.denominator, m0.denominator)
-    w = weight.numerator * (g // weight.denominator)
-    m = m0.numerator * (g // m0.denominator)
-    s, t, den = [], [], []
-    for n in range(n_max + 1):
-        left = g * p_den[n]
-        right = u0.denominator * q_den[n]
-        common = lcm(left, right)
-        f_left = common // left
-        f_right = common // right * u0.numerator
-        s.append(f_left * w * p[n] + f_right * q[n])
-        t.append(f_left * (w * dp[n] + m * p[n]) + f_right * dq[n])
-        den.append(common)
+    s, t, den = kernel_values(rc, c, m1 - c * m0, u0, m0, n_max)
     return quadratic_kernel(rc, u0, c, m0, m1, s, t, den, n_max)
 
 
@@ -180,14 +161,22 @@ def _triband_failure(base, q_polys, lower, upper, c):
 def _squares_failure(parts, left, right, lower, upper):
     """Where left^2 = U L or right^2 = L U first fails on its reliable block, or None.
 
-    `parts` names the two identities for the failure record.
+    U L is compared on the leading size - 2 block and L U on size - 1,
+    the blocks the passing records report: a row of a truncated product
+    is exact when its left factor reaches no column past the size, and
+    U reaches two columns past the diagonal, a Jacobi matrix one.  The
+    margins cannot give these blocks, since at size 2 the second
+    off-diagonals of L and U are cut off and count as zero.  `parts`
+    names the two identities for the failure record.
     """
+    size = lower.size
     l_band = lower.to_band()
     u_band = upper.to_band()
-    for part, m, product in zip(parts, (left, right), ((u_band, l_band), (l_band, u_band))):
+    for part, m, product, block in zip(
+        parts, (left, right), ((u_band, l_band), (l_band, u_band)), (size - 2, size - 1)
+    ):
         square = mat_power(m, 2)
         swapped = mat_multiply(*product)
-        block = common_reliable(square, swapped)
         if not equal_on_block(square, swapped, block):
             return {"part": part, "block": first_block_mismatch(square, swapped, block)}
     return None

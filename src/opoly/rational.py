@@ -1,36 +1,16 @@
-"""Exact rational scalars with a selectable backend.
+"""Exact rational scalars: the standard library's fractions.Fraction.
 
-gmpy2's mpq is used when it is importable (C-accelerated big rationals);
-otherwise fractions.Fraction.  The environment variable
-OPOLY_RATIONAL_BACKEND forces the choice: "gmpy2", "fraction", or "auto"
-(the default).  Both backends canonicalise sign and gcd, print as "p/q"
-or "p", and expose .numerator/.denominator, so everything above this
-module is backend-agnostic.
+Fraction canonicalises sign and gcd, prints as "p/q" or "p", and
+exposes the .numerator/.denominator that the integer kernels read.
+BACKEND names the scalar type for benchmark records.
 """
 
-import os
 import re
 from fractions import Fraction
 from math import lcm
 
-_requested = os.environ.get("OPOLY_RATIONAL_BACKEND", "auto").strip().lower()
-
-if _requested in ("auto", "gmpy2", ""):
-    try:
-        from gmpy2 import mpq as Rational
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise ImportError(
-                "OPOLY_RATIONAL_BACKEND=gmpy2 was requested but gmpy2 is not installed"
-            )
-        Rational = Fraction
-        BACKEND = "fraction"
-elif _requested in ("fraction", "fractions", "python"):
-    Rational = Fraction
-    BACKEND = "fraction"
-else:
-    raise ValueError("unknown OPOLY_RATIONAL_BACKEND value: %r" % _requested)
+Rational = Fraction
+BACKEND = "fraction"
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -73,7 +53,7 @@ def rat(p=0, q=None):
 
 def rat_str(x):
     """Canonical string form: 'p/q' with q > 0 and gcd(p,q)=1, or 'p'."""
-    return str(Rational(x) if not isinstance(x, type(ONE)) else x)
+    return str(x if isinstance(x, Rational) else Rational(x))
 
 
 def is_zero(x):
@@ -83,8 +63,7 @@ def is_zero(x):
 def common_denominator(values):
     """Integers (n_0, ...) and the least den > 0 with values[i] = n_i / den.
 
-    Reads only .numerator and .denominator, so the integer kernels built on
-    it run the same over either backend; `Rational(n_i, den)` goes back.
+    Reads only .numerator and .denominator; `Rational(n_i, den)` goes back.
     """
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

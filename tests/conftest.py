@@ -5,7 +5,8 @@ references for the property tests: the Chebyshev and inverse loops, the
 polynomial with one Fraction per coefficient, the recurrence run on it,
 division by (x - c)^m through long division, the matrix product with
 one Fraction per multiply-add, and the values, slopes and quadratic
-kernel with one Fraction per operation; and the certificate kernels
+kernel with one Fraction per operation, the LU and UL eliminations
+that the values at c replaced; and the certificate kernels
 that read one entry or one coefficient at a time: the shift, power,
 block comparison and forward substitution of the matrices, the series
 product, the product of a functional by a polynomial and the divided
@@ -16,10 +17,28 @@ from pathlib import Path
 
 from opoly import functional as fa
 from opoly.associated import Division
-from opoly.errors import NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
+from opoly.errors import (
+    DegenerateParameter,
+    NotQuasiDefinite,
+    TruncationExhausted,
+    ZeroFirstMoment,
+    ZeroPivot,
+)
 from opoly.functional import MomentFunctional
-from opoly.matrices import DenseMatrix, identity, mat_scale, mat_sub
-from opoly.orthopoly import OrthogonalSystem, RecurrenceCoefficients
+from opoly.matrices import (
+    DenseMatrix,
+    UnitLowerBidiagonal,
+    UpperBidiagonal,
+    identity,
+    mat_scale,
+    mat_sub,
+)
+from opoly.orthopoly import (
+    OrthogonalSystem,
+    RecurrenceCoefficients,
+    jacobi_matrix,
+    recurrence_from_jacobi,
+)
 from opoly.poly import ONE_POLY, Polynomial, X
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
@@ -376,6 +395,54 @@ def values_and_slopes_reference(rc, c, n):
         p.append(value)
         dp.append(slope)
     return p, dp
+
+
+def christoffel_lu_reference(j, c):
+    """`darboux.christoffel_lu` as the forward elimination it replaced: beta_0 =
+    b_0 - c, ell_k = a_k/beta_{k-1}, beta_k = b_k - c - ell_k, one rational
+    per operation, ZeroPivot(k) at the first beta_k = 0."""
+    c = rat(c)
+    rc = recurrence_from_jacobi(j)
+    b, a, n = rc.b, rc.a, j.size
+    betas = [b[0] - c]
+    ells = []
+    if betas[0] == 0:
+        raise ZeroPivot(0)
+    for k in range(1, n):
+        ell = a[k - 1] / betas[k - 1]
+        ells.append(ell)
+        beta = b[k] - c - ell
+        betas.append(beta)
+        if beta == 0:
+            raise ZeroPivot(k)
+    new_b = tuple(betas[k] + ells[k] + c for k in range(n - 1))
+    new_a = tuple(betas[k] * ells[k - 1] for k in range(1, n - 1))
+    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n - 1)
+    return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
+
+
+def geronimus_ul_reference(j, c, beta0):
+    """`darboux.geronimus_ul` as the elimination it replaced: ell_k = b_{k-1} -
+    c - beta_{k-1}, beta_k = a_k/ell_k from the prescribed beta_0, one
+    rational per operation, ZeroPivot(k) at the first ell_k = 0."""
+    c = rat(c)
+    beta0 = rat(beta0)
+    if beta0 == 0:
+        raise DegenerateParameter("beta_0 = 0 leaves the elimination undefined")
+    rc = recurrence_from_jacobi(j)
+    b, a, n = rc.b, rc.a, j.size
+    betas = [beta0]
+    ells = []
+    for k in range(1, n):
+        ell = b[k - 1] - c - betas[k - 1]
+        if ell == 0:
+            raise ZeroPivot(k)
+        ells.append(ell)
+        betas.append(a[k - 1] / ell)
+    new_b = [betas[0] + c] + [betas[k] + ells[k - 1] + c for k in range(1, n)]
+    new_a = [ells[k - 1] * betas[k - 1] for k in range(1, n)]
+    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n)
+    return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
 def quadratic_kernel_reference(rc, w0, c, m0, m1, s, t, n_max):

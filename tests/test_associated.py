@@ -99,6 +99,14 @@ def test_representation_and_linear_combination_checks_pass():
     assert linear_combination_check(lag, 3, 8).passed
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_representation_check_at_degree_one_reads_no_shifted_coefficient(k):
+    # the target P^(k)_0 = 1 needs none of the k shifted coefficients
+    for u in (families.chebyshev_t(24), families.chebyshev_u(24), families.laguerre(1, 24)):
+        report = assoc_representation_check(u, k, 1)
+        assert report.passed and report.max_level == 1
+
+
 def test_corecursive_two_routes_agree():
     rc = families.laguerre_recurrence(rat(1, 2), 8)
     assert corecursive_two_route_check(rc, rat(-2, 3), 7).passed

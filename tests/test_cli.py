@@ -648,6 +648,36 @@ def test_verify_range_errors_are_usage_errors(monkeypatch, capsys, argv, message
     assert message in err
 
 
+FAMILIES = ("chebyshev-t", "chebyshev-u", "laguerre")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_prop_lu_inversa_at_its_least_n(monkeypatch, capsys, family):
+    code, out, err = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", "propLUinversa", "--n", "2", "--family", family, "--c", "1/3"],
+    )
+    assert code == 0 and err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    assert (check["details"]["ul_block"], check["details"]["lu_block"]) == (0, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_verify_asociadosrepr_at_n_1(monkeypatch, capsys, family, k):
+    code, out, err = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", "asociadosrepr", "--k", k, "--n", "1", "--family", family],
+    )
+    assert code == 0 and err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    assert check["details"]["k"] == int(k)
+
+
 @pytest.mark.parametrize("name", ["gero1", "gero2", "pro6", "geronimus+assoc"])
 def test_verify_zero_mass_is_a_typed_error(monkeypatch, capsys, name):
     code, out, _ = invoke(

@@ -2,6 +2,7 @@
 
 import io
 import sys
+from collections import Counter
 
 import pytest
 
@@ -236,6 +237,21 @@ def test_the_division_chain_eliminates_and_builds_s_once(monkeypatch):
     fresh = MomentFunctional(u.moments)
     assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8, 8)] == want
     assert len(eliminations) == len(s_builds) == 1
+
+
+def test_verify_christoffel_assoc_builds_each_polynomial_sequence_once(monkeypatch, capsys):
+    # P_0..P_{n+1} of u is built once, for R_n; the connection check reads
+    # its ratios P_{n+1}(c)/P_n(c) off the values at c instead
+    builds = [
+        counting(monkeypatch, module, "polys_from_recurrence")
+        for module in (orthopoly, associated, composition)
+    ]
+    argv = ["verify", "christoffel+assoc", "--family", "laguerre", "--c=-1/3", "--n", "8"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    made = Counter(call for calls in builds for call in calls)
+    assert max(made.values()) == 1
+    assert any(n_max == 9 for _, n_max in made)
 
 
 def test_no_associated_functional_reads_moments_from_a_recurrence(monkeypatch, capsys):

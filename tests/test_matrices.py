@@ -234,6 +234,14 @@ def test_structured_factors_expose_their_entries():
     assert tri_up.to_band().entry(1, 3) == 1
 
 
+def test_tri_band_factors_at_size_two_leave_out_the_second_off_diagonal():
+    lower = UnitLowerTriband(2, (3,), ()).to_band()
+    upper = UpperTriband(2, (1, 2), (5,)).to_band()
+    assert sorted(lower.diagonals) == [-1, 0]
+    assert sorted(upper.diagonals) == [0, 1]
+    assert lower.entry(1, 0) == 3 and upper.entry(0, 1) == 5
+
+
 def test_band_from_entries_clips_to_valid_offsets():
     m = band_from_entries(3, -5, 5, lambda i, j: rat(i + j))
     assert m.entry(2, 0) == 2

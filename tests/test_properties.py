@@ -10,11 +10,13 @@ import pytest
 from conftest import (
     FractionPolynomial,
     chebyshev_reference,
+    christoffel_lu_reference,
     divide_power_reference,
     divided_difference_reference,
     equal_on_block_reference,
     fraction_derivatives_at,
     fraction_wronskian,
+    geronimus_ul_reference,
     gram_schmidt,
     invert_reference,
     linear_power,
@@ -46,7 +48,7 @@ from opoly.associated import (
 )
 from opoly.cli import main
 from opoly.darboux import christoffel_lu, geronimus_ul
-from opoly.errors import NotQuasiDefinite, ZeroPivot
+from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
@@ -64,6 +66,7 @@ from opoly.orthopoly import (
     RecurrenceCoefficients,
     hankel_minor,
     jacobi_matrix,
+    kernel_values,
     moments_from_jacobi,
     polys_from_recurrence,
     smop_from_moments,
@@ -741,6 +744,97 @@ def test_the_division_producers_match_the_rational_kernel(drawn, c, m0, m1):
 
     same_kernel_or_error(lambda: inverse_kernel(u, n), inverse_reference)
     same_kernel_or_error(lambda: quadratic._division(u, c, m0, m1, n), division_reference)
+
+
+@given(wide_recurrence_moments(), scalars, scalars, scalars, scalars, st.data())
+def test_kernel_values_combine_the_rational_values_and_slopes(drawn, c, weight, mass, tilt, data):
+    rc, _ = drawn
+    n = data.draw(st.integers(0, rc.length))
+    z, t, den = kernel_values(rc, c, weight, mass, tilt, n)
+    p, dp = values_and_slopes_reference(rc, c, n)
+    q, dq = values_and_slopes_reference(rc.shifted(1), c, n - 1) if n else ([], [])
+    q, dq = [0] + q, [0] + dq
+    assert [Rational(x, d) for x, d in zip(z, den)] == [
+        weight * p[k] + mass * q[k] for k in range(n + 1)
+    ]
+    assert [Rational(x, d) for x, d in zip(t, den)] == [
+        weight * dp[k] + mass * dq[k] + tilt * p[k] for k in range(n + 1)
+    ]
+
+
+# -- the LU and UL factors read off the values at c, against the
+# eliminations they replaced
+
+def same_factors_or_error(got, want):
+    """Both calls give the same L, U and transformed Jacobi matrix, or both
+    raise ZeroPivot at the same index, or both DegenerateParameter."""
+    try:
+        expected = want()
+    except ZeroPivot as exc:
+        with pytest.raises(ZeroPivot) as excinfo:
+            got()
+        assert excinfo.value.index == exc.index
+        return
+    except DegenerateParameter:
+        with pytest.raises(DegenerateParameter):
+            got()
+        return
+    lower, upper, transformed = got()
+    assert lower.sub == expected[0].sub
+    assert upper.diag == expected[1].diag
+    assert transformed == expected[2]
+    assert transformed.margin == expected[2].margin == 0
+
+
+@given(wide_recurrence_moments(), scalars, st.data())
+def test_the_lu_factors_match_the_elimination(drawn, c, data):
+    rc, _ = drawn
+    j = jacobi_matrix(rc, data.draw(st.integers(2, rc.length)))
+    same_factors_or_error(lambda: christoffel_lu(j, c), lambda: christoffel_lu_reference(j, c))
+
+
+@given(wide_recurrence_moments(), scalars, st.one_of(st.just(rat(0)), wide_nonzero), st.data())
+def test_the_ul_factors_match_the_elimination(drawn, c, beta0, data):
+    # beta_0 = 0 must be DegenerateParameter on both routes
+    rc, _ = drawn
+    j = jacobi_matrix(rc, data.draw(st.integers(1, rc.length)))
+    same_factors_or_error(
+        lambda: geronimus_ul(j, c, beta0), lambda: geronimus_ul_reference(j, c, beta0)
+    )
+
+
+@given(wide_recurrence_moments(), scalars, st.data())
+def test_a_zero_of_p_k_plus_1_stops_both_lu_routes_at_k(drawn, c, data):
+    # P_{k+1}(c) = (c - b_k) P_k(c) - a_k P_{k-1}(c) is affine in b_k
+    rc, _ = drawn
+    level = data.draw(st.integers(0, rc.length - 1))
+    p, _ = values_and_slopes_reference(rc, c, level)
+    assume(all(p))
+    b = list(rc.b)
+    b[level] = c - (rc.a_at(level) * p[level - 1] / p[level] if level else 0)
+    rc = RecurrenceCoefficients(b, rc.a)
+    j = jacobi_matrix(rc, data.draw(st.integers(level + 1, rc.length)))
+    for route in (christoffel_lu, christoffel_lu_reference):
+        with pytest.raises(ZeroPivot) as excinfo:
+            route(j, c)
+        assert excinfo.value.index == level
+
+
+@given(wide_recurrence_moments(), scalars, st.data())
+def test_a_corner_that_zeroes_z_k_stops_both_ul_routes_at_k(drawn, c, data):
+    # Z_k = P_k(c) + beta_0 P^(1)_{k-1}(c) is affine in beta_0
+    rc, _ = drawn
+    level = data.draw(st.integers(1, rc.length - 1))
+    p, _ = values_and_slopes_reference(rc, c, level)
+    q, _ = values_and_slopes_reference(rc.shifted(1), c, level - 1)
+    assume(q[level - 1] != 0 and p[level] != 0)
+    beta0 = -p[level] / q[level - 1]
+    assume(all(p[k] + beta0 * q[k - 1] for k in range(1, level)))
+    j = jacobi_matrix(rc, data.draw(st.integers(level + 1, rc.length)))
+    for route in (geronimus_ul, geronimus_ul_reference):
+        with pytest.raises(ZeroPivot) as excinfo:
+            route(j, c, beta0)
+        assert excinfo.value.index == level
 
 
 # -- Polynomial on integer numerators over one denominator, against the

@@ -160,6 +160,15 @@ def test_factorization_check_passes_and_reports_blocks():
         assert report.details["lu_block"] == 7
 
 
+def test_factorization_check_at_size_two_compares_the_blocks_it_reports():
+    # at size 2 the truncation cuts off the second off-diagonals of L and
+    # U, so U L is certified on no block and L U on the leading entry
+    for u, c, m0, m1 in PARAMS:
+        report = quadratic_factorization_check(u, c, m0, m1, 2)
+        assert report.passed
+        assert (report.details["ul_block"], report.details["lu_block"]) == (0, 1)
+
+
 def test_factorization_structure():
     u, c, m0, m1 = PARAMS[0]
     lower, upper = quadratic_factorization(u, c, m0, m1, 8)

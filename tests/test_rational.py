@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, canonical strings, backend choice."""
+"""Exact rational scalars: parsing, canonical strings, the one scalar type."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from opoly.rational import BACKEND, ONE, ZERO, is_zero, parse_rational, rat, rat
 
 
 def test_backend_is_a_known_choice():
-    assert BACKEND in ("gmpy2", "fraction")
+    # Fraction is the only scalar type; perfbench records its name
+    assert BACKEND == "fraction"
 
 
 def test_rat_from_ints_and_pairs():
