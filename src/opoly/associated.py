@@ -128,8 +128,9 @@ def linear_combination_check(u, k, n):
         raise ValueError("need 1 <= k <= n")
     rc, _ = smop_from_moments(u, n)
     base = polys_from_recurrence(rc, n)
-    first = associated_polys(rc, 1, n - 1)
-    kth = associated_polys(rc, k, n - k)
+    # P^(j)_0 = 1 reads no shifted coefficient (n = 1 for j = 1, n = k for j = k)
+    first = associated_polys(rc, 1, n - 1) if n > 1 else (ONE_POLY,)
+    kth = associated_polys(rc, k, n - k) if n > k else (ONE_POLY,)
     prod = ONE
     for m in range(1, k):
         prod *= rc.a_at(m)
@@ -148,21 +149,6 @@ def linear_combination_check(u, k, n):
 def corecursive_polys(rc, alpha, n_max):
     """SMOP of the recurrence with b_0 perturbed by alpha."""
     return polys_from_recurrence(rc.corecursive(alpha), n_max)
-
-
-def corecursive_two_route_check(rc, alpha, n_max):
-    """Perturbed recurrence vs the subtraction formula P_n - alpha * P^(1)_{n-1}."""
-    alpha = rat(alpha)
-    routed = corecursive_polys(rc, alpha, n_max)
-    base = polys_from_recurrence(rc, n_max)
-    first = associated_polys(rc, 1, n_max - 1)
-    for n in range(n_max + 1):
-        rhs = base[n] - (alpha * first[n - 1] if n >= 1 else Polynomial())
-        if routed[n] != rhs:
-            return CheckReport.failing(
-                "co-recursive-routes", n_max, {"level": n, "alpha": str(alpha)}
-            )
-    return CheckReport.passing("co-recursive-routes", n_max)
 
 
 def corecursive_functional(u, alpha, norm0=None):

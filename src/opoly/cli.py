@@ -66,12 +66,6 @@ from .stieltjes import (
     pade_approximation_check,
 )
 
-FAMILY_BUILDERS = {
-    "chebyshev-u": lambda alpha, order: families.chebyshev_u(order),
-    "chebyshev-t": lambda alpha, order: families.chebyshev_t(order),
-    "laguerre": lambda alpha, order: families.laguerre(alpha, order),
-}
-
 DEFAULT_ORDER = 24
 
 
@@ -136,13 +130,13 @@ def read_functional(stream):
 
 
 def build_family(name, alpha, order):
-    if name not in FAMILY_BUILDERS:
+    if name not in families.FAMILIES:
         raise UsageError(
-            "unknown family %r (choose from %s)" % (name, ", ".join(sorted(FAMILY_BUILDERS)))
+            "unknown family %r (choose from %s)" % (name, ", ".join(sorted(families.FAMILIES)))
         )
     checked_size(order, "order")
     try:
-        return FAMILY_BUILDERS[name](alpha, order)
+        return families.FAMILIES[name].moments(alpha, order)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -197,7 +191,7 @@ def error_payload(exc):
 # -- subcommand handlers -------------------------------------------------
 
 def cmd_moments(args):
-    if args.source in FAMILY_BUILDERS:
+    if args.source in families.FAMILIES:
         alpha = parse_param(args.alpha, "--alpha")
         u = build_family(args.source, alpha, args.order)
     else:
@@ -411,6 +405,7 @@ IDENTITIES = {
     "pro6": Identity(
         "the transformed functional's first-associated is a multiplication transform of the perturbed one, with matching shifted factors",
         lambda u, p: [geronimus_assoc_factor_check(u, p["c"], p["m0"], p["n"])],
+        least_n=2,
     ),
     "asociadosrepr": Identity(
         "each associated polynomial is a divided difference of the previous associated level",
@@ -423,11 +418,13 @@ IDENTITIES = {
     "christoffel+assoc": Identity(
         "the full multiplication-side interplay bundle",
         lambda u, p: christoffel_assoc_chain(u, p["c"], p["n"], p["n"]),
+        least_n=2,
         chain=True,
     ),
     "geronimus+assoc": Identity(
         "the full division-side interplay bundle",
         lambda u, p: geronimus_assoc_chain(u, p["c"], p["m0"], p["n"], p["n"]),
+        least_n=2,
         chain=True,
     ),
 }
@@ -487,129 +484,76 @@ def cmd_verify(args):
     return all(r.passed for r in reports)
 
 
-def _table_check(identity, rows):
-    """rows: iterable of (index, got, want); exact comparison."""
-    rows = list(rows)
+def _table_check(table, columns):
+    """Each column of (n, value) against its closed form want(n), exactly."""
+    rows = [
+        (n, got, want(n))
+        for column, want in zip(columns, table.wants, strict=True)
+        for n, got in column
+    ]
     top = rows[-1][0] if rows else 0
     for idx, got, want in rows:
         if got != want:
             return CheckReport.failing(
-                identity,
+                table.name,
                 top,
                 {"level": idx, "got": rat_str(got), "want": rat_str(want)},
             )
-    return CheckReport.passing(identity, top)
+    return CheckReport.passing(table.name, top)
+
+
+def _factor_columns(lower, upper, transformed):
+    """The pivots beta_n from n = 0 and the lower entries ell_n from n = 1."""
+    return [enumerate(upper.diag), enumerate(lower.sub, 1)]
+
+
+# the library route of each family table (`families.Table`), by its name:
+# route(kernel, rc, system, table) gives one column of (n, value) per
+# closed form of the table, from u's inverse kernel to depth order/2 - 1
+# and u's recurrence and SMOP to depth order/2
+ROUTES = {
+    "b-minus-table": lambda kernel, rc, system, table: [enumerate(kernel.recurrence.b)],
+    "a-minus-table": lambda kernel, rc, system, table: [enumerate(kernel.recurrence.a, 1)],
+    "d-star-table": lambda kernel, rc, system, table: [kernel.d_star.items()],
+    "alpha1-table": lambda kernel, rc, system, table: [kernel.alpha1.items()],
+    "alpha2-table": lambda kernel, rc, system, table: [kernel.alpha2.items()],
+    "kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
+        *christoffel_lu(jacobi_matrix(rc, rc.length), *table.params)
+    ),
+    "inverse-kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
+        *geronimus_ul(jacobi_matrix(rc, rc.length), *table.params)
+    ),
+    "value-at-zero-table": lambda kernel, rc, system, table: [
+        enumerate(p(0) for p in system.polys),
+        enumerate(p.derivative()(0) for p in system.polys),
+    ],
+    "assoc-value-at-zero-table": lambda kernel, rc, system, table: [
+        enumerate(p(0) for p in associated_polys(rc, 1, rc.length - 1))
+    ],
+}
 
 
 def family_reproduction(name, alpha, order):
-    """Inverse-transform tables and factorization instances for one family,
-    each compared against its frozen closed form."""
+    """A family's closed-form tables (`families.FAMILIES`), each compared
+    against the library route of the same name."""
     u = build_family(name, alpha, order)
-    n_max = order // 2 - 1
-    # one kernel gives all four tables; their closed forms check it
-    kernel = inverse_kernel(u, n_max)
-    rc_inv, alpha1, alpha2, d_star = kernel.recurrence, kernel.alpha1, kernel.alpha2, kernel.d_star
-
-    if name == "chebyshev-u":
-        want_b = [families.chebyshev_u_inverse_b(n) for n in range(n_max)]
-        want_a = [families.chebyshev_u_inverse_a(n) for n in range(1, n_max)]
-        want_d = [families.chebyshev_u_d_star(n) for n in range(1, n_max + 2)]
-        want_a1 = [rat(0)] * n_max
-        want_a2 = [families.chebyshev_u_alpha2(n) for n in range(2, n_max + 1)]
-    elif name == "chebyshev-t":
-        want_b = [families.chebyshev_t_inverse_b(n) for n in range(n_max)]
-        want_a = [families.chebyshev_t_inverse_a(n) for n in range(1, n_max)]
-        want_d = [families.chebyshev_t_d_star(n) for n in range(1, n_max + 2)]
-        want_a1 = [rat(0)] * n_max
-        want_a2 = [families.chebyshev_t_alpha2(n) for n in range(2, n_max + 1)]
-    else:
-        want_b = [families.laguerre_inverse_b(alpha, n) for n in range(n_max)]
-        want_a = [families.laguerre_inverse_a(alpha, n) for n in range(1, n_max)]
-        want_d = [families.laguerre_d_star(alpha, n) for n in range(1, n_max + 2)]
-        want_a1 = [families.laguerre_inverse_alpha1(alpha, n) for n in range(1, n_max + 1)]
-        want_a2 = [families.laguerre_inverse_alpha2(alpha, n) for n in range(2, n_max + 1)]
-
+    # one kernel gives the inverse tables; their closed forms check it
+    kernel = inverse_kernel(u, order // 2 - 1)
+    rc, system = smop_from_moments(u, order // 2)
     checks = [
-        _table_check("b-minus-table", [(n, rc_inv.b[n], want_b[n]) for n in range(n_max)]),
-        _table_check(
-            "a-minus-table", [(n, rc_inv.a[n - 1], want_a[n - 1]) for n in range(1, n_max)]
-        ),
-        _table_check(
-            "d-star-table", [(n, d_star[n], want_d[n - 1]) for n in range(1, n_max + 2)]
-        ),
-        _table_check(
-            "alpha1-table", [(n, alpha1[n], want_a1[n - 1]) for n in range(1, n_max + 1)]
-        ),
-        _table_check(
-            "alpha2-table", [(n, alpha2[n], want_a2[n - 2]) for n in range(2, n_max + 1)]
-        ),
+        _table_check(table, ROUTES[table.name](kernel, rc, system, table))
+        for table in families.FAMILIES[name].tables(alpha)
     ]
-
-    size = order // 2
-    rc, system = smop_from_moments(u, size)
-    if name == "chebyshev-u":
-        lower, upper, _ = christoffel_lu(jacobi_matrix(rc, size), rat(1))
-        checks.append(
-            _table_check(
-                "kernel-step-table",
-                [
-                    (n, upper.diag[n], families.chebyshev_u_christoffel_beta(n))
-                    for n in range(size)
-                ]
-                + [
-                    (n, lower.sub[n - 1], families.chebyshev_u_christoffel_ell(n))
-                    for n in range(1, size)
-                ],
-            )
-        )
-    elif name == "laguerre":
-        beta0 = u.moment(0) * (rat(alpha) + 1)
-        lower, upper, _ = geronimus_ul(jacobi_matrix(rc, size), rat(0), beta0)
-        checks.append(
-            _table_check(
-                "inverse-kernel-step-table",
-                [
-                    (n, upper.diag[n], families.laguerre_geronimus_beta(alpha, n))
-                    for n in range(size)
-                ]
-                + [
-                    (n, lower.sub[n - 1], families.laguerre_geronimus_ell(n))
-                    for n in range(1, size)
-                ],
-            )
-        )
-        base = [system.polys[n] for n in range(size + 1)]
-        checks.append(
-            _table_check(
-                "value-at-zero-table",
-                [(n, base[n](0), families.laguerre_value_at_zero(alpha, n)) for n in range(size + 1)]
-                + [
-                    (n, base[n].derivative()(0), families.laguerre_derivative_at_zero(alpha, n))
-                    for n in range(size + 1)
-                ],
-            )
-        )
-        first = associated_polys(rc, 1, size - 1)
-        checks.append(
-            _table_check(
-                "assoc-value-at-zero-table",
-                [
-                    (n, first[n](0), families.laguerre_assoc_zero_value(alpha, n))
-                    for n in range(size)
-                ],
-            )
-        )
-
     payload = {
         "version": __version__,
         "family": name,
         "alpha": rat_str(rat(alpha)),
         "order": order,
-        "b_minus": serialize.rational_list(rc_inv.b),
-        "a_minus": serialize.rational_list(rc_inv.a),
-        "d_star": serialize.rational_list(d_star[n] for n in range(1, n_max + 2)),
-        "alpha1": serialize.rational_list(alpha1[n] for n in range(1, n_max + 1)),
-        "alpha2": serialize.rational_list(alpha2[n] for n in range(2, n_max + 1)),
+        "b_minus": serialize.rational_list(kernel.recurrence.b),
+        "a_minus": serialize.rational_list(kernel.recurrence.a),
+        "d_star": serialize.rational_list(kernel.d_star.values()),
+        "alpha1": serialize.rational_list(kernel.alpha1.values()),
+        "alpha2": serialize.rational_list(kernel.alpha2.values()),
         "checks": [r.to_json() for r in checks],
     }
     return payload, all(r.passed for r in checks)
@@ -618,11 +562,6 @@ def family_reproduction(name, alpha, order):
 def cmd_example(args):
     alpha = parse_param(args.alpha, "--alpha")
     checked_size(args.order, "--order", least=4)
-    if args.family not in FAMILY_BUILDERS:
-        raise UsageError(
-            "unknown family %r (choose from %s)"
-            % (args.family, ", ".join(sorted(FAMILY_BUILDERS)))
-        )
     payload, ok = family_reproduction(args.family, alpha, args.order)
     emit_json(payload, args.out)
     return ok
@@ -641,7 +580,7 @@ def build_parser():
     p_moments = sub.add_parser(
         "moments", help="emit the moments of a classical family or of a JSON file"
     )
-    p_moments.add_argument("source", help="family name (%s) or path" % "|".join(sorted(FAMILY_BUILDERS)))
+    p_moments.add_argument("source", help="family name (%s) or path" % "|".join(sorted(families.FAMILIES)))
     p_moments.add_argument("--alpha", default="1", help="family parameter (default 1)")
     p_moments.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_moments.add_argument("--csv", action="store_true", help="coefficient table as CSV")
@@ -707,7 +646,7 @@ def build_parser():
     p_example = sub.add_parser(
         "example", help="reproduce a family's closed-form tables and check them"
     )
-    p_example.add_argument("family", choices=sorted(FAMILY_BUILDERS))
+    p_example.add_argument("family", choices=sorted(families.FAMILIES))
     p_example.add_argument("--alpha", default="1", help="family parameter (default 1)")
     p_example.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_example.add_argument("--out", default=None)

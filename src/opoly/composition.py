@@ -17,7 +17,7 @@ from .associated import (
     corecursive_polys,
 )
 from .darboux import christoffel_lu, geronimus_ul
-from .errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
+from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted, ZeroPivot
 from .matrices import (
     UpperBidiagonal,
     common_reliable,
@@ -166,7 +166,7 @@ def _coro1(u, c, tilde_u):
     rc, _ = smop_from_moments(u, max(depth, 2))
     alpha = corecursive_parameter(u, c)
     if depth < 3:
-        raise DegenerateParameter("need at least 6 moments for a meaningful check")
+        raise TruncationExhausted("need at least 6 moments for a meaningful check")
     perturbed = rc.shifted(1).corecursive(alpha)
     j_alpha = jacobi_matrix(perturbed, perturbed.length)
     u_alpha = moments_from_jacobi(j_alpha, ONE, 2 * perturbed.length - 1)

@@ -125,65 +125,3 @@ def christoffel_connection_check(u, c, n):
     )
     return combine("repChris", reports, c=str(c))
 
-
-def geronimus_connection_check(v, c, m0, n):
-    """Division by (x - c) with mass m0: connection and pivot identities.
-
-    Verifies, with the SMOP of vhat = geronimus(v, c, m0) computed from
-    its moments by the Chebyshev algorithm:
-    Phat_n = P_n + ell_n P_{n-1}; (x - c) P_n = Phat_{n+1} + beta_n Phat_n
-    with beta_n = -Phat_{n+1}(c)/Phat_n(c); the ell_n ratio formula in
-    terms of P, the first associated sequence, and the masses; and that
-    the elimination's transformed matrix equals the Jacobi matrix of vhat.
-    """
-    c = rat(c)
-    m0 = rat(m0)
-    if m0 == 0:
-        raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
-    v0 = v.moment(0)
-    rc, _ = smop_from_moments(v, n + 1)
-    base = polys_from_recurrence(rc, n + 1)
-    first = polys_from_recurrence(rc.shifted(1), n)
-    vhat = fa.geronimus(v, c, m0)
-    hat_rc, hat_sys = smop_from_moments(vhat, n + 1)
-    lower, upper, transformed = geronimus_ul(jacobi_matrix(rc, n + 1), c, v0 / m0)
-    hat = hat_sys.polys
-    reports = []
-    failure = None
-    for m in range(1, n + 1):
-        if hat[m] != base[m] + lower.sub[m - 1] * base[m - 1]:
-            failure = {"level": m}
-            break
-    reports.append(
-        CheckReport("connection", "fail" if failure else "pass", n, failure)
-    )
-    failure = None
-    for m in range(n):
-        lhs = (X - c) * base[m]
-        rhs = hat[m + 1] + upper.diag[m] * hat[m]
-        if lhs != rhs or upper.diag[m] != -hat[m + 1](c) / hat[m](c):
-            failure = {"level": m}
-            break
-    reports.append(
-        CheckReport("inverse-connection", "fail" if failure else "pass", n - 1, failure)
-    )
-    failure = None
-    for m in range(1, n + 1):
-        num = v0 * (first[m - 1](c) if m >= 1 else 0) + m0 * base[m](c)
-        den = v0 * (first[m - 2](c) if m >= 2 else 0) + m0 * base[m - 1](c)
-        if den == 0 or lower.sub[m - 1] != -num / den:
-            failure = {"level": m}
-            break
-    reports.append(
-        CheckReport("pivot-ratio", "fail" if failure else "pass", n, failure)
-    )
-    match = jacobi_matrix(hat_rc, n + 1) == transformed
-    reports.append(
-        CheckReport(
-            "transformed-recurrence",
-            "pass" if match else "fail",
-            n + 1,
-            None if match else {"level": "matrix"},
-        )
-    )
-    return combine("geronimus-connection", reports, c=str(c), m0=str(m0))

@@ -3,10 +3,13 @@
 Every functional here is normalized to first moment 1.  The frozen
 closed forms (inverse recurrences, connection coefficients, elimination
 entries) were derived independently of the library code and back the
-regression and acceptance tests.
+regression and acceptance tests; `FAMILIES` is the one list of families,
+each with its moments and the tables of them that `opoly example` checks.
 """
 
+import functools
 import math
+from collections import namedtuple
 
 from .functional import MomentFunctional
 from .orthopoly import RecurrenceCoefficients
@@ -225,3 +228,63 @@ def laguerre_geronimus_ell(n):
 def laguerre_geronimus_beta(alpha, n):
     """Pivot of the inverse kernel step at c = 0: alpha + n + 1."""
     return rat(alpha) + n + 1
+
+
+# -- the family table ----------------------------------------------------
+
+# A closed-form table that `opoly example` checks: its name, which is also
+# the key of its library route in `opoly.cli.ROUTES`; one closed form
+# want(n) per sequence of that route; and what a factorization route
+# passes after the Jacobi matrix: c, and beta_0 for the UL factors.
+Table = namedtuple("Table", "name wants params", defaults=((),))
+
+# moments(alpha, order) and tables(alpha), the tables `opoly example` checks
+Family = namedtuple("Family", "moments tables")
+
+
+def _inverse_tables(*wants):
+    """The convolution inverse's b, a, d*, alpha1 and alpha2 tables."""
+    names = ("b-minus-table", "a-minus-table", "d-star-table", "alpha1-table", "alpha2-table")
+    return tuple(Table(name, (want,)) for name, want in zip(names, wants, strict=True))
+
+
+CHEBYSHEV_U_TABLES = _inverse_tables(
+    chebyshev_u_inverse_b, chebyshev_u_inverse_a, chebyshev_u_d_star,
+    lambda n: ZERO, chebyshev_u_alpha2,
+) + (
+    Table("kernel-step-table", (chebyshev_u_christoffel_beta, chebyshev_u_christoffel_ell), (ONE,)),
+)
+
+CHEBYSHEV_T_TABLES = _inverse_tables(
+    chebyshev_t_inverse_b, chebyshev_t_inverse_a, chebyshev_t_d_star,
+    lambda n: ZERO, chebyshev_t_alpha2,
+)
+
+
+def laguerre_tables(alpha):
+    """The Laguerre tables, their closed forms taken at alpha."""
+    at = functools.partial
+    return _inverse_tables(
+        at(laguerre_inverse_b, alpha), at(laguerre_inverse_a, alpha),
+        at(laguerre_d_star, alpha), at(laguerre_inverse_alpha1, alpha),
+        at(laguerre_inverse_alpha2, alpha),
+    ) + (
+        # c = 0 and m0 = 1/(alpha + 1): beta_0 = u_0/m0 = alpha + 1, as u_0 = 1
+        Table(
+            "inverse-kernel-step-table",
+            (at(laguerre_geronimus_beta, alpha), laguerre_geronimus_ell),
+            (ZERO, rat(alpha) + 1),
+        ),
+        Table(
+            "value-at-zero-table",
+            (at(laguerre_value_at_zero, alpha), at(laguerre_derivative_at_zero, alpha)),
+        ),
+        Table("assoc-value-at-zero-table", (at(laguerre_assoc_zero_value, alpha),)),
+    )
+
+
+FAMILIES = {
+    "chebyshev-u": Family(lambda alpha, order: chebyshev_u(order), lambda alpha: CHEBYSHEV_U_TABLES),
+    "chebyshev-t": Family(lambda alpha, order: chebyshev_t(order), lambda alpha: CHEBYSHEV_T_TABLES),
+    "laguerre": Family(laguerre, laguerre_tables),
+}

@@ -29,32 +29,6 @@ def stieltjes_series(u):
     return LaurentSeries(-1, u.moments)
 
 
-def continued_fraction_check(u, norm1=ONE):
-    """Cleared one-step continued fraction:
-    (z - b_0) S_u - (a_1/norm1) S_{u^(1)} S_u = u_0 on the known window."""
-    norm1 = rat(norm1)
-    depth = u.order // 2
-    if depth < 2:
-        raise TruncationExhausted("need at least 4 moments")
-    rc, _ = smop_from_moments(u, depth)
-    s_u = stieltjes_series(u)
-    if norm1 == 0:
-        raise DegenerateParameter("the associated functional needs a nonzero first moment")
-    shifted = rc.shifted(1)
-    s_first = stieltjes_series(
-        moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1)
-    )
-    lhs = series_sub(
-        series_multiply(from_polynomial(X - rc.b_at(0)), s_u),
-        series_scale(rc.a_at(1) / norm1, series_multiply(s_first, s_u)),
-    )
-    rhs = monomial_series(0, u.moment(0))
-    bad = first_series_mismatch(lhs, rhs)
-    if bad is None:
-        return CheckReport.passing("continued-fraction", -lhs.min_power)
-    return CheckReport.failing("continued-fraction", -lhs.min_power, {"power": bad})
-
-
 def inverse_series_check(u):
     """Identity "identidad": S_u(z) S_{u^{-1}}(z) = z^{-2}."""
     s_u = stieltjes_series(u)

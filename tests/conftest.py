@@ -10,13 +10,15 @@ that the values at c replaced; and the certificate kernels
 that read one entry or one coefficient at a time: the shift, power,
 block comparison and forward substitution of the matrices, the series
 product, the product of a functional by a polynomial and the divided
-difference."""
+difference; and two statements that follow from registered identities,
+asserted directly: the co-recursive subtraction formula and the cleared
+continued fraction."""
 
 import json
 from pathlib import Path
 
 from opoly import functional as fa
-from opoly.associated import Division
+from opoly.associated import Division, associated_polys
 from opoly.errors import (
     DegenerateParameter,
     NotQuasiDefinite,
@@ -37,12 +39,24 @@ from opoly.orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
     jacobi_matrix,
+    moments_from_jacobi,
+    polys_from_recurrence,
     recurrence_from_jacobi,
+    smop_from_moments,
 )
 from opoly.poly import ONE_POLY, Polynomial, X
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
-from opoly.series import LaurentSeries
+from opoly.series import (
+    LaurentSeries,
+    first_series_mismatch,
+    from_polynomial,
+    monomial_series,
+    series_multiply,
+    series_scale,
+    series_sub,
+)
+from opoly.stieltjes import stieltjes_series
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -263,6 +277,33 @@ def fraction_wronskian(p, q, c):
     pc, dpc = fraction_derivatives_at(p, c, 1)
     qc, dqc = fraction_derivatives_at(q, c, 1)
     return pc * dqc - dpc * qc
+
+
+def corecursive_by_subtraction(rc, alpha, n_max):
+    """P_n - alpha P^(1)_{n-1} for n = 0..n_max: the co-recursive SMOP by
+    the subtraction formula, the route its perturbed recurrence must match."""
+    alpha = rat(alpha)
+    base = polys_from_recurrence(rc, n_max)
+    first = associated_polys(rc, 1, n_max - 1)
+    return (base[0],) + tuple(base[n] - alpha * first[n - 1] for n in range(1, n_max + 1))
+
+
+def continued_fraction_mismatch(u, norm1=ONE):
+    """The first power at which the cleared one-step continued fraction
+    (z - b_0) S_u - (a_1/norm1) S_{u^(1)} S_u = u_0 fails, None if it holds
+    on the window; S_{u^(1)} comes from the moments of u's shifted
+    recurrence, scaled to first moment norm1."""
+    rc, _ = smop_from_moments(u, u.order // 2)
+    shifted = rc.shifted(1)
+    first = moments_from_jacobi(
+        jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1
+    )
+    s_u = stieltjes_series(u)
+    lhs = series_sub(
+        series_multiply(from_polynomial(X - rc.b_at(0)), s_u),
+        series_scale(rc.a_at(1) / norm1, series_multiply(stieltjes_series(first), s_u)),
+    )
+    return first_series_mismatch(lhs, monomial_series(0, u.moment(0)))
 
 
 def polys_reference(rc, n_max):

@@ -10,14 +10,14 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import linear_power
+from conftest import continued_fraction_mismatch, corecursive_by_subtraction, linear_power
 from opoly import families
 from opoly import functional as fa
 from opoly import serialize
 from opoly.associated import (
     associated_polys,
     corecursive_functional_check,
-    corecursive_two_route_check,
+    corecursive_polys,
     inverse_connection,
     inverse_recurrence,
     inverse_smop,
@@ -41,7 +41,6 @@ from opoly.quadratic import (
 )
 from opoly.rational import parse_rational, rat
 from opoly.stieltjes import (
-    continued_fraction_check,
     first_kind_series_check,
     inverse_series_check,
     pade_approximation_check,
@@ -212,7 +211,7 @@ def criterion_6():
     ):
         u = builder()
         assert inverse_series_check(u).passed
-        assert continued_fraction_check(u).passed
+        assert continued_fraction_mismatch(u) is None
         assert first_kind_series_check(u).passed
         for n in range(1, 5):
             assert pade_approximation_check(u, n).passed
@@ -301,7 +300,10 @@ def criterion_8():
     for _ in range(33):
         size = rng.randint(4, 6)
         rc = draw_recurrence(size)
-        assert corecursive_two_route_check(rc, draw_rat(), size - 1).passed
+        alpha = draw_rat()
+        assert corecursive_polys(rc, alpha, size - 1) == corecursive_by_subtraction(
+            rc, alpha, size - 1
+        )
 
     # 33 cases: a_1 > 0 forces a_1^- < 0 (the sign obstruction)
     for _ in range(33):

@@ -638,6 +638,9 @@ def test_verify_unknown_family(monkeypatch, capsys):
         (["pade", "--n", "0"], "--n must be at least 1"),
         (["asociadosrepr", "--k", "0"], "--k must be at least 1"),
         (["linearcombination", "--n", "2", "--k", "3"], "needs --k <= --n"),
+        (["christoffel+assoc", "--n", "1"], "--n must be at least 2"),
+        (["pro6", "--n", "1"], "--n must be at least 2"),
+        (["geronimus+assoc", "--n", "1"], "--n must be at least 2"),
     ],
 )
 def test_verify_range_errors_are_usage_errors(monkeypatch, capsys, argv, message):
@@ -662,6 +665,47 @@ def test_verify_prop_lu_inversa_at_its_least_n(monkeypatch, capsys, family):
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "pass"
     assert (check["details"]["ul_block"], check["details"]["lu_block"]) == (0, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", list(cli.IDENTITIES))
+def test_verify_every_identity_at_its_least_n(monkeypatch, capsys, name, family):
+    n = str(cli.IDENTITIES[name].least_n)
+    code, out, err = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", name, "--n", n, "--k", n, "--family", family]
+        + ["--c=1/3", "--m0=7/3", "--m1=1/5"],
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert all(check["status"] == "pass" for check in payload["checks"])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", ["2", "3", "5"])
+def test_verify_linearcombination_at_k_equal_to_n(monkeypatch, capsys, family, k):
+    # P^(k)_0 = 1 reads none of the k shifted coefficients
+    code, out, err = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", "linearcombination", "--k", k, "--n", k, "--family", family],
+    )
+    assert code == 0 and err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass" and check["details"]["k"] == int(k)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_verify_coro1_on_fewer_than_six_moments_is_a_truncation(monkeypatch, capsys, order):
+    code, out, _ = invoke(
+        monkeypatch,
+        capsys,
+        ["verify", "coro1", "--c", "1/3"],
+        stdin_text=family_json(families.laguerre(1, order)),
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "TruncationExhausted"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -786,6 +830,15 @@ def test_example_laguerre(monkeypatch, capsys):
     assert "value-at-zero-table" in names
     assert "assoc-value-at-zero-table" in names
     assert all(check["status"] == "pass" for check in payload["checks"])
+
+
+@pytest.mark.parametrize("name", sorted(families.FAMILIES))
+def test_example_checks_every_table_of_the_family(name):
+    # a route gives one column per closed form (zip is strict)
+    payload, ok = cli.family_reproduction(name, rat(1, 3), 12)
+    assert ok
+    tables = families.FAMILIES[name].tables(rat(1, 3))
+    assert [check["identity"] for check in payload["checks"]] == [t.name for t in tables]
 
 
 def test_example_rejects_an_order_without_an_inverse_table(monkeypatch, capsys):

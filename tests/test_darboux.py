@@ -7,7 +7,6 @@ from opoly import functional as fa
 from opoly.darboux import (
     christoffel_connection_check,
     christoffel_lu,
-    geronimus_connection_check,
     geronimus_ul,
 )
 from opoly.errors import DegenerateParameter, ZeroPivot
@@ -118,13 +117,3 @@ def test_connection_check_passes_on_all_families():
     assert christoffel_connection_check(families.chebyshev_u(24), rat(1), 10).passed
     assert christoffel_connection_check(families.chebyshev_t(24), rat(3), 10).passed
     assert christoffel_connection_check(families.laguerre(0, 24), rat(-1), 10).passed
-
-
-def test_geronimus_connection_check_passes_on_known_parameters():
-    assert geronimus_connection_check(
-        families.chebyshev_u(24), rat(1), rat(-1, 2), 10
-    ).passed
-    assert geronimus_connection_check(families.laguerre(0, 24), 0, 1, 10).passed
-    report = geronimus_connection_check(families.laguerre(rat(1, 2), 24), 0, rat(2, 3), 10)
-    assert report.passed
-    assert report.identity == "geronimus-connection"
