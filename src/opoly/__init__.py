@@ -40,7 +40,6 @@ from .orthopoly import (
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
 )
 from .associated import (
@@ -89,7 +88,6 @@ __all__ = [
     "smop_from_moments",
     "polys_from_recurrence",
     "jacobi_matrix",
-    "recurrence_from_jacobi",
     "moments_from_jacobi",
     "hankel_minor",
     "associated_polys",

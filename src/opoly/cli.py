@@ -49,7 +49,7 @@ from .errors import (
     TruncationExhausted,
     ZeroPivot,
 )
-from .orthopoly import jacobi_matrix, recurrence_from_jacobi, smop_from_moments
+from .orthopoly import smop_from_moments
 from .poly import X
 from .quadratic import (
     assoc_inverse_factorization_check,
@@ -300,20 +300,16 @@ def cmd_factorize(args):
         checked_size(size, "--size")
     if args.mode == "lu":
         rc, _ = smop_from_moments(u, size)
-        lower, upper, transformed = christoffel_lu(jacobi_matrix(rc, size), c)
-        record = serialize.factor_record(
-            c, lower.sub, upper.diag, recurrence_from_jacobi(transformed)
-        )
+        lower, upper, transformed = christoffel_lu(rc, c)
+        record = serialize.factor_record(c, lower.sub, upper.diag, transformed)
     elif args.mode == "ul":
         m0 = parse_param(args.m0, "--m0")
         if m0 == 0:
             raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
         rc, _ = smop_from_moments(u, size)
         beta0 = u.moment(0) / m0
-        lower, upper, transformed = geronimus_ul(jacobi_matrix(rc, size), c, beta0)
-        record = serialize.factor_record(
-            c, lower.sub, upper.diag, recurrence_from_jacobi(transformed)
-        )
+        lower, upper, transformed = geronimus_ul(rc, c, beta0)
+        record = serialize.factor_record(c, lower.sub, upper.diag, transformed)
     else:
         m0 = parse_param(args.m0, "--m0")
         m1 = parse_param(args.m1, "--m1")
@@ -518,10 +514,10 @@ ROUTES = {
     "alpha1-table": lambda kernel, rc, system, table: [kernel.alpha1.items()],
     "alpha2-table": lambda kernel, rc, system, table: [kernel.alpha2.items()],
     "kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
-        *christoffel_lu(jacobi_matrix(rc, rc.length), *table.params)
+        *christoffel_lu(rc, *table.params)
     ),
     "inverse-kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
-        *geronimus_ul(jacobi_matrix(rc, rc.length), *table.params)
+        *geronimus_ul(rc, *table.params)
     ),
     "value-at-zero-table": lambda kernel, rc, system, table: [
         enumerate(p(0) for p in system.polys),

@@ -25,7 +25,6 @@ from .matrices import (
     first_block_mismatch,
     mat_multiply,
     shift_cols_left,
-    shift_conjugate,
     shift_rows_up,
     shifted,
 )
@@ -33,7 +32,6 @@ from .orthopoly import (
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
     values_and_slopes,
 )
@@ -66,11 +64,11 @@ def corecursive_parameter(u, c):
 
 
 def _tilde_first(u, c):
-    """utilde_0 = u_1 - c u_0, the first moment of (x - c) u, which must not vanish."""
+    """utilde_0 = u_1 - c u_0, the first moment (level-0 minor) of (x - c) u."""
     u0 = u.moment(0)
     tilde0 = u.moment(1) - c * u0
     if tilde0 == 0:
-        raise DegenerateParameter("(x - c) u has vanishing first moment")
+        raise NotQuasiDefinite(0, guard="norm")
     return tilde0
 
 
@@ -122,16 +120,10 @@ def _pro5(u, c, n_max, direct):
     return CheckReport.passing("pro5", n_max, c=str(c), alpha=str(alpha))
 
 
-def christoffel_assoc_connection_check(u, c, n_max):
+def _connection(u, c, n_max, combo, tilde_u):
     """Kernel-step connection for the combination SMOP:
     (x - c) Ptilde^(1)_{n-1} = R_n - (P_{n+1}(c)/P_n(c)) R_{n-1},
     with Ptilde^(1) built independently from the transformed moments."""
-    c = rat(c)
-    combo = christoffel_assoc_polys(u, c, n_max)
-    return _connection(u, c, n_max, combo, _christoffel(u, c))
-
-
-def _connection(u, c, n_max, combo, tilde_u):
     rc, _ = smop_from_moments(u, n_max + 1)
     p, _, den = values_and_slopes(rc, c, n_max + 1)
     tilde_rc, _ = smop_from_moments(tilde_u, n_max)
@@ -197,7 +189,7 @@ def shifted_factor_check(u, c, size):
     """
     c = rat(c)
     rc, _ = smop_from_moments(u, size + 1)
-    lower, upper, transformed = christoffel_lu(jacobi_matrix(rc, size + 1), c)
+    lower, upper, transformed = christoffel_lu(rc, c)
     l1 = lower.shifted_tail().to_band()
     u1 = upper.shifted_tail().to_band()
     alpha = corecursive_parameter(u, c)
@@ -218,7 +210,7 @@ def shifted_factor_check(u, c, size):
         _block_report("tail-product", prod, shifted(j_alpha, c), common_reliable(prod, j_alpha))
     )
     swapped = mat_multiply(u1, l1)
-    assoc_transformed = shift_conjugate(transformed)
+    assoc_transformed = jacobi_matrix(transformed.shifted(1), size - 1)
     block = common_reliable(swapped, assoc_transformed)
     reports.append(
         _block_report("swapped-tail-product", swapped, shifted(assoc_transformed, c), block)
@@ -246,18 +238,13 @@ def geronimus_assoc_polys(v, m0, n_max):
     return tuple(out)
 
 
-def geronimus_corecursive_check(v, m0, n_max):
+def _s_corecursive(v, m0, n_max, direct):
     """The kernel sequence is co-recursive of parameter -v_0/m0 for v itself.
 
     Checked as polynomials (two routes) and as functionals: the moments
     regenerated from the perturbed recurrence must match the convolution
     route through v^{-1} - (1/m0) delta_0'.
     """
-    direct = geronimus_assoc_polys(v, m0, n_max)
-    return _s_corecursive(v, rat(m0), n_max, direct)
-
-
-def _s_corecursive(v, m0, n_max, direct):
     v0 = v.moment(0)
     alpha = -v0 / m0
     rc, _ = smop_from_moments(v, n_max + 1)
@@ -291,11 +278,7 @@ def _hat_first(v, c, m0, size):
     """
     v0 = v.moment(0)
     rc, _ = smop_from_moments(v, size + 1)
-    lower, upper, transformed = geronimus_ul(
-        jacobi_matrix(rc, size + 1), rat(c), v0 / _nonzero_mass(m0)
-    )
-    hat_rc = recurrence_from_jacobi(transformed)
-    return rc, lower, upper, hat_rc
+    return (rc, *geronimus_ul(rc, rat(c), v0 / _nonzero_mass(m0)))
 
 
 def geronimus_assoc_connection_check(v, c, m0, n_max):
@@ -384,7 +367,7 @@ def _pro6(v, c, m0, size, hat):
     prod = mat_multiply(l_hat, u_hat)
     block = common_reliable(prod, j_alpha)
     reports.append(_block_report("shifted-product", prod, shifted(j_alpha, c), block))
-    hat_assoc = shift_conjugate(jacobi_matrix(hat_rc, size + 1))
+    hat_assoc = jacobi_matrix(hat_rc.shifted(1), size)
     swapped = mat_multiply(u_hat, l_hat)
     block = common_reliable(swapped, hat_assoc)
     reports.append(_block_report("swapped-shifted-product", swapped, shifted(hat_assoc, c), block))

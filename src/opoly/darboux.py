@@ -5,8 +5,8 @@ a unit lower bidiagonal times an upper bidiagonal and swapping the
 factors; dividing by (x - c) (with a free mass at c) factors it the
 other way around.  Both read their pivots off values at c of the
 recurrence that `orthopoly` forms on integers, so neither runs an
-elimination of its own; only the swapped product loses its bottom-right
-corner to truncation, which the margin bookkeeping records.
+elimination of its own.  Both take the recurrence of J and return the
+factors with the transformed recurrence; no matrix is built here.
 """
 
 from . import functional as fa
@@ -14,10 +14,8 @@ from .errors import DegenerateParameter, ZeroPivot
 from .matrices import UnitLowerBidiagonal, UpperBidiagonal
 from .orthopoly import (
     RecurrenceCoefficients,
-    jacobi_matrix,
     kernel_values,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
     values_and_slopes,
 )
@@ -26,20 +24,18 @@ from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
 
 
-def christoffel_lu(j, c):
-    """Factor J - cI = L U and swap: returns (L, U, transformed Jacobi).
+def christoffel_lu(rc, c):
+    """Factor J - cI = L U and swap: returns (L, U, transformed recurrence).
 
-    The pivots are read off the values at c of J's recurrence
-    (`values_and_slopes`): beta_n = -P_{n+1}(c)/P_n(c) and
-    ell_n = a_n/beta_{n-1} = -a_n P_{n-1}(c)/P_n(c).  A vanishing pivot
-    means c is a zero of some P_{n+1}, and the first such n raises
-    ZeroPivot(n).  The transformed matrix is assembled entrywise from
-    the factors, so all of its size-1 entries are exact despite the
-    swapped product's corrupt corner.
+    J is the Jacobi matrix of rc at size rc.length.  The pivots are read
+    off the values at c of rc (`values_and_slopes`): beta_n =
+    -P_{n+1}(c)/P_n(c) and ell_n = a_n/beta_{n-1} = -a_n P_{n-1}(c)/P_n(c).
+    The first vanishing pivot, at a zero c of P_{n+1}, raises ZeroPivot(n).
+    The transformed recurrence, of length rc.length - 1, is assembled
+    from the factors, so the swapped product's corrupt corner is not read.
     """
     c = rat(c)
-    rc = recurrence_from_jacobi(j)
-    n = j.size
+    n = rc.length
     p, _, den = values_and_slopes(rc, c, n)
     if 0 in p:
         raise ZeroPivot(p.index(0) - 1)
@@ -47,28 +43,27 @@ def christoffel_lu(j, c):
     ells = [a / beta for a, beta in zip(rc.a, betas)]
     new_b = tuple(betas[k] + ells[k] + c for k in range(n - 1))
     new_a = tuple(betas[k] * ells[k - 1] for k in range(1, n - 1))
-    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n - 1)
+    transformed = RecurrenceCoefficients(new_b, new_a)
     return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
-def geronimus_ul(j, c, beta0):
+def geronimus_ul(rc, c, beta0):
     """Factor J - cI = U L with prescribed corner beta_0 and swap.
 
     beta_0 = v_0 / vhat_0 encodes the free mass of the inverse transform;
     beta_0 = 0 makes the elimination undefined (DegenerateParameter).
-    The pivots are ratios of the kernel values
-    Z_n = P_n(c) + beta_0 P^(1)_{n-1}(c) of J's recurrence
+    J is the Jacobi matrix of rc at size rc.length.  The pivots are ratios
+    of the kernel values Z_n = P_n(c) + beta_0 P^(1)_{n-1}(c) of rc
     (`kernel_values`): ell_n = -Z_n/Z_{n-1} and
     beta_n = a_n/ell_n = -a_n Z_{n-1}/Z_n, and the first vanishing Z_n
     raises ZeroPivot(n).  The swapped product L U is exact on the full
-    truncation, so the transformed Jacobi matrix keeps the original size.
+    truncation, so the transformed recurrence keeps the length of rc.
     """
     c = rat(c)
     beta0 = rat(beta0)
     if beta0 == 0:
         raise DegenerateParameter("beta_0 = 0 leaves the elimination undefined")
-    rc = recurrence_from_jacobi(j)
-    n = j.size
+    n = rc.length
     z, _, den = kernel_values(rc, c, ONE, beta0, ZERO, n - 1)
     if 0 in z:
         raise ZeroPivot(z.index(0))
@@ -76,7 +71,7 @@ def geronimus_ul(j, c, beta0):
     betas = [beta0] + [a / ell for a, ell in zip(rc.a, ells)]
     new_b = [betas[0] + c] + [betas[k] + ells[k - 1] + c for k in range(1, n)]
     new_a = [ells[k - 1] * betas[k - 1] for k in range(1, n)]
-    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n)
+    transformed = RecurrenceCoefficients(new_b, new_a)
     return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
@@ -94,7 +89,7 @@ def christoffel_connection_check(u, c, n):
     base = polys_from_recurrence(rc, n + 1)
     tilde_u = fa.multiply_poly(u, X - c)
     tilde_rc, tilde_sys = smop_from_moments(tilde_u, n)
-    lower, upper, transformed = christoffel_lu(jacobi_matrix(rc, n + 1), c)
+    lower, upper, transformed = christoffel_lu(rc, c)
     reports = []
     failure = None
     for m in range(n):
@@ -114,7 +109,7 @@ def christoffel_connection_check(u, c, n):
     reports.append(
         CheckReport("pivot-closed-form", "fail" if failure else "pass", n, failure)
     )
-    match = jacobi_matrix(tilde_rc, n) == transformed
+    match = tilde_rc == transformed
     reports.append(
         CheckReport(
             "transformed-recurrence",

@@ -235,7 +235,7 @@ def laguerre_geronimus_beta(alpha, n):
 # A closed-form table that `opoly example` checks: its name, which is also
 # the key of its library route in `opoly.cli.ROUTES`; one closed form
 # want(n) per sequence of that route; and what a factorization route
-# passes after the Jacobi matrix: c, and beta_0 for the UL factors.
+# passes after the recurrence: c, and beta_0 for the UL factors.
 Table = namedtuple("Table", "name wants params", defaults=((),))
 
 # moments(alpha, order) and tables(alpha), the tables `opoly example` checks

@@ -5,7 +5,7 @@ Every matrix here is a finite truncation of a semi-infinite operator.  A
 untruncated operator; the leading (size - margin) block is exact.  The
 margin of a product grows by min(upper bandwidth of the left factor,
 lower bandwidth of the right factor) on top of the inherited margins;
-entrywise combinations inherit the max.  Dense matrices count as having
+a shift a - cI keeps the margin of a.  Dense matrices count as having
 full bandwidth size - 1.
 
 The kernels follow the storage.  A band product convolves the stored
@@ -174,42 +174,6 @@ def identity(size):
     return BandMatrix(size, {0: (ONE,) * size})
 
 
-def mat_sub(a, b):
-    return _combine(a, b, lambda x, y: x - y)
-
-
-def _combine(a, b, op):
-    if a.size != b.size:
-        raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
-    margin = max(a.margin, b.margin)
-    if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
-        lo = -max(a.lower, b.lower)
-        hi = max(a.upper, b.upper)
-        return band_from_entries(
-            a.size, lo, hi, lambda i, j: op(a.entry(i, j), b.entry(i, j)), margin
-        )
-    return DenseMatrix(
-        tuple(
-            tuple(op(a.entry(i, j), b.entry(i, j)) for j in range(a.size))
-            for i in range(a.size)
-        ),
-        margin=margin,
-    )
-
-
-def mat_scale(c, a):
-    c = rat(c)
-    if isinstance(a, BandMatrix):
-        return BandMatrix(
-            a.size,
-            {d: tuple(c * x for x in diag) for d, diag in a.diagonals.items()},
-            margin=a.margin,
-        )
-    return DenseMatrix(
-        tuple(tuple(c * x for x in row) for row in a.rows), margin=a.margin
-    )
-
-
 def shifted(a, c):
     """a - c*I: only the main diagonal is rewritten; the margin carries over."""
     c = rat(c)
@@ -343,19 +307,6 @@ def mat_power(a, k):
     for _ in range(k - 1):
         result = mat_multiply(result, a)
     return result
-
-
-def shift_conjugate(a):
-    """Drop the first row and column; the margin carries over unchanged."""
-    if a.size < 2:
-        raise ValueError("cannot shift a 1x1 matrix")
-    return band_from_entries(
-        a.size - 1,
-        -a.lower,
-        a.upper,
-        lambda i, j: a.entry(i + 1, j + 1),
-        margin=a.margin,
-    )
 
 
 def shift_rows_up(a):

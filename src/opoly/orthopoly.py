@@ -360,24 +360,6 @@ def jacobi_matrix(rc, size):
     return BandMatrix._checked(size, diagonals, 0)
 
 
-def _jacobi_diagonals(j):
-    """(b, a) of a monic Jacobi truncation, read off its stored diagonals.
-
-    A diagonal that is not stored is all zeros.  Raises ValueError when
-    the superdiagonal is not all ones.
-    """
-    size = j.size
-    diagonals = j.diagonals
-    if size > 1 and any(x != 1 for x in diagonals.get(1, (ZERO,))):
-        raise ValueError("matrix is not a monic Jacobi truncation")
-    return diagonals.get(0, (ZERO,) * size), diagonals.get(-1, (ZERO,) * (size - 1))
-
-
-def recurrence_from_jacobi(j):
-    """Read RecurrenceCoefficients off a monic Jacobi truncation."""
-    return RecurrenceCoefficients(*_jacobi_diagonals(j))
-
-
 def moments_from_jacobi(j, u0, n):
     """Moments u0 * (J^k)_{0,0} for k < n of a monic Jacobi truncation J.
 
@@ -401,16 +383,21 @@ def moments_from_jacobi(j, u0, n):
     u0 = rat(u0)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if any(d not in (-1, 0, 1) for d in j.diagonals):
+    size = j.size
+    diagonals = j.diagonals
+    # a diagonal that is not stored is all zeros
+    if any(d not in (-1, 0, 1) for d in diagonals) or (
+        size > 1 and any(x != 1 for x in diagonals.get(1, (ZERO,)))
+    ):
         raise ValueError("matrix is not a monic Jacobi truncation")
-    b, a = _jacobi_diagonals(j)
+    b = diagonals.get(0, (ZERO,) * size)
+    a = diagonals.get(-1, (ZERO,) * (size - 1))
     usable = j.reliable
     if n > 2 * usable - 1:
         raise TruncationExhausted(
             "a reliable %dx%d truncation determines %d moments; %d requested"
             % (usable, usable, max(2 * usable - 1, 0), n)
         )
-    size = j.size
     b_num, b_den = common_denominator(b)
     a_num, a_den = common_denominator(a)
     q = lcm(b_den, a_den)

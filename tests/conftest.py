@@ -32,8 +32,6 @@ from opoly.matrices import (
     UnitLowerBidiagonal,
     UpperBidiagonal,
     identity,
-    mat_scale,
-    mat_sub,
 )
 from opoly.orthopoly import (
     OrthogonalSystem,
@@ -41,7 +39,6 @@ from opoly.orthopoly import (
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
 )
 from opoly.poly import ONE_POLY, Polynomial, X
@@ -340,8 +337,9 @@ def product_reference(a, b):
 
 
 def shifted_reference(a, c):
-    """a - c I as the entrywise difference with c times the identity."""
-    return mat_sub(a, mat_scale(c, identity(a.size)))
+    """Rows of a - c I: each entry a_ij - c [i = j], one rational per entry."""
+    n = a.size
+    return [[a.entry(i, j) - (c if i == j else ZERO) for j in range(n)] for i in range(n)]
 
 
 def power_reference(a, k):
@@ -438,13 +436,12 @@ def values_and_slopes_reference(rc, c, n):
     return p, dp
 
 
-def christoffel_lu_reference(j, c):
+def christoffel_lu_reference(rc, c):
     """`darboux.christoffel_lu` as the forward elimination it replaced: beta_0 =
     b_0 - c, ell_k = a_k/beta_{k-1}, beta_k = b_k - c - ell_k, one rational
     per operation, ZeroPivot(k) at the first beta_k = 0."""
     c = rat(c)
-    rc = recurrence_from_jacobi(j)
-    b, a, n = rc.b, rc.a, j.size
+    b, a, n = rc.b, rc.a, rc.length
     betas = [b[0] - c]
     ells = []
     if betas[0] == 0:
@@ -458,11 +455,11 @@ def christoffel_lu_reference(j, c):
             raise ZeroPivot(k)
     new_b = tuple(betas[k] + ells[k] + c for k in range(n - 1))
     new_a = tuple(betas[k] * ells[k - 1] for k in range(1, n - 1))
-    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n - 1)
+    transformed = RecurrenceCoefficients(new_b, new_a)
     return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
-def geronimus_ul_reference(j, c, beta0):
+def geronimus_ul_reference(rc, c, beta0):
     """`darboux.geronimus_ul` as the elimination it replaced: ell_k = b_{k-1} -
     c - beta_{k-1}, beta_k = a_k/ell_k from the prescribed beta_0, one
     rational per operation, ZeroPivot(k) at the first ell_k = 0."""
@@ -470,8 +467,7 @@ def geronimus_ul_reference(j, c, beta0):
     beta0 = rat(beta0)
     if beta0 == 0:
         raise DegenerateParameter("beta_0 = 0 leaves the elimination undefined")
-    rc = recurrence_from_jacobi(j)
-    b, a, n = rc.b, rc.a, j.size
+    b, a, n = rc.b, rc.a, rc.length
     betas = [beta0]
     ells = []
     for k in range(1, n):
@@ -482,8 +478,21 @@ def geronimus_ul_reference(j, c, beta0):
         betas.append(a[k - 1] / ell)
     new_b = [betas[0] + c] + [betas[k] + ells[k - 1] + c for k in range(1, n)]
     new_a = [ells[k - 1] * betas[k - 1] for k in range(1, n)]
-    transformed = jacobi_matrix(RecurrenceCoefficients(new_b, new_a), n)
+    transformed = RecurrenceCoefficients(new_b, new_a)
     return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
+
+
+def with_b1_moved(producer):
+    """An LU or UL producer whose transformed recurrence has b_1 moved by
+    one: a wrong transform, for checks that must read it."""
+
+    def moved(*args):
+        lower, upper, transformed = producer(*args)
+        b = list(transformed.b)
+        b[1] += 1
+        return lower, upper, RecurrenceCoefficients(b, transformed.a)
+
+    return moved
 
 
 def quadratic_kernel_reference(rc, w0, c, m0, m1, s, t, n_max):

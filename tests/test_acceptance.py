@@ -30,7 +30,6 @@ from opoly.orthopoly import (
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
 )
 from opoly.quadratic import (
@@ -146,14 +145,11 @@ def criterion_3():
         for n in range(2, 9):
             assert alpha2[n] == (n + alpha + 1) * (n + alpha + 2)
         rc10, _ = smop_from_moments(u, 10)
-        lower, upper, transformed = geronimus_ul(
-            jacobi_matrix(rc10, 10), 0, alpha + 1
-        )
+        lower, upper, hat = geronimus_ul(rc10, 0, alpha + 1)
         for n in range(1, 10):
             assert lower.sub[n - 1] == n
         for n in range(10):
             assert upper.diag[n] == alpha + n + 1
-        hat = recurrence_from_jacobi(transformed)
         for n in range(10):
             assert hat.b[n] == 2 * n + alpha + 1
             if n >= 1:
@@ -183,13 +179,13 @@ def criterion_5():
     for name, u in FAMILIES.items():
         rc, _ = smop_from_moments(u, 12)
         j = jacobi_matrix(rc, 12)
-        lower, upper, _ = christoffel_lu(j, LU_SHIFT[name])
+        lower, upper, _ = christoffel_lu(rc, LU_SHIFT[name])
         product = mat_multiply(lower.to_band(), upper.to_band())
         block = common_reliable(product, j)
         assert block == 12
         assert equal_on_block(product, shifted(j, LU_SHIFT[name]), block)
         c, m0 = UL_PARAMS[name]
-        lower, upper, _ = geronimus_ul(j, c, u.moments[0] / m0)
+        lower, upper, _ = geronimus_ul(rc, c, u.moments[0] / m0)
         product = mat_multiply(upper.to_band(), lower.to_band())
         block = common_reliable(product, j)
         assert block == 11

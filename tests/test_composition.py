@@ -6,20 +6,18 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_functional
+from conftest import random_functional, with_b1_moved
 
-from opoly import associated, cli, composition, families, orthopoly, serialize
+from opoly import associated, cli, composition, darboux, families, orthopoly, serialize
 from opoly import functional as fa
 from opoly.composition import (
     christoffel_assoc_chain,
     christoffel_assoc_check,
-    christoffel_assoc_connection_check,
     christoffel_assoc_functional_check,
     christoffel_assoc_polys,
     corecursive_parameter,
     geronimus_assoc_chain,
     geronimus_assoc_polys,
-    geronimus_corecursive_check,
     geronimus_assoc_connection_check,
     geronimus_assoc_factor_check,
     geronimus_assoc_second_check,
@@ -49,17 +47,21 @@ def test_corecursive_parameter_values():
 
 
 def test_corecursive_parameter_degenerates_when_the_mass_vanishes():
-    # u_1 - c u_0 = 0 at c = 2 for laguerre(0) (u_0 = 1, u_1 = 2)
-    with pytest.raises(DegenerateParameter):
-        corecursive_parameter(families.laguerre(0, 8), 2)
-    with pytest.raises(DegenerateParameter):
-        christoffel_assoc_polys(families.laguerre(0, 12), 2, 3)
+    # u_1 - c u_0 = 0 at c = 2 for laguerre(0) (u_0 = 1, u_1 = 2): the
+    # level-0 minor of (x - c) u vanishes, as the Chebyshev algorithm says
+    for route in (
+        lambda: corecursive_parameter(families.laguerre(0, 8), 2),
+        lambda: christoffel_assoc_polys(families.laguerre(0, 12), 2, 3),
+    ):
+        with pytest.raises(NotQuasiDefinite) as caught:
+            route()
+        assert (caught.value.level, caught.value.guard) == (0, "norm")
 
 
 def test_multiplication_side_checks_individually():
     u = families.chebyshev_u(20)
     assert christoffel_assoc_check(u, 1, 8).passed
-    assert christoffel_assoc_connection_check(u, 1, 8).passed
+    assert chain_report(christoffel_assoc_chain(u, 1, 8, 8), "christoffel-assoc-connection").passed
     assert christoffel_assoc_functional_check(u, 1).passed
     report = shifted_factor_check(u, 1, 8)
     assert report.passed
@@ -74,16 +76,16 @@ def test_corner_scalar_hand_value():
     # b_1 + alpha - c = 0 + 1/4 - 1 = -3/4 must equal the second pivot
     u = families.chebyshev_u(20)
     from opoly.darboux import christoffel_lu
-    from opoly.orthopoly import jacobi_matrix, smop_from_moments
+    from opoly.orthopoly import smop_from_moments
 
     rc, _ = smop_from_moments(u, 9)
-    _, upper, _ = christoffel_lu(jacobi_matrix(rc, 9), 1)
+    _, upper, _ = christoffel_lu(rc, 1)
     assert upper.diag[1] == rat(-3, 4)
 
 
 def test_division_side_checks_individually():
     v = families.laguerre(0, 20)
-    assert geronimus_corecursive_check(v, 1, 8).passed
+    assert chain_report(geronimus_assoc_chain(v, 0, 1, 8, 8), "S-corecursive").passed
     assert geronimus_assoc_connection_check(v, 0, 1, 8).passed
     assert geronimus_assoc_second_check(v, 0, 1, 8).passed
     report = geronimus_assoc_factor_check(v, 0, 1, 8)
@@ -98,9 +100,36 @@ def test_division_side_checks_individually():
 
 def test_kernel_sequence_is_corecursive_with_parameter_minus_v0_over_m0():
     v = families.laguerre(rat(1, 2), 20)
-    report = geronimus_corecursive_check(v, rat(2, 3), 8)
+    report = chain_report(geronimus_assoc_chain(v, 0, rat(2, 3), 8, 8), "S-corecursive")
     assert report.passed
     assert report.details["alpha"] == "-3/2"  # -(v_0/m0) = -(alpha + 1)
+
+
+def chain_report(reports, identity):
+    """The one report of a chain that checks `identity`."""
+    (report,) = [r for r in reports if r.identity == identity]
+    return report
+
+
+def test_the_shifted_factor_checks_read_the_transformed_recurrence(monkeypatch):
+    # b_1 of each transform is the (0, 0) entry of its shifted Jacobi
+    # matrix, so only the part that compares the swapped product with
+    # that matrix may fail
+    monkeypatch.setattr(composition, "christoffel_lu", with_b1_moved(darboux.christoffel_lu))
+    monkeypatch.setattr(composition, "geronimus_ul", with_b1_moved(darboux.geronimus_ul))
+    report = shifted_factor_check(families.chebyshev_u(20), 1, 8)
+    assert report.details["parts"] == {
+        "corner-scalar": "pass",
+        "tail-product": "pass",
+        "swapped-tail-product": "fail",
+    }
+    report = geronimus_assoc_factor_check(families.laguerre(0, 20), 0, 1, 8)
+    assert report.details["parts"] == {
+        "moment-identity": "pass",
+        "shifted-product": "pass",
+        "swapped-shifted-product": "fail",
+        "shift-structure": "pass",
+    }
 
 
 def test_kernel_sequence_closed_form():

@@ -1,8 +1,9 @@
 """Bidiagonal factorizations of J - cI and the degree-one transformation checks."""
 
 import pytest
+from conftest import with_b1_moved
 
-from opoly import families
+from opoly import darboux, families
 from opoly import functional as fa
 from opoly.darboux import (
     christoffel_connection_check,
@@ -11,11 +12,7 @@ from opoly.darboux import (
 )
 from opoly.errors import DegenerateParameter, ZeroPivot
 from opoly.matrices import common_reliable, equal_on_block, mat_multiply, shifted
-from opoly.orthopoly import (
-    jacobi_matrix,
-    recurrence_from_jacobi,
-    smop_from_moments,
-)
+from opoly.orthopoly import jacobi_matrix, smop_from_moments
 from opoly.poly import X
 from opoly.rational import rat
 
@@ -24,18 +21,18 @@ def test_christoffel_lu_reproduces_the_matrix_and_the_transform():
     u = families.chebyshev_u(24)
     rc, _ = smop_from_moments(u, 12)
     j = jacobi_matrix(rc, 12)
-    lower, upper, transformed = christoffel_lu(j, rat(1))
+    lower, upper, transformed = christoffel_lu(rc, rat(1))
     product = mat_multiply(lower.to_band(), upper.to_band())
     assert equal_on_block(product, shifted(j, 1), common_reliable(product, j))
     # the transformed matrix is the Jacobi matrix of (x - 1) u
     tilde_rc, _ = smop_from_moments(fa.multiply_poly(u, X - 1), 11)
-    assert recurrence_from_jacobi(transformed) == tilde_rc
+    assert transformed == tilde_rc
 
 
 def test_christoffel_lu_chebyshev_u_closed_forms():
     u = families.chebyshev_u(20)
     rc, _ = smop_from_moments(u, 10)
-    lower, upper, _ = christoffel_lu(jacobi_matrix(rc, 10), rat(1))
+    lower, upper, _ = christoffel_lu(rc, rat(1))
     for n in range(10):
         assert upper.diag[n] == families.chebyshev_u_christoffel_beta(n)
     for n in range(1, 10):
@@ -47,11 +44,11 @@ def test_christoffel_lu_pivot_vanishes_at_a_zero_of_some_polynomial():
     u = families.chebyshev_u(12)
     rc, _ = smop_from_moments(u, 6)
     with pytest.raises(ZeroPivot) as info:
-        christoffel_lu(jacobi_matrix(rc, 6), 0)
+        christoffel_lu(rc, 0)
     assert info.value.index == 0
     # P_2(1/2) = 0: the pivot at step 1 vanishes
     with pytest.raises(ZeroPivot) as info:
-        christoffel_lu(jacobi_matrix(rc, 6), rat(1, 2))
+        christoffel_lu(rc, rat(1, 2))
     assert info.value.index == 1
 
 
@@ -60,17 +57,17 @@ def test_geronimus_ul_reproduces_the_matrix_and_the_transform():
     c, m0 = rat(1), rat(-1, 2)
     rc, _ = smop_from_moments(u, 10)
     j = jacobi_matrix(rc, 10)
-    lower, upper, transformed = geronimus_ul(j, c, u.moments[0] / m0)
+    lower, upper, transformed = geronimus_ul(rc, c, u.moments[0] / m0)
     product = mat_multiply(upper.to_band(), lower.to_band())
     assert equal_on_block(product, shifted(j, c), common_reliable(product, j))
     hat_rc, _ = smop_from_moments(fa.geronimus(u, c, m0), 10)
-    assert recurrence_from_jacobi(transformed) == hat_rc
+    assert transformed == hat_rc
 
 
 def test_geronimus_ul_chebyshev_u_hand_values():
     u = families.chebyshev_u(12)
     rc, _ = smop_from_moments(u, 6)
-    lower, upper, _ = geronimus_ul(jacobi_matrix(rc, 6), rat(1), rat(1) / rat(-1, 2))
+    lower, upper, _ = geronimus_ul(rc, rat(1), rat(1) / rat(-1, 2))
     assert upper.diag[0] == -2
     assert lower.sub[0] == 1
     assert upper.diag[1] == rat(1, 4)
@@ -81,16 +78,13 @@ def test_geronimus_ul_laguerre_closed_forms():
     for alpha in (rat(0), rat(1, 2)):
         u = families.laguerre(alpha, 20)
         rc, _ = smop_from_moments(u, 10)
-        lower, upper, transformed = geronimus_ul(
-            jacobi_matrix(rc, 10), 0, u.moments[0] * (alpha + 1)
-        )
+        lower, upper, hat = geronimus_ul(rc, 0, u.moments[0] * (alpha + 1))
         for n in range(10):
             assert upper.diag[n] == families.laguerre_geronimus_beta(alpha, n)
         for n in range(1, 10):
             assert lower.sub[n - 1] == families.laguerre_geronimus_ell(n)
         # the transform has the recurrence of the weight with parameter
         # lowered by one: b_n = 2n + alpha + 1, a_n = n (n + alpha)
-        hat = recurrence_from_jacobi(transformed)
         for n in range(10):
             assert hat.b[n] == 2 * n + alpha + 1
         for n in range(1, 10):
@@ -101,7 +95,7 @@ def test_geronimus_ul_rejects_a_zero_corner():
     u = families.chebyshev_u(12)
     rc, _ = smop_from_moments(u, 6)
     with pytest.raises(DegenerateParameter):
-        geronimus_ul(jacobi_matrix(rc, 6), 1, 0)
+        geronimus_ul(rc, 1, 0)
 
 
 def test_geronimus_ul_pivot_failure_is_typed():
@@ -109,7 +103,7 @@ def test_geronimus_ul_pivot_failure_is_typed():
     u = families.chebyshev_u(12)
     rc, _ = smop_from_moments(u, 6)
     with pytest.raises(ZeroPivot) as info:
-        geronimus_ul(jacobi_matrix(rc, 6), 1, rc.b_at(0) - 1)
+        geronimus_ul(rc, 1, rc.b_at(0) - 1)
     assert info.value.index == 1
 
 
@@ -117,3 +111,13 @@ def test_connection_check_passes_on_all_families():
     assert christoffel_connection_check(families.chebyshev_u(24), rat(1), 10).passed
     assert christoffel_connection_check(families.chebyshev_t(24), rat(3), 10).passed
     assert christoffel_connection_check(families.laguerre(0, 24), rat(-1), 10).passed
+
+
+def test_the_connection_check_reads_the_transformed_recurrence(monkeypatch):
+    monkeypatch.setattr(darboux, "christoffel_lu", with_b1_moved(darboux.christoffel_lu))
+    report = christoffel_connection_check(families.chebyshev_u(24), rat(1), 10)
+    assert report.details["parts"] == {
+        "kernel-representation": "pass",
+        "pivot-closed-form": "pass",
+        "transformed-recurrence": "fail",
+    }

@@ -18,14 +18,12 @@ from opoly.matrices import (
     identity,
     mat_multiply,
     mat_power,
-    mat_scale,
-    mat_sub,
     shift_cols_left,
-    shift_conjugate,
     shift_rows_up,
     shifted,
     solve_unit_lower,
 )
+from opoly.orthopoly import RecurrenceCoefficients, jacobi_matrix
 from opoly.rational import rat
 
 
@@ -93,16 +91,9 @@ def test_margin_and_reliable():
 
 def test_add_sub_scale_shift():
     j = tridiagonal(3, (4, 5), (1, 2, 3), (1, 1))
-    assert mat_sub(mat_scale(2, j), j) == j
     s = shifted(j, rat(1, 2))
     assert s.entry(0, 0) == rat(1, 2)
     assert s.entry(1, 0) == 4
-
-
-def test_combine_margin_is_the_max():
-    a = BandMatrix(4, {0: (1,) * 4}, margin=1)
-    b = BandMatrix(4, {0: (2,) * 4}, margin=3)
-    assert mat_sub(a, b).margin == 3
 
 
 def test_multiplication_matches_dense_reference():
@@ -146,12 +137,18 @@ def test_power_against_repeated_products():
 
 
 def test_shift_conjugate_drops_first_row_and_column():
-    j = tridiagonal(4, (4, 5, 6), (1, 2, 3, 7), (1, 1, 1))
-    t = shift_conjugate(j)
+    # the Jacobi matrix of the shifted recurrence is J without its first
+    # row and column
+    rc = RecurrenceCoefficients((1, 2, 3, 7), (4, 5, 6))
+    j = jacobi_matrix(rc, 4)
+    t = jacobi_matrix(rc.shifted(1), 3)
     assert t.size == 3
     assert t.entry(0, 0) == 2
     assert t.entry(1, 0) == 5
     assert t.margin == j.margin
+    for i in range(3):
+        for k in range(3):
+            assert t.entry(i, k) == j.entry(i + 1, k + 1)
 
 
 def test_shift_rows_up_moves_diagonals_up():
@@ -183,13 +180,14 @@ def test_shift_cols_left_moves_diagonals_down():
 
 
 def test_row_and_column_shifts_compose_to_the_corner_conjugate():
-    j = tridiagonal(5, (4, 5, 6, 7), (1, 2, 3, 7, 9), (1, 1, 1, 1))
+    rc = RecurrenceCoefficients((1, 2, 3, 7, 9), (4, 5, 6, 7))
+    j = jacobi_matrix(rc, 5)
     a = shift_rows_up(shift_cols_left(j))
     b = shift_cols_left(shift_rows_up(j))
     block = common_reliable(a, b)
     assert block >= 3
     assert equal_on_block(a, b, block)
-    conj = shift_conjugate(j)
+    conj = jacobi_matrix(rc.shifted(1), 4)
     assert equal_on_block(a, conj, min(block, conj.size))
 
 

@@ -14,7 +14,6 @@ from opoly.orthopoly import (
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
-    recurrence_from_jacobi,
     smop_from_moments,
 )
 from opoly.poly import ONE_POLY, X
@@ -143,19 +142,10 @@ def test_jacobi_matrix_layout():
     assert j.entry(0, 0) == 1 and j.entry(2, 2) == 3
     assert j.entry(1, 0) == 4 and j.entry(2, 1) == 5
     assert j.entry(0, 1) == 1 and j.entry(1, 2) == 1
-    assert recurrence_from_jacobi(j) == rc
     with pytest.raises(TruncationExhausted):
         jacobi_matrix(rc, 4)
     with pytest.raises(ValueError):
         jacobi_matrix(rc, 0)
-
-
-def test_recurrence_from_jacobi_rejects_non_monic_input():
-    from opoly.matrices import BandMatrix
-
-    m = BandMatrix(3, {0: (1, 1, 1), 1: (2, 1), -1: (1, 1)})
-    with pytest.raises(ValueError):
-        recurrence_from_jacobi(m)
 
 
 def test_moments_round_trip_through_the_jacobi_matrix():

@@ -783,23 +783,22 @@ def same_factors_or_error(got, want):
     assert lower.sub == expected[0].sub
     assert upper.diag == expected[1].diag
     assert transformed == expected[2]
-    assert transformed.margin == expected[2].margin == 0
 
 
 @given(wide_recurrence_moments(), scalars, st.data())
 def test_the_lu_factors_match_the_elimination(drawn, c, data):
     rc, _ = drawn
-    j = jacobi_matrix(rc, data.draw(st.integers(2, rc.length)))
-    same_factors_or_error(lambda: christoffel_lu(j, c), lambda: christoffel_lu_reference(j, c))
+    rc = rc.truncated(data.draw(st.integers(2, rc.length)))
+    same_factors_or_error(lambda: christoffel_lu(rc, c), lambda: christoffel_lu_reference(rc, c))
 
 
 @given(wide_recurrence_moments(), scalars, st.one_of(st.just(rat(0)), wide_nonzero), st.data())
 def test_the_ul_factors_match_the_elimination(drawn, c, beta0, data):
     # beta_0 = 0 must be DegenerateParameter on both routes
     rc, _ = drawn
-    j = jacobi_matrix(rc, data.draw(st.integers(1, rc.length)))
+    rc = rc.truncated(data.draw(st.integers(1, rc.length)))
     same_factors_or_error(
-        lambda: geronimus_ul(j, c, beta0), lambda: geronimus_ul_reference(j, c, beta0)
+        lambda: geronimus_ul(rc, c, beta0), lambda: geronimus_ul_reference(rc, c, beta0)
     )
 
 
@@ -813,10 +812,10 @@ def test_a_zero_of_p_k_plus_1_stops_both_lu_routes_at_k(drawn, c, data):
     b = list(rc.b)
     b[level] = c - (rc.a_at(level) * p[level - 1] / p[level] if level else 0)
     rc = RecurrenceCoefficients(b, rc.a)
-    j = jacobi_matrix(rc, data.draw(st.integers(level + 1, rc.length)))
+    rc = rc.truncated(data.draw(st.integers(level + 1, rc.length)))
     for route in (christoffel_lu, christoffel_lu_reference):
         with pytest.raises(ZeroPivot) as excinfo:
-            route(j, c)
+            route(rc, c)
         assert excinfo.value.index == level
 
 
@@ -830,10 +829,10 @@ def test_a_corner_that_zeroes_z_k_stops_both_ul_routes_at_k(drawn, c, data):
     assume(q[level - 1] != 0 and p[level] != 0)
     beta0 = -p[level] / q[level - 1]
     assume(all(p[k] + beta0 * q[k - 1] for k in range(1, level)))
-    j = jacobi_matrix(rc, data.draw(st.integers(level + 1, rc.length)))
+    rc = rc.truncated(data.draw(st.integers(level + 1, rc.length)))
     for route in (geronimus_ul, geronimus_ul_reference):
         with pytest.raises(ZeroPivot) as excinfo:
-            route(j, c, beta0)
+            route(rc, c, beta0)
         assert excinfo.value.index == level
 
 
@@ -1082,10 +1081,8 @@ def test_a_shift_rewrites_only_the_main_diagonal(data, c):
     for point in (c, rat(0)):
         for m in (a, a.to_dense()):
             got = shifted(m, point)
-            want = shifted_reference(m, point)
             assert type(got) is type(m)
-            rows = [[want.entry(i, j) for j in range(size)] for i in range(size)]
-            assert_same_matrix(got, rows, m.margin)
+            assert_same_matrix(got, shifted_reference(m, point), m.margin)
         assert shifted(a, 0) == a and shifted(a, 0).diagonals == a.diagonals
     # a main diagonal of c's shifts to zero and is dropped
     corner = {size - 1: (1,)} if size > 1 else {}
@@ -1185,6 +1182,18 @@ def assert_factorize_fails_at(u, factorize_args, level):
     assert (payload["error"], payload["level"]) == ("ZeroPivot", level)
 
 
+def assert_verify_fails_at(u, names, verify_args, level):
+    """Each `verify` identity on u exits 1 with a typed NotQuasiDefinite or
+    ZeroPivot at level: never exit 2, a traceback or a failing report."""
+    stdin = serialize.dumps(serialize.moments_record(u))
+    for name in names:
+        code, out = run_cli(["verify", name] + verify_args, stdin)
+        assert code == 1, name
+        payload = json.loads(out)
+        assert payload["error"] in ("NotQuasiDefinite", "ZeroPivot"), (name, payload)
+        assert payload["level"] == level, (name, payload)
+
+
 def assert_first_vanishing_minor(v, level):
     assert all(hankel_minor(v, k) != 0 for k in range(level))
     assert hankel_minor(v, level) == 0
@@ -1216,10 +1225,17 @@ def test_a_christoffel_point_at_a_zero_of_p_k_plus_1_fails_at_level_k(drawn, c, 
     u = with_moments_of(rc, u)
     assert_first_vanishing_minor(fa.multiply_poly(u, linear_power(c, 1)), level)
     with pytest.raises(ZeroPivot) as excinfo:
-        christoffel_lu(jacobi_matrix(rc, level + 2), c)
+        christoffel_lu(rc.truncated(level + 2), c)
     assert excinfo.value.index == level
     assert_factorize_fails_at(u, ["lu", "--c=%s" % c], level)
     assert_pipeline_fails_at(u, ["christoffel", "--c=%s" % c], level)
+    # the largest --n the input supports reaches the level; coro1 has no
+    # --n and reads the SMOP of (x - c) u only below depth order/2 - 1
+    names = ["repChris", "shifted-lu", "christoffel+assoc"]
+    if level < u.order // 2 - 1:
+        names.append("coro1")
+    args = ["--c=%s" % c, "--n", str(u.order // 2 - 1)]
+    assert_verify_fails_at(u, names, args, level)
 
 
 @given(recurrence_moments(min_order=6), rationals, st.data())
@@ -1237,11 +1253,14 @@ def test_a_geronimus_mass_that_kills_a_minor_fails_at_its_level(drawn, c, data):
     assume(all(hankel_minor(v, k) != 0 for k in range(level)))
     assert_first_vanishing_minor(v, level)
     with pytest.raises(ZeroPivot) as excinfo:
-        geronimus_ul(jacobi_matrix(rc, level + 1), c, u.moments[0] / m0)
+        geronimus_ul(rc.truncated(level + 1), c, u.moments[0] / m0)
     assert excinfo.value.index == level
     if level < u.order // 2:
-        # factorize's default size, u.order // 2, reaches the pivot
+        # factorize's default size, u.order // 2, reaches the pivot, and so
+        # does verify's largest --n, whose elimination has size --n + 1
         assert_factorize_fails_at(u, ["ul", "--c=%s" % c, "--m0=%s" % m0], level)
+        args = ["--c=%s" % c, "--m0=%s" % m0, "--n", str(u.order // 2 - 1)]
+        assert_verify_fails_at(u, ["gero1", "gero2", "pro6", "geronimus+assoc"], args, level)
     assert_pipeline_fails_at(u, ["geronimus", "--c=%s" % c, "--m0=%s" % m0], level)
 
 
