@@ -17,7 +17,13 @@ from .associated import (
     corecursive_polys,
 )
 from .darboux import christoffel_lu, geronimus_ul
-from .errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted, ZeroPivot
+from .errors import (
+    DegenerateParameter,
+    NotQuasiDefinite,
+    TruncationExhausted,
+    ZeroFirstMoment,
+    ZeroPivot,
+)
 from .matrices import (
     UpperBidiagonal,
     common_reliable,
@@ -29,8 +35,8 @@ from .matrices import (
     shifted,
 )
 from .orthopoly import (
+    first_moment_off,
     jacobi_matrix,
-    moments_from_jacobi,
     polys_from_recurrence,
     smop_from_moments,
     values_and_slopes,
@@ -142,10 +148,10 @@ def _connection(u, c, n_max, combo, tilde_u):
 def christoffel_assoc_functional_check(u, c):
     """Identity "coro1": associated-of-transformed equals transformed-of-perturbed.
 
-    Both sides are produced as moment sequences (one as the associated
-    functional of (x - c) u, one through the perturbed recurrence) and
-    compared after normalization, since the associated functionals' first
-    moments are free.
+    The associated functional of (x - c) u is produced from moments and
+    compared, after normalization (the associated functionals' first
+    moments are free), with (x - c) u_alpha, u_alpha the functional of
+    the perturbed recurrence at first moment 1 (`_perturbed_moment_off`).
     """
     c = rat(c)
     return _coro1(u, c, _christoffel(u, c))
@@ -159,23 +165,35 @@ def _coro1(u, c, tilde_u):
     alpha = corecursive_parameter(u, c)
     if depth < 3:
         raise TruncationExhausted("need at least 6 moments for a meaningful check")
-    perturbed = rc.shifted(1).corecursive(alpha)
-    j_alpha = jacobi_matrix(perturbed, perturbed.length)
-    u_alpha = moments_from_jacobi(j_alpha, ONE, 2 * perturbed.length - 1)
-    lhs = fa.multiply_poly(u_alpha, X - c)
     # the moment route does not see a vanishing minor of (x - c) u beyond
     # level 1, so its recurrence is read to the depth the check compares
     smop_from_moments(tilde_u, depth - 1)
     rhs = associated_functional(tilde_u, 1, ONE, 2 * (depth - 2) - 1)
-    order = min(lhs.order, rhs.order)
-    if fa.equal_normalized(lhs, rhs, order=order):
+    order = rhs.order
+    usable = _perturbed_moment_off(rhs, rc.shifted(1).corecursive(alpha), c, order)
+    if usable is None:
         return CheckReport.passing(
             "coro1", order - 1, predicate="normalized", c=str(c), alpha=str(alpha)
         )
-    usable = fa.first_moment_mismatch(lhs.normalized(), rhs.normalized())
     return CheckReport.failing(
         "coro1", order - 1, {"moment": usable}, predicate="normalized", c=str(c)
     )
+
+
+def _perturbed_moment_off(first, perturbed, c, order):
+    """The first of `order` moments where `first` (first moment 1) and
+    (x - c) u_alpha differ, normalized, or None; u_alpha has the perturbed
+    recurrence and u_alpha_0 = 1, so (x - c) u_alpha has first moment
+    b_0 - c.  Compares the recurrence of w with (x - c) w = (b_0 - c) first
+    and w_0 = 1, whose moment m is moment m - 1 of (x - c) w.
+    """
+    scale = perturbed.b[0] - c
+    # the error of normalizing (x - c) u_alpha, whose first moment is 0
+    if scale == 0:
+        raise ZeroFirstMoment("cannot normalize: u_0 = 0")
+    w = fa.geronimus(fa.scale(scale, first), c, ONE)
+    m = first_moment_off(w, perturbed, order + 1, ONE)
+    return None if m is None else m - 1
 
 
 def shifted_factor_check(u, c, size):
@@ -241,12 +259,11 @@ def geronimus_assoc_polys(v, m0, n_max):
 def _s_corecursive(v, m0, n_max, direct):
     """The kernel sequence is co-recursive of parameter -v_0/m0 for v itself.
 
-    Checked as polynomials (two routes) and as functionals: the moments
-    regenerated from the perturbed recurrence must match the convolution
-    route through v^{-1} - (1/m0) delta_0'.
+    Checked as polynomials (two routes) and as functionals: the convolution
+    route through v^{-1} - (1/m0) delta_0' must have the perturbed
+    recurrence, normalized, on the 2 * n_max + 1 moments it fixes.
     """
-    v0 = v.moment(0)
-    alpha = -v0 / m0
+    alpha = -v.moment(0) / m0
     rc, _ = smop_from_moments(v, n_max + 1)
     routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
     for n in range(n_max + 1):
@@ -254,19 +271,9 @@ def _s_corecursive(v, m0, n_max, direct):
             return CheckReport.failing(
                 "S-corecursive", n_max, {"level": n, "route": "polynomial"}
             )
-    perturbed = rc.corecursive(alpha)
-    j_alpha = jacobi_matrix(perturbed, perturbed.length)
-    via_recurrence = moments_from_jacobi(j_alpha, v0, 2 * perturbed.length - 1)
-    via_inversion = corecursive_functional(v, alpha)
-    order = min(via_recurrence.order, via_inversion.order)
-    if not fa.equal_normalized(via_recurrence, via_inversion, order=order):
-        return CheckReport.failing(
-            "S-corecursive",
-            n_max,
-            {"route": "functional", "moment": fa.first_moment_mismatch(
-                via_recurrence.normalized(), via_inversion.normalized()
-            )},
-        )
+    k = first_moment_off(corecursive_functional(v, alpha), rc.corecursive(alpha), 2 * n_max + 1)
+    if k is not None:
+        return CheckReport.failing("S-corecursive", n_max, {"route": "functional", "moment": k})
     return CheckReport.passing("S-corecursive", n_max, alpha=str(alpha))
 
 
@@ -325,10 +332,10 @@ def geronimus_assoc_factor_check(v, c, m0, size):
     """Identity "pro6": moments and shifted-factor identities for the division step.
 
     (i) the associated functional of the transform equals (x - c) times
-    the co-recursive functional of parameter -v_0/m0, normalized; the
-    transform is `fa.geronimus(v, c, m0)`, whose recurrence the
-    elimination gives, since beta_0 = v_0/m0 (certified by (ii), (iii),
-    gero1 and gero2);
+    the co-recursive functional of parameter -v_0/m0, normalized, as in
+    coro1 (`_perturbed_moment_off`); the transform is
+    `fa.geronimus(v, c, m0)`, whose recurrence the elimination gives,
+    since beta_0 = v_0/m0 (certified by (ii), (iii), gero1 and gero2);
     (ii) J_alpha - cI = Lhat Uhat with Lhat, Uhat the one-sided shifts
     of the elimination factors; (iii) Jhat^(1) - cI = Uhat Lhat; and the
     structural reading of Uhat as the pure index shift of L.
@@ -342,21 +349,17 @@ def _pro6(v, c, m0, size, hat):
     rc, lower, upper, hat_rc = hat
     alpha = -v.moment(0) / m0
     reports = []
-    # (i) normalized moment identity
+    # (i) normalized moment identity, on the 2 * size - 2 moments of
+    # (x - c) v_alpha that the perturbed recurrence fixes
     lhs = associated_functional(fa.geronimus(v, c, m0), 1, ONE, 2 * size - 1)
-    perturbed = rc.truncated(size).corecursive(alpha)
-    v_alpha = moments_from_jacobi(jacobi_matrix(perturbed, size), ONE, 2 * size - 1)
-    rhs = fa.multiply_poly(v_alpha, X - c)
-    order = min(lhs.order, rhs.order)
-    ok = fa.equal_normalized(lhs, rhs, order=order)
+    order = 2 * size - 2
+    off = _perturbed_moment_off(lhs, rc.truncated(size).corecursive(alpha), c, order)
     reports.append(
         CheckReport(
             "moment-identity",
-            "pass" if ok else "fail",
+            "pass" if off is None else "fail",
             order - 1,
-            None
-            if ok
-            else {"moment": fa.first_moment_mismatch(lhs.normalized(), rhs.normalized())},
+            None if off is None else {"moment": off},
             predicate="normalized",
         )
     )

@@ -298,30 +298,3 @@ def quadratic_geronimus(u, c, m0, m1):
     mass = scale(m0, delta(c, base.order))
     tilt = scale(c * m0 - m1, derivative(delta(c, base.order)))
     return add(add(base, mass), tilt)
-
-
-def equal_functionals(u, v, order=None):
-    """On-the-nose equality of the common (or requested) moment prefix."""
-    n = min(u.order, v.order)
-    if order is not None:
-        if order > n:
-            raise TruncationExhausted(
-                "cannot compare %d moments; only %d are shared" % (order, n)
-            )
-        n = order
-    du, dv = u.den, v.den
-    return all(a * dv == b * du for a, b in zip(u.num[:n], v.num[:n]))
-
-
-def equal_normalized(u, v, order=None):
-    """Equality after scaling both first moments to 1."""
-    return equal_functionals(u.normalized(), v.normalized(), order=order)
-
-
-def first_moment_mismatch(u, v):
-    """Index of the first differing shared moment, or None."""
-    du, dv = u.den, v.den
-    for k, (a, b) in enumerate(zip(u.num, v.num)):
-        if a * dv != b * du:
-            return k
-    return None

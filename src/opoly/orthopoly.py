@@ -2,7 +2,7 @@
 
 from math import gcd, lcm
 
-from .errors import NotQuasiDefinite, TruncationExhausted
+from .errors import NotQuasiDefinite, TruncationExhausted, ZeroFirstMoment
 from .functional import MomentFunctional
 from .matrices import BandMatrix
 from .poly import ONE_POLY, Polynomial
@@ -223,6 +223,33 @@ def _chebyshev(nums, den, n_max):
         norms.append(norm_k)
         bs.append(b_k)
     return RecurrenceCoefficients(bs, a_s), tuple(norms)
+
+
+def first_moment_off(w, rc, count, u0=None):
+    """The first of w's `count` moments that the functional of (u0, rc) does not share, or None.
+
+    Compares w's recurrence (`_chebyshev`) with rc's ceil(count/2) in the
+    order b_0, a_1, b_1, a_2, ...: u_{2k} brings in a_k and u_{2k+1}
+    brings in b_k, each times u_0 a_1 ... a_k != 0 on rc's side, so the
+    first differing coefficient is the first differing moment, and a
+    vanishing norm K_k of w differs at moment 2k.  u0=None compares after
+    normalizing, which the recurrence does not see.  An odd count pads
+    one moment, which reaches only the uncompared last b.
+    """
+    if u0 is None and w.num[0] == 0:
+        raise ZeroFirstMoment("cannot normalize: u_0 = 0")
+    if u0 is not None and w.moment(0) != u0:
+        return 0
+    try:
+        got, _ = _chebyshev(w.num[:count] + (0,) * (count % 2), w.den, (count + 1) // 2)
+    except NotQuasiDefinite as exc:
+        off = first_moment_off(w, rc, 2 * exc.level, u0)
+        return 2 * exc.level if off is None else off
+    for m in range(1, count):
+        k = m // 2
+        if (got.b[k] != rc.b[k]) if m % 2 else (got.a[k - 1] != rc.a[k - 1]):
+            return m
+    return None
 
 
 def polys_from_recurrence(rc, n_max):

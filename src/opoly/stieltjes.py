@@ -7,7 +7,7 @@ here compares series only on certified coefficients.
 
 from . import functional as fa
 from .errors import DegenerateParameter, TruncationExhausted
-from .orthopoly import jacobi_matrix, moments_from_jacobi, polys_from_recurrence, smop_from_moments
+from .orthopoly import first_moment_off, polys_from_recurrence, smop_from_moments
 from .poly import ONE_POLY, X
 from .rational import ONE, rat
 from .reports import CheckReport
@@ -72,7 +72,9 @@ def first_kind_series_check(u, norm1=ONE):
     """Identity "relationS": S_{u^(1)} = -(u_0 norm1/a_1) z^2 S_{u^{-1}} + (norm1/a_1)(z - b_0).
 
     The positive powers introduced by z^2 and the linear polynomial must
-    cancel exactly; the comparison window includes them.
+    cancel exactly, highest power first.  Below them z^{-k-1} holds moment
+    k of the right side's functional, compared as in "fu1": moment k
+    failing is power -k-1 failing.
     """
     norm1 = rat(norm1)
     depth = u.order // 2
@@ -83,18 +85,17 @@ def first_kind_series_check(u, norm1=ONE):
     a1 = rc.a_at(1)
     if norm1 == 0:
         raise DegenerateParameter("the associated functional needs a nonzero first moment")
-    # S of u^(1) by its recurrence, the route that the series of u^{-1} checks
-    shifted = rc.shifted(1)
-    lhs = stieltjes_series(
-        moments_from_jacobi(jacobi_matrix(shifted, shifted.length), norm1, 2 * shifted.length - 1)
-    )
     shifted_inverse = series_shift(stieltjes_series(fa.invert(u)), 2)
     rhs = series_add(
         series_scale(-(u0 * norm1) / a1, shifted_inverse),
         series_scale(norm1 / a1, from_polynomial(X - rc.b_at(0))),
     )
-    bad = first_series_mismatch(lhs, rhs)
-    floor = max(lhs.min_power, rhs.min_power)
+    count = 2 * depth - 3
+    bad = next((m for m in range(rhs.max_power, -1, -1) if rhs.coefficient(m)), None)
     if bad is None:
-        return CheckReport.passing("relationS", -floor, norm1=str(norm1))
-    return CheckReport.failing("relationS", -floor, {"power": bad}, norm1=str(norm1))
+        w = fa.MomentFunctional([rhs.coefficient(-k - 1) for k in range(count)])
+        k = first_moment_off(w, rc.shifted(1), count, norm1)
+        bad = None if k is None else -k - 1
+    if bad is None:
+        return CheckReport.passing("relationS", count, norm1=str(norm1))
+    return CheckReport.failing("relationS", count, {"power": bad}, norm1=str(norm1))

@@ -285,6 +285,16 @@ def corecursive_by_subtraction(rc, alpha, n_max):
     return (base[0],) + tuple(base[n] - alpha * first[n - 1] for n in range(1, n_max + 1))
 
 
+def first_moment_mismatch_reference(u, v):
+    """Index of the first differing shared moment of u and v, or None: the
+    moment-by-moment comparison that the checks' recurrence comparison
+    (`orthopoly.first_moment_off`) replaced."""
+    for k, (x, y) in enumerate(zip(u.moments, v.moments)):
+        if x != y:
+            return k
+    return None
+
+
 def continued_fraction_mismatch(u, norm1=ONE):
     """The first power at which the cleared one-step continued fraction
     (z - b_0) S_u - (a_1/norm1) S_{u^(1)} S_u = u_0 fails, None if it holds

@@ -192,20 +192,17 @@ def test_both_chains_pass_on_the_committed_random_functional():
 def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
     # every check reads v's recurrence through smop_from_moments; the memo
     # on v must let the Chebyshev algorithm run once for all four, so a
-    # check that recomputes the recurrence on its own copy of v fails here
+    # check that recomputes the recurrence on its own copy of v fails here;
+    # the runs on the moment sides that the checks compare are not counted
     u, c, m0 = random_functional()
     want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
-    runs = []
-    real = orthopoly._chebyshev
-
-    def counted(nums, den, n_max):
-        runs.append((nums, den, n_max))
-        return real(nums, den, n_max)
 
     def fresh():
         return MomentFunctional(u.moments)
 
-    monkeypatch.setattr(orthopoly, "_chebyshev", counted)
+    runs = counting(
+        monkeypatch, orthopoly, "_chebyshev", lambda nums, den, n_max: (nums, den) == (u.num, u.den)
+    )
     assert [report.to_json() for report in geronimus_assoc_chain(fresh(), c, m0, 8, 8)] == want
     assert runs == [(u.num, u.den, 9)]
     # gero1 and gero2 on their own reuse the recurrence that the
@@ -242,11 +239,16 @@ def counting(monkeypatch, module, name, keep=lambda *args: True):
 
 def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypatch):
     # u and (x - c)u run the Chebyshev algorithm once each, at the deepest
-    # depth a check reads (coro1's), and (x - c)u is built once
+    # depth a check reads (coro1's), and (x - c)u is built once; the runs
+    # on coro1's moment side are not counted
     u, c, m0 = random_functional()
     want = [report.to_json() for report in christoffel_assoc_chain(u, c, 8, 8)]
     fresh = MomentFunctional(u.moments)
-    runs = counting(monkeypatch, orthopoly, "_chebyshev")
+    tilde = fa.multiply_poly(u, X - c)
+    read = {(u.num, u.den), (tilde.num, tilde.den)}
+    runs = counting(
+        monkeypatch, orthopoly, "_chebyshev", lambda nums, den, n_max: (nums, den) in read
+    )
     products = counting(
         monkeypatch, fa, "multiply_poly", lambda w, p: w is fresh and p == X - c
     )
@@ -284,22 +286,22 @@ def test_verify_christoffel_assoc_builds_each_polynomial_sequence_once(monkeypat
 
 
 def test_no_associated_functional_reads_moments_from_a_recurrence(monkeypatch, capsys):
-    # the producer goes through u^{-1}: the one moments_from_jacobi call
-    # left under coro1 and under pro6 is their perturbed second route
+    # the producer goes through u^{-1} and every check reads its moment
+    # side's recurrence: with moments_from_jacobi raising under every name
+    # that opoly binds it to, the producer and every identity still run
     u, c, m0 = random_functional()
-    calls = [
-        counting(monkeypatch, module, "moments_from_jacobi")
-        for module in (associated, composition)
-    ]
+
+    def refused(*args):
+        raise AssertionError("moments_from_jacobi was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opoly" and hasattr(module, "moments_from_jacobi"):
+            monkeypatch.setattr(module, "moments_from_jacobi", refused)
     stdin = serialize.dumps(serialize.moments_record(u))
-    for argv, want in (
-        (["transform", "associated", "--k", "2"], 0),
-        (["verify", "coro1", "--c=%s" % c], 1),
-        (["verify", "pro6", "--c=%s" % c, "--m0=%s" % m0], 1),
-    ):
-        for made in calls:
-            made.clear()
+    verify = [
+        ["verify", name, "--c=%s" % c, "--m0=%s" % m0, "--n", "6"] for name in cli.IDENTITIES
+    ]
+    for argv in [["transform", "associated", "--k", "2"]] + verify:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0, argv
         capsys.readouterr()
-        assert sum(map(len, calls)) == want, argv

@@ -156,10 +156,9 @@ def test_quadratic_geronimus_round_trip_and_masses():
 def test_equality_predicates():
     u = MomentFunctional((1, 2, 3))
     v = MomentFunctional((2, 4, 6, 100))
-    assert fa.equal_functionals(u, u)
-    assert not fa.equal_functionals(u, v)
-    assert fa.equal_normalized(u, v, order=3)
-    assert fa.first_moment_mismatch(u, v) == 0
-    assert fa.first_moment_mismatch(u, MomentFunctional((1, 2, 3, 4))) is None
+    # equality reads the whole window; a shorter window is a truncation
+    assert u == u.truncated(3) and u != v
+    assert v.truncated(3).normalized() == u.normalized()
+    assert MomentFunctional((1, 2, 3, 4)).truncated(3) == u
     with pytest.raises(TruncationExhausted):
-        fa.equal_functionals(u, v, order=4)
+        u.truncated(4)

@@ -15,6 +15,7 @@ from conftest import (
     divide_power_reference,
     divided_difference_reference,
     equal_on_block_reference,
+    first_moment_mismatch_reference,
     fraction_derivatives_at,
     fraction_wronskian,
     geronimus_ul_reference,
@@ -65,6 +66,7 @@ from opoly.matrices import (
 from opoly.orthopoly import (
     OrthogonalSystem,
     RecurrenceCoefficients,
+    first_moment_off,
     hankel_minor,
     jacobi_matrix,
     kernel_values,
@@ -109,7 +111,7 @@ def make_functional(first, rest):
 @given(nonzero, st.lists(rationals, min_size=3, max_size=9))
 def test_convolution_inverse_is_an_involution(first, rest):
     u = make_functional(first, rest)
-    assert fa.equal_functionals(fa.invert(fa.invert(u)), u)
+    assert fa.invert(fa.invert(u)) == u
 
 
 @given(nonzero, st.lists(rationals, min_size=3, max_size=9), rationals)
@@ -121,7 +123,7 @@ def test_divide_undoes_multiply(first, rest, c):
     # there reproduces u exactly, at full order
     restored = fa.add(back, fa.scale(u.moments[0], fa.delta(c, back.order)))
     assert restored.order == u.order
-    assert fa.equal_functionals(restored, u)
+    assert restored == u
 
 
 @given(nonzero, st.lists(rationals, min_size=3, max_size=9), rationals, nonzero)
@@ -129,7 +131,7 @@ def test_multiply_undoes_geronimus(first, rest, c, m0):
     u = make_functional(first, rest)
     transformed = fa.geronimus(u, c, m0)
     back = fa.multiply_poly(transformed, linear_power(c, 1))
-    assert fa.equal_functionals(back, u)
+    assert back == u
 
 
 @given(
@@ -539,7 +541,7 @@ def test_a_functional_from_rationals_equals_one_from_integers(ms, spread, data):
         other = list(ms)
         other[k] += 1
         assert MomentFunctional(other) != u
-        assert fa.first_moment_mismatch(MomentFunctional(other), u) == k
+        assert first_moment_mismatch_reference(MomentFunctional(other), u) == k
 
 
 @given(st.lists(scalars, min_size=1, max_size=12), st.data())
@@ -550,14 +552,14 @@ def test_truncated_normalized_and_relabeled_keep_exact_values(ms, data):
     cut = u.truncated(order)
     assert cut.moments == tuple(ms[:order]) and cut.label == "drawn"
     assert_canonical(cut)
-    assert fa.equal_functionals(u, cut) and fa.equal_functionals(u, cut, order=order)
+    assert u.truncated(order) == cut
     renamed = u.relabeled("other")
     assert renamed == u and renamed.label == "other" and renamed.moments == tuple(ms)
     if ms[0] != 0:
         unit = u.normalized()
         assert unit.moments == tuple(m / ms[0] for m in ms)
         assert_canonical(unit)
-        assert fa.equal_normalized(u, fa.scale(data.draw(nonzero), u))
+        assert fa.scale(data.draw(nonzero), u).normalized() == unit
 
 
 @given(
@@ -1347,3 +1349,132 @@ def test_a_vanishing_a_j_below_the_level_is_a_typed_error_everywhere(drawn, k, n
         assert (payload["error"], payload["level"], payload["guard"]) == (
             "NotQuasiDefinite", j, "norm"
         ), argv
+
+
+
+@given(recurrence_moments(min_order=3), nonzero, nonzero, st.data())
+def test_the_recurrence_comparison_finds_the_first_differing_moment(drawn, scale, delta, data):
+    # comparing w's (b_0, a_1, b_1, ...) with rc's finds the first moment
+    # that w and rc's functional do not share, on odd and even windows,
+    # exactly and after normalizing, as comparing moment by moment does
+    rc, u = drawn
+    u0 = u.moments[0]
+    count = data.draw(st.integers(1, u.order))
+    assert first_moment_off(u, rc, count, u0) is None
+    assert first_moment_off(fa.scale(scale, u), rc, count) is None
+    moments = list(u.moments)
+    j = data.draw(st.integers(0, count - 1))
+    moments[j] += delta
+    w = MomentFunctional(moments)
+    assert first_moment_mismatch_reference(w.truncated(count), u) == j
+    assert first_moment_off(w, rc, count, u0) == j
+    if moments[0] != 0:
+        want = first_moment_mismatch_reference(
+            w.truncated(count).normalized(), u.truncated(count).normalized()
+        )
+        assert first_moment_off(fa.scale(scale, w), rc, count) == want
+
+
+@given(recurrence_moments(min_order=4), st.data())
+def test_a_vanishing_norm_of_w_is_a_difference_at_its_even_moment(drawn, data):
+    # a_k = 0 in w's recurrence keeps moments 0..2k-1 and makes K_k = 0,
+    # where rc's functional has K_k != 0: moment 2k differs, unless b_i
+    # moved too, for some i < k, and moment 2i + 1 differs first
+    rc, u = drawn
+    k = data.draw(st.integers(1, rc.length - 1))
+    i = data.draw(st.integers(0, k))
+    b, a = list(rc.b), list(rc.a)
+    a[k - 1] = rat(0)
+    if i < k:
+        b[i] += 1
+    w = with_moments_of(RecurrenceCoefficients(b, a), u)
+    count = data.draw(st.integers(1, u.order))
+    first = 2 * i + 1 if i < k else 2 * k
+    want = first if count > first else None
+    assert first_moment_mismatch_reference(w.truncated(count), u) == want
+    assert first_moment_off(w, rc, count, u.moments[0]) == want
+    assert first_moment_off(w, rc, count) == want
+
+@given(recurrence_moments(min_order=8), st.data())
+def test_a_vanishing_a_k_is_u_s_own_level_in_the_identities_that_read_u(drawn, data):
+    # H_k = u_0^(k+1) a_1^k ... a_k: a_k = 0 is u's first vanishing minor,
+    # and every identity below reads u's recurrence past it before any
+    # second route; identidad reads no recurrence, and S_u S_{u^{-1}} =
+    # z^{-2} holds for every u with u_0 != 0, so it passes
+    rc, u = drawn
+    n = u.order // 2 - 1
+    level = data.draw(st.integers(1, min(6, n - 1)))
+    a = list(rc.a)
+    a[level - 1] = rat(0)
+    u = with_moments_of(RecurrenceCoefficients(rc.b, a), u)
+    assert_first_vanishing_minor(u, level)
+    # u_1 - c u_0 = -u_0 != 0, so pro5's (x - c) u has a first moment
+    c = rc.b[0] + 1
+    assert_verify_fails_at(u, ["fu1", "relationS", "funccorre"], [], level)
+    assert_verify_fails_at(u, ["pade", "pro5"], ["--c=%s" % c, "--n", str(n)], level)
+    assert_verify_fails_at(
+        u, ["asociadosrepr", "linearcombination"], ["--k", "2", "--n", str(n)], level
+    )
+    code, out = run_cli(["verify", "identidad"], serialize.dumps(serialize.moments_record(u)))
+    assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def moved_inverse(j):
+    """`fa.invert` with moment j of every result moved by one."""
+    real = fa.invert
+
+    def invert(u):
+        moments = list(real(u).moments)
+        moments[j] += 1
+        return MomentFunctional(moments)
+
+    return invert
+
+
+# the failing (identity, first_failure) pairs of each identity whose moment
+# side goes through u^{-1}, when moment j of every convolution inverse is
+# moved by one, on Laguerre(1) at order 24 with c = -1/3, m0 = 7/3, --n 8;
+# fu1, coro1 and pro6 read the inverse from its moment 2 on
+BROKEN_INVERSE_RECORDS = [
+    ("fu1", 0, []),
+    ("fu1", 2, [("fu1", {"moment": 0})]),
+    ("fu1", 3, [("fu1", {"moment": 1})]),
+    ("fu1", 6, [("fu1", {"moment": 4})]),
+    ("relationS", 0, [("relationS", {"power": 1})]),
+    ("relationS", 1, [("relationS", {"power": 0})]),
+    ("relationS", 2, [("relationS", {"power": -1})]),
+    ("relationS", 6, [("relationS", {"power": -5})]),
+    ("funccorre", 0, [("funccorre", {"moment": 1})]),
+    ("funccorre", 1, [("funccorre", {"moment": 2})]),
+    ("funccorre", 6, [("funccorre", {"moment": 7})]),
+    ("coro1", 1, []),
+    ("coro1", 2, [("coro1", {"moment": 1})]),
+    ("coro1", 3, [("coro1", {"moment": 1})]),
+    ("coro1", 6, [("coro1", {"moment": 4})]),
+    ("pro6", 1, []),
+    ("pro6", 2, [("pro6", {"part": "moment-identity", "failure": {"moment": 1}})]),
+    ("pro6", 6, [("pro6", {"part": "moment-identity", "failure": {"moment": 4}})]),
+    ("geronimus+assoc", 1, [("S-corecursive", {"route": "functional", "moment": 2})]),
+    (
+        "geronimus+assoc",
+        3,
+        [
+            ("S-corecursive", {"route": "functional", "moment": 4}),
+            ("pro6", {"part": "moment-identity", "failure": {"moment": 1}}),
+        ],
+    ),
+    ("christoffel+assoc", 4, [("coro1", {"moment": 2})]),
+]
+
+
+@pytest.mark.parametrize("name, j, want", BROKEN_INVERSE_RECORDS)
+def test_a_wrong_inverse_fails_each_identity_at_the_moment_it_moves(monkeypatch, name, j, want):
+    monkeypatch.setattr(fa, "invert", moved_inverse(j))
+    argv = ["verify", name, "--family", "laguerre", "--order", "24"]
+    code, out = run_cli(argv + ["--c=-1/3", "--m0=7/3", "--n", "8"], "")
+    failures = [
+        (check["identity"], check["first_failure"])
+        for check in json.loads(out)["checks"]
+        if check["status"] == "fail"
+    ]
+    assert (code, failures) == (1 if want else 0, want)
