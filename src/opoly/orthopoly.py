@@ -174,20 +174,19 @@ def _chebyshev(nums, den, n_max):
 
     Each row runs on integers over one denominator: s_{k,l} = sigma[l] /
     den.  The row is formed with integer factors that bring both terms of
-    the recurrence over the lcm of their denominators, then divided once
-    by gcd(den, *row), so no entry is a rational.  b_k needs no
-    denominator at all: b_k = sigma_k[k+1]/sigma_k[k] -
-    sigma_{k-1}[k]/sigma_{k-1}[k-1].  Raises NotQuasiDefinite(k) at the
-    first k with K_k = 0.
+    the recurrence over the lcm of their denominators, so no entry is a
+    rational, and is divided by gcd(den, *row) only when den has doubled
+    in bits since the last division (`_reduce_if_doubled`).  No output
+    reads how far a row is reduced: b_k needs no denominator at all,
+    b_k = sigma_k[k+1]/sigma_k[k] - sigma_{k-1}[k]/sigma_{k-1}[k-1];
+    K_k and a_k carry den and are built as reduced rationals; and
+    sigma[k] == 0 does not depend on the row's scale.  Raises
+    NotQuasiDefinite(k) at the first k with K_k = 0.
     """
     width = 2 * n_max
     # s_{k,l} = sigma[l] / den and s_{k-1,l} = below[l] / below_den; only
     # l >= k is used
-    sigma = list(nums[:width])
-    g = gcd(den, *sigma)
-    if g > 1:
-        sigma = [v // g for v in sigma]
-        den //= g
+    sigma, den, limit = _reduce_if_doubled(list(nums[:width]), den, -1)
     below, below_den = [0] * width, 1
     norms = []
     bs = []
@@ -204,10 +203,7 @@ def _chebyshev(nums, den, n_max):
             f_left = new_den // left
             x, y, z = f_left * b.denominator, f_left * b.numerator, new_den // right * a.numerator
             row = [x * sigma[l + 1] - y * sigma[l] - z * below[l] for l in range(k, width - k)]
-            g = gcd(new_den, *row)
-            if g > 1:
-                row = [v // g for v in row]
-                new_den //= g
+            row, new_den, limit = _reduce_if_doubled(row, new_den, limit)
             below, below_den = sigma, den
             sigma, den = [0] * k + row, new_den
         if sigma[k] == 0:
@@ -223,6 +219,25 @@ def _chebyshev(nums, den, n_max):
         norms.append(norm_k)
         bs.append(b_k)
     return RecurrenceCoefficients(bs, a_s), tuple(norms)
+
+
+def _reduce_if_doubled(vec, den, limit):
+    """(vec, den, limit), with vec and den divided by gcd(den, *vec) if den exceeds limit bits.
+
+    The integer kernels carry a vector over one denominator and reduce it
+    only when den.bit_length() > limit; a reduction resets limit to
+    2 * den.bit_length() + 64, so den at most doubles in bits between
+    two gcd passes.  On slowly growing denominators no pass runs, and on
+    fast growing ones den stays within one step of twice its reduced
+    size plus 64 bits.  A limit of -1 reduces now.
+    """
+    if den.bit_length() <= limit:
+        return vec, den, limit
+    g = gcd(den, *vec)
+    if g > 1:
+        vec = [v // g for v in vec]
+        den //= g
+    return vec, den, 2 * den.bit_length() + 64
 
 
 def first_moment_off(w, rc, count, u0=None):
@@ -403,9 +418,13 @@ def moments_from_jacobi(j, u0, n):
     The iteration runs on integers: with q the lcm of the denominators of
     b and a, B = q b and A = q a are integer, J^t e_0 = w / den with w an
     integer vector, and the t-th moment is u0 * w[0] / den.  Each step is
-    one list comprehension over A, B and three shifted views of w, then
-    one division of w and den by gcd(den, *w), so den stays the lcm of
-    the entries' reduced denominators instead of q^t.
+    one list comprehension over A, B and three shifted views of w.  w and
+    den are divided by gcd(den, *w) only when den has doubled in bits
+    since the last division (`_reduce_if_doubled`, from 64 bits), so den
+    stays within about twice the size of the entries' reduced
+    denominators instead of growing as q^t.  The moments do not depend on
+    how far w is reduced: `MomentFunctional.from_integers` reduces them
+    once.
     """
     u0 = rat(u0)
     if n < 1:
@@ -432,7 +451,7 @@ def moments_from_jacobi(j, u0, n):
     # A[i] multiplies w[i-1]; row 0 has no subdiagonal entry
     big_a = [0] + [v * (q // a_den) for v in a_num]
     # J^t e_0 = w / den; the moments are u0 * tops[t] / dens[t]
-    w, den = [1], 1
+    w, den, limit = [1], 1, 64
     tops, dens = [1], [1]
     for t in range(n - 1):
         # J^(t+1) e_0 is supported on indices <= t+1, and index i can
@@ -446,11 +465,7 @@ def moments_from_jacobi(j, u0, n):
                 big_a[:top], big_b[:top], padded, padded[1:], padded[2:]
             )
         ]
-        den *= q
-        g = gcd(den, *w)
-        if g > 1:
-            w = [v // g for v in w]
-            den //= g
+        w, den, limit = _reduce_if_doubled(w, den * q, limit)
         tops.append(w[0])
         dens.append(den)
     common = lcm(*dens)

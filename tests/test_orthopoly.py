@@ -1,10 +1,14 @@
 """Moments to recurrence and back: Chebyshev algorithm, Jacobi truncations, Hankel minors."""
 
+import random
+from math import gcd
+
 import pytest
 from conftest import gram_schmidt
 
 from opoly import families, orthopoly
 from opoly import functional as fa
+from opoly.associated import inverse_kernel
 from opoly.errors import NotQuasiDefinite, TruncationExhausted
 from opoly.functional import MomentFunctional
 from opoly.orthopoly import (
@@ -104,6 +108,57 @@ def test_smop_needs_enough_moments():
         smop_from_moments(u, 0)
 
 
+def draw_recurrence(rng, length, b_den, a_den):
+    """b_n in (1/b_den)Z and a_n in (1/a_den)Z \\ {0}, with small numerators."""
+    b = [rat(rng.randint(-60, 60), b_den) for _ in range(length)]
+    a = [rat(rng.choice((-1, 1)) * rng.randint(1, 60), a_den) for _ in range(length - 1)]
+    return RecurrenceCoefficients(b, a)
+
+
+# (a) b in Z/3 and a in Z/2, the benchmark's random recurrences: the
+# Chebyshev algorithm carries every row of their moments unreduced;
+# (b) b over 10007 and a over 10009: moments_from_jacobi's denominator
+# grows about 27 bits a step and is reduced a few times part way through;
+# and the moments of invert(u), case (c), grow fast enough that the
+# Chebyshev algorithm reduces most of their rows
+ORDER_128_KINDS = {"thirds-halves": (3, 2), "large-primes": (10007, 10009)}
+
+
+def order_128_functional(rng, rc):
+    """The moments u_0..u_127 of rc (65 coefficients) with a drawn u_0."""
+    u0 = rat(rng.choice((-1, 1)) * rng.randint(1, 9), 7)
+    return moments_from_jacobi(jacobi_matrix(rc, rc.length), u0, 2 * (rc.length - 1))
+
+
+def order_128_cases():
+    """(label, rc, u, order): kinds (a) and (b) at order 128, and (c) invert(u) of (a).
+
+    u has 2 * (rc.length - 1) moments; each u is drawn again until its
+    convolution inverse is quasi-definite, so that (c) and the inverse
+    kernel exist.  (c)'s recurrence comes from `inverse_kernel`, a route
+    that reads no inverse moment.  `order` is how many moments the
+    recurrence -> moments direction rebuilds: all of them for (a) and
+    (b), 31 for (c), whose coefficients' denominators have an lcm of
+    about 40000 bits, so that `moments_from_jacobi` takes seconds at the
+    full order.
+    """
+    rng = random.Random(128)
+    cases = []
+    for label, (b_den, a_den) in ORDER_128_KINDS.items():
+        while True:
+            rc = draw_recurrence(rng, 65, b_den, a_den)
+            u = order_128_functional(rng, rc)
+            try:
+                inverse = inverse_kernel(u, 63).recurrence
+                break
+            except NotQuasiDefinite:
+                pass
+        cases.append((label, rc, u, u.order))
+        if label == "thirds-halves":
+            cases.append(("inverse of thirds-halves", inverse, fa.invert(u).truncated(124), 31))
+    return cases
+
+
 def test_smop_raises_at_the_first_vanishing_norm():
     # moments of delta_0: P_1 = x has <u, x^2> = 0
     u = MomentFunctional((1, 0, 0, 0, 0, 0))
@@ -111,6 +166,19 @@ def test_smop_raises_at_the_first_vanishing_norm():
         smop_from_moments(u, 3)
     assert info.value.level == 1
     assert info.value.guard == "norm"
+    # a_k = 0 at a drawn level of an order-128 recurrence: the norms
+    # u_0 a_1 ... a_j stay nonzero below k, so K_k is the first to vanish
+    rng = random.Random(7)
+    for label, (b_den, a_den) in ORDER_128_KINDS.items():
+        for _ in range(2):
+            rc = draw_recurrence(rng, 65, b_den, a_den)
+            level = rng.randint(1, 63)
+            a = list(rc.a)
+            a[level - 1] = rat(0)
+            u = order_128_functional(rng, RecurrenceCoefficients(rc.b, a))
+            with pytest.raises(NotQuasiDefinite) as info:
+                smop_from_moments(u, 64)
+            assert (info.value.level, info.value.guard) == (level, "norm"), label
 
 
 def test_polys_from_recurrence_matches_gram_schmidt():
@@ -153,6 +221,19 @@ def test_moments_round_trip_through_the_jacobi_matrix():
     rc, _ = smop_from_moments(u, 8)
     back = moments_from_jacobi(jacobi_matrix(rc, 8), 1, 15)
     assert back.moments == u.moments[:15]
+    for label, rc, u, order in order_128_cases():
+        back = moments_from_jacobi(jacobi_matrix(rc, order // 2 + 1), u.moment(0), order)
+        assert back == u.truncated(order), label
+        assert gcd(back.den, *back.num) == 1, label
+        n = u.order // 2
+        got, system = smop_from_moments(u, n)
+        assert got == rc.truncated(n), label
+        norm = u.moment(0)
+        for k in range(n):
+            assert system.norms[k] == norm, (label, k)
+            norm *= rc.a_at(k + 1)
+        got, _ = smop_from_moments(fa.invert(u), n - 1)
+        assert got == inverse_kernel(u, n - 1).recurrence, label
 
 
 def test_moments_from_jacobi_respects_the_reliable_window():
