@@ -21,7 +21,6 @@ from .errors import (
     DegenerateParameter,
     NotQuasiDefinite,
     TruncationExhausted,
-    ZeroFirstMoment,
     ZeroPivot,
 )
 from .matrices import (
@@ -185,13 +184,12 @@ def _perturbed_moment_off(first, perturbed, c, order):
     (x - c) u_alpha differ, normalized, or None; u_alpha has the perturbed
     recurrence and u_alpha_0 = 1, so (x - c) u_alpha has first moment
     b_0 - c.  Compares the recurrence of w with (x - c) w = (b_0 - c) first
-    and w_0 = 1, whose moment m is moment m - 1 of (x - c) w.
+    and w_0 = 1, whose moment m is moment m - 1 of (x - c) w.  Both
+    callers have found b_0 - c nonzero before: coro1 reads it as level 1
+    of (x - c) u (`NotQuasiDefinite(1)`), pro6 as the UL pivot ell_1
+    (`ZeroPivot(1)`).
     """
-    scale = perturbed.b[0] - c
-    # the error of normalizing (x - c) u_alpha, whose first moment is 0
-    if scale == 0:
-        raise ZeroFirstMoment("cannot normalize: u_0 = 0")
-    w = fa.geronimus(fa.scale(scale, first), c, ONE)
+    w = fa.geronimus(fa.scale(perturbed.b[0] - c, first), c, ONE)
     m = first_moment_off(w, perturbed, order + 1, ONE)
     return None if m is None else m - 1
 

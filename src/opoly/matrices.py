@@ -1,21 +1,20 @@
 """Square band matrices over exact rationals, with truncation tracking.
 
-Every matrix here is a finite truncation of a semi-infinite operator.  A
-`margin` records how many trailing rows/columns may disagree with the
-untruncated operator; the leading (size - margin) block is exact.  The
-margin of a product grows by min(upper bandwidth of the left factor,
-lower bandwidth of the right factor) on top of the inherited margins;
-a shift a - cI keeps the margin of a.  Dense matrices count as having
-full bandwidth size - 1.
+Every matrix here is a finite truncation of a semi-infinite operator,
+stored by its diagonals.  A `margin` records how many trailing
+rows/columns may disagree with the untruncated operator; the leading
+(size - margin) block is exact.  The margin of a product grows by
+min(upper bandwidth of the left factor, lower bandwidth of the right
+factor) on top of the inherited margins; a shift a - cI keeps the margin
+of a, and a one-sided shift of rows or columns adds one.
 
-The kernels follow the storage.  A band product convolves the stored
+The kernels follow the storage.  A product convolves the stored
 diagonals: diagonal p of the left factor meets diagonal q of the right
-one along a slice of each, and lands on diagonal p + q.  Products with a
-dense factor, and forward substitution, combine whole rows, each held as
-its nonzero (column, numerator, denominator) triples.  Either way every
-entry sums its terms as an integer numerator over a running denominator,
-the lcm of its terms' denominators so far, and becomes one Rational at
-the end.  Block equality compares slices of the stored diagonals or rows.
+one along a slice of each, and lands on diagonal p + q.  Every entry
+sums its terms as an integer numerator over a running denominator, the
+lcm of its terms' denominators so far, and becomes one Rational at the
+end.  A shift of rows or columns moves each diagonal by one offset, and
+block equality compares slices of the stored diagonals.
 """
 
 from math import gcd
@@ -80,14 +79,8 @@ class BandMatrix:
         diag = self.diagonals.get(j - i)
         return diag[min(i, j)] if diag is not None else ZERO
 
-    def to_dense(self):
-        n = self.size
-        return DenseMatrix._checked(
-            tuple(_leading_row(self, i, n) for i in range(n)), self.margin
-        )
-
     def __eq__(self, other):
-        if not isinstance(other, (BandMatrix, DenseMatrix)):
+        if not isinstance(other, BandMatrix):
             return NotImplemented
         return self.size == other.size and equal_on_block(self, other, self.size)
 
@@ -101,59 +94,6 @@ class BandMatrix:
             self.upper,
             self.margin,
         )
-
-
-class DenseMatrix:
-    """Square matrix stored by rows, same margin semantics as BandMatrix."""
-
-    __slots__ = ("size", "rows", "margin")
-
-    def __init__(self, rows, margin=0):
-        rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        size = len(rows)
-        if size < 1 or any(len(row) != size for row in rows):
-            raise ValueError("rows must form a nonempty square matrix")
-        self.size = size
-        self.rows = rows
-        self.margin = min(int(margin), size)
-
-    @classmethod
-    def _checked(cls, rows, margin):
-        """A DenseMatrix from rows that are already a square tuple of tuples of Rationals."""
-        m = cls.__new__(cls)
-        m.size = len(rows)
-        m.rows = rows
-        m.margin = min(margin, m.size)
-        return m
-
-    @property
-    def lower(self):
-        return self.size - 1
-
-    @property
-    def upper(self):
-        return self.size - 1
-
-    @property
-    def reliable(self):
-        return max(self.size - self.margin, 0)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def to_dense(self):
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, (BandMatrix, DenseMatrix)):
-            return NotImplemented
-        return self.size == other.size and equal_on_block(self, other, self.size)
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "DenseMatrix(size=%d, margin=%d)" % (self.size, self.margin)
 
 
 def band_from_entries(size, lowest, highest, fn, margin=0):
@@ -177,11 +117,6 @@ def identity(size):
 def shifted(a, c):
     """a - c*I: only the main diagonal is rewritten; the margin carries over."""
     c = rat(c)
-    if isinstance(a, DenseMatrix):
-        return DenseMatrix._checked(
-            tuple(row[:i] + (row[i] - c,) + row[i + 1 :] for i, row in enumerate(a.rows)),
-            a.margin,
-        )
     diagonals = dict(a.diagonals)
     main = tuple(x - c for x in diagonals.pop(0, (ZERO,) * a.size))
     if any(main):
@@ -205,14 +140,19 @@ def _split(entries):
     return [x.numerator for x in entries], [x.denominator for x in entries]
 
 
-def _band_product(a, b, margin):
-    """a b for two BandMatrix factors, by convolving their diagonals.
+def mat_multiply(a, b):
+    """a b with margin tracking, by convolving the stored diagonals.
 
     Row i of diagonal p of a (entry (i, i + p)) meets row i + p of
     diagonal q of b and adds to row i of diagonal d = p + q of the
     product, for every i that keeps all three inside the matrix; a
-    diagonal's entry on row i sits at index i + min(offset, 0).
+    diagonal's entry on row i sits at index i + min(offset, 0).  Each
+    entry's terms are summed as an integer numerator over a running
+    denominator and make a single Rational.
     """
+    if a.size != b.size:
+        raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
+    margin = max(a.margin, b.margin) + min(a.upper, b.lower)
     n = a.size
     right = [(q, *_split(diag)) for q, diag in b.diagonals.items()]
     sums = {}
@@ -244,59 +184,6 @@ def _band_product(a, b, margin):
     return BandMatrix._checked(n, diagonals, margin)
 
 
-def _rows(m):
-    """Each row of m as a list of its nonzero (column, numerator, denominator) triples."""
-    if isinstance(m, DenseMatrix):
-        return [
-            [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x] for row in m.rows
-        ]
-    rows = [[] for _ in range(m.size)]
-    for d, diag in sorted(m.diagonals.items()):
-        first = max(0, -d)
-        for t, x in enumerate(diag):
-            if x:
-                rows[first + t].append((first + t + d, x.numerator, x.denominator))
-    return rows
-
-
-def _row_combination(terms, n):
-    """The row sum of c * row over (c numerator, c denominator, row) terms.
-
-    Rows are lists of (column, numerator, denominator) triples; the
-    result is one Rational per column of a length-n row.
-    """
-    nums = [0] * n
-    dens = [1] * n
-    for cn, cd, row in terms:
-        for j, yn, yd in row:
-            _add_term(nums, dens, j, cn * yn, cd * yd)
-    return tuple(map(Rational, nums, dens))
-
-
-def mat_multiply(a, b):
-    """Product with margin tracking; dense if either factor is dense.
-
-    Two band factors are multiplied by convolving their diagonals
-    (`_band_product`); otherwise row i of the product is the combination
-    of b's rows that row i of a prescribes.  Each entry's terms are summed
-    as an integer numerator over a running denominator and make a single
-    Rational.
-    """
-    if a.size != b.size:
-        raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
-    margin = max(a.margin, b.margin) + min(a.upper, b.lower)
-    if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
-        return _band_product(a, b, margin)
-    n = a.size
-    right = _rows(b)
-    return DenseMatrix._checked(
-        tuple(
-            _row_combination([(xn, xd, right[k]) for k, xn, xd in row], n) for row in _rows(a)
-        ),
-        margin,
-    )
-
-
 def mat_power(a, k):
     """a**k as k - 1 products starting from a; a**0 is the identity."""
     if k < 0:
@@ -309,17 +196,27 @@ def mat_power(a, k):
     return result
 
 
+def _moved_diagonals(a, step):
+    """a with every diagonal moved `step` (1 or -1) offsets, one more margin.
+
+    A diagonal that moves away from the main one, or off it, loses its
+    first entry; one that moves toward it gains a zero at its end: the
+    row (step 1) or column (step -1) shifted in from past the last one.
+    """
+    diagonals = {}
+    for d, diag in a.diagonals.items():
+        moved = diag[1:] if d * step >= 0 else diag + (ZERO,)
+        if any(moved):
+            diagonals[d + step] = moved
+    return BandMatrix._checked(a.size, diagonals, a.margin + 1)
+
+
 def shift_rows_up(a):
     """Row shift: entry (i, j) of the result is entry (i+1, j); last row unknown.
 
     Every diagonal moves one offset upward, so the band window is
     [-(lower-1), upper+1]."""
-    n = a.size
-
-    def fn(i, j):
-        return a.entry(i + 1, j) if i + 1 < n else ZERO
-
-    return band_from_entries(n, -max(a.lower - 1, 0), a.upper + 1, fn, margin=a.margin + 1)
+    return _moved_diagonals(a, 1)
 
 
 def shift_cols_left(a):
@@ -327,74 +224,24 @@ def shift_cols_left(a):
 
     Every diagonal moves one offset downward, so the band window is
     [-(lower+1), upper-1]."""
-    n = a.size
-
-    def fn(i, j):
-        return a.entry(i, j + 1) if j + 1 < n else ZERO
-
-    return band_from_entries(n, -(a.lower + 1), max(a.upper - 1, 0), fn, margin=a.margin + 1)
-
-
-def solve_unit_lower(lower_mat, rhs):
-    """Solve L X = B by forward substitution for unit lower-triangular L.
-
-    Row i of X is row i of B minus the combination of the rows of X
-    above it that row i of L prescribes, summed on integers like a
-    product row.  Because L and its inverse are lower triangular, each
-    entry of X only involves the leading block of L and B, so the
-    result's margin is just the max of the inputs'.
-    """
-    n = lower_mat.size
-    if rhs.size != n:
-        raise ValueError("size mismatch: %d vs %d" % (n, rhs.size))
-    if lower_mat.upper != 0:
-        raise ValueError("matrix is not lower triangular")
-    if any(lower_mat.entry(i, i) != 1 for i in range(n)):
-        raise ValueError("matrix does not have a unit diagonal")
-    l_rows = _rows(lower_mat)
-    b_rows = _rows(rhs)
-    rows = []
-    x_rows = []
-    for i, row in enumerate(l_rows):
-        terms = [(1, 1, b_rows[i])] + [(-cn, cd, x_rows[k]) for k, cn, cd in row if k < i]
-        x = _row_combination(terms, n)
-        rows.append(x)
-        x_rows.append([(j, v.numerator, v.denominator) for j, v in enumerate(x) if v])
-    return DenseMatrix._checked(tuple(rows), max(lower_mat.margin, rhs.margin))
-
-
-def _leading_row(m, i, k):
-    """The first k entries of row i of m, as a tuple."""
-    if isinstance(m, DenseMatrix):
-        return m.rows[i][:k]
-    row = [ZERO] * k
-    for d, diag in m.diagonals.items():
-        j = i + d
-        if 0 <= j < k:
-            row[j] = diag[min(i, j)]
-    return tuple(row)
+    return _moved_diagonals(a, -1)
 
 
 def equal_on_block(a, b, k):
-    """Entrywise equality of the leading k x k blocks.
-
-    For two band matrices that is the leading k - |d| entries of each
-    diagonal d (a diagonal one side lacks must be zero there); otherwise
-    the leading k entries of each of the first k rows.
-    """
+    """Entrywise equality of the leading k x k blocks: the leading k - |d|
+    entries of each diagonal d (a diagonal one side lacks must be zero
+    there)."""
     if k > min(a.size, b.size):
         raise ValueError("block size %d exceeds matrix sizes" % k)
-    if isinstance(a, BandMatrix) and isinstance(b, BandMatrix):
-        for d in a.diagonals.keys() | b.diagonals.keys():
-            length = k - abs(d)
-            if length > 0:
-                x, y = a.diagonals.get(d), b.diagonals.get(d)
-                x = x[:length] if x is not None else (ZERO,) * length
-                y = y[:length] if y is not None else (ZERO,) * length
-                if x != y:
-                    return False
-        return True
-    return all(_leading_row(a, i, k) == _leading_row(b, i, k) for i in range(k))
+    for d in a.diagonals.keys() | b.diagonals.keys():
+        length = k - abs(d)
+        if length > 0:
+            x, y = a.diagonals.get(d), b.diagonals.get(d)
+            x = x[:length] if x is not None else (ZERO,) * length
+            y = y[:length] if y is not None else (ZERO,) * length
+            if x != y:
+                return False
+    return True
 
 
 def common_reliable(*mats):

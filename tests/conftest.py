@@ -7,10 +7,11 @@ division by (x - c)^m through long division, the matrix product with
 one Fraction per multiply-add, and the values, slopes and quadratic
 kernel with one Fraction per operation, the LU and UL eliminations
 that the values at c replaced; and the certificate kernels
-that read one entry or one coefficient at a time: the shift, power,
-block comparison and forward substitution of the matrices, the series
-product, the product of a functional by a polynomial and the divided
-difference; and two statements that follow from registered identities,
+that read one entry or one coefficient at a time: the shift, power and
+block comparison of the matrices, the series product, the product of a
+functional by a polynomial and the divided difference; forward
+substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
+no longer builds; and two statements that follow from registered identities,
 asserted directly: the co-recursive subtraction formula and the cleared
 continued fraction."""
 
@@ -28,7 +29,6 @@ from opoly.errors import (
 )
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
-    DenseMatrix,
     UnitLowerBidiagonal,
     UpperBidiagonal,
     identity,
@@ -337,13 +337,19 @@ def divide_power_reference(u, c, m):
     return MomentFunctional(out)
 
 
+def rows_of(m):
+    """The rows of m as lists: plain rows as they are, a matrix entry by entry."""
+    if isinstance(m, list):
+        return m
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
 def product_reference(a, b):
-    """Rows of a b, one rational per multiply-add over every k: no band limits."""
-    n = a.size
-    return [
-        [sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), ZERO) for j in range(n)]
-        for i in range(n)
-    ]
+    """Rows of a b, one rational per multiply-add over every k: no band
+    limits.  Either factor may be a matrix or plain rows."""
+    a, b = rows_of(a), rows_of(b)
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
 
 
 def shifted_reference(a, c):
@@ -354,10 +360,10 @@ def shifted_reference(a, c):
 
 def power_reference(a, k):
     """Rows of a**k: k products by a, starting from the identity."""
-    result = identity(a.size)
+    result = rows_of(identity(a.size))
     for _ in range(k):
-        result = DenseMatrix(product_reference(result, a))
-    return [[result.entry(i, j) for j in range(a.size)] for i in range(a.size)]
+        result = product_reference(result, a)
+    return result
 
 
 def equal_on_block_reference(a, b, k):

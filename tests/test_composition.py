@@ -23,7 +23,7 @@ from opoly.composition import (
     geronimus_assoc_second_check,
     shifted_factor_check,
 )
-from opoly.errors import DegenerateParameter, NotQuasiDefinite
+from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
 from opoly.poly import X
 from opoly.rational import rat
@@ -221,6 +221,28 @@ def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():
     with pytest.raises(NotQuasiDefinite) as caught:
         geronimus_assoc_chain(v, 1, 1, 4, 4)
     assert caught.value.level == 1
+
+
+def test_a_vanishing_normalization_is_reported_by_the_step_that_reads_it_first():
+    # chebyshev-u at c = 1/2: P_2(1/2) = 0, so the perturbed recurrence's
+    # b_0 - c vanishes in coro1, and with m0 = -2 b_0 - v_0/m0 = c in pro6;
+    # (x - c) u fails at level 1 and the UL elimination at pivot 1 first
+    u = families.chebyshev_u(16)
+    c = rat(1, 2)
+    for check in (
+        lambda: christoffel_assoc_functional_check(u, c),
+        lambda: christoffel_assoc_chain(u, c, 6, 6),
+    ):
+        with pytest.raises(NotQuasiDefinite) as caught:
+            check()
+        assert (caught.value.level, caught.value.guard) == (1, "norm")
+    for check in (
+        lambda: geronimus_assoc_factor_check(u, c, -2, 6),
+        lambda: geronimus_assoc_chain(u, c, -2, 6, 6),
+    ):
+        with pytest.raises(ZeroPivot) as caught:
+            check()
+        assert caught.value.index == 1
 
 
 def counting(monkeypatch, module, name, keep=lambda *args: True):

@@ -3,10 +3,10 @@
 import random
 
 import pytest
+from conftest import product_reference
 
 from opoly.matrices import (
     BandMatrix,
-    DenseMatrix,
     UnitLowerBidiagonal,
     UnitLowerTriband,
     UpperBidiagonal,
@@ -21,7 +21,6 @@ from opoly.matrices import (
     shift_cols_left,
     shift_rows_up,
     shifted,
-    solve_unit_lower,
 )
 from opoly.orthopoly import RecurrenceCoefficients, jacobi_matrix
 from opoly.rational import rat
@@ -29,19 +28,6 @@ from opoly.rational import rat
 
 def tridiagonal(size, sub, diag, sup):
     return BandMatrix(size, {-1: sub, 0: diag, 1: sup})
-
-
-def dense_product(a, b):
-    n = a.size
-    return DenseMatrix(
-        tuple(
-            tuple(
-                sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), rat(0))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
 
 
 def random_band(rng, size, lower, upper):
@@ -103,10 +89,10 @@ def test_multiplication_matches_dense_reference():
         a = random_band(rng, size, rng.randint(0, 2), rng.randint(0, 2))
         b = random_band(rng, size, rng.randint(0, 2), rng.randint(0, 2))
         got = mat_multiply(a, b)
-        want = dense_product(a, b)
+        want = product_reference(a, b)
         for i in range(size):
             for j in range(size):
-                assert got.entry(i, j) == want.entry(i, j)
+                assert got.entry(i, j) == want[i][j]
 
 
 def test_multiplication_keeps_the_unit_superdiagonal():
@@ -131,7 +117,8 @@ def test_product_margin_rule():
 def test_power_against_repeated_products():
     j = tridiagonal(4, (1, 1, 1), (0, 0, 0, 0), (1, 1, 1))
     j3 = mat_power(j, 3)
-    assert j3 == dense_product(dense_product(j, j), j)
+    want = product_reference(product_reference(j, j), j)
+    assert [[j3.entry(r, c) for c in range(4)] for r in range(4)] == want
     assert j3.margin == 2
     assert mat_power(j, 0) == identity(4)
 
@@ -189,22 +176,6 @@ def test_row_and_column_shifts_compose_to_the_corner_conjugate():
     assert equal_on_block(a, b, block)
     conj = jacobi_matrix(rc.shifted(1), 4)
     assert equal_on_block(a, conj, min(block, conj.size))
-
-
-def test_solve_unit_lower_inverts_forward_substitution():
-    lower = UnitLowerTriband(4, (2, 3, 4), (5, 6)).to_band()
-    rhs = tridiagonal(4, (1, 1, 1), (2, 2, 2, 2), (1, 1, 1)).to_dense()
-    x = solve_unit_lower(lower, rhs)
-    assert mat_multiply(lower, x) == rhs
-    assert x.margin == max(lower.margin, rhs.margin)
-
-
-def test_solve_unit_lower_validates_its_input():
-    with pytest.raises(ValueError):
-        solve_unit_lower(UpperBidiagonal(3, (1, 1, 1)).to_band(), identity(3).to_dense())
-    not_unit = BandMatrix(3, {0: (2, 1, 1)})
-    with pytest.raises(ValueError):
-        solve_unit_lower(not_unit, identity(3).to_dense())
 
 
 def test_block_comparisons():

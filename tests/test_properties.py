@@ -29,7 +29,6 @@ from conftest import (
     quadratic_kernel_reference,
     series_multiply_reference,
     shifted_reference,
-    solve_unit_lower_reference,
     values_and_slopes_reference,
 )
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -54,14 +53,14 @@ from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
-    DenseMatrix,
     band_from_entries,
     equal_on_block,
     identity,
     mat_multiply,
     mat_power,
+    shift_cols_left,
+    shift_rows_up,
     shifted,
-    solve_unit_lower,
 )
 from opoly.orthopoly import (
     OrthogonalSystem,
@@ -962,23 +961,13 @@ def wide_band(draw, size):
     return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
 
 
-@st.composite
-def wide_dense(draw, size):
-    row = st.lists(wide_rationals, min_size=size, max_size=size)
-    rows = draw(st.lists(row, min_size=size, max_size=size))
-    return DenseMatrix(rows, margin=draw(st.integers(0, 3)))
-
-
 @settings(max_examples=80)
 @given(st.data())
 def test_mat_multiply_matches_the_fraction_dot_product(data):
-    # entries, margins and bandwidths of band x band, band x dense,
-    # dense x band and dense x dense products with denominators up to 10^9
+    # entries, margins and bandwidths of band products with denominators
+    # up to 10^9
     size = data.draw(st.integers(1, 6))
-    kinds = data.draw(st.sampled_from(
-        [("band", "band"), ("band", "dense"), ("dense", "band"), ("dense", "dense")]
-    ))
-    a, b = (data.draw(wide_band(size) if kind == "band" else wide_dense(size)) for kind in kinds)
+    a, b = data.draw(wide_band(size)), data.draw(wide_band(size))
     got = mat_multiply(a, b)
     want = product_reference(a, b)
     for i in range(size):
@@ -986,16 +975,11 @@ def test_mat_multiply_matches_the_fraction_dot_product(data):
             assert got.entry(i, j) == want[i][j]
             assert type(got.entry(i, j)) is Rational
     assert got.margin == min(max(a.margin, b.margin) + min(a.upper, b.lower), size)
-    if kinds == ("band", "band"):
-        # exactly the diagonals where the product is nonzero are stored
-        assert isinstance(got, BandMatrix)
-        support = {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
-        assert set(got.diagonals) == support
-        assert got.lower == max([-d for d in support] + [0])
-        assert got.upper == max(support | {0})
-    else:
-        assert isinstance(got, DenseMatrix)
-        assert got.lower == got.upper == size - 1
+    # exactly the diagonals where the product is nonzero are stored
+    support = {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
+    assert set(got.diagonals) == support
+    assert got.lower == max([-d for d in support] + [0])
+    assert got.upper == max(support | {0})
 
 
 # -- the certificate kernels against their entry-by-entry references
@@ -1064,14 +1048,12 @@ def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
         lambda r, s: new if (r, s) == (i, j) else a.entry(r, s),
         margin=a.margin,
     )
-    dense, changed_dense = a.to_dense(), changed.to_dense()
-    pairs = [(a, changed), (changed, a), (dense, changed), (a, changed_dense), (dense, changed_dense)]
     for k in range(size + 1):
-        for x, y in pairs:
+        for x, y in ((a, changed), (changed, a)):
             assert equal_on_block(x, y, k) is (max(i, j) >= k)
             assert equal_on_block(x, y, k) == equal_on_block_reference(x, y, k)
             assert equal_on_block(x, x, k)
-    assert a != changed and dense != changed and a == dense
+    assert a != changed
     with pytest.raises(ValueError):
         equal_on_block(a, changed, size + 1)
 
@@ -1081,10 +1063,7 @@ def test_a_shift_rewrites_only_the_main_diagonal(data, c):
     size = data.draw(st.integers(1, 6))
     a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
     for point in (c, rat(0)):
-        for m in (a, a.to_dense()):
-            got = shifted(m, point)
-            assert type(got) is type(m)
-            assert_same_matrix(got, shifted_reference(m, point), m.margin)
+        assert_same_matrix(shifted(a, point), shifted_reference(a, point), a.margin)
         assert shifted(a, 0) == a and shifted(a, 0).diagonals == a.diagonals
     # a main diagonal of c's shifts to zero and is dropped
     corner = {size - 1: (1,)} if size > 1 else {}
@@ -1096,26 +1075,29 @@ def test_a_shift_rewrites_only_the_main_diagonal(data, c):
 def test_powers_start_from_the_matrix(data):
     size = data.draw(st.integers(1, 6))
     a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
-    for m in (a, a.to_dense()):
-        assert_same_matrix(mat_power(m, 0), power_reference(m, 0), 0)
-        assert mat_power(m, 0) == identity(size)
-        assert_same_matrix(mat_power(m, 1), power_reference(m, 1), m.margin)
-        assert_same_matrix(mat_power(m, 2), power_reference(m, 2), m.margin + min(m.upper, m.lower))
-        assert type(mat_power(m, 2)) is type(m)
+    assert_same_matrix(mat_power(a, 0), power_reference(a, 0), 0)
+    assert mat_power(a, 0) == identity(size)
+    assert_same_matrix(mat_power(a, 1), power_reference(a, 1), a.margin)
+    assert_same_matrix(mat_power(a, 2), power_reference(a, 2), a.margin + min(a.upper, a.lower))
     with pytest.raises(ValueError):
         mat_power(a, -1)
 
 
 @given(st.data())
-def test_forward_substitution_matches_the_fraction_loop(data):
+def test_one_sided_shifts_move_the_stored_diagonals(data):
+    # entry by entry against the definition, with the row or column
+    # shifted in taken as zero; a diagonal that shifts to all zeros (a
+    # one-entry diagonal, or one nonzero only at its start) is dropped
     size = data.draw(st.integers(1, 6))
-    drawn = data.draw(full_band(size, data.draw(st.integers(0, 3)), 0))
-    lower = BandMatrix(size, {**drawn.diagonals, 0: (1,) * size}, margin=drawn.margin)
-    rhs = data.draw(st.one_of(wide_dense(size), full_band(size, 2, 2)))
-    got = solve_unit_lower(lower, rhs)
-    assert isinstance(got, DenseMatrix)
-    assert_same_matrix(got, solve_unit_lower_reference(lower, rhs), max(lower.margin, rhs.margin))
-    assert equal_on_block(mat_multiply(lower, got), rhs, size)
+    a = data.draw(st.one_of(wide_band(size), full_band(size, 2, 2)))
+    for got, want in (
+        (shift_rows_up(a), lambda i, j: a.entry(i + 1, j) if i + 1 < size else 0),
+        (shift_cols_left(a), lambda i, j: a.entry(i, j + 1) if j + 1 < size else 0),
+    ):
+        rows = [[want(i, j) for j in range(size)] for i in range(size)]
+        assert_same_matrix(got, rows, a.margin + 1)
+        support = {j - i for i in range(size) for j in range(size) if rows[i][j] != 0}
+        assert set(got.diagonals) == support
 
 
 window = st.lists(st.one_of(rationals, wide_rationals), max_size=6)

@@ -1,13 +1,21 @@
 """Division by (x - c)^2: determinant SMOP, tri-band factorizations, origin analogues."""
 
+import random
+
 import pytest
+from conftest import product_reference, random_functional, solve_unit_lower_reference
 
 from opoly import families, quadratic
 from opoly import functional as fa
-from opoly.associated import associated_polys
+from opoly.associated import associated_polys, inverse_connection, inverse_recurrence
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
-from opoly.matrices import UnitLowerTriband
-from opoly.orthopoly import hankel_minor, polys_from_recurrence, smop_from_moments
+from opoly.matrices import UnitLowerTriband, band_from_entries, first_block_mismatch
+from opoly.orthopoly import (
+    hankel_minor,
+    jacobi_matrix,
+    polys_from_recurrence,
+    smop_from_moments,
+)
 from opoly.poly import derivatives_at
 from opoly.quadratic import (
     assoc_inverse_factorization,
@@ -189,6 +197,49 @@ def test_origin_factorization_and_g_matrix():
         g_report = g_matrix_check(u, 8)
         assert g_report.passed
         assert g_report.identity == "g-matrix"
+        # at size 2 the compared block is empty: the truncated product's
+        # last row is never read, even when L's subdiagonal vanishes
+        assert g_matrix_check(u, 2).details == {"gl_block": 0}
+
+
+def test_the_band_identity_fails_first_where_the_quotient_does():
+    # J^- L = L J^(1) on bands against G L = J^(1) with G = L^{-1} J^-
+    # formed by forward substitution, on the inverse connection and on
+    # copies with sub1, sub2 or both perturbed at one random entry: the
+    # same first failing block of the leading size - 2, or no failure
+    rng = random.Random(18)
+    passed = failed = 0
+    inputs = (
+        families.laguerre(1, 20),
+        families.chebyshev_t(20),
+        families.chebyshev_u(20),
+        random_functional()[0],
+    )
+    for u in inputs:
+        for size in range(3, 10):
+            alpha1, alpha2, _ = inverse_connection(u, size - 1)
+            rc, _ = smop_from_moments(u, size + 1)
+            j_first = jacobi_matrix(rc.shifted(1), size)
+            j_minus = jacobi_matrix(inverse_recurrence(u, size), size)
+            assert g_matrix_check(u, size).details == {"gl_block": size - 2}
+            for perturb in ((), (0,), (1,), (0, 1)):
+                subs = [
+                    [alpha1[n] for n in range(1, size)],
+                    [alpha2[n] for n in range(2, size)],
+                ]
+                for which in perturb:
+                    k = rng.randrange(len(subs[which]))
+                    subs[which][k] += rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                lower = UnitLowerTriband(size, *subs)
+                l_band = lower.to_band()
+                gl = product_reference(solve_unit_lower_reference(l_band, j_minus), l_band)
+                gl_band = band_from_entries(size, 1 - size, size - 1, lambda i, j: gl[i][j])
+                block = first_block_mismatch(gl_band, j_first, size - 2)
+                want = None if block is None else {"part": "G L = J^(1)", "block": block}
+                assert quadratic._g_matrix_failure(lower, j_first, j_minus) == want
+                passed += block is None
+                failed += block is not None
+    assert passed > 28 and failed > 28
 
 
 def test_origin_factorization_returns_tribands():
