@@ -25,8 +25,6 @@ from .errors import (
 )
 from .matrices import (
     UpperBidiagonal,
-    common_reliable,
-    equal_on_block,
     first_block_mismatch,
     mat_multiply,
     shift_cols_left,
@@ -85,10 +83,9 @@ def _christoffel(u, c):
 
 def _block_report(name, left, right, block):
     """The part `name`: left = right on the leading block of that size."""
-    ok = equal_on_block(left, right, block)
+    bad = first_block_mismatch(left, right, block)
     return CheckReport(
-        name, "pass" if ok else "fail", block,
-        None if ok else {"block": first_block_mismatch(left, right, block)},
+        name, "pass" if bad is None else "fail", block, None if bad is None else {"block": bad}
     )
 
 
@@ -221,15 +218,14 @@ def shifted_factor_check(u, c, size):
             None if scalar_ok else {"lhs": str(rc.b_at(1) + alpha - c)},
         )
     )
+    # lower times upper bidiagonal reads no entry past the size: all of it
     prod = mat_multiply(l1, u1)
-    reports.append(
-        _block_report("tail-product", prod, shifted(j_alpha, c), common_reliable(prod, j_alpha))
-    )
+    reports.append(_block_report("tail-product", prod, shifted(j_alpha, c), size))
+    # U_1 L_1 lacks the last diagonal entry's term from past the size
     swapped = mat_multiply(u1, l1)
     assoc_transformed = jacobi_matrix(transformed.shifted(1), size - 1)
-    block = common_reliable(swapped, assoc_transformed)
     reports.append(
-        _block_report("swapped-tail-product", swapped, shifted(assoc_transformed, c), block)
+        _block_report("swapped-tail-product", swapped, shifted(assoc_transformed, c), size - 1)
     )
     return combine("shifted-lu", reports, c=str(c), alpha=str(alpha))
 
@@ -365,16 +361,19 @@ def _pro6(v, c, m0, size, hat):
     l_hat = shift_cols_left(upper.to_band())
     u_hat = shift_rows_up(lower.to_band())
     j_alpha = jacobi_matrix(rc.corecursive(alpha), size + 1)
+    # Uhat's unknown last row and Lhat's unknown last column meet only in
+    # the corner of Lhat Uhat
     prod = mat_multiply(l_hat, u_hat)
-    block = common_reliable(prod, j_alpha)
-    reports.append(_block_report("shifted-product", prod, shifted(j_alpha, c), block))
+    reports.append(_block_report("shifted-product", prod, shifted(j_alpha, c), size))
+    # size - 1 as for shifted-lu's swapped tails, though Uhat Lhat is exact on size
     hat_assoc = jacobi_matrix(hat_rc.shifted(1), size)
     swapped = mat_multiply(u_hat, l_hat)
-    block = common_reliable(swapped, hat_assoc)
-    reports.append(_block_report("swapped-shifted-product", swapped, shifted(hat_assoc, c), block))
+    reports.append(
+        _block_report("swapped-shifted-product", swapped, shifted(hat_assoc, c), size - 1)
+    )
+    # all but Uhat's unknown last row
     structural = UpperBidiagonal(size + 1, lower.sub + (ZERO,)).to_band()
-    block = min(common_reliable(u_hat), size)
-    reports.append(_block_report("shift-structure", u_hat, structural, block))
+    reports.append(_block_report("shift-structure", u_hat, structural, size))
     return combine("pro6", reports, c=str(c), m0=str(m0), alpha=str(alpha))
 
 

@@ -1,12 +1,10 @@
-"""Square band matrices over exact rationals, with truncation tracking.
+"""Square band matrices over exact rationals.
 
 Every matrix here is a finite truncation of a semi-infinite operator,
-stored by its diagonals.  A `margin` records how many trailing
-rows/columns may disagree with the untruncated operator; the leading
-(size - margin) block is exact.  The margin of a product grows by
-min(upper bandwidth of the left factor, lower bandwidth of the right
-factor) on top of the inherited margins; a shift a - cI keeps the margin
-of a, and a one-sided shift of rows or columns adds one.
+stored by its diagonals.  Trailing rows and columns of a product or a
+one-sided shift may disagree with the untruncated operator; each check
+names the leading block that its truncations leave exact and compares
+only that block (`first_block_mismatch`).
 
 The kernels follow the storage.  A product convolves the stored
 diagonals: diagonal p of the left factor meets diagonal q of the right
@@ -14,7 +12,7 @@ one along a slice of each, and lands on diagonal p + q.  Every entry
 sums its terms as an integer numerator over a running denominator, the
 lcm of its terms' denominators so far, and becomes one Rational at the
 end.  A shift of rows or columns moves each diagonal by one offset, and
-block equality compares slices of the stored diagonals.
+a block comparison walks slices of the stored diagonals.
 """
 
 from math import gcd
@@ -30,9 +28,9 @@ class BandMatrix:
     diagonals are dropped, so the bandwidths reflect actual support.
     """
 
-    __slots__ = ("size", "diagonals", "margin")
+    __slots__ = ("size", "diagonals")
 
-    def __init__(self, size, diagonals, margin=0):
+    def __init__(self, size, diagonals):
         if size < 1:
             raise ValueError("matrix size must be positive")
         clean = {}
@@ -48,16 +46,14 @@ class BandMatrix:
                 clean[d] = entries
         self.size = size
         self.diagonals = clean
-        self.margin = min(int(margin), size)
 
     @classmethod
-    def _checked(cls, size, diagonals, margin):
+    def _checked(cls, size, diagonals):
         """A BandMatrix from diagonals that are already tuples of Rationals of
         the right lengths, at offsets in range, none of them all zero."""
         m = cls.__new__(cls)
         m.size = size
         m.diagonals = diagonals
-        m.margin = min(margin, size)
         return m
 
     @property
@@ -68,11 +64,6 @@ class BandMatrix:
     def upper(self):
         return max((d for d in self.diagonals if d > 0), default=0)
 
-    @property
-    def reliable(self):
-        """Size of the leading block guaranteed to match the untruncated operator."""
-        return max(self.size - self.margin, 0)
-
     def entry(self, i, j):
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise IndexError("entry (%d, %d) outside size-%d matrix" % (i, j, self.size))
@@ -82,21 +73,17 @@ class BandMatrix:
     def __eq__(self, other):
         if not isinstance(other, BandMatrix):
             return NotImplemented
-        return self.size == other.size and equal_on_block(self, other, self.size)
+        # exact, since an all-zero diagonal is never stored
+        return self.size == other.size and self.diagonals == other.diagonals
 
     def __hash__(self):
         return hash((self.size, tuple(sorted(self.diagonals.items()))))
 
     def __repr__(self):
-        return "BandMatrix(size=%d, lower=%d, upper=%d, margin=%d)" % (
-            self.size,
-            self.lower,
-            self.upper,
-            self.margin,
-        )
+        return "BandMatrix(size=%d, lower=%d, upper=%d)" % (self.size, self.lower, self.upper)
 
 
-def band_from_entries(size, lowest, highest, fn, margin=0):
+def band_from_entries(size, lowest, highest, fn):
     """Build a BandMatrix from an entry function supported on offsets [lowest, highest]."""
     lowest = max(lowest, -(size - 1))
     highest = min(highest, size - 1)
@@ -107,7 +94,7 @@ def band_from_entries(size, lowest, highest, fn, margin=0):
             diagonals[d] = tuple(fn(i, i + d) for i in range(n))
         else:
             diagonals[d] = tuple(fn(j - d, j) for j in range(n))
-    return BandMatrix(size, diagonals, margin=margin)
+    return BandMatrix(size, diagonals)
 
 
 def identity(size):
@@ -115,13 +102,13 @@ def identity(size):
 
 
 def shifted(a, c):
-    """a - c*I: only the main diagonal is rewritten; the margin carries over."""
+    """a - c*I: only the main diagonal is rewritten."""
     c = rat(c)
     diagonals = dict(a.diagonals)
     main = tuple(x - c for x in diagonals.pop(0, (ZERO,) * a.size))
     if any(main):
         diagonals[0] = main
-    return BandMatrix._checked(a.size, diagonals, a.margin)
+    return BandMatrix._checked(a.size, diagonals)
 
 
 def _add_term(nums, dens, k, num, den):
@@ -141,7 +128,7 @@ def _split(entries):
 
 
 def mat_multiply(a, b):
-    """a b with margin tracking, by convolving the stored diagonals.
+    """a b, by convolving the stored diagonals.
 
     Row i of diagonal p of a (entry (i, i + p)) meets row i + p of
     diagonal q of b and adds to row i of diagonal d = p + q of the
@@ -152,7 +139,6 @@ def mat_multiply(a, b):
     """
     if a.size != b.size:
         raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
-    margin = max(a.margin, b.margin) + min(a.upper, b.lower)
     n = a.size
     right = [(q, *_split(diag)) for q, diag in b.diagonals.items()]
     sums = {}
@@ -181,7 +167,7 @@ def mat_multiply(a, b):
         for d, (nums, dens) in sorted(sums.items())
         if any(nums)
     }
-    return BandMatrix._checked(n, diagonals, margin)
+    return BandMatrix._checked(n, diagonals)
 
 
 def mat_power(a, k):
@@ -197,7 +183,7 @@ def mat_power(a, k):
 
 
 def _moved_diagonals(a, step):
-    """a with every diagonal moved `step` (1 or -1) offsets, one more margin.
+    """a with every diagonal moved `step` (1 or -1) offsets.
 
     A diagonal that moves away from the main one, or off it, loses its
     first entry; one that moves toward it gains a zero at its end: the
@@ -208,7 +194,7 @@ def _moved_diagonals(a, step):
         moved = diag[1:] if d * step >= 0 else diag + (ZERO,)
         if any(moved):
             diagonals[d + step] = moved
-    return BandMatrix._checked(a.size, diagonals, a.margin + 1)
+    return BandMatrix._checked(a.size, diagonals)
 
 
 def shift_rows_up(a):
@@ -227,37 +213,26 @@ def shift_cols_left(a):
     return _moved_diagonals(a, -1)
 
 
-def equal_on_block(a, b, k):
-    """Entrywise equality of the leading k x k blocks: the leading k - |d|
-    entries of each diagonal d (a diagonal one side lacks must be zero
-    there)."""
+def first_block_mismatch(a, b, k):
+    """Smallest block size at which the leading k x k blocks of a and b
+    differ, or None when they are equal.
+
+    Entry t of diagonal d is entry (t, t + d) or (t - d, t), so it first
+    enters the leading block of size t + |d| + 1; a diagonal that one
+    side does not store is zero there.
+    """
     if k > min(a.size, b.size):
         raise ValueError("block size %d exceeds matrix sizes" % k)
+    blocks = []
     for d in a.diagonals.keys() | b.diagonals.keys():
-        length = k - abs(d)
-        if length > 0:
-            x, y = a.diagonals.get(d), b.diagonals.get(d)
-            x = x[:length] if x is not None else (ZERO,) * length
-            y = y[:length] if y is not None else (ZERO,) * length
-            if x != y:
-                return False
-    return True
-
-
-def common_reliable(*mats):
-    """Largest leading block on which every argument is exact."""
-    return max(min(m.reliable for m in mats), 0)
-
-
-def first_block_mismatch(a, b, k):
-    """Smallest block size (1-based) at which the leading blocks differ, or None."""
-    for m in range(1, k + 1):
-        i = m - 1
-        if any(a.entry(i, j) != b.entry(i, j) for j in range(m)) or any(
-            a.entry(j, i) != b.entry(j, i) for j in range(m)
-        ):
-            return m
-    return None
+        length = max(k - abs(d), 0)
+        zeros = (ZERO,) * length
+        x = a.diagonals.get(d, zeros)[:length]
+        y = b.diagonals.get(d, zeros)[:length]
+        if x != y:
+            t = next(t for t in range(length) if x[t] != y[t])
+            blocks.append(t + abs(d) + 1)
+    return min(blocks, default=None)
 
 
 class UnitLowerBidiagonal:

@@ -399,7 +399,7 @@ def jacobi_matrix(rc, size):
         a = rc.a[: size - 1]
         if any(a):
             diagonals[-1] = a
-    return BandMatrix._checked(size, diagonals, 0)
+    return BandMatrix._checked(size, diagonals)
 
 
 def moments_from_jacobi(j, u0, n):
@@ -412,8 +412,7 @@ def moments_from_jacobi(j, u0, n):
     the entries of J^k e_0 that can still reach the (0, 0) entry.
 
     Entries of J^k only involve indices up to ceil(k/2), so the truncated
-    matrix reproduces the untruncated moments exactly for n <= 2*size - 1
-    (counting only the reliable block when the matrix carries a margin).
+    matrix reproduces the untruncated moments exactly for n <= 2*size - 1.
 
     The iteration runs on integers: with q the lcm of the denominators of
     b and a, B = q b and A = q a are integer, J^t e_0 = w / den with w an
@@ -438,11 +437,10 @@ def moments_from_jacobi(j, u0, n):
         raise ValueError("matrix is not a monic Jacobi truncation")
     b = diagonals.get(0, (ZERO,) * size)
     a = diagonals.get(-1, (ZERO,) * (size - 1))
-    usable = j.reliable
-    if n > 2 * usable - 1:
+    if n > 2 * size - 1:
         raise TruncationExhausted(
             "a reliable %dx%d truncation determines %d moments; %d requested"
-            % (usable, usable, max(2 * usable - 1, 0), n)
+            % (size, size, 2 * size - 1, n)
         )
     b_num, b_den = common_denominator(b)
     a_num, a_den = common_denominator(a)

@@ -2,28 +2,21 @@
 
 The transformed SMOP lives three terms wide over the original one: Q = L P
 with L unit lower tri-band, and (x - c)^2 P = U Q with U upper tri-band.
-Consequently (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable
-truncation blocks.  Every producer here reads its result off one O(n)
-kernel over values and slopes at c (`associated.quadratic_kernel`).  The
-inverse functional is the same division at c = 0 (`inverse_kernel`), so
-the same code factors the squared Jacobi matrices of the
-first-associated and inverse SMOPs.  The Wronskian and moment routes
-live only in the checks.
+Consequently (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the leading
+blocks that truncation leaves exact.  Every producer here reads its
+result off one O(n) kernel over values and slopes at c
+(`associated.quadratic_kernel`).  The inverse functional is the same
+division at c = 0 (`inverse_kernel`), so the same code factors the
+squared Jacobi matrices of the first-associated and inverse SMOPs.  The
+Wronskian and moment routes live only in the checks.
 """
 
 from . import functional as fa
-from .associated import (
-    inverse_connection,
-    inverse_functional_identity_check,
-    inverse_kernel,
-    inverse_recurrence,
-    quadratic_kernel,
-)
+from .associated import inverse_functional_identity_check, inverse_kernel, quadratic_kernel
 from .errors import DegenerateParameter, ZeroFirstMoment
 from .matrices import (
     UnitLowerTriband,
     UpperTriband,
-    equal_on_block,
     first_block_mismatch,
     mat_multiply,
     mat_power,
@@ -113,14 +106,18 @@ def _factors(kernel, b, c, size):
     The kernel leaves U to this function, so producers that need only
     the recurrence or the connection do not pay for it.
     """
-    lower = UnitLowerTriband(
+    diag = [k / norm for k, norm in zip(kernel.base_norms[:size], kernel.norms)]
+    super1 = [b[n] + b[n + 1] - 2 * c - kernel.alpha1[n + 2] for n in range(size - 1)]
+    return _lower_factor(kernel, size), UpperTriband(size, diag, super1)
+
+
+def _lower_factor(kernel, size):
+    """The size-N unit lower tri-band L of a kernel's connection coefficients."""
+    return UnitLowerTriband(
         size,
         [kernel.alpha1[n] for n in range(1, size)],
         [kernel.alpha2[n] for n in range(2, size)],
     )
-    diag = [k / norm for k, norm in zip(kernel.base_norms[:size], kernel.norms)]
-    super1 = [b[n] + b[n + 1] - 2 * c - kernel.alpha1[n + 2] for n in range(size - 1)]
-    return lower, UpperTriband(size, diag, super1)
 
 
 def quadratic_factorization(u, c, m0, m1, size):
@@ -157,15 +154,15 @@ def _triband_failure(base, q_polys, lower, upper, c):
 
 
 def _squares_failure(parts, left, right, lower, upper):
-    """Where left^2 = U L or right^2 = L U first fails on its reliable block, or None.
+    """Where left^2 = U L or right^2 = L U first fails on its exact block, or None.
 
     U L is compared on the leading size - 2 block and L U on size - 1,
     the blocks the passing records report: a row of a truncated product
     is exact when its left factor reaches no column past the size, and
     U reaches two columns past the diagonal, a Jacobi matrix one.  The
-    margins cannot give these blocks, since at size 2 the second
-    off-diagonals of L and U are cut off and count as zero.  `parts`
-    names the two identities for the failure record.
+    blocks follow from the sizes alone, also at size 2, where the second
+    off-diagonals of L and U are cut off.  `parts` names the two
+    identities for the failure record.
     """
     size = lower.size
     l_band = lower.to_band()
@@ -173,10 +170,9 @@ def _squares_failure(parts, left, right, lower, upper):
     for part, m, product, block in zip(
         parts, (left, right), ((u_band, l_band), (l_band, u_band)), (size - 2, size - 1)
     ):
-        square = mat_power(m, 2)
-        swapped = mat_multiply(*product)
-        if not equal_on_block(square, swapped, block):
-            return {"part": part, "block": first_block_mismatch(square, swapped, block)}
+        bad = first_block_mismatch(mat_power(m, 2), mat_multiply(*product), block)
+        if bad is not None:
+            return {"part": part, "block": bad}
     return None
 
 
@@ -186,7 +182,8 @@ def quadratic_factorization_check(u, c, m0, m1, size):
     The factors come from the kernel at c; Jhat and Q come from the
     moments of (x - c)^{-2} u by the Chebyshev algorithm.
     Checks Q = L P and (x - c)^2 P = U Q degree by degree, then
-    (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the reliable blocks.
+    (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the blocks truncation
+    leaves exact (`_squares_failure`).
     """
     c = rat(c)
     lower, upper = quadratic_factorization(u, c, m0, m1, size)
@@ -262,7 +259,7 @@ def assoc_inverse_factorization(u, size):
 
 
 def assoc_inverse_factorization_check(u, norm1, size):
-    """Identity "relationlu": (J^(1))^2 = U L and (J^-)^2 = L U on reliable blocks.
+    """Identity "relationlu": (J^(1))^2 = U L and (J^-)^2 = L U on exact blocks.
 
     J^(1) is the shifted recurrence of u and J^- comes from the moments
     of u^{-1} by the Chebyshev algorithm, neither from the factors.  The
@@ -307,10 +304,8 @@ def _g_matrix_failure(lower, j_first, j_minus):
     l_band = lower.to_band()
     left = mat_multiply(j_minus, l_band)
     right = mat_multiply(l_band, j_first)
-    block = lower.size - 2
-    if equal_on_block(left, right, block):
-        return None
-    return {"part": "G L = J^(1)", "block": first_block_mismatch(left, right, block)}
+    bad = first_block_mismatch(left, right, lower.size - 2)
+    return None if bad is None else {"part": "G L = J^(1)", "block": bad}
 
 
 def g_matrix_check(u, size):
@@ -319,21 +314,20 @@ def g_matrix_check(u, size):
     L is the inverse connection as a unit lower tri-band factor, so the
     identity is the band identity J^- L = L J^(1) (`_g_matrix_failure`);
     L G = J^- holds by construction of G.  The check runs on the leading
-    size - 2 block, the block the margins certified for the dense
-    product G L (G counted as full, L two diagonals below the main), so
-    from size 3 on `gl_block` and every failing record read as they did
-    when G was formed; at size 2 the block is empty.
+    size - 2 block: L reaches two rows below its diagonal, so a truncated
+    product with L on the right is exact on its first size - 2 columns;
+    at size 2 the block is empty.  As in relationlu, L comes from
+    `inverse_kernel` and J^- from the moments of u^{-1} by the Chebyshev
+    algorithm, so a kernel that disagrees with those moments is a
+    failing record.  Needs 2*size + 2 moments.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    alpha1, alpha2, _ = inverse_connection(u, size - 1)
-    lower = UnitLowerTriband(
-        size, [alpha1[n] for n in range(1, size)], [alpha2[n] for n in range(2, size)]
-    )
+    lower = _lower_factor(inverse_kernel(u, size), size)
     rc, _ = smop_from_moments(u, size + 1)
     j_first = jacobi_matrix(rc.shifted(1), size)
-    j_minus = jacobi_matrix(inverse_recurrence(u, size), size)
-    failure = _g_matrix_failure(lower, j_first, j_minus)
+    inverse_rc, _ = smop_from_moments(fa.invert(u), size)
+    failure = _g_matrix_failure(lower, j_first, jacobi_matrix(inverse_rc, size))
     block = size - 2
     if failure:
         return CheckReport.failing("g-matrix", block, failure)

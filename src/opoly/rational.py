@@ -56,10 +56,6 @@ def rat_str(x):
     return str(x if isinstance(x, Rational) else Rational(x))
 
 
-def is_zero(x):
-    return x == 0
-
-
 def common_denominator(values):
     """Integers (n_0, ...) and the least den > 0 with values[i] = n_i / den.
 

@@ -183,7 +183,3 @@ def first_series_mismatch(s, t):
         if s.coefficient(m) != t.coefficient(m):
             return m
     return None
-
-
-def series_equal(s, t):
-    return first_series_mismatch(s, t) is None

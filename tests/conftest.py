@@ -366,9 +366,13 @@ def power_reference(a, k):
     return result
 
 
-def equal_on_block_reference(a, b, k):
-    """Entry-by-entry comparison of the leading k x k blocks."""
-    return all(a.entry(i, j) == b.entry(i, j) for i in range(k) for j in range(k))
+def first_block_mismatch_reference(a, b, k):
+    """Smallest m <= k whose leading m x m blocks differ, entry by entry, or None."""
+    for m in range(1, k + 1):
+        edge = [(m - 1, j) for j in range(m)] + [(j, m - 1) for j in range(m)]
+        if any(a.entry(i, j) != b.entry(i, j) for i, j in edge):
+            return m
+    return None
 
 
 def solve_unit_lower_reference(lower_mat, rhs):

@@ -132,6 +132,33 @@ def test_the_shifted_factor_checks_read_the_transformed_recurrence(monkeypatch):
     }
 
 
+def test_the_shifted_factor_parts_compare_the_blocks_truncation_leaves_exact(monkeypatch):
+    # L_1 U_1 and Lhat Uhat on all of size rows, the swapped products off
+    # the last row and column, and Uhat's structure off its unknown last
+    # row, at every size on the three families
+    seen = []
+
+    def spy(name, left, right, block):
+        seen.append((name, block))
+        return block_report(name, left, right, block)
+
+    block_report = composition._block_report
+    monkeypatch.setattr(composition, "_block_report", spy)
+    c, m0 = rat(1, 3), rat(7, 3)
+    for u in (families.chebyshev_u(32), families.chebyshev_t(32), families.laguerre(1, 32)):
+        for size in range(2, 13):
+            seen.clear()
+            assert shifted_factor_check(u, c, size).passed
+            assert seen == [("tail-product", size), ("swapped-tail-product", size - 1)]
+            seen.clear()
+            assert geronimus_assoc_factor_check(u, c, m0, size).passed
+            assert seen == [
+                ("shifted-product", size),
+                ("swapped-shifted-product", size - 1),
+                ("shift-structure", size),
+            ]
+
+
 def test_kernel_sequence_closed_form():
     from opoly.associated import associated_polys
     from opoly.orthopoly import polys_from_recurrence, smop_from_moments

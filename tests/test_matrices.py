@@ -1,4 +1,4 @@
-"""Band matrices: margin bookkeeping, products against a dense reference, shifts."""
+"""Band matrices: products against a dense reference, shifts, block comparisons."""
 
 import random
 
@@ -12,8 +12,6 @@ from opoly.matrices import (
     UpperBidiagonal,
     UpperTriband,
     band_from_entries,
-    common_reliable,
-    equal_on_block,
     first_block_mismatch,
     identity,
     mat_multiply,
@@ -68,13 +66,6 @@ def test_diagonal_length_validation():
         BandMatrix(2, {2: (1,)})
 
 
-def test_margin_and_reliable():
-    m = BandMatrix(5, {0: (1,) * 5}, margin=2)
-    assert m.reliable == 3
-    assert BandMatrix(3, {0: (1,) * 3}, margin=7).reliable == 0
-    assert common_reliable(m, identity(5)) == 3
-
-
 def test_add_sub_scale_shift():
     j = tridiagonal(3, (4, 5), (1, 2, 3), (1, 1))
     s = shifted(j, rat(1, 2))
@@ -107,19 +98,11 @@ def test_multiplication_keeps_the_unit_superdiagonal():
     assert prod.entry(1, 1) == 2 * 1 + 6
 
 
-def test_product_margin_rule():
-    a = BandMatrix(5, {0: (1,) * 5, 1: (1,) * 4}, margin=1)   # upper bw 1
-    b = BandMatrix(5, {0: (1,) * 5, -1: (1,) * 4}, margin=0)  # lower bw 1
-    assert mat_multiply(a, b).margin == 1 + 1
-    assert mat_multiply(b, a).margin == 1 + 0  # b.upper = 0 caps the growth
-
-
 def test_power_against_repeated_products():
     j = tridiagonal(4, (1, 1, 1), (0, 0, 0, 0), (1, 1, 1))
     j3 = mat_power(j, 3)
     want = product_reference(product_reference(j, j), j)
     assert [[j3.entry(r, c) for c in range(4)] for r in range(4)] == want
-    assert j3.margin == 2
     assert mat_power(j, 0) == identity(4)
 
 
@@ -132,7 +115,6 @@ def test_shift_conjugate_drops_first_row_and_column():
     assert t.size == 3
     assert t.entry(0, 0) == 2
     assert t.entry(1, 0) == 5
-    assert t.margin == j.margin
     for i in range(3):
         for k in range(3):
             assert t.entry(i, k) == j.entry(i + 1, k + 1)
@@ -141,7 +123,6 @@ def test_shift_conjugate_drops_first_row_and_column():
 def test_shift_rows_up_moves_diagonals_up():
     j = tridiagonal(4, (4, 5, 6), (1, 2, 3, 7), (1, 1, 1))
     up = shift_rows_up(j)
-    assert up.margin == j.margin + 1
     for i in range(3):
         for jj in range(4):
             assert up.entry(i, jj) == j.entry(i + 1, jj)
@@ -156,7 +137,6 @@ def test_shift_rows_up_moves_diagonals_up():
 def test_shift_cols_left_moves_diagonals_down():
     j = tridiagonal(4, (4, 5, 6), (1, 2, 3, 7), (1, 1, 1))
     left = shift_cols_left(j)
-    assert left.margin == j.margin + 1
     for i in range(4):
         for jj in range(3):
             assert left.entry(i, jj) == j.entry(i, jj + 1)
@@ -169,24 +149,36 @@ def test_shift_cols_left_moves_diagonals_down():
 def test_row_and_column_shifts_compose_to_the_corner_conjugate():
     rc = RecurrenceCoefficients((1, 2, 3, 7, 9), (4, 5, 6, 7))
     j = jacobi_matrix(rc, 5)
+    # both orders drop the first row and column of j and leave the last
+    # row and column unknown, so they agree with the conjugate off those
     a = shift_rows_up(shift_cols_left(j))
     b = shift_cols_left(shift_rows_up(j))
-    block = common_reliable(a, b)
-    assert block >= 3
-    assert equal_on_block(a, b, block)
+    assert first_block_mismatch(a, b, 5) is None
     conj = jacobi_matrix(rc.shifted(1), 4)
-    assert equal_on_block(a, conj, min(block, conj.size))
+    assert first_block_mismatch(a, conj, 4) is None
 
 
 def test_block_comparisons():
     a = identity(4)
     b = BandMatrix(4, {0: (1, 1, 1, 5)})
-    assert equal_on_block(a, b, 3)
-    assert not equal_on_block(a, b, 4)
+    assert first_block_mismatch(a, b, 3) is None
     assert first_block_mismatch(a, b, 4) == 4
     assert first_block_mismatch(a, a, 4) is None
+    assert first_block_mismatch(a, b, 0) is None
+    # a diagonal only one side stores counts as zero on the other
+    c = BandMatrix(4, {0: (1,) * 4, -2: (0, 3)})
+    assert first_block_mismatch(a, c, 4) == first_block_mismatch(c, a, 4) == 4
+    assert first_block_mismatch(a, c, 3) is None
     with pytest.raises(ValueError):
-        equal_on_block(a, b, 5)
+        first_block_mismatch(a, b, 5)
+
+
+def test_equality_compares_size_and_stored_diagonals():
+    # an all-zero diagonal is never stored, so equal matrices store the same
+    assert BandMatrix(4, {0: (1,) * 4, 1: (0, 0, 0)}) == identity(4)
+    assert BandMatrix(4, {0: (1, 1, 1, 5)}) != identity(4)
+    assert identity(3) != identity(4)
+    assert hash(BandMatrix(3, {0: (1, 1, 1), -1: (0, 0)})) == hash(identity(3))
 
 
 def test_structured_factors_expose_their_entries():

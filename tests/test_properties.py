@@ -14,7 +14,7 @@ from conftest import (
     corecursive_by_subtraction,
     divide_power_reference,
     divided_difference_reference,
-    equal_on_block_reference,
+    first_block_mismatch_reference,
     first_moment_mismatch_reference,
     fraction_derivatives_at,
     fraction_wronskian,
@@ -54,7 +54,7 @@ from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
     band_from_entries,
-    equal_on_block,
+    first_block_mismatch,
     identity,
     mat_multiply,
     mat_power,
@@ -422,10 +422,10 @@ def test_a_vanishing_origin_wronskian_fails_every_inverse_producer_at_its_minor(
         with pytest.raises(NotQuasiDefinite) as excinfo:
             producer()
         assert (excinfo.value.level, excinfo.value.guard) == (level, "d_star")
-    # relationlu at --n reads the inverse's d*_2..d*_n, g-matrix at --n
-    # reads d*_2..d*_{n-1}
-    for name, n in (("relationlu", max(3, level + 1)), ("g-matrix", max(3, level + 2))):
-        assert_cli_fails_at(["verify", name, "--n", str(n)], u, level)
+    # relationlu and g-matrix at --n both read the inverse's d*_2..d*_n
+    # off one inverse kernel
+    for name in ("relationlu", "g-matrix"):
+        assert_cli_fails_at(["verify", name, "--n", str(max(3, level + 1))], u, level)
 
 
 def assert_cli_fails_at(argv, u, level):
@@ -445,7 +445,6 @@ def test_moments_from_jacobi_rejects_a_band_that_is_not_monic_jacobi(data):
     size = data.draw(st.integers(3, 8))
     lowest = data.draw(st.integers(-3, 0))
     highest = data.draw(st.integers(0, 3))
-    margin = data.draw(st.integers(1, size - 1))
     unit_top = data.draw(st.booleans())
     entries = data.draw(st.sampled_from((rationals, wide_rationals)))
     grid = [[data.draw(entries) for _ in range(size)] for _ in range(size)]
@@ -453,9 +452,9 @@ def test_moments_from_jacobi_rejects_a_band_that_is_not_monic_jacobi(data):
     def entry(i, j):
         return ONE if unit_top and j - i == highest else grid[i][j]
 
-    j = band_from_entries(size, lowest, highest, entry, margin=margin)
+    j = band_from_entries(size, lowest, highest, entry)
     u0 = data.draw(st.one_of(nonzero, wide_nonzero))
-    n = data.draw(st.integers(1, 2 * j.reliable - 1))
+    n = data.draw(st.integers(1, 2 * size - 1))
     superdiagonal = j.diagonals.get(1, (rat(0),))
     if set(j.diagonals) <= {-1, 0, 1} and all(x == 1 for x in superdiagonal):
         got = moments_from_jacobi(j, u0, n)
@@ -949,7 +948,7 @@ def test_divide_power_matches_long_division(first, rest, k, frac):
 @st.composite
 def wide_band(draw, size):
     """A BandMatrix of wide-height entries: random offsets, some diagonals all
-    zero (dropped, so the bandwidths shrink), and a margin.  Some matrices
+    zero (dropped, so the bandwidths shrink).  Some matrices
     take their entries from {-1, 0, 1} instead, so that diagonals of their
     products often cancel to zero."""
     offsets = draw(st.lists(st.integers(-(size - 1), size - 1), unique=True, max_size=4))
@@ -958,13 +957,13 @@ def wide_band(draw, size):
     for d in offsets:
         entries = draw(st.lists(values, min_size=size - abs(d), max_size=size - abs(d)))
         diagonals[d] = [0] * len(entries) if draw(st.integers(0, 3)) == 0 else entries
-    return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
+    return BandMatrix(size, diagonals)
 
 
 @settings(max_examples=80)
 @given(st.data())
 def test_mat_multiply_matches_the_fraction_dot_product(data):
-    # entries, margins and bandwidths of band products with denominators
+    # entries and bandwidths of band products with denominators
     # up to 10^9
     size = data.draw(st.integers(1, 6))
     a, b = data.draw(wide_band(size)), data.draw(wide_band(size))
@@ -974,7 +973,6 @@ def test_mat_multiply_matches_the_fraction_dot_product(data):
         for j in range(size):
             assert got.entry(i, j) == want[i][j]
             assert type(got.entry(i, j)) is Rational
-    assert got.margin == min(max(a.margin, b.margin) + min(a.upper, b.lower), size)
     # exactly the diagonals where the product is nonzero are stored
     support = {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
     assert set(got.diagonals) == support
@@ -984,9 +982,9 @@ def test_mat_multiply_matches_the_fraction_dot_product(data):
 
 # -- the certificate kernels against their entry-by-entry references
 
-def assert_same_matrix(got, want_rows, margin):
+def assert_same_matrix(got, want_rows):
     size = len(want_rows)
-    assert got.size == size and got.margin == min(margin, size)
+    assert got.size == size
     for i in range(size):
         for j in range(size):
             assert got.entry(i, j) == want_rows[i][j]
@@ -996,12 +994,12 @@ def assert_same_matrix(got, want_rows, margin):
 @st.composite
 def full_band(draw, size, lower, upper):
     """A BandMatrix with every diagonal in [-lower, upper] drawn (some may
-    come out all zero and be dropped), and a margin."""
+    come out all zero and be dropped)."""
     diagonals = {
         d: draw(st.lists(wide_rationals, min_size=size - abs(d), max_size=size - abs(d)))
         for d in range(-min(lower, size - 1), min(upper, size - 1) + 1)
     }
-    return BandMatrix(size, diagonals, margin=draw(st.integers(0, 3)))
+    return BandMatrix(size, diagonals)
 
 
 @settings(max_examples=60)
@@ -1013,7 +1011,7 @@ def test_products_of_full_bands_match_the_fraction_dot_product(data):
     b = data.draw(full_band(size, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))))
     got = mat_multiply(a, b)
     want = product_reference(a, b)
-    assert_same_matrix(got, want, max(a.margin, b.margin) + min(a.upper, b.lower))
+    assert_same_matrix(got, want)
     assert set(got.diagonals) == {j - i for i in range(size) for j in range(size) if want[i][j] != 0}
 
 
@@ -1029,7 +1027,7 @@ def test_a_product_whose_diagonal_cancels_drops_it(data):
     minus = BandMatrix(size, {0: ones, offset: [-x for x in entries]})
     got = mat_multiply(plus, minus)
     assert offset not in got.diagonals
-    assert_same_matrix(got, product_reference(plus, minus), min(plus.upper, minus.lower))
+    assert_same_matrix(got, product_reference(plus, minus))
     square = {2 * offset} if abs(2 * offset) < size else set()
     assert set(got.diagonals) == {0} | square
 
@@ -1046,16 +1044,16 @@ def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
         -(size - 1),
         size - 1,
         lambda r, s: new if (r, s) == (i, j) else a.entry(r, s),
-        margin=a.margin,
     )
     for k in range(size + 1):
         for x, y in ((a, changed), (changed, a)):
-            assert equal_on_block(x, y, k) is (max(i, j) >= k)
-            assert equal_on_block(x, y, k) == equal_on_block_reference(x, y, k)
-            assert equal_on_block(x, x, k)
+            got = first_block_mismatch(x, y, k)
+            assert got == (max(i, j) + 1 if max(i, j) < k else None)
+            assert got == first_block_mismatch_reference(x, y, k)
+            assert first_block_mismatch(x, x, k) is None
     assert a != changed
     with pytest.raises(ValueError):
-        equal_on_block(a, changed, size + 1)
+        first_block_mismatch(a, changed, size + 1)
 
 
 @given(st.data(), scalars)
@@ -1063,7 +1061,7 @@ def test_a_shift_rewrites_only_the_main_diagonal(data, c):
     size = data.draw(st.integers(1, 6))
     a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
     for point in (c, rat(0)):
-        assert_same_matrix(shifted(a, point), shifted_reference(a, point), a.margin)
+        assert_same_matrix(shifted(a, point), shifted_reference(a, point))
         assert shifted(a, 0) == a and shifted(a, 0).diagonals == a.diagonals
     # a main diagonal of c's shifts to zero and is dropped
     corner = {size - 1: (1,)} if size > 1 else {}
@@ -1075,10 +1073,10 @@ def test_a_shift_rewrites_only_the_main_diagonal(data, c):
 def test_powers_start_from_the_matrix(data):
     size = data.draw(st.integers(1, 6))
     a = data.draw(full_band(size, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))))
-    assert_same_matrix(mat_power(a, 0), power_reference(a, 0), 0)
+    assert_same_matrix(mat_power(a, 0), power_reference(a, 0))
     assert mat_power(a, 0) == identity(size)
-    assert_same_matrix(mat_power(a, 1), power_reference(a, 1), a.margin)
-    assert_same_matrix(mat_power(a, 2), power_reference(a, 2), a.margin + min(a.upper, a.lower))
+    assert_same_matrix(mat_power(a, 1), power_reference(a, 1))
+    assert_same_matrix(mat_power(a, 2), power_reference(a, 2))
     with pytest.raises(ValueError):
         mat_power(a, -1)
 
@@ -1095,7 +1093,7 @@ def test_one_sided_shifts_move_the_stored_diagonals(data):
         (shift_cols_left(a), lambda i, j: a.entry(i, j + 1) if j + 1 < size else 0),
     ):
         rows = [[want(i, j) for j in range(size)] for i in range(size)]
-        assert_same_matrix(got, rows, a.margin + 1)
+        assert_same_matrix(got, rows)
         support = {j - i for i in range(size) for j in range(size) if rows[i][j] != 0}
         assert set(got.diagonals) == support
 

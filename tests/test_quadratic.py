@@ -7,7 +7,12 @@ from conftest import product_reference, random_functional, solve_unit_lower_refe
 
 from opoly import families, quadratic
 from opoly import functional as fa
-from opoly.associated import associated_polys, inverse_connection, inverse_recurrence
+from opoly.associated import (
+    associated_polys,
+    inverse_connection,
+    inverse_kernel,
+    inverse_recurrence,
+)
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
 from opoly.matrices import UnitLowerTriband, band_from_entries, first_block_mismatch
 from opoly.orthopoly import (
@@ -240,6 +245,32 @@ def test_the_band_identity_fails_first_where_the_quotient_does():
                 passed += block is None
                 failed += block is not None
     assert passed > 28 and failed > 28
+
+
+def test_g_matrix_reports_a_kernel_that_disagrees_with_the_moments_as_a_failure(monkeypatch):
+    # alpha2[4] of the inverse kernel is entry (4, 2) of L: J^- L first
+    # reads it in row 3
+    def moved(u, n_max):
+        kernel = inverse_kernel(u, n_max)
+        return kernel._replace(alpha2={**kernel.alpha2, 4: kernel.alpha2[4] + 1})
+
+    monkeypatch.setattr(quadratic, "inverse_kernel", moved)
+    report = g_matrix_check(families.laguerre(1, 28), 8)
+    assert report.status == "fail"
+    assert report.first_failure == {"part": "G L = J^(1)", "block": 4}
+
+
+def test_g_matrix_and_relationlu_read_the_same_moments():
+    # both read 2 * size + 2 moments of u off one inverse kernel, so a
+    # short input raises the same TruncationExhausted for both, naming them
+    for size in range(3, 7):
+        for order in range(6, 2 * size + 2):
+            u = families.chebyshev_t(28).truncated(order)
+            want = "need %d moments for n_max=%d, have %d" % (2 * size + 2, size + 1, order)
+            for check in (g_matrix_check, lambda u, n: assoc_inverse_factorization_check(u, 1, n)):
+                with pytest.raises(TruncationExhausted) as excinfo:
+                    check(u, size)
+                assert str(excinfo.value) == want
 
 
 def test_origin_factorization_returns_tribands():
