@@ -192,6 +192,25 @@ def corecursive_functional_check(u, alpha):
     )
 
 
+def _fu1_route(u, norm1):
+    """(rc, s, u^{-1}, count, off): fu1's route to u^(1) = s x^2 u^{-1}, with
+    s = -norm1 u_0 / a_1, compared with u's shifted recurrence rc.shifted(1)
+    on the count = 2 * (order // 2) - 3 moments it fixes; off is the first
+    that differs, or None."""
+    if u.order < 4:
+        raise TruncationExhausted("need at least 4 moments")
+    rc, _ = smop_from_moments(u, u.order // 2)
+    a1 = rc.a_at(1)
+    u0 = u.moment(0)
+    if norm1 == 0:
+        raise DegenerateParameter("the associated functional needs a nonzero first moment")
+    s = -(norm1 * u0) / a1
+    inverse = fa.invert(u)
+    count = 2 * (u.order // 2) - 3
+    rhs = fa.scale(s, fa.multiply_poly(inverse, X * X))
+    return rc, s, inverse, count, first_moment_off(rhs, rc.shifted(1), count, norm1)
+
+
 def inverse_functional_identity_check(u, norm1=ONE):
     """Identity "fu1": the first-associated functional is a multiple of x^2 u^{-1}.
 
@@ -200,20 +219,10 @@ def inverse_functional_identity_check(u, norm1=ONE):
     2 * (order // 2) - 3 moments that u's shifted recurrence fixes.
     """
     norm1 = rat(norm1)
-    if u.order < 4:
-        raise TruncationExhausted("need at least 4 moments")
-    n_base = u.order // 2
-    rc, _ = smop_from_moments(u, n_base)
-    a1 = rc.a_at(1)
-    u0 = u.moment(0)
-    if norm1 == 0:
-        raise DegenerateParameter("the associated functional needs a nonzero first moment")
-    rhs = fa.scale(-(norm1 * u0) / a1, fa.multiply_poly(fa.invert(u), X * X))
-    order = 2 * n_base - 3
-    k = first_moment_off(rhs, rc.shifted(1), order, norm1)
+    _, _, _, count, k = _fu1_route(u, norm1)
     if k is None:
-        return CheckReport.passing("fu1", order - 1, norm1=str(norm1))
-    return CheckReport.failing("fu1", order - 1, {"moment": k}, norm1=str(norm1))
+        return CheckReport.passing("fu1", count - 1, norm1=str(norm1))
+    return CheckReport.failing("fu1", count - 1, {"moment": k}, norm1=str(norm1))
 
 
 Division = namedtuple("Division", "alpha1 alpha2 d_star recurrence norms base_norms")

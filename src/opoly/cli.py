@@ -373,7 +373,7 @@ IDENTITIES = {
         least_n=3,
     ),
     "g-matrix": Identity(
-        "the dense quotient of the inverse Jacobi matrix by the lower factor links both factorizations",
+        "the inverse Jacobi matrix times the lower factor is the lower factor times the first-associated Jacobi matrix, J^- L = L J^(1)",
         lambda u, p: [g_matrix_check(u, p["n"])],
         least_n=3,
     ),
@@ -413,13 +413,13 @@ IDENTITIES = {
     ),
     "christoffel+assoc": Identity(
         "the full multiplication-side interplay bundle",
-        lambda u, p: christoffel_assoc_chain(u, p["c"], p["n"], p["n"]),
+        lambda u, p: christoffel_assoc_chain(u, p["c"], p["n"]),
         least_n=2,
         chain=True,
     ),
     "geronimus+assoc": Identity(
         "the full division-side interplay bundle",
-        lambda u, p: geronimus_assoc_chain(u, p["c"], p["m0"], p["n"], p["n"]),
+        lambda u, p: geronimus_assoc_chain(u, p["c"], p["m0"], p["n"]),
         least_n=2,
         chain=True,
     ),

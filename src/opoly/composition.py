@@ -377,7 +377,7 @@ def _pro6(v, c, m0, size, hat):
     return combine("pro6", reports, c=str(c), m0=str(m0), alpha=str(alpha))
 
 
-def christoffel_assoc_chain(u, c, n_max, size):
+def christoffel_assoc_chain(u, c, n_max):
     """All multiplication-side interplay checks, bundled, over one (x - c) u.
 
     u and (x - c) u run the Chebyshev algorithm once each, at the deepest
@@ -394,17 +394,16 @@ def christoffel_assoc_chain(u, c, n_max, size):
         _pro5(u, c, n_max, combo),
         _connection(u, c, n_max, combo, tilde_u),
         _coro1(u, c, tilde_u),
-        shifted_factor_check(u, c, size),
+        shifted_factor_check(u, c, n_max),
     ]
 
 
-def geronimus_assoc_chain(v, c, m0, n_max, size):
+def geronimus_assoc_chain(v, c, m0, n_max):
     """All division-side interplay checks, bundled, over one recurrence of v.
 
-    S is built once and the UL elimination once (for pro6 too when
-    size == n_max); v's memo shares one Chebyshev run when size <= n_max.
-    S tests the mass before it reads the recurrence, so a zero m0 is
-    reported ahead of a vanishing Hankel minor.
+    S is built once and the UL elimination once, for pro6 too.  S tests
+    the mass before it reads the recurrence, so a zero m0 is reported
+    ahead of a vanishing Hankel minor.
     """
     s_polys = geronimus_assoc_polys(v, m0, n_max)
     m0 = rat(m0)
@@ -412,6 +411,4 @@ def geronimus_assoc_chain(v, c, m0, n_max, size):
     c = rat(c)
     hat = _hat_first(v, c, m0, n_max)
     reports += [_gero1(c, m0, n_max, hat, s_polys), _gero2(c, m0, n_max, hat, s_polys)]
-    if size != n_max:
-        hat = _hat_first(v, c, m0, size)
-    return reports + [_pro6(v, c, m0, size, hat)]
+    return reports + [_pro6(v, c, m0, n_max, hat)]

@@ -13,13 +13,17 @@ functional by a polynomial and the divided difference; forward
 substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
 no longer builds; and two statements that follow from registered identities,
 asserted directly: the co-recursive subtraction formula and the cleared
-continued fraction."""
+continued fraction; and `run_cli`, one in-process `opoly` call."""
 
+import contextlib
+import io
 import json
+import sys
 from pathlib import Path
 
 from opoly import functional as fa
 from opoly.associated import Division, associated_polys
+from opoly.cli import main
 from opoly.errors import (
     DegenerateParameter,
     NotQuasiDefinite,
@@ -56,6 +60,19 @@ from opoly.series import (
 from opoly.stieltjes import stieltjes_series
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+
+def run_cli(argv, stdin_text=""):
+    """(exit status, stdout, stderr) of one in-process `opoly` call."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def fixture_json(name):

@@ -128,8 +128,8 @@ def random_functional_file():
     for c in (rat(2), rat(3), rat(5, 2), rat(-2), rat(4)):
         for m0 in (rat(1), rat(1, 2), rat(-1, 2), rat(2), rat(1, 3)):
             try:
-                reports = christoffel_assoc_chain(u, c, 8, 8)
-                reports += geronimus_assoc_chain(u, c, m0, 8, 8)
+                reports = christoffel_assoc_chain(u, c, 8)
+                reports += geronimus_assoc_chain(u, c, m0, 8)
             except OpolyError:
                 continue
             if all(r.passed for r in reports):

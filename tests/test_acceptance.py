@@ -221,9 +221,9 @@ def criterion_7():
         (random_u, random_c, random_m0),
     )
     for u, c, m0 in instances:
-        for report in christoffel_assoc_chain(u, c, 8, 8):
+        for report in christoffel_assoc_chain(u, c, 8):
             assert report.passed, report.identity
-        for report in geronimus_assoc_chain(u, c, m0, 8, 8):
+        for report in geronimus_assoc_chain(u, c, m0, 8):
             assert report.passed, report.identity
 
 

@@ -61,7 +61,7 @@ def test_corecursive_parameter_degenerates_when_the_mass_vanishes():
 def test_multiplication_side_checks_individually():
     u = families.chebyshev_u(20)
     assert christoffel_assoc_check(u, 1, 8).passed
-    assert chain_report(christoffel_assoc_chain(u, 1, 8, 8), "christoffel-assoc-connection").passed
+    assert chain_report(christoffel_assoc_chain(u, 1, 8), "christoffel-assoc-connection").passed
     assert christoffel_assoc_functional_check(u, 1).passed
     report = shifted_factor_check(u, 1, 8)
     assert report.passed
@@ -85,7 +85,7 @@ def test_corner_scalar_hand_value():
 
 def test_division_side_checks_individually():
     v = families.laguerre(0, 20)
-    assert chain_report(geronimus_assoc_chain(v, 0, 1, 8, 8), "S-corecursive").passed
+    assert chain_report(geronimus_assoc_chain(v, 0, 1, 8), "S-corecursive").passed
     assert geronimus_assoc_connection_check(v, 0, 1, 8).passed
     assert geronimus_assoc_second_check(v, 0, 1, 8).passed
     report = geronimus_assoc_factor_check(v, 0, 1, 8)
@@ -100,7 +100,7 @@ def test_division_side_checks_individually():
 
 def test_kernel_sequence_is_corecursive_with_parameter_minus_v0_over_m0():
     v = families.laguerre(rat(1, 2), 20)
-    report = chain_report(geronimus_assoc_chain(v, 0, rat(2, 3), 8, 8), "S-corecursive")
+    report = chain_report(geronimus_assoc_chain(v, 0, rat(2, 3), 8), "S-corecursive")
     assert report.passed
     assert report.details["alpha"] == "-3/2"  # -(v_0/m0) = -(alpha + 1)
 
@@ -184,14 +184,14 @@ def test_geronimus_transform_of_laguerre_unit_mass_has_factorial_moments():
 
 def test_both_chains_pass_on_the_classical_instances():
     u = families.chebyshev_u(20)
-    for report in christoffel_assoc_chain(u, 1, 8, 8):
+    for report in christoffel_assoc_chain(u, 1, 8):
         assert report.passed, report.identity
-    for report in geronimus_assoc_chain(u, 1, rat(-1, 2), 8, 8):
+    for report in geronimus_assoc_chain(u, 1, rat(-1, 2), 8):
         assert report.passed, report.identity
     lag = families.laguerre(0, 20)
-    for report in christoffel_assoc_chain(lag, 0, 8, 8):
+    for report in christoffel_assoc_chain(lag, 0, 8):
         assert report.passed, report.identity
-    for report in geronimus_assoc_chain(lag, 0, 1, 8, 8):
+    for report in geronimus_assoc_chain(lag, 0, 1, 8):
         assert report.passed, report.identity
 
 
@@ -199,9 +199,7 @@ def test_both_chains_pass_on_the_committed_random_functional():
     u, c, m0 = random_functional()
     assert u.order == 20
     names = []
-    for report in christoffel_assoc_chain(u, c, 8, 8) + geronimus_assoc_chain(
-        u, c, m0, 8, 8
-    ):
+    for report in christoffel_assoc_chain(u, c, 8) + geronimus_assoc_chain(u, c, m0, 8):
         assert report.passed, report.identity
         names.append(report.identity)
     assert names == [
@@ -222,7 +220,7 @@ def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
     # check that recomputes the recurrence on its own copy of v fails here;
     # the runs on the moment sides that the checks compare are not counted
     u, c, m0 = random_functional()
-    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
+    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8)]
 
     def fresh():
         return MomentFunctional(u.moments)
@@ -230,7 +228,7 @@ def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
     runs = counting(
         monkeypatch, orthopoly, "_chebyshev", lambda nums, den, n_max: (nums, den) == (u.num, u.den)
     )
-    assert [report.to_json() for report in geronimus_assoc_chain(fresh(), c, m0, 8, 8)] == want
+    assert [report.to_json() for report in geronimus_assoc_chain(fresh(), c, m0, 8)] == want
     assert runs == [(u.num, u.den, 9)]
     # gero1 and gero2 on their own reuse the recurrence that the
     # factorization route read
@@ -244,9 +242,9 @@ def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():
     # H_1 = u_0 u_2 - u_1^2 = 0: the recurrence fails at level 1
     v = fa.functional((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(DegenerateParameter):
-        geronimus_assoc_chain(v, 1, 0, 4, 4)
+        geronimus_assoc_chain(v, 1, 0, 4)
     with pytest.raises(NotQuasiDefinite) as caught:
-        geronimus_assoc_chain(v, 1, 1, 4, 4)
+        geronimus_assoc_chain(v, 1, 1, 4)
     assert caught.value.level == 1
 
 
@@ -258,14 +256,14 @@ def test_a_vanishing_normalization_is_reported_by_the_step_that_reads_it_first()
     c = rat(1, 2)
     for check in (
         lambda: christoffel_assoc_functional_check(u, c),
-        lambda: christoffel_assoc_chain(u, c, 6, 6),
+        lambda: christoffel_assoc_chain(u, c, 6),
     ):
         with pytest.raises(NotQuasiDefinite) as caught:
             check()
         assert (caught.value.level, caught.value.guard) == (1, "norm")
     for check in (
         lambda: geronimus_assoc_factor_check(u, c, -2, 6),
-        lambda: geronimus_assoc_chain(u, c, -2, 6, 6),
+        lambda: geronimus_assoc_chain(u, c, -2, 6),
     ):
         with pytest.raises(ZeroPivot) as caught:
             check()
@@ -291,7 +289,7 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
     # depth a check reads (coro1's), and (x - c)u is built once; the runs
     # on coro1's moment side are not counted
     u, c, m0 = random_functional()
-    want = [report.to_json() for report in christoffel_assoc_chain(u, c, 8, 8)]
+    want = [report.to_json() for report in christoffel_assoc_chain(u, c, 8)]
     fresh = MomentFunctional(u.moments)
     tilde = fa.multiply_poly(u, X - c)
     read = {(u.num, u.den), (tilde.num, tilde.den)}
@@ -301,7 +299,7 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
     products = counting(
         monkeypatch, fa, "multiply_poly", lambda w, p: w is fresh and p == X - c
     )
-    assert [report.to_json() for report in christoffel_assoc_chain(fresh, c, 8, 8)] == want
+    assert [report.to_json() for report in christoffel_assoc_chain(fresh, c, 8)] == want
     assert [n_max for _, _, n_max in runs] == [10, 9]
     assert len(products) == 1
     runs.clear()
@@ -311,11 +309,11 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
 
 def test_the_division_chain_eliminates_and_builds_s_once(monkeypatch):
     u, c, m0 = random_functional()
-    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8, 8)]
+    want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8)]
     eliminations = counting(monkeypatch, composition, "geronimus_ul")
     s_builds = counting(monkeypatch, composition, "geronimus_assoc_polys")
     fresh = MomentFunctional(u.moments)
-    assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8, 8)] == want
+    assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8)] == want
     assert len(eliminations) == len(s_builds) == 1
 
 

@@ -1,9 +1,6 @@
 """Randomized exact-arithmetic properties (hypothesis)."""
 
-import contextlib
-import io
 import json
-import sys
 from math import gcd
 
 import pytest
@@ -27,6 +24,7 @@ from conftest import (
     power_reference,
     product_reference,
     quadratic_kernel_reference,
+    run_cli,
     series_multiply_reference,
     shifted_reference,
     values_and_slopes_reference,
@@ -47,7 +45,6 @@ from opoly.associated import (
     inverse_smop,
     quadratic_kernel,
 )
-from opoly.cli import main
 from opoly.darboux import christoffel_lu, geronimus_ul
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
@@ -430,7 +427,7 @@ def test_a_vanishing_origin_wronskian_fails_every_inverse_producer_at_its_minor(
 
 def assert_cli_fails_at(argv, u, level):
     """`opoly argv` on u's moments exits 1 with a typed d* failure at level."""
-    code, out = run_cli(argv, serialize.dumps(serialize.moments_record(u)))
+    code, out, _ = run_cli(argv, serialize.dumps(serialize.moments_record(u)))
     assert code == 1
     payload = json.loads(out)
     assert payload["error"] == "NotQuasiDefinite"
@@ -1132,24 +1129,11 @@ def test_polynomial_products_and_divided_differences_match_the_fraction_sums(fir
 # and the `transform | smop` pipeline fail at the transform's first
 # vanishing Hankel minor
 
-def run_cli(argv, stdin_text):
-    """(exit status, stdout) of one in-process `opoly` call."""
-    out = io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
-    try:
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
-
-
 def assert_pipeline_fails_at(u, transform_args, level):
     """`transform ... | smop` on u exits 1 with a typed NotQuasiDefinite at level."""
     stdin = serialize.dumps(serialize.moments_record(u))
-    _, transformed = run_cli(["transform"] + transform_args, stdin)
-    code, out = run_cli(["smop"], transformed)
+    _, transformed, _ = run_cli(["transform"] + transform_args, stdin)
+    code, out, _ = run_cli(["smop"], transformed)
     assert code == 1
     payload = json.loads(out)
     assert payload["error"] == "NotQuasiDefinite"
@@ -1158,7 +1142,7 @@ def assert_pipeline_fails_at(u, transform_args, level):
 
 def assert_factorize_fails_at(u, factorize_args, level):
     """`factorize ...` on u exits 1 with a typed ZeroPivot at level."""
-    code, out = run_cli(["factorize"] + factorize_args, serialize.dumps(serialize.moments_record(u)))
+    code, out, _ = run_cli(["factorize"] + factorize_args, serialize.dumps(serialize.moments_record(u)))
     assert code == 1
     payload = json.loads(out)
     assert (payload["error"], payload["level"]) == ("ZeroPivot", level)
@@ -1169,7 +1153,7 @@ def assert_verify_fails_at(u, names, verify_args, level):
     ZeroPivot at level: never exit 2, a traceback or a failing report."""
     stdin = serialize.dumps(serialize.moments_record(u))
     for name in names:
-        code, out = run_cli(["verify", name] + verify_args, stdin)
+        code, out, _ = run_cli(["verify", name] + verify_args, stdin)
         assert code == 1, name
         payload = json.loads(out)
         assert payload["error"] in ("NotQuasiDefinite", "ZeroPivot"), (name, payload)
@@ -1323,7 +1307,7 @@ def test_a_vanishing_a_j_below_the_level_is_a_typed_error_everywhere(drawn, k, n
         ["verify", "pro6", "--n", "3"],
         ["verify", "asociadosrepr", "--k", str(k), "--n", "3"],
     ):
-        code, out = run_cli(argv, stdin)
+        code, out, _ = run_cli(argv, stdin)
         payload = json.loads(out)
         assert code == 1, argv
         assert (payload["error"], payload["level"], payload["guard"]) == (
@@ -1395,7 +1379,7 @@ def test_a_vanishing_a_k_is_u_s_own_level_in_the_identities_that_read_u(drawn, d
     assert_verify_fails_at(
         u, ["asociadosrepr", "linearcombination"], ["--k", "2", "--n", str(n)], level
     )
-    code, out = run_cli(["verify", "identidad"], serialize.dumps(serialize.moments_record(u)))
+    code, out, _ = run_cli(["verify", "identidad"], serialize.dumps(serialize.moments_record(u)))
     assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
 
 
@@ -1451,7 +1435,7 @@ BROKEN_INVERSE_RECORDS = [
 def test_a_wrong_inverse_fails_each_identity_at_the_moment_it_moves(monkeypatch, name, j, want):
     monkeypatch.setattr(fa, "invert", moved_inverse(j))
     argv = ["verify", name, "--family", "laguerre", "--order", "24"]
-    code, out = run_cli(argv + ["--c=-1/3", "--m0=7/3", "--n", "8"], "")
+    code, out, _ = run_cli(argv + ["--c=-1/3", "--m0=7/3", "--n", "8"], "")
     failures = [
         (check["identity"], check["first_failure"])
         for check in json.loads(out)["checks"]
