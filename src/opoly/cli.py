@@ -425,6 +425,7 @@ IDENTITIES = {
     ),
 }
 
+# the benchmark's verify-catalogue workload reads this (perfbench/workloads.py)
 VERIFY_SUMMARIES = {name: identity.summary for name, identity in IDENTITIES.items()}
 
 

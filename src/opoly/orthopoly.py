@@ -174,11 +174,11 @@ def _chebyshev(nums, den, n_max):
 
     Each row runs on integers over one denominator: s_{k,l} = sigma[l] /
     den.  The row is formed with integer factors that bring both terms of
-    the recurrence over the lcm of their denominators, so no entry is a
-    rational, and is divided by gcd(den, *row) only when den has doubled
-    in bits since the last division (`_reduce_if_doubled`).  No output
-    reads how far a row is reduced: b_k needs no denominator at all,
-    b_k = sigma_k[k+1]/sigma_k[k] - sigma_{k-1}[k]/sigma_{k-1}[k-1];
+    the recurrence over the lcm of their denominators (`_step`), so no
+    entry is a rational, and is divided by gcd(den, *row) only when den
+    has doubled in bits since the last division (`_reduce_if_doubled`).
+    No output reads how far a row is reduced: b_k needs no denominator
+    at all, b_k = sigma_k[k+1]/sigma_k[k] - sigma_{k-1}[k]/sigma_{k-1}[k-1];
     K_k and a_k carry den and are built as reduced rationals; and
     sigma[k] == 0 does not depend on the row's scale.  Raises
     NotQuasiDefinite(k) at the first k with K_k = 0.
@@ -195,13 +195,10 @@ def _chebyshev(nums, den, n_max):
         if k >= 1:
             b = bs[k - 1]
             a = a_s[k - 2] if k >= 2 else ZERO
-            # with b = pb/qb and a = pa/qa, s_{k,l} is
-            # (qb sigma[l+1] - pb sigma[l]) / (den qb) - pa below[l] / (below_den qa)
-            left = den * b.denominator
-            right = below_den * a.denominator
-            new_den = lcm(left, right)
-            f_left = new_den // left
-            x, y, z = f_left * b.denominator, f_left * b.numerator, new_den // right * a.numerator
+            # s_{k,l} = s_{k-1,l+1} - b s_{k-1,l} - a s_{k-2,l} over new_den
+            new_den, x, y, z = _step(
+                den, b.numerator, b.denominator, below_den, a.numerator, a.denominator
+            )
             row = [x * sigma[l + 1] - y * sigma[l] - z * below[l] for l in range(k, width - k)]
             row, new_den, limit = _reduce_if_doubled(row, new_den, limit)
             below, below_den = sigma, den
@@ -219,6 +216,22 @@ def _chebyshev(nums, den, n_max):
         norms.append(norm_k)
         bs.append(b_k)
     return RecurrenceCoefficients(bs, a_s), tuple(norms)
+
+
+def _step(den, pb, qb, below_den, pa, qa):
+    """Integer factors of one three-term step: (new_den, x, y, z).
+
+    With b = pb/qb and a = pa/qa, new_den is the lcm of den qb and
+    below_den qa, and x / new_den = 1 / den, y / new_den = b / den and
+    z / new_den = a / below_den.  So (x - b) cur / den - a below /
+    below_den is (x X cur - y cur - z below) / new_den on integers, for a
+    polynomial (X cur the shift) as for a mixed-moment row or a value.
+    """
+    left = den * qb
+    right = below_den * qa
+    new_den = lcm(left, right)
+    f_left = new_den // left
+    return new_den, f_left * qb, f_left * pb, new_den // right * pa
 
 
 def _reduce_if_doubled(vec, den, limit):
@@ -272,9 +285,9 @@ def polys_from_recurrence(rc, n_max):
 
     Each P_k is integers over one denominator (`Polynomial.num`, `.den`).
     With b_k = pb/qb and a_k = pa/qa, P_{k+1} = (x - b_k) P_k - a_k P_{k-1}
-    is formed, as in `smop_from_moments`, with integer factors that bring
-    both terms over the lcm of their denominators: a shift minus scaled
-    copies, reduced once by `Polynomial.from_integers`.
+    is formed, as in `_chebyshev`, with integer factors that bring both
+    terms over the lcm of their denominators (`_step`): a shift minus
+    scaled copies, reduced once by `Polynomial.from_integers`.
     """
     if n_max > rc.length:
         raise TruncationExhausted(
@@ -290,11 +303,9 @@ def polys_from_recurrence(rc, n_max):
             below, below_den = polys[k - 1].num, polys[k - 1].den
         # (x - b) cur / den - a below / below_den over new_den:
         # row[i] = x cur[i-1] - y cur[i] - z below[i]
-        left = den * b.denominator
-        right = below_den * a.denominator
-        new_den = lcm(left, right)
-        f_left = new_den // left
-        x, y, z = f_left * b.denominator, f_left * b.numerator, new_den // right * a.numerator
+        new_den, x, y, z = _step(
+            den, b.numerator, b.denominator, below_den, a.numerator, a.denominator
+        )
         row = [
             x * s - y * v - z * w
             for s, v, w in zip((0,) + cur, cur + (0,), below + (0, 0))
@@ -307,74 +318,55 @@ def values_and_slopes(rc, c, n):
     """P_m(c) and P_m'(c) for m = 0..n in O(n), over one denominator per level.
 
     Returns three lists (p, dp, den) of integers with P_m(c) = p[m] / den[m]
-    and P_m'(c) = dp[m] / den[m].  Runs the recurrence and its derivative,
-    P_{m+1}' = P_m + (x - b_m) P_m' - a_m P_{m-1}', at x = c.  As in
-    `polys_from_recurrence`, with c - b_m = ps/qs and a_m = pa/qa, integer
-    factors bring both terms over the lcm of their denominators, and each
-    level is reduced once by gcd(den, value, slope), so no step makes a
-    rational.
+    and P_m'(c) = dp[m] / den[m], each level reduced: the weight-1 case of
+    `kernel_values`.
     """
-    if n > rc.length:
-        raise TruncationExhausted(
-            "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n)
-        )
-    c = rat(c)
-    pc, qc = c.numerator, c.denominator
-    p, dp, den = [1], [0], [1]
-    below, below_slope, below_den, a = 0, 0, 1, ZERO
-    for m in range(n):
-        b = rc.b[m]
-        qs = lcm(qc, b.denominator)
-        ps = pc * (qs // qc) - b.numerator * (qs // b.denominator)
-        if m >= 1:
-            a = rc.a[m - 1]
-            below, below_slope, below_den = p[m - 1], dp[m - 1], den[m - 1]
-        # value = (c - b) P_m - a P_{m-1} and slope = P_m + (c - b) P_m' -
-        # a P_{m-1}', with the P_m terms over qs den[m] and the P_{m-1}
-        # terms over qa den[m - 1]
-        left = qs * den[m]
-        right = a.denominator * below_den
-        new_den = lcm(left, right)
-        f_left = new_den // left
-        f_right = new_den // right * a.numerator
-        value = f_left * ps * p[m] - f_right * below
-        slope = f_left * (qs * p[m] + ps * dp[m]) - f_right * below_slope
-        g = gcd(new_den, value, slope)
-        p.append(value // g)
-        dp.append(slope // g)
-        den.append(new_den // g)
-    return p, dp, den
+    return kernel_values(rc, c, ONE, ZERO, ZERO, n)
 
 
 def kernel_values(rc, c, weight, mass, tilt, n):
     """The kernel combination Z_m = weight P_m + mass P^(1)_{m-1} at c, m = 0..n.
 
     Returns integer lists (z, t, den): Z_m(c) = z[m] / den[m] and
-    Z_m'(c) + tilt P_m(c) = t[m] / den[m], with P^(1)_{-1} = 0.  Each
-    level brings the `values_and_slopes` of rc and of rc.shifted(1) over
-    the lcm of their denominators.  The UL pivots are ratios of Z with
-    weight 1 and mass beta_0 (`darboux.geronimus_ul`); the division by
-    (x - c)^2 reads S_n(c) and T_n(c) from weight m1 - c m0, mass u_0 and
-    tilt m0 (`quadratic._division`).
+    T_m(c) = Z_m'(c) + tilt P_m(c) = t[m] / den[m], with P^(1)_{-1} = 0.
+    For m >= 1, P_m and P^(1)_{m-1} obey the same recurrence, so Z is one
+    run of rc's recurrence from Z_0 = weight, whose first step reads
+    a_0 Z_{-1} = -mass, and T one run of its derivative,
+    T_{m+1} = Z_m + (c - b_m) T_m - a_m T_{m-1}, from T_0 = tilt and
+    T_{-1} = 0; `values_and_slopes` is the run at weight 1, mass 0 and
+    tilt 0.  With c - b_m = ps/qs, `_step` brings both terms over the lcm
+    of their denominators, and each level is reduced once by
+    gcd(den, z, t), so no step makes a rational.  The UL pivots are ratios
+    of Z with weight 1 and mass beta_0 (`darboux.geronimus_ul`); the
+    division by (x - c)^2 reads S_n(c) and T_n(c) from weight m1 - c m0,
+    mass u_0 and tilt m0 (`quadratic._division`).
     """
-    weight, mass, tilt = rat(weight), rat(mass), rat(tilt)
-    p, dp, p_den = values_and_slopes(rc, c, n)
-    q, dq, q_den = values_and_slopes(rc.shifted(1), c, n - 1) if n else ([], [], [])
-    q, dq, q_den = [0] + q, [0] + dq, [1] + q_den
-    # weight = w / g and tilt = m / g
-    g = lcm(weight.denominator, tilt.denominator)
-    w = weight.numerator * (g // weight.denominator)
-    m = tilt.numerator * (g // tilt.denominator)
-    z, t, den = [], [], []
-    for k in range(n + 1):
-        left = g * p_den[k]
-        right = mass.denominator * q_den[k]
-        common = lcm(left, right)
-        f_left = common // left
-        f_right = common // right * mass.numerator
-        z.append(f_left * w * p[k] + f_right * q[k])
-        t.append(f_left * (w * dp[k] + m * p[k]) + f_right * dq[k])
-        den.append(common)
+    if n > rc.length:
+        raise TruncationExhausted(
+            "recurrence has %d coefficients; cannot reach degree %d" % (rc.length, n)
+        )
+    c, weight, mass, tilt = rat(c), rat(weight), rat(mass), rat(tilt)
+    pc, qc = c.numerator, c.denominator
+    d0 = lcm(weight.denominator, tilt.denominator)
+    z = [weight.numerator * (d0 // weight.denominator)]
+    t = [tilt.numerator * (d0 // tilt.denominator)]
+    den = [d0]
+    # a_0 Z_{-1} = mass (-1) / 1 and T_{-1} = 0
+    below, below_t, below_den, a = -1, 0, 1, mass
+    for m in range(n):
+        b = rc.b[m]
+        qs = lcm(qc, b.denominator)
+        ps = pc * (qs // qc) - b.numerator * (qs // b.denominator)
+        if m >= 1:
+            a = rc.a[m - 1]
+            below, below_t, below_den = z[m - 1], t[m - 1], den[m - 1]
+        new_den, x, y, f = _step(den[m], ps, qs, below_den, a.numerator, a.denominator)
+        value = y * z[m] - f * below
+        slope = x * z[m] + y * t[m] - f * below_t
+        g = gcd(new_den, value, slope)
+        z.append(value // g)
+        t.append(slope // g)
+        den.append(new_den // g)
     return z, t, den
 
 

@@ -8,6 +8,12 @@ correct, so comparing two series never silently reads unknown terms.
 A product convolves the two windows on integers: each factor's
 coefficients are numerators over one common denominator, and each
 coefficient of the result is one rational.
+
+No `verify` identity reads these windows: the checks compare moments.
+The window algebra stays as the tests' reference route for relationS's
+continued fraction, and `series_multiply` is the layer the benchmark's
+`--trace 1` spans wrap (`perfbench/spans.py`), so deleting it breaks
+that run.
 """
 
 from .errors import TruncationExhausted

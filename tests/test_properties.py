@@ -757,6 +757,7 @@ def test_kernel_values_combine_the_rational_values_and_slopes(drawn, c, weight, 
     assert [Rational(x, d) for x, d in zip(t, den)] == [
         weight * dp[k] + mass * dq[k] + tilt * p[k] for k in range(n + 1)
     ]
+    assert all(d > 0 and gcd(d, x, y) == 1 for x, y, d in zip(z, t, den))
 
 
 # -- the LU and UL factors read off the values at c, against the

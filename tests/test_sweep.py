@@ -7,16 +7,26 @@ traceback; exit 2 is only linearcombination's usage error for --k > --n.
 On the degenerate input, an identity that reads u's recurrence past
 level k reports u's first vanishing Hankel minor: NotQuasiDefinite at
 level k, guard "norm".
+
+On the two Chebyshev families, a Laguerre functional and the random
+fixture, a mass drawn to zero the UL kernel value Z_k at a drawn level
+k >= 2 stops `factorize ul` and every identity that runs the UL
+elimination at ZeroPivot(k).
 """
 
 import json
 import random
 
 import pytest
-from conftest import fixture_json, run_cli
+from conftest import fixture_functional, fixture_json, run_cli, values_and_slopes_reference
 
 from opoly import cli, families, serialize
-from opoly.orthopoly import RecurrenceCoefficients, jacobi_matrix, moments_from_jacobi
+from opoly.orthopoly import (
+    RecurrenceCoefficients,
+    jacobi_matrix,
+    moments_from_jacobi,
+    smop_from_moments,
+)
 from opoly.rational import rat
 
 ORDER = 20
@@ -82,6 +92,57 @@ INPUTS = {
     "degenerate": ([], _stdin(_degenerate(LEVEL))),
 }
 PARAMS = {name: (_nonzero(), _nonzero(), _small(), _nonzero(), rng.randint(1, 3)) for name in INPUTS}
+
+
+def _zeroing_mass(u, level):
+    """(c, m0) whose UL kernel values on u have Z_level = 0 and no earlier zero.
+
+    Z_j = P_j(c) + beta_0 P^(1)_{j-1}(c) is affine in beta_0, so
+    beta_0 = -P_k(c)/P^(1)_{k-1}(c) zeroes Z_k, and m0 = u_0/beta_0; c is
+    drawn again until beta_0 exists, is nonzero and zeroes no Z_j, j < k.
+    """
+    rc, _ = smop_from_moments(u, ORDER // 2)
+    while True:
+        c = _small()
+        p, _ = values_and_slopes_reference(rc, c, level)
+        q, _ = values_and_slopes_reference(rc.shifted(1), c, level - 1)
+        if p[level] == 0 or q[level - 1] == 0:
+            continue
+        beta0 = -p[level] / q[level - 1]
+        if all(p[j] + beta0 * q[j - 1] for j in range(1, level)):
+            return c, u.moments[0] / beta0
+
+
+# each input at two drawn levels k >= 2 that the order reaches: UL at
+# size ORDER // 2 forms Z_1..Z_{ORDER // 2 - 1}
+ZERO_PIVOTS = [
+    pytest.param(level, _stdin(u), *_zeroing_mass(u, level), id="%s-%d" % (source, level))
+    for source, u in [
+        ("chebyshev-u", families.chebyshev_u(ORDER)),
+        ("chebyshev-t", families.chebyshev_t(ORDER)),
+        ("laguerre", families.laguerre(abs(_small()), ORDER)),
+        ("random", fixture_functional("random_order20.json")),
+    ]
+    for level in rng.sample(range(2, ORDER // 2), 2)
+]
+
+
+def assert_zero_pivot(argv, stdin_text, level):
+    code, out, err = run_cli(argv, stdin_text)
+    assert (code, err) == (1, ""), argv
+    payload = json.loads(out)
+    assert (payload["error"], payload["level"]) == ("ZeroPivot", level), argv
+
+
+@pytest.mark.parametrize("level,stdin_text,c,m0", ZERO_PIVOTS)
+def test_a_mass_that_zeroes_z_k_stops_every_ul_elimination_at_k(level, stdin_text, c, m0):
+    for size in ([], ["--size", str(level + 1)]):
+        argv = ["factorize", "ul", "--c=%s" % c, "--m0=%s" % m0] + size
+        assert_zero_pivot(argv, stdin_text, level)
+    for name in ("gero1", "gero2", "pro6", "geronimus+assoc"):
+        for n in (level, ORDER // 2 - 1):
+            argv = ["verify", name, "--n", str(n), "--c=%s" % c, "--m0=%s" % m0]
+            assert_zero_pivot(argv, stdin_text, level)
 
 
 def test_the_depth_table_names_every_identity():
