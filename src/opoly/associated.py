@@ -25,7 +25,7 @@ from .orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import ONE_POLY, Polynomial, X
+from .poly import ONE_POLY, ZERO_POLY, Polynomial, X, _combine
 from .rational import ZERO, ONE, Rational, rat
 from .reports import CheckReport
 
@@ -134,12 +134,11 @@ def linear_combination_check(u, k, n):
     prod = ONE
     for m in range(1, k):
         prod *= rc.a_at(m)
-    a_poly = (-first[k - 2] if k >= 2 else Polynomial()) * (1 / prod)
-    b_poly = base[k - 1] * (1 / prod)
+    a_poly = first[k - 2] if k >= 2 else ZERO_POLY
     for m in range(k, n + 1):
-        lhs = kth[m - k]
-        rhs = a_poly * base[m] + b_poly * first[m - 1]
-        if lhs != rhs:
+        # prod (P^(k)_{m-k} - A P_m - B P^(1)_{m-1}), which clears A and B's 1/prod
+        terms = [(prod, kth[m - k]), (1, base[m], a_poly), (-1, first[m - 1], base[k - 1])]
+        if any(_combine(terms)[0]):
             return CheckReport.failing(
                 "linearcombination", n, {"level": m, "k": k}, k=k
             )

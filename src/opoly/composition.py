@@ -38,7 +38,7 @@ from .orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import Polynomial, X
+from .poly import ONE_POLY, Polynomial, X, _combine
 from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
 
@@ -55,7 +55,11 @@ def christoffel_assoc_polys(u, c, n_max):
     rc, _ = smop_from_moments(u, n_max + 1)
     base = polys_from_recurrence(rc, n_max + 1)
     first = associated_polys(rc, 1, n_max)
-    return tuple(scale * ((X - c) * first[n] - base[n + 1]) for n in range(n_max + 1))
+    shift, minus = X - c, -scale
+    return tuple(
+        Polynomial.from_integers(*_combine([(scale, first[n], shift), (minus, base[n + 1])]))
+        for n in range(n_max + 1)
+    )
 
 
 def corecursive_parameter(u, c):
@@ -130,11 +134,13 @@ def _connection(u, c, n_max, combo, tilde_u):
     p, _, den = values_and_slopes(rc, c, n_max + 1)
     tilde_rc, _ = smop_from_moments(tilde_u, n_max)
     tilde_first = associated_polys(tilde_rc, 1, n_max - 1)
+    shift = X - c
     for n in range(1, n_max + 1):
         if p[n] == 0:
             raise ZeroPivot(n)
         ratio = Rational(p[n + 1] * den[n], den[n + 1] * p[n])
-        if (X - c) * tilde_first[n - 1] != combo[n] - ratio * combo[n - 1]:
+        terms = [(1, tilde_first[n - 1], shift), (-1, combo[n]), (ratio, combo[n - 1])]
+        if any(_combine(terms)[0]):
             return CheckReport.failing(
                 "christoffel-assoc-connection", n_max, {"level": n}, c=str(c)
             )
@@ -240,14 +246,14 @@ def _nonzero_mass(m0):
 def geronimus_assoc_polys(v, m0, n_max):
     """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
     m0 = _nonzero_mass(m0)
-    v0 = v.moment(0)
+    ratio = v.moment(0) / m0
     rc, _ = smop_from_moments(v, n_max + 1)
     base = polys_from_recurrence(rc, n_max)
     first = associated_polys(rc, 1, n_max - 1)
-    out = [Polynomial((1,))]
-    for n in range(1, n_max + 1):
-        out.append(base[n] + (v0 / m0) * first[n - 1])
-    return tuple(out)
+    return (ONE_POLY,) + tuple(
+        Polynomial.from_integers(*_combine([(1, base[n]), (ratio, first[n - 1])]))
+        for n in range(1, n_max + 1)
+    )
 
 
 def _s_corecursive(v, m0, n_max, direct):
@@ -297,10 +303,10 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
 def _gero1(c, m0, n_max, hat, s_polys):
     _, lower, _, hat_rc = hat
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
+    shift, sub = X - c, lower.sub
     for n in range(1, n_max + 1):
-        lhs = (X - c) * hat_first[n - 1]
-        rhs = s_polys[n] + lower.sub[n - 1] * s_polys[n - 1]
-        if lhs != rhs:
+        terms = [(-1, hat_first[n - 1], shift), (1, s_polys[n]), (sub[n - 1], s_polys[n - 1])]
+        if any(_combine(terms)[0]):
             return CheckReport.failing("gero1", n_max, {"level": n}, c=str(c))
     return CheckReport.passing("gero1", n_max, c=str(c), m0=str(rat(m0)))
 
@@ -316,8 +322,10 @@ def _gero2(c, m0, n_max, hat, s_polys):
     _, _, upper, hat_rc = hat
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
     for n in range(n_max + 1):
-        rhs = hat_first[n] + (upper.diag[n] * hat_first[n - 1] if n >= 1 else Polynomial())
-        if s_polys[n] != rhs:
+        terms = [(-1, s_polys[n]), (1, hat_first[n])]
+        if n >= 1:
+            terms.append((upper.diag[n], hat_first[n - 1]))
+        if any(_combine(terms)[0]):
             return CheckReport.failing("gero2", n_max, {"level": n}, c=str(c))
     return CheckReport.passing("gero2", n_max, c=str(c), m0=str(rat(m0)))
 

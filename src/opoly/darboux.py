@@ -19,7 +19,7 @@ from .orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import X
+from .poly import X, _combine
 from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
 
@@ -89,34 +89,20 @@ def christoffel_connection_check(u, c, n):
     base = polys_from_recurrence(rc, n + 1)
     tilde_u = fa.multiply_poly(u, X - c)
     tilde_rc, tilde_sys = smop_from_moments(tilde_u, n)
-    lower, upper, transformed = christoffel_lu(rc, c)
-    reports = []
+    _, upper, transformed = christoffel_lu(rc, c)
+    # P_{m+1}(c)/P_m(c) by evaluation, for both parts; christoffel_lu has
+    # raised ZeroPivot if any P_m(c) vanishes
+    ratios = [base[m + 1](c) / base[m](c) for m in range(n + 1)]
+    tilde, shift = tilde_sys.polys, X - c
     failure = None
     for m in range(n):
-        lhs = (X - c) * tilde_sys.polys[m]
-        rhs = base[m + 1] - (base[m + 1](c) / base[m](c)) * base[m]
-        if lhs != rhs:
+        if any(_combine([(1, tilde[m], shift), (-1, base[m + 1]), (ratios[m], base[m])])[0]):
             failure = {"level": m}
             break
-    reports.append(
-        CheckReport("kernel-representation", "fail" if failure else "pass", n - 1, failure)
-    )
-    failure = None
-    for m in range(n + 1):
-        if upper.diag[m] != -base[m + 1](c) / base[m](c):
-            failure = {"level": m}
-            break
-    reports.append(
-        CheckReport("pivot-closed-form", "fail" if failure else "pass", n, failure)
-    )
-    match = tilde_rc == transformed
-    reports.append(
-        CheckReport(
-            "transformed-recurrence",
-            "pass" if match else "fail",
-            n,
-            None if match else {"level": "matrix"},
-        )
-    )
+    reports = [CheckReport("kernel-representation", "fail" if failure else "pass", n - 1, failure)]
+    failure = next(({"level": m} for m in range(n + 1) if upper.diag[m] != -ratios[m]), None)
+    reports.append(CheckReport("pivot-closed-form", "fail" if failure else "pass", n, failure))
+    failure = None if tilde_rc == transformed else {"level": "matrix"}
+    reports.append(CheckReport("transformed-recurrence", "fail" if failure else "pass", n, failure))
     return combine("repChris", reports, c=str(c))
 

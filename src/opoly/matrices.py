@@ -83,20 +83,6 @@ class BandMatrix:
         return "BandMatrix(size=%d, lower=%d, upper=%d)" % (self.size, self.lower, self.upper)
 
 
-def band_from_entries(size, lowest, highest, fn):
-    """Build a BandMatrix from an entry function supported on offsets [lowest, highest]."""
-    lowest = max(lowest, -(size - 1))
-    highest = min(highest, size - 1)
-    diagonals = {}
-    for d in range(lowest, highest + 1):
-        n = size - abs(d)
-        if d >= 0:
-            diagonals[d] = tuple(fn(i, i + d) for i in range(n))
-        else:
-            diagonals[d] = tuple(fn(j - d, j) for j in range(n))
-    return BandMatrix(size, diagonals)
-
-
 def identity(size):
     return BandMatrix(size, {0: (ONE,) * size})
 

@@ -3,11 +3,13 @@
 A polynomial is stored as integer numerators over one positive
 denominator: coefficient k is num[k] / den, with gcd(den, *num) = 1 and
 no trailing zero numerator, so equal polynomials have equal (num, den).
-Sums, products, evaluation, derivatives and Wronskians run on these
-integers and build one rational per value they return; `coeffs`, the
-tuple of rational coefficients, is built only when read.
+Sums are one integer combination (`_combine`), which also compares the
+checks' polynomial identities unreduced; products are one convolution;
+evaluation, derivatives and Wronskians build one rational per value
+they return; `coeffs`, the rational coefficients, is built when read.
 """
 
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .rational import ZERO, Rational, common_denominator, rat
@@ -19,6 +21,42 @@ def _scalar(value):
         return value, 1
     value = rat(value)
     return value.numerator, value.denominator
+
+
+def _convolve(a, b):
+    """The integer coefficients of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _combine(terms):
+    """The sum of scalar * p * f over terms (scalar, p) or (scalar, p, f), with
+    p and f Polynomials, as (numerators, den) over one integer denominator.
+
+    Each term reaches den, the lcm of the terms' denominators, by
+    cross-multiplication: no gcd runs over the coefficients and no
+    Polynomial is built.  So an identity vanishes exactly when no
+    numerator is nonzero, and `Polynomial.from_integers` reduces a sum once.
+    """
+    rows = []
+    for scalar, p, *f in terms:
+        sp = scalar.numerator
+        if sp and p.num:
+            row, den = p.num, scalar.denominator * p.den
+            for g in f:
+                # the factor, the shorter list, runs the outer loop
+                row, den = _convolve(g.num, row), den * g.den
+            rows.append((sp, row, den))
+    den = lcm(*[d for _, _, d in rows])
+    scaled = []
+    for sp, row, d in rows:
+        m = sp * (den // d)
+        scaled.append([m * v for v in row])
+    return list(map(sum, zip_longest(*scaled, fillvalue=0))), den
 
 
 def _coerce(value):
@@ -132,42 +170,21 @@ class Polynomial:
         return Polynomial.from_integers([-v for v in self.num], self.den)
 
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.num, other.num
-        den = self.den
-        if den != other.den:
-            den = lcm(den, other.den)
-            sa, sb = den // self.den, den // other.den
-            a = [v * sa for v in a]
-            b = [v * sb for v in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial.from_integers(out, den)
+        return Polynomial.from_integers(*_combine([(1, self), (1, _coerce(other))]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return Polynomial.from_integers(*_combine([(1, self), (-1, _coerce(other))]))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return Polynomial.from_integers(*_combine([(1, _coerce(other)), (-1, self)]))
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            p, q = _scalar(other)
-            return Polynomial.from_integers([p * v for v in self.num], self.den * q)
-        a, b = self.num, other.num
-        if not a or not b:
-            return ZERO_POLY
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial.from_integers(out, self.den * other.den)
+        if isinstance(other, Polynomial):
+            return Polynomial.from_integers(_convolve(self.num, other.num), self.den * other.den)
+        p, q = _scalar(other)
+        return Polynomial.from_integers([p * v for v in self.num], self.den * q)
 
     __rmul__ = __mul__
 

@@ -29,7 +29,7 @@ from .orthopoly import (
     polys_from_recurrence,
     smop_from_moments,
 )
-from .poly import X, wronskians_at
+from .poly import X, _combine, wronskians_at
 from .rational import ZERO, rat
 from .reports import CheckReport
 
@@ -138,19 +138,24 @@ def quadratic_factorization(u, c, m0, m1, size):
 def _triband_failure(base, q_polys, lower, upper, c):
     """Where Q = L P or (x - c)^2 P = U Q first fails degree by degree, or None."""
     for n in range(lower.size):
-        rhs = base[n]
+        terms = [(-1, q_polys[n]), (1, base[n])]
         if n >= 1:
-            rhs = rhs + lower.sub1[n - 1] * base[n - 1]
+            terms.append((lower.sub1[n - 1], base[n - 1]))
         if n >= 2:
-            rhs = rhs + lower.sub2[n - 2] * base[n - 2]
-        if q_polys[n] != rhs:
+            terms.append((lower.sub2[n - 2], base[n - 2]))
+        if any(_combine(terms)[0]):
             return {"part": "Q = L P", "level": n}
+    square = (X - c) ** 2
     for n in range(upper.size - 1):
-        lhs = (X - c) * (X - c) * base[n]
-        rhs = q_polys[n + 2] + upper.super1[n] * q_polys[n + 1] + upper.diag[n] * q_polys[n]
-        if lhs != rhs:
+        if _connection_off(base[n], square, q_polys[n : n + 3], upper.diag[n], upper.super1[n]):
             return {"part": "(x - c)^2 P = U Q", "level": n}
     return None
+
+
+def _connection_off(p, square, q, diag, super1):
+    """Whether square * p differs from q[2] + super1 q[1] + diag q[0]."""
+    terms = [(-1, p, square), (1, q[2]), (super1, q[1]), (diag, q[0])]
+    return any(_combine(terms)[0])
 
 
 def _squares_failure(parts, left, right, lower, upper):
@@ -225,16 +230,15 @@ def quadratic_connection_check(u, c, m0, m1, n_max):
     # each Q_m's value and slope at c, taken once, serve all three Wronskians
     wronskian = wronskians_at(q_polys[: n_max + 3], c)
     failure = None
+    square = (X - c) ** 2
     for n in range(n_max + 1):
         wn = wronskian(n, n + 1)
         if wn == 0:
             failure = {"level": n, "reason": "W(Q_{n+1}, Q_n)(c) = 0"}
             break
         beta_nn = wronskian(n + 1, n + 2) / wn
-        beta_n_up = -wronskian(n, n + 2) / wn
-        lhs = (X - c) * (X - c) * base[n]
-        rhs = q_polys[n + 2] + beta_n_up * q_polys[n + 1] + beta_nn * q_polys[n]
-        if lhs != rhs:
+        beta_n_up = wronskian(n + 2, n) / wn
+        if _connection_off(base[n], square, q_polys[n : n + 3], beta_nn, beta_n_up):
             failure = {"level": n}
             break
     if failure:

@@ -11,9 +11,11 @@ that read one entry or one coefficient at a time: the shift, power and
 block comparison of the matrices, the series product, the product of a
 functional by a polynomial and the divided difference; forward
 substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
-no longer builds; and two statements that follow from registered identities,
-asserted directly: the co-recursive subtraction formula and the cleared
-continued fraction; and `run_cli`, one in-process `opoly` call."""
+no longer builds; a band matrix built from an entry function
+(`band_from_entries`), which only the tests need; and two statements
+that follow from registered identities, asserted directly: the
+co-recursive subtraction formula and the cleared continued fraction;
+and `run_cli`, one in-process `opoly` call."""
 
 import contextlib
 import io
@@ -33,6 +35,7 @@ from opoly.errors import (
 )
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
+    BandMatrix,
     UnitLowerBidiagonal,
     UpperBidiagonal,
     identity,
@@ -352,6 +355,20 @@ def divide_power_reference(u, c, m):
         q = divmod(FractionPolynomial((ZERO,) * n + (ONE,)), lp)[0]
         out.append(sum((a * u.moments[k] for k, a in enumerate(q.coeffs)), ZERO))
     return MomentFunctional(out)
+
+
+def band_from_entries(size, lowest, highest, fn):
+    """A BandMatrix from an entry function supported on offsets [lowest, highest]."""
+    lowest = max(lowest, -(size - 1))
+    highest = min(highest, size - 1)
+    diagonals = {}
+    for d in range(lowest, highest + 1):
+        n = size - abs(d)
+        if d >= 0:
+            diagonals[d] = tuple(fn(i, i + d) for i in range(n))
+        else:
+            diagonals[d] = tuple(fn(j - d, j) for j in range(n))
+    return BandMatrix(size, diagonals)
 
 
 def rows_of(m):

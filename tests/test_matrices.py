@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import product_reference
+from conftest import band_from_entries, product_reference
 
 from opoly.matrices import (
     BandMatrix,
@@ -11,7 +11,6 @@ from opoly.matrices import (
     UnitLowerTriband,
     UpperBidiagonal,
     UpperTriband,
-    band_from_entries,
     first_block_mismatch,
     identity,
     mat_multiply,

@@ -1,10 +1,11 @@
-"""Mutation rows for the producers that the series identities read.
+"""Mutation rows for the producers that the series and polynomial identities read.
 
 Each row moves one output entry of a producer by one, at seeded indices
 among the entries an identity reads, and runs that identity through
-`cli.main`: it must exit 1 with a failing record at the power or moment
-that the index fixes.  The producer is patched wherever it is looked up,
-so a row whose identity never calls it runs unmutated and must pass.
+`cli.main`: it must exit 1 with a failing record at the power, moment or
+level that the index fixes.  The producer is patched wherever it is
+looked up, so a row whose identity never calls it runs unmutated and
+must pass.
 """
 
 import json
@@ -15,7 +16,9 @@ import pytest
 from conftest import fixture_json, run_cli
 
 from opoly import functional as fa
+from opoly import orthopoly
 from opoly.associated import divided_difference
+from opoly.poly import Polynomial
 
 PRODUCERS = {
     "invert": fa.invert,
@@ -114,3 +117,89 @@ def test_a_moved_entry_fails_each_identity_that_reads_it(producer, identity, sou
         assert (code, check["status"]) == (1, "fail"), (k, check)
         got = check["first_failure"]
         assert {key: got[key] for key in want} == want, (k, n, got)
+
+
+# the identities whose polynomial identities `poly._combine` compares, and
+# the two chains through them, at --k 2: for each, the first level that
+# reads the moved P_j, and the level the failure must name where that
+# follows from j alone (None where it also depends on the polynomials)
+POLY_ROWS = {
+    # a move of x^d that is a multiple of P_{j-1} cancels against the moved
+    # ratio P_j(c)/P_{j-1}(c) at level j - 1
+    "repChris": {"repChris": (lambda j: max(j - 1, 0), None)},
+    # the Wronskian coefficients are refitted to the moved Q's, so a move
+    # inside their span is seen only where (x - c)^2 P_n leaves it
+    "conex2": {"conex2": (lambda j: max(j - 2, 0), None)},
+    # P_j and Q_j move alike and cancel at level j; the next level reads P_j
+    # times alpha1[j+1], or times alpha2[j+2] where alpha1[j+1] = 0
+    "propLUinversa": {"propLUinversa": (lambda j: j + 1, None)},
+    "gero1": {"gero1": (lambda j: max(j, 1), lambda j: max(j, 1))},
+    # S_j and Phat^(1)_j move alike; S_{j+1} reads P^(1)_j times v_0/m0 and
+    # the right side Phat^(1)_j times beta_{j+1}; S_0 = 1 is not produced
+    "gero2": {"gero2": (lambda j: j, lambda j: j + 1 if j else 0)},
+    "linearcombination": {"linearcombination": (lambda j: 2, lambda j: max(j, 2))},
+    "christoffel+assoc": {
+        "pro5": (lambda j: max(j - 1, 0), lambda j: max(j - 1, 0)),
+        "christoffel-assoc-connection": (lambda j: max(j - 1, 1), lambda j: max(j - 1, 1)),
+    },
+    "geronimus+assoc": {
+        "S-corecursive": (lambda j: j, lambda j: j + 1 if j else 0),
+        "gero1": (lambda j: max(j, 1), lambda j: max(j, 1)),
+        "gero2": (lambda j: j, lambda j: j + 1 if j else 0),
+    },
+}
+
+
+def moved_polys(real, j, d, calls):
+    """`real` with the x^d coefficient of P_j moved by one in every output that reaches P_j."""
+
+    def producer(rc, n_max):
+        out = real(rc, n_max)
+        calls.append(n_max)
+        if j > n_max:
+            return out
+        num = list(out[j].num)
+        num[d] += out[j].den
+        return out[:j] + (Polynomial.from_integers(num, out[j].den),) + out[j + 1 :]
+
+    return producer
+
+
+@pytest.mark.parametrize("source", INPUTS)
+@pytest.mark.parametrize("identity", POLY_ROWS)
+def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity, source):
+    rng = random.Random("polys_from_recurrence %s %s" % (identity, source))
+    args, stdin_text, _ = INPUTS[source]
+    real = orthopoly.polys_from_recurrence
+    for _ in range(3):
+        n = rng.randint(3, 6)
+        # below the top degree each identity reads: there propLUinversa and
+        # gero2 read P_j of both routes with coefficient one, and a move
+        # common to both routes cancels
+        j = rng.randint(0, n - 2)
+        d = rng.randint(0, j)
+        argv = ["verify", identity, "--n", str(n), "--k", "2", "--c=1/3", "--m0=7/3", "--m1=1/5"]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            # OrthogonalSystem.polys looks the producer up in orthopoly too
+            patch_everywhere(patch, real, moved_polys(real, j, d, calls))
+            code, out, err = run_cli(argv + args, stdin_text)
+        assert calls and (code, err) == (1, ""), (argv, j, d, out, err)
+        payload = json.loads(out)
+        assert "error" not in payload, (argv, j, d, payload)
+        failures = {
+            check["identity"]: check["first_failure"]
+            for check in payload["checks"]
+            if check["status"] == "fail"
+        }
+        for name, (first, level) in POLY_ROWS[identity].items():
+            assert name in failures, (argv, j, d, name, failures)
+            got = failures[name]
+            if name == "repChris":
+                got = got["failure"]
+            assert got["level"] >= first(j), (argv, j, d, name, got)
+            if level is not None:
+                assert got["level"] == level(j), (argv, j, d, name, got)
+        if identity == "propLUinversa":
+            got = failures["propLUinversa"]
+            assert got["part"] == "Q = L P" and got["level"] <= j + 2, (argv, j, d, got)

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from conftest import (
     FractionPolynomial,
+    band_from_entries,
     chebyshev_reference,
     christoffel_lu_reference,
     corecursive_by_subtraction,
@@ -50,7 +51,6 @@ from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
-    band_from_entries,
     first_block_mismatch,
     identity,
     mat_multiply,

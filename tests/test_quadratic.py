@@ -3,7 +3,12 @@
 import random
 
 import pytest
-from conftest import product_reference, random_functional, solve_unit_lower_reference
+from conftest import (
+    band_from_entries,
+    product_reference,
+    random_functional,
+    solve_unit_lower_reference,
+)
 
 from opoly import families, quadratic
 from opoly import functional as fa
@@ -14,7 +19,7 @@ from opoly.associated import (
     inverse_recurrence,
 )
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
-from opoly.matrices import UnitLowerTriband, band_from_entries, first_block_mismatch
+from opoly.matrices import UnitLowerTriband, first_block_mismatch
 from opoly.orthopoly import (
     hankel_minor,
     jacobi_matrix,

@@ -12,6 +12,11 @@ On the two Chebyshev families, a Laguerre functional and the random
 fixture, a mass drawn to zero the UL kernel value Z_k at a drawn level
 k >= 2 stops `factorize ul` and every identity that runs the UL
 elimination at ZeroPivot(k).
+
+On random recurrences whose b_k is drawn to zero P_{k+1}(c) at a drawn
+k >= 2, the LU elimination at c stops at ZeroPivot(k), and the
+identities that read the recurrence of (x - c) u report its first
+vanishing Hankel minor, NotQuasiDefinite(k, "norm").
 """
 
 import json
@@ -185,3 +190,52 @@ def test_verify_alpha_is_both_the_laguerre_parameter_and_the_perturbation():
     stdin_text = _stdin(families.laguerre(rat(1, 2), cli.DEFAULT_ORDER))
     assert got == run_cli(["verify", "funccorre", "--alpha", "1/2"], stdin_text)
     assert json.loads(got[1])["checks"][0]["details"]["alpha"] == "1/2"
+
+
+def _lu_pivot_at(level):
+    """(stdin, c): ORDER moments of a random recurrence with P_{level+1}(c) = 0
+    and P_j(c) != 0 for j <= level.
+
+    P_{k+1}(c) = (c - b_k) P_k(c) - a_k P_{k-1}(c), so b_k = c - a_k
+    P_{k-1}(c)/P_k(c) zeroes it; the draw repeats until P_j(c) != 0 for
+    j <= k.  The first vanishing Hankel minor of (x - c) u is then at
+    level k, and u itself stays quasi-definite.
+    """
+    length = ORDER // 2 + 1
+    while True:
+        c = _nonzero()
+        b = [_small() for _ in range(length)]
+        a = [_nonzero() for _ in range(length - 1)]
+        p, _ = values_and_slopes_reference(RecurrenceCoefficients(b, a), c, level)
+        if all(p):
+            b[level] = c - a[level - 1] * p[level - 1] / p[level]
+            rc = RecurrenceCoefficients(b, a)
+            u = moments_from_jacobi(jacobi_matrix(rc, length), _nonzero(), ORDER)
+            return _stdin(u), c
+
+
+# four draws of a level k >= 2 that leaves (x - c) u a deeper read than k
+LU_PIVOTS = [
+    pytest.param(level, *_lu_pivot_at(level), id="level-%d-%d" % (level, draw))
+    for draw, level in enumerate(rng.choice(range(2, ORDER // 2 - 3)) for _ in range(4))
+]
+
+
+@pytest.mark.parametrize("level,stdin_text,c", LU_PIVOTS)
+def test_a_zero_of_p_k_plus_1_at_c_stops_the_lu_elimination_at_k(level, stdin_text, c):
+    for size in ([], ["--size", str(level + 1)]):
+        assert_zero_pivot(["factorize", "lu", "--c=%s" % c] + size, stdin_text, level)
+    deepest = ORDER // 2 - 1
+    for n in (level, deepest):
+        assert_zero_pivot(["verify", "shifted-lu", "--n", str(n), "--c=%s" % c], stdin_text, level)
+    for n in (level + 1, deepest):
+        for name in ("repChris", "christoffel+assoc", "coro1"):
+            argv = ["verify", name, "--n", str(n), "--c=%s" % c]
+            code, out, err = run_cli(argv, stdin_text)
+            payload = json.loads(out)
+            got = (code, err, payload.get("error"), payload.get("level"), payload.get("guard"))
+            assert got == (1, "", "NotQuasiDefinite", level, "norm"), argv
+        # the kernel-combination route needs only utilde_0 != 0
+        argv = ["verify", "pro5", "--n", str(n), "--c=%s" % c]
+        code, out, err = run_cli(argv, stdin_text)
+        assert (code, err, json.loads(out)["checks"][0]["status"]) == (0, "", "pass"), argv
