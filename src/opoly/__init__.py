@@ -20,9 +20,6 @@ from .errors import (
     ZeroPivot,
 )
 from .poly import Polynomial, X, derivatives_at, wronskian
-# NB: the constructor helper `functional()` is deliberately not re-exported
-# here: binding it on the package would shadow the `opoly.functional`
-# submodule attribute that intra-package imports resolve through.
 from .functional import (
     MomentFunctional,
     delta,

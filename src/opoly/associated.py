@@ -191,11 +191,12 @@ def corecursive_functional_check(u, alpha):
     )
 
 
-def _fu1_route(u, norm1):
+def _fu1_route(u, norm1, inverse=None):
     """(rc, s, u^{-1}, count, off): fu1's route to u^(1) = s x^2 u^{-1}, with
     s = -norm1 u_0 / a_1, compared with u's shifted recurrence rc.shifted(1)
     on the count = 2 * (order // 2) - 3 moments it fixes; off is the first
-    that differs, or None."""
+    that differs, or None.  A caller that holds u^{-1} passes it as
+    `inverse`, and the route does not invert u again."""
     if u.order < 4:
         raise TruncationExhausted("need at least 4 moments")
     rc, _ = smop_from_moments(u, u.order // 2)
@@ -204,7 +205,8 @@ def _fu1_route(u, norm1):
     if norm1 == 0:
         raise DegenerateParameter("the associated functional needs a nonzero first moment")
     s = -(norm1 * u0) / a1
-    inverse = fa.invert(u)
+    if inverse is None:
+        inverse = fa.invert(u)
     count = 2 * (u.order // 2) - 3
     rhs = fa.scale(s, fa.multiply_poly(inverse, X * X))
     return rc, s, inverse, count, first_moment_off(rhs, rc.shifted(1), count, norm1)
@@ -335,7 +337,7 @@ def inverse_smop(u, n_max):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     kernel = inverse_kernel(u, n_max)
-    return OrthogonalSystem.from_recurrence(kernel.recurrence, kernel.norms), kernel.d_star
+    return OrthogonalSystem(kernel.recurrence, kernel.norms), kernel.d_star
 
 
 def inverse_recurrence(u, n_max):

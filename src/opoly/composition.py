@@ -32,6 +32,7 @@ from .matrices import (
     shifted,
 )
 from .orthopoly import (
+    _read_deepest,
     first_moment_off,
     jacobi_matrix,
     polys_from_recurrence,
@@ -91,21 +92,6 @@ def _block_report(name, left, right, block):
     return CheckReport(
         name, "pass" if bad is None else "fail", block, None if bad is None else {"block": bad}
     )
-
-
-def _read_deepest(u, depth):
-    """Run the Chebyshev algorithm on u at the deepest depth its checks read.
-
-    `smop_from_moments` keeps the run on u, so the checks' reads are its
-    truncations.  A run that raises keeps nothing and is left to the
-    checks, so each meets the error it meets on its own, in order.
-    """
-    depth = min(depth, u.order // 2)
-    if depth >= 1:
-        try:
-            smop_from_moments(u, depth)
-        except NotQuasiDefinite:
-            pass
 
 
 def christoffel_assoc_check(u, c, n_max):
@@ -296,13 +282,14 @@ def geronimus_assoc_connection_check(v, c, m0, n_max):
     formula, so the three ingredients are independently produced.
     """
     c = rat(c)
-    hat = _hat_first(v, c, m0, n_max)
-    return _gero1(c, m0, n_max, hat, geronimus_assoc_polys(v, m0, n_max))
-
-
-def _gero1(c, m0, n_max, hat, s_polys):
-    _, lower, _, hat_rc = hat
+    _, lower, _, hat_rc = _hat_first(v, c, m0, n_max)
+    s_polys = geronimus_assoc_polys(v, m0, n_max)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
+    return _gero1(c, m0, n_max, lower, hat_first, s_polys)
+
+
+def _gero1(c, m0, n_max, lower, hat_first, s_polys):
+    """gero1 on Phat^(1)_0..Phat^(1)_{n_max - 1}, read off a prefix of hat_first."""
     shift, sub = X - c, lower.sub
     for n in range(1, n_max + 1):
         terms = [(-1, hat_first[n - 1], shift), (1, s_polys[n]), (sub[n - 1], s_polys[n - 1])]
@@ -314,13 +301,13 @@ def _gero1(c, m0, n_max, hat, s_polys):
 def geronimus_assoc_second_check(v, c, m0, n_max):
     """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
     c = rat(c)
-    hat = _hat_first(v, c, m0, n_max)
-    return _gero2(c, m0, n_max, hat, geronimus_assoc_polys(v, m0, n_max))
-
-
-def _gero2(c, m0, n_max, hat, s_polys):
-    _, _, upper, hat_rc = hat
+    _, _, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    s_polys = geronimus_assoc_polys(v, m0, n_max)
     hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
+    return _gero2(c, m0, n_max, upper, hat_first, s_polys)
+
+
+def _gero2(c, m0, n_max, upper, hat_first, s_polys):
     for n in range(n_max + 1):
         terms = [(-1, s_polys[n]), (1, hat_first[n])]
         if n >= 1:
@@ -409,14 +396,20 @@ def christoffel_assoc_chain(u, c, n_max):
 def geronimus_assoc_chain(v, c, m0, n_max):
     """All division-side interplay checks, bundled, over one recurrence of v.
 
-    S is built once and the UL elimination once, for pro6 too.  S tests
-    the mass before it reads the recurrence, so a zero m0 is reported
-    ahead of a vanishing Hankel minor.
+    S is built once, the UL elimination once, for pro6 too, and
+    Phat^(1)_0..Phat^(1)_{n_max} once, for gero1 and gero2.  S tests the
+    mass before it reads the recurrence, so a zero m0 is reported ahead
+    of a vanishing Hankel minor.
     """
     s_polys = geronimus_assoc_polys(v, m0, n_max)
     m0 = rat(m0)
     reports = [_s_corecursive(v, m0, n_max, s_polys)]
     c = rat(c)
     hat = _hat_first(v, c, m0, n_max)
-    reports += [_gero1(c, m0, n_max, hat, s_polys), _gero2(c, m0, n_max, hat, s_polys)]
+    _, lower, upper, hat_rc = hat
+    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
+    reports += [
+        _gero1(c, m0, n_max, lower, hat_first, s_polys),
+        _gero2(c, m0, n_max, upper, hat_first, s_polys),
+    ]
     return reports + [_pro6(v, c, m0, n_max, hat)]

@@ -127,12 +127,6 @@ class MomentFunctional:
         return "MomentFunctional(%s order=%d: %s)" % (name, len(self.num), head)
 
 
-def functional(moments, label=None):
-    if isinstance(moments, MomentFunctional):
-        return moments
-    return MomentFunctional(moments, label=label)
-
-
 def delta(c, order):
     """Point evaluation at c = p/q: moments c^k = p^k q^(N-1-k) / q^(N-1)."""
     c = rat(c)

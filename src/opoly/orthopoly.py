@@ -71,47 +71,27 @@ class RecurrenceCoefficients:
 
 
 class OrthogonalSystem:
-    """Monic polynomials P_0..P_n together with the norms K_k = <u, P_k^2>.
+    """The monic polynomials P_0..P_n of a recurrence, with the norms K_k = <u, P_k^2>.
 
-    There is one norm fewer than there are polynomials: the top norm would
-    need moments beyond those that determined P_n.  All norms are nonzero;
-    a vanishing norm is exactly failure of quasi-definiteness.
-
-    The constructor validates polynomials built elsewhere.  A system made
-    by `from_recurrence` holds only its recurrence and builds `polys` on
-    first access.
+    An SMOP is its three-term recurrence (b_0..b_{n-1}, a_1..a_{n-1})
+    with its norms K_0..K_{n-1}: one norm per coefficient b, since the
+    top norm would need moments beyond those that determined P_n.  The
+    producers that build a system (`smop_from_moments`,
+    `associated.inverse_smop`, `quadratic.quadratic_geronimus_smop`)
+    have found every norm nonzero; a vanishing norm is exactly failure
+    of quasi-definiteness.  `polys` is built from the recurrence on
+    first read.
     """
 
     __slots__ = ("_polys", "_rc", "norms")
 
-    def __init__(self, polys, norms):
-        polys = tuple(polys)
-        norms = tuple(rat(k) for k in norms)
-        if not polys or polys[0] != ONE_POLY:
-            raise ValueError("the system must start at P_0 = 1")
-        for n, p in enumerate(polys):
-            if p.degree != n or (n > 0 and not p.is_monic):
-                raise ValueError("entry %d is not a degree-%d monic polynomial" % (n, n))
-        if len(norms) != len(polys) - 1:
-            raise ValueError("expected %d norms, got %d" % (len(polys) - 1, len(norms)))
-        for k, norm in enumerate(norms):
-            if norm == 0:
-                raise NotQuasiDefinite(k, guard="norm")
-        self._polys = polys
-        self._rc = None
-        self.norms = norms
-
-    @classmethod
-    def from_recurrence(cls, rc, norms):
-        """The system P_0..P_{rc.length} of a recurrence with its (nonzero) norms."""
+    def __init__(self, rc, norms):
         norms = tuple(norms)
         if len(norms) != rc.length:
             raise ValueError("expected %d norms, got %d" % (rc.length, len(norms)))
-        system = cls.__new__(cls)
-        system._polys = None
-        system._rc = rc
-        system.norms = norms
-        return system
+        self._polys = None
+        self._rc = rc
+        self.norms = norms
 
     @property
     def polys(self):
@@ -122,12 +102,6 @@ class OrthogonalSystem:
     @property
     def n_max(self):
         return len(self.norms)
-
-    def poly(self, n):
-        return self.polys[n]
-
-    def norm(self, k):
-        return self.norms[k]
 
     def __repr__(self):
         return "OrthogonalSystem(n_max=%d)" % self.n_max
@@ -160,7 +134,22 @@ def smop_from_moments(u, n_max):
             rc, norms = rc.truncated(n_max), norms[:n_max]
     else:
         rc, norms = u._recurrence = _chebyshev(u.num, u.den, n_max)
-    return rc, OrthogonalSystem.from_recurrence(rc, norms)
+    return rc, OrthogonalSystem(rc, norms)
+
+
+def _read_deepest(u, depth):
+    """Run the Chebyshev algorithm on u at the deepest depth its checks read.
+
+    `smop_from_moments` keeps the run on u, so the checks' reads are its
+    truncations.  A run that raises keeps nothing and is left to the
+    checks, so each meets the error it meets on its own, in order.
+    """
+    depth = min(depth, u.order // 2)
+    if depth >= 1:
+        try:
+            smop_from_moments(u, depth)
+        except NotQuasiDefinite:
+            pass
 
 
 def _chebyshev(nums, den, n_max):

@@ -3,10 +3,12 @@
 A polynomial is stored as integer numerators over one positive
 denominator: coefficient k is num[k] / den, with gcd(den, *num) = 1 and
 no trailing zero numerator, so equal polynomials have equal (num, den).
-Sums are one integer combination (`_combine`), which also compares the
-checks' polynomial identities unreduced; products are one convolution;
-evaluation, derivatives and Wronskians build one rational per value
-they return; `coeffs`, the rational coefficients, is built when read.
+A polynomial is a ring element: sums are one integer combination
+(`_combine`), which also compares the checks' polynomial identities
+unreduced; products are one convolution; there is no division, since
+the library reads its quotients off recurrences and kernels at c.  Evaluation, derivatives and Wronskians build one
+rational per value they return; `coeffs`, the rational coefficients,
+is built when read.
 """
 
 from itertools import zip_longest
@@ -71,7 +73,7 @@ class Polynomial:
 
     `num` is the tuple of integer numerators and `den` the positive
     common denominator, reduced and without trailing zeros, so degree and
-    leading coefficient read off the tuple directly.  The zero polynomial
+    monicity read off the tuple directly.  The zero polynomial
     has degree -1, num == () and den == 1.
     """
 
@@ -117,10 +119,6 @@ class Polynomial:
     @property
     def is_zero(self):
         return not self.num
-
-    @property
-    def leading_coefficient(self):
-        return Rational(self.num[-1], self.den) if self.num else ZERO
 
     @property
     def is_monic(self):
@@ -199,46 +197,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def __divmod__(self, other):
-        """Exact rational polynomial division: self = q*other + r, deg r < deg other.
-
-        Pseudo-division on the numerators: with A = self.num, B = other.num
-        and lead = B[-1], lead^(dq+1) A = Q B + R over the integers, where
-        dq = deg A - deg B.  So q = Q other.den / (lead^(dq+1) self.den) and
-        r = R / (lead^(dq+1) self.den), each reduced once.
-        """
-        other = _coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.num)
-        dv = other.num
-        dq = len(rem) - len(dv)
-        if dq < 0:
-            return ZERO_POLY, self
-        lead = dv[-1]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            # lead rem - c x^k B cancels rem's top term c; quot follows
-            c = rem[-1]
-            rem = [lead * v for v in rem[:-1]]
-            quot = [lead * v for v in quot]
-            quot[k] = c
-            for j, b in enumerate(dv[:-1]):
-                rem[k + j] -= c * b
-        scale = lead ** (dq + 1)
-        if scale < 0:
-            scale, quot, rem = -scale, [-v for v in quot], [-v for v in rem]
-        return (
-            Polynomial.from_integers([v * other.den for v in quot], scale * self.den),
-            Polynomial.from_integers(rem, scale * self.den),
-        )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __repr__(self):
         if self.is_zero:

@@ -12,7 +12,7 @@ Wronskian and moment routes live only in the checks.
 """
 
 from . import functional as fa
-from .associated import inverse_functional_identity_check, inverse_kernel, quadratic_kernel
+from .associated import _fu1_route, inverse_kernel, quadratic_kernel
 from .errors import DegenerateParameter, ZeroFirstMoment
 from .matrices import (
     UnitLowerTriband,
@@ -24,6 +24,7 @@ from .matrices import (
 )
 from .orthopoly import (
     OrthogonalSystem,
+    _read_deepest,
     jacobi_matrix,
     kernel_values,
     polys_from_recurrence,
@@ -57,7 +58,8 @@ def quadratic_geronimus_smop(u, c, m0, m1, n_max):
     """SMOP of the functional with (x - c)^2 v = u, v_0 = m0, v_1 = m1.
 
     Q_0 = 1, Q_1 = x - m1/m0, and Q_n = P_n + alpha1[n] P_{n-1} +
-    alpha2[n] P_{n-2} with the coefficients of `quadratic_connection`.
+    alpha2[n] P_{n-2}, with the connection coefficients that
+    `quadratic_factorization` returns as its L factor.
     The system holds the kernel's recurrence and norms, not norms taken
     against the transformed moments, and builds the polynomials when
     they are read.
@@ -67,18 +69,7 @@ def quadratic_geronimus_smop(u, c, m0, m1, n_max):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     kernel = _division(u, c, m0, m1, n_max)
-    return OrthogonalSystem.from_recurrence(kernel.recurrence, kernel.norms), kernel.d_star
-
-
-def quadratic_connection(u, c, m0, m1, n_max):
-    """Connection coefficients Q_n = P_n + alpha1[n] P_{n-1} + alpha2[n] P_{n-2}.
-
-    alpha1[1] = b_0 - m1/m0; for n >= 2 both coefficients are determinant
-    ratios: alpha2[n] = d*_{n+1}/d*_n and alpha1[n] trades the middle
-    column for the outer ones.
-    """
-    kernel = _division(u, c, m0, m1, n_max)
-    return kernel.alpha1, kernel.alpha2, kernel.d_star
+    return OrthogonalSystem(kernel.recurrence, kernel.norms), kernel.d_star
 
 
 def quadratic_recurrence(u, c, m0, m1, n_max):
@@ -267,14 +258,17 @@ def assoc_inverse_factorization_check(u, norm1, size):
 
     J^(1) is the shifted recurrence of u and J^- comes from the moments
     of u^{-1} by the Chebyshev algorithm, neither from the factors.  The
-    first-associated scaling identity "fu1" at norm1 rides along.
+    first-associated scaling identity "fu1" at norm1 rides along, on the
+    same u^{-1}.
     """
     if u.moment(0) == 0:
         raise ZeroFirstMoment("inverse transform needs u_0 != 0")
-    # the factors and J^(1) read the same recurrence of u
+    # the factors, J^(1) and fu1 read one recurrence of u, fu1 the deepest
+    _read_deepest(u, u.order // 2)
     rc, _ = smop_from_moments(u, size + 1)
     lower, upper = assoc_inverse_factorization(u, size)
-    inverse_rc, _ = smop_from_moments(fa.invert(u), size)
+    inverse = fa.invert(u)
+    inverse_rc, _ = smop_from_moments(inverse, size)
     failure = _squares_failure(
         ("(J^(1))^2 = U L", "(J^-)^2 = L U"),
         jacobi_matrix(rc.shifted(1), size),
@@ -283,9 +277,9 @@ def assoc_inverse_factorization_check(u, norm1, size):
         upper,
     )
     if failure is None:
-        scaling = inverse_functional_identity_check(u, norm1)
-        if not scaling.passed:
-            failure = dict(part="fu1", **scaling.first_failure)
+        _, _, _, _, off = _fu1_route(u, rat(norm1), inverse)
+        if off is not None:
+            failure = {"part": "fu1", "moment": off}
     if failure:
         return CheckReport.failing("relationlu", size, failure)
     return CheckReport.passing(

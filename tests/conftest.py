@@ -41,7 +41,6 @@ from opoly.matrices import (
     identity,
 )
 from opoly.orthopoly import (
-    OrthogonalSystem,
     RecurrenceCoefficients,
     jacobi_matrix,
     moments_from_jacobi,
@@ -111,6 +110,7 @@ def gram_schmidt(u, n_max):
 
     Norms are <u, P_k^2> and b_k = <u, x P_k^2> / K_k, formed from
     polynomial products, so it shares no step with the mixed moments.
+    Returns (recurrence, P_0..P_{n_max}, K_0..K_{n_max - 1}).
     """
     polys = [ONE_POLY]
     norms = []
@@ -130,7 +130,7 @@ def gram_schmidt(u, n_max):
         norms.append(norm)
         bs.append(b)
         polys.append(nxt)
-    return RecurrenceCoefficients(bs, a_s), OrthogonalSystem(polys, norms)
+    return RecurrenceCoefficients(bs, a_s), tuple(polys), tuple(norms)
 
 
 def chebyshev_reference(u, n_max):

@@ -24,6 +24,7 @@ from opoly.associated import (
 )
 from opoly.composition import christoffel_assoc_chain, geronimus_assoc_chain
 from opoly.darboux import christoffel_lu, geronimus_ul
+from opoly.functional import MomentFunctional
 from opoly.matrices import first_block_mismatch, mat_multiply, shifted
 from opoly.orthopoly import (
     RecurrenceCoefficients,
@@ -242,7 +243,7 @@ def criterion_8():
     def draw_functional(order):
         moments = [draw_rat(nonzero=True)]
         moments += [draw_rat() for _ in range(order - 1)]
-        return fa.functional(moments)
+        return MomentFunctional(moments)
 
     def draw_recurrence(size, positive_a=False):
         b = [draw_rat() for _ in range(size)]

@@ -240,7 +240,7 @@ def test_the_division_chain_reads_the_recurrence_once(monkeypatch):
 
 def test_the_division_chain_reports_a_zero_mass_before_a_vanishing_minor():
     # H_1 = u_0 u_2 - u_1^2 = 0: the recurrence fails at level 1
-    v = fa.functional((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    v = MomentFunctional((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(DegenerateParameter):
         geronimus_assoc_chain(v, 1, 0, 4)
     with pytest.raises(NotQuasiDefinite) as caught:
@@ -308,13 +308,21 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
 
 
 def test_the_division_chain_eliminates_and_builds_s_once(monkeypatch):
+    # four polynomial sequences, each built once: P and P^(1) for S, the
+    # co-recursive route, and Phat^(1), which gero1 reads a prefix of
     u, c, m0 = random_functional()
     want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8)]
     eliminations = counting(monkeypatch, composition, "geronimus_ul")
     s_builds = counting(monkeypatch, composition, "geronimus_assoc_polys")
+    builds = [
+        counting(monkeypatch, module, "polys_from_recurrence")
+        for module in (orthopoly, associated, composition)
+    ]
     fresh = MomentFunctional(u.moments)
     assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8)] == want
     assert len(eliminations) == len(s_builds) == 1
+    made = Counter(call for calls in builds for call in calls)
+    assert sum(made.values()) == len(made) == 4
 
 
 def test_verify_christoffel_assoc_builds_each_polynomial_sequence_once(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from opoly.errors import (
     TruncationExhausted,
     ZeroFirstMoment,
 )
-from opoly.functional import MomentFunctional, functional
+from opoly.functional import MomentFunctional
 from opoly.poly import X, ZERO_POLY
 from opoly.rational import rat
 
@@ -23,12 +23,6 @@ def test_construction_and_order():
         u.moment(3)
     with pytest.raises(ValueError):
         MomentFunctional(())
-
-
-def test_functional_helper_passes_through():
-    u = MomentFunctional((1, 2))
-    assert functional(u) is u
-    assert functional([1, "1/2"]).moments == (1, rat(1, 2))
 
 
 def test_truncated_and_relabeled():

@@ -1,11 +1,13 @@
-"""Mutation rows for the producers that the series and polynomial identities read.
+"""Mutation rows for the producers that the series, polynomial and factor identities read.
 
 Each row moves one output entry of a producer by one, at seeded indices
 among the entries an identity reads, and runs that identity through
-`cli.main`: it must exit 1 with a failing record at the power, moment or
-level that the index fixes.  The producer is patched wherever it is
-looked up, so a row whose identity never calls it runs unmutated and
-must pass.
+`cli.main`: it must exit 1 with a failing record at the power, moment,
+level or block that the index fixes.  The producer is patched wherever
+it is looked up, so a row whose identity never calls it runs unmutated
+and must pass; for the LU and UL eliminations, whose U diagonal every
+factor identity receives, an identity that does not read the moved
+entry must pass too.
 """
 
 import json
@@ -15,9 +17,10 @@ import sys
 import pytest
 from conftest import fixture_json, run_cli
 
+from opoly import darboux, orthopoly
 from opoly import functional as fa
-from opoly import orthopoly
 from opoly.associated import divided_difference
+from opoly.matrices import UpperBidiagonal
 from opoly.poly import Polynomial
 
 PRODUCERS = {
@@ -203,3 +206,88 @@ def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity,
         if identity == "propLUinversa":
             got = failures["propLUinversa"]
             assert got["part"] == "Q = L P" and got["level"] <= j + 2, (argv, j, d, got)
+
+
+def _tail_product(k):
+    # b_1 + alpha - c = beta_1 reads the entry at 1; L_1 U_1 reads the rest
+    if k == 1:
+        return {"part": "corner-scalar"}
+    return {"part": "tail-product", "failure": {"block": k}}
+
+
+# (producer, identity): for each check of the record that reads the U
+# diagonal of size n + 1, the entries it reads, as a range of n, and the
+# failure that moving entry k gives; every other check must pass.
+# repChris compares every pivot with its closed form; the tails of
+# shifted-lu drop beta_0; gero1 reads only L; gero2 reads beta_n at level
+# n >= 1; pro6's one-sided shift drops beta_0 with column 0, and its
+# shifted product meets beta_k in row k only below the size
+PIVOT_ROWS = {
+    ("christoffel_lu", "repChris"): {
+        "repChris": (
+            lambda n: range(n + 1),
+            lambda k: {"part": "pivot-closed-form", "failure": {"level": k}},
+        ),
+    },
+    ("christoffel_lu", "shifted-lu"): {"shifted-lu": (lambda n: range(1, n + 1), _tail_product)},
+    ("christoffel_lu", "christoffel+assoc"): {
+        "shifted-lu": (lambda n: range(1, n + 1), _tail_product),
+    },
+    ("geronimus_ul", "gero1"): {},
+    ("geronimus_ul", "gero2"): {"gero2": (lambda n: range(1, n + 1), lambda k: {"level": k})},
+    ("geronimus_ul", "pro6"): {
+        "pro6": (
+            lambda n: range(1, n),
+            lambda k: {"part": "shifted-product", "failure": {"block": k + 1}},
+        ),
+    },
+    ("geronimus_ul", "geronimus+assoc"): {
+        "gero2": (lambda n: range(1, n + 1), lambda k: {"level": k}),
+        "pro6": (
+            lambda n: range(1, n),
+            lambda k: {"part": "shifted-product", "failure": {"block": k + 1}},
+        ),
+    },
+}
+
+
+def moved_pivot(real, k, calls):
+    """`real` with the U diagonal entry k of its (L, U, recurrence) moved by one."""
+
+    def producer(*args):
+        lower, upper, transformed = real(*args)
+        calls.append(k)
+        diag = list(upper.diag)
+        diag[k] += 1
+        return lower, UpperBidiagonal(upper.size, diag), transformed
+
+    return producer
+
+
+@pytest.mark.parametrize("source", INPUTS)
+@pytest.mark.parametrize("producer,identity", PIVOT_ROWS)
+def test_a_moved_pivot_fails_each_identity_that_reads_it(producer, identity, source):
+    rng = random.Random("%s %s %s" % (producer, identity, source))
+    args, stdin_text, _ = INPUTS[source]
+    n = rng.randint(2, 6)
+    real = getattr(darboux, producer)
+    # both ends, where an off-by-one shows, and one drawn between them
+    for k in sorted({0, 1, n, rng.randint(0, n)}):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch_everywhere(patch, real, moved_pivot(real, k, calls))
+            argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3"]
+            code, out, err = run_cli(argv + args, stdin_text)
+        payload = json.loads(out)
+        assert calls == [k] and err == "" and "error" not in payload, (argv, k, payload)
+        reading = {
+            name: want(k) for name, (reads, want) in PIVOT_ROWS[producer, identity].items()
+            if k in reads(n)
+        }
+        assert code == (1 if reading else 0), (argv, k, payload)
+        for check in payload["checks"]:
+            want = reading.get(check["identity"])
+            assert check["status"] == ("pass" if want is None else "fail"), (argv, k, check)
+            if want is not None:
+                got = check["first_failure"]
+                assert {key: got[key] for key in want} == want, (argv, k, got)

@@ -48,17 +48,13 @@ def test_recurrence_shift_truncate_corecursive():
         rc.truncated(4)
 
 
-def test_orthogonal_system_validation():
+def test_orthogonal_system_holds_one_norm_per_recurrence_coefficient():
+    rc = RecurrenceCoefficients((0, 1), (2,))
     with pytest.raises(ValueError):
-        OrthogonalSystem((X,), ())  # must start at P_0 = 1
-    with pytest.raises(ValueError):
-        OrthogonalSystem((ONE_POLY, 2 * X), (1,))  # not monic
-    with pytest.raises(NotQuasiDefinite):
-        OrthogonalSystem((ONE_POLY, X), (0,))
-    sys_ok = OrthogonalSystem((ONE_POLY, X), (1,))
-    assert sys_ok.n_max == 1
-    assert sys_ok.poly(1) == X
-    assert sys_ok.norm(0) == 1
+        OrthogonalSystem(rc, (1,))
+    system = OrthogonalSystem(rc, (1, 2))
+    assert system.n_max == 2
+    assert system.polys == (ONE_POLY, X, X * X - X - 2)
 
 
 def test_smop_recovers_the_closed_chebyshev_u_recurrence():
@@ -184,7 +180,7 @@ def test_smop_raises_at_the_first_vanishing_norm():
 def test_polys_from_recurrence_matches_gram_schmidt():
     u = families.chebyshev_t(20)
     rc, _ = smop_from_moments(u, 10)
-    assert polys_from_recurrence(rc, 10) == gram_schmidt(u, 10)[1].polys
+    assert polys_from_recurrence(rc, 10) == gram_schmidt(u, 10)[1]
     with pytest.raises(TruncationExhausted):
         polys_from_recurrence(rc, 11)
 
@@ -199,7 +195,7 @@ def test_smop_builds_its_polynomials_only_when_read(monkeypatch):
     monkeypatch.setattr(orthopoly, "polys_from_recurrence", counting)
     rc, system = smop_from_moments(families.laguerre(0, 16), 8)
     assert built == [] and system.n_max == 8
-    assert system.poly(8) == polys_from_recurrence(rc, 8)[8]
+    assert system.polys[8] == polys_from_recurrence(rc, 8)[8]
     assert system.polys is system.polys
     assert built == [8]
 

@@ -1,5 +1,5 @@
-"""Polynomial arithmetic, exact division, point evaluation with derivatives,
-and the integer combination kernel that sums and the identity checks share."""
+"""Polynomial arithmetic, point evaluation with derivatives, and the
+integer combination kernel that sums and the identity checks share."""
 
 import random
 
@@ -28,7 +28,6 @@ def test_zero_polynomial_has_degree_minus_one():
     assert ZERO_POLY.degree == -1
     assert ZERO_POLY.is_zero
     assert Polynomial((0, 0)).degree == -1
-    assert ZERO_POLY.leading_coefficient == 0
 
 
 def test_monic_detection():
@@ -61,33 +60,6 @@ def test_floats_are_rejected():
 def test_power_requires_nonnegative_integer():
     with pytest.raises(ValueError):
         X ** -1
-
-
-def test_exact_division():
-    q, r = divmod(X ** 3 - 1, X - 1)
-    assert q == X * X + X + 1
-    assert r.is_zero
-    assert (X ** 3 - 1) // (X - 1) == q
-    assert (X ** 3 - 1) % (X - 1) == ZERO_POLY
-
-
-def test_division_with_remainder_reconstructs():
-    num = monomial(5)
-    den = linear_power(2, 2)
-    q, r = divmod(num, den)
-    assert q * den + r == num
-    assert r.degree < den.degree
-
-
-def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        divmod(X, ZERO_POLY)
-
-
-def test_division_by_higher_degree_gives_zero_quotient():
-    q, r = divmod(X, X ** 3)
-    assert q.is_zero
-    assert r == X
 
 
 def test_evaluation_is_exact():

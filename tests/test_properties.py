@@ -60,7 +60,6 @@ from opoly.matrices import (
     shifted,
 )
 from opoly.orthopoly import (
-    OrthogonalSystem,
     RecurrenceCoefficients,
     first_moment_off,
     hankel_minor,
@@ -74,7 +73,6 @@ from opoly.orthopoly import (
 from opoly.poly import Polynomial, X, derivatives_at, wronskian
 from opoly.quadratic import (
     assoc_inverse_factorization,
-    quadratic_connection,
     quadratic_factorization,
     quadratic_geronimus_smop,
     quadratic_recurrence,
@@ -101,7 +99,7 @@ small = st.integers(-3, 3)
 
 
 def make_functional(first, rest):
-    return fa.functional((first,) + tuple(rest))
+    return MomentFunctional((first,) + tuple(rest))
 
 
 @given(nonzero, st.lists(rationals, min_size=3, max_size=9))
@@ -257,9 +255,9 @@ def test_chebyshev_algorithm_matches_gram_schmidt_and_hankel_ratios(drawn):
     rc, u = drawn
     n_max = u.order // 2
     got_rc, got = smop_from_moments(u, n_max)
-    want_rc, want = gram_schmidt(u, n_max)
+    want_rc, _, want_norms = gram_schmidt(u, n_max)
     assert got_rc == want_rc == rc.truncated(n_max)
-    assert got.norms == want.norms
+    assert got.norms == want_norms
     minors = [hankel_minor(u, k) for k in range(n_max)]
     assert got.norms[0] == minors[0]
     for k in range(1, n_max):
@@ -291,9 +289,8 @@ def test_lazy_system_builds_the_eager_polynomials(drawn):
     _, u = drawn
     n_max = u.order // 2
     rc, lazy = smop_from_moments(u, n_max)
-    eager = OrthogonalSystem(polys_from_recurrence(rc, n_max), lazy.norms)
-    assert lazy.n_max == eager.n_max == n_max
-    assert lazy.polys == eager.polys == gram_schmidt(u, n_max)[1].polys
+    assert lazy.n_max == n_max
+    assert lazy.polys == polys_from_recurrence(rc, n_max) == gram_schmidt(u, n_max)[1]
 
 
 @given(recurrence_moments(), rationals)
@@ -376,7 +373,6 @@ def test_a_vanishing_d_star_fails_every_quadratic_producer_at_its_minor(drawn, c
     assert hankel_minor(v, level) == 0
     producers = (
         lambda: quadratic_geronimus_smop(u, c, m0, m1, level + 1),
-        lambda: quadratic_connection(u, c, m0, m1, level + 1),
         lambda: quadratic_recurrence(u, c, m0, m1, level + 1),
         lambda: quadratic_factorization(u, c, m0, m1, level + 1),
     )
@@ -477,7 +473,7 @@ def test_integer_chebyshev_matches_the_rational_loop(drawn):
 @given(st.lists(wide_rationals, min_size=2, max_size=14))
 def test_integer_chebyshev_fails_where_the_rational_loop_does(moments):
     # arbitrary moments: both routes agree on the recurrence or on the level
-    u = fa.functional(moments)
+    u = MomentFunctional(moments)
     n_max = u.order // 2
     try:
         want = chebyshev_reference(u, n_max)
@@ -875,15 +871,8 @@ def test_polynomial_operators_match_the_fraction_reference(cs, ds, scalar):
     assert (p == q) == (rp == rq)
     assert (p == scalar) == (rp == constant)
     assert p.degree == rp.degree
-    assert p.leading_coefficient == (rp.coeffs[-1] if rp.coeffs else 0)
     assert p.is_monic == (bool(rp.coeffs) and rp.coeffs[-1] == 1)
     assert [p.coefficient(k) for k in range(-1, 9)] == [rp.coefficient(k) for k in range(-1, 9)]
-    if rq.coeffs:
-        quotient, remainder = divmod(p, q)
-        want_quotient, want_remainder = divmod(rp, rq)
-        assert_matches(quotient, want_quotient)
-        assert_matches(remainder, want_remainder)
-        assert p // q == quotient and p % q == remainder
 
 
 @given(poly_coeffs, wide_nonzero, st.integers(1, 10**6))

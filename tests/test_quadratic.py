@@ -10,7 +10,7 @@ from conftest import (
     solve_unit_lower_reference,
 )
 
-from opoly import families, quadratic
+from opoly import families, orthopoly, quadratic
 from opoly import functional as fa
 from opoly.associated import (
     associated_polys,
@@ -19,6 +19,7 @@ from opoly.associated import (
     inverse_recurrence,
 )
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
+from opoly.functional import MomentFunctional
 from opoly.matrices import UnitLowerTriband, first_block_mismatch
 from opoly.orthopoly import (
     hankel_minor,
@@ -31,7 +32,6 @@ from opoly.quadratic import (
     assoc_inverse_factorization,
     assoc_inverse_factorization_check,
     g_matrix_check,
-    quadratic_connection,
     quadratic_connection_check,
     quadratic_factorization,
     quadratic_factorization_check,
@@ -39,7 +39,6 @@ from opoly.quadratic import (
     quadratic_recurrence,
 )
 from opoly.rational import rat
-from opoly.reports import CheckReport
 
 PARAMS = (
     (families.chebyshev_u(24), rat(1), rat(1), rat(1, 5)),
@@ -89,10 +88,10 @@ def test_quadratic_recurrence_matches_gram_schmidt():
 
 
 def test_connection_coefficients_connect():
-    from opoly.orthopoly import polys_from_recurrence
-
+    # the L factor's subdiagonals are alpha1[1..8] and alpha2[2..8]
     for u, c, m0, m1 in PARAMS:
-        alpha1, alpha2, _ = quadratic_connection(u, c, m0, m1, 8)
+        lower, _ = quadratic_factorization(u, c, m0, m1, 9)
+        alpha1, alpha2 = (None,) + lower.sub1, (None, None) + lower.sub2
         system, _ = quadratic_geronimus_smop(u, c, m0, m1, 8)
         rc, _ = smop_from_moments(u, 9)
         base = polys_from_recurrence(rc, 8)
@@ -115,7 +114,7 @@ def test_known_degenerate_instance_trips_the_d_star_guard():
     assert info.value.level == 1
     assert info.value.guard == "d_star"
     with pytest.raises(NotQuasiDefinite):
-        quadratic_connection(u, 1, 1, 0, 4)
+        quadratic_factorization(u, 1, 1, 0, 4)
     v = fa.quadratic_geronimus(u, 1, 1, 0)
     assert hankel_minor(v, 0) != 0 and hankel_minor(v, 1) == 0
     with pytest.raises(NotQuasiDefinite) as info:
@@ -151,12 +150,35 @@ def test_factorization_checks_locate_a_perturbed_lower_factor(monkeypatch):
     assert report.first_failure == {"part": "(J^(1))^2 = U L", "block": 4}
 
 
+def test_origin_factorization_check_reads_u_once_and_inverts_it_once(monkeypatch):
+    # u's recurrence is read once, at fu1's depth order/2, which the
+    # factors and J^(1) read a truncation of; u^{-1} and fu1's moment side
+    # run once each, and the fu1 part reads the u^{-1} the factors' check made
+    u = MomentFunctional(families.laguerre(1, 32).moments)
+    want = assoc_inverse_factorization_check(u, 1, 13).to_json()
+    runs, inversions = [], []
+    chebyshev, invert = orthopoly._chebyshev, fa.invert
+
+    def counted_chebyshev(nums, den, n_max):
+        runs.append(n_max)
+        return chebyshev(nums, den, n_max)
+
+    def counted_invert(w):
+        inversions.append(w)
+        return invert(w)
+
+    monkeypatch.setattr(orthopoly, "_chebyshev", counted_chebyshev)
+    monkeypatch.setattr(fa, "invert", counted_invert)
+    fresh = MomentFunctional(u.moments)
+    assert assoc_inverse_factorization_check(fresh, 1, 13).to_json() == want
+    assert runs == [16, 13, 15]
+    assert inversions == [fresh]
+
+
 def test_origin_factorization_check_reports_a_failed_scaling_identity(monkeypatch):
-    monkeypatch.setattr(
-        quadratic,
-        "inverse_functional_identity_check",
-        lambda u, norm1: CheckReport.failing("fu1", 5, {"moment": 2}),
-    )
+    # the fu1 route finds moment 2 off
+    route = quadratic._fu1_route
+    monkeypatch.setattr(quadratic, "_fu1_route", lambda *args: route(*args)[:4] + (2,))
     report = assoc_inverse_factorization_check(families.chebyshev_u(28), 1, 8)
     assert report.status == "fail"
     assert report.first_failure == {"part": "fu1", "moment": 2}

@@ -17,17 +17,32 @@ On random recurrences whose b_k is drawn to zero P_{k+1}(c) at a drawn
 k >= 2, the LU elimination at c stops at ZeroPivot(k), and the
 identities that read the recurrence of (x - c) u report its first
 vanishing Hankel minor, NotQuasiDefinite(k, "norm").
+
+On the two Chebyshev families, a Laguerre functional and the random
+fixture, a zero d* at a drawn level k stops every reader of the kernel
+at NotQuasiDefinite(k, "d_star"): an a_k drawn to zero d*_{k+1} of the
+inverse stops relationlu and g-matrix, and an m0 drawn to zero
+d*_{k+1} of the quadratic kernel stops `factorize quadratic`, conex2
+and propLUinversa.
 """
 
 import json
 import random
 
 import pytest
-from conftest import fixture_functional, fixture_json, run_cli, values_and_slopes_reference
+from conftest import (
+    fixture_functional,
+    fixture_json,
+    random_source_recurrence,
+    run_cli,
+    values_and_slopes_reference,
+)
 
 from opoly import cli, families, serialize
+from opoly import functional as fa
 from opoly.orthopoly import (
     RecurrenceCoefficients,
+    hankel_minor,
     jacobi_matrix,
     moments_from_jacobi,
     smop_from_moments,
@@ -239,3 +254,128 @@ def test_a_zero_of_p_k_plus_1_at_c_stops_the_lu_elimination_at_k(level, stdin_te
         argv = ["verify", "pro5", "--n", str(n), "--c=%s" % c]
         code, out, err = run_cli(argv, stdin_text)
         assert (code, err, json.loads(out)["checks"][0]["status"]) == (0, "", "pass"), argv
+
+
+def _inverse_d_star_zero(rc, u0, level):
+    """ORDER moments of rc with a_level moved to zero d*_{level+1} of the
+    inverse, or None where no such a_level exists.
+
+    W(P_{k+1}, P_k)(0) = a_k W(P_k, P_{k-1})(0) - P_k(0)^2 is affine in
+    a_k, and d*_{k+1} = W(P_{k+1}, P_k)(0)/u_0^2, so a_k = P_k(0)^2 /
+    W(P_k, P_{k-1})(0) makes level k the first vanishing Hankel minor of
+    u^{-1}, when no W(P_m, P_{m-1})(0), m <= k, vanishes.  P_k(0) = 0 would
+    give a_k = 0, and u would stop being quasi-definite.
+    """
+    p, dp = values_and_slopes_reference(rc, 0, level)
+    ws = [p[m] * dp[m - 1] - dp[m] * p[m - 1] for m in range(1, level + 1)]
+    if not all(ws) or p[level] == 0:
+        return None
+    a = list(rc.a)
+    a[level - 1] = p[level] ** 2 / ws[-1]
+    rc = RecurrenceCoefficients(rc.b, a)
+    return moments_from_jacobi(jacobi_matrix(rc, rc.length), u0, ORDER)
+
+
+def _inverse_draws(source, rc, u0):
+    """Two drawn levels k >= 1 whose moved a_k exists, with their inputs."""
+    found = {}
+    for level in rng.sample(range(1, ORDER // 2 - 1), ORDER // 2 - 2):
+        u = _inverse_d_star_zero(rc, u0, level)
+        if u is not None:
+            found[level] = u
+        if len(found) == 2:
+            break
+    return [
+        pytest.param(level, _stdin(u), id="%s-%d" % (source, level))
+        for level, u in sorted(found.items())
+    ]
+
+
+def _quadratic_d_star_zero(u, level):
+    """(c, m0, m1) whose quadratic kernel on u has d*_{level+1} = 0 first.
+
+    With the weight m1 - c m0 fixed, S_n = weight P_n + u_0 P^(1)_{n-1}
+    does not depend on m0, and T_n = S_n'(c) + m0 P_n(c) is affine in it,
+    so d*_{k+1} = S_{k-1} T_k - S_k T_{k-1} is too; m0 is its root.  c and
+    the weight are drawn again until m0 exists and is nonzero and the
+    transform's Hankel minors below level k do not vanish.
+    """
+    rc, _ = smop_from_moments(u, ORDER // 2)
+    u0 = u.moments[0]
+    while True:
+        c, weight = _small(), _small()
+        p, dp = values_and_slopes_reference(rc, c, level)
+        q, dq = values_and_slopes_reference(rc.shifted(1), c, level - 1)
+        # S_n(c) and S_n'(c) at n = level - 1 and level, with P^(1)_{-1} = 0
+        s = [weight * p[n] + (u0 * q[n - 1] if n else 0) for n in (level - 1, level)]
+        ds = [weight * dp[n] + (u0 * dq[n - 1] if n else 0) for n in (level - 1, level)]
+        slope_part = s[0] * ds[1] - s[1] * ds[0]
+        mass_part = s[0] * p[level] - s[1] * p[level - 1]
+        if mass_part == 0 or slope_part == 0:
+            continue
+        m0 = -slope_part / mass_part
+        m1 = weight + c * m0
+        v = fa.quadratic_geronimus(u, c, m0, m1)
+        if all(hankel_minor(v, k) for k in range(level)):
+            assert hankel_minor(v, level) == 0
+            return c, m0, m1
+
+
+# each input with the recurrence its moments come from, of length ORDER // 2 + 1
+ALPHA = abs(_small())
+LENGTH = ORDER // 2 + 1
+SWEEP_SOURCES = [
+    ("chebyshev-u", families.chebyshev_u(ORDER), families.chebyshev_u_recurrence(LENGTH)),
+    ("chebyshev-t", families.chebyshev_t(ORDER), families.chebyshev_t_recurrence(LENGTH)),
+    ("laguerre", families.laguerre(ALPHA, ORDER), families.laguerre_recurrence(ALPHA, LENGTH)),
+    (
+        "random",
+        fixture_functional("random_order20.json"),
+        RecurrenceCoefficients(*random_source_recurrence()),
+    ),
+]
+
+# each input with a_k moved at two drawn levels k >= 1 that relationlu
+# and g-matrix reach: at --n they read d*_2..d*_n of the inverse
+INVERSE_D_STARS = [
+    param
+    for source, u, rc in SWEEP_SOURCES
+    for param in _inverse_draws(source, rc, u.moments[0])
+]
+
+
+def assert_d_star(argv, stdin_text, level):
+    code, out, err = run_cli(argv, stdin_text)
+    assert (code, err) == (1, ""), argv
+    payload = json.loads(out)
+    got = (payload["error"], payload["level"], payload["guard"])
+    assert got == ("NotQuasiDefinite", level, "d_star"), argv
+
+
+@pytest.mark.parametrize("level,stdin_text", INVERSE_D_STARS)
+def test_a_zero_inverse_d_star_stops_relationlu_and_g_matrix_at_k(level, stdin_text):
+    for name in ("relationlu", "g-matrix"):
+        for n in (max(3, level + 1), ORDER // 2 - 1):
+            assert_d_star(["verify", name, "--n", str(n)], stdin_text, level)
+
+
+# each input at two drawn levels k >= 1 that propLUinversa at --n k + 1
+# and conex2 at --n k - 1 reach: they read d*_2..d*_{n} and d*_2..d*_{n+2}
+QUADRATIC_D_STARS = [
+    pytest.param(level, _stdin(u), *_quadratic_d_star_zero(u, level), id="%s-%d" % (source, level))
+    for source, u, _ in SWEEP_SOURCES
+    for level in sorted(rng.sample(range(1, ORDER // 2 - 2), 2))
+]
+
+
+@pytest.mark.parametrize("level,stdin_text,c,m0,m1", QUADRATIC_D_STARS)
+def test_a_zero_quadratic_d_star_stops_every_kernel_reader_at_k(level, stdin_text, c, m0, m1):
+    params = ["--c=%s" % c, "--m0=%s" % m0, "--m1=%s" % m1]
+    for size in ([], ["--size", str(max(3, level + 1))]):
+        assert_d_star(["factorize", "quadratic"] + size + params, stdin_text, level)
+    for name, least, deepest in (
+        ("conex2", max(1, level - 1), ORDER // 2 - 3),
+        ("propLUinversa", level + 1, ORDER // 2 - 1),
+    ):
+        for n in (least, deepest):
+            assert_d_star(["verify", name, "--n", str(n)] + params, stdin_text, level)
