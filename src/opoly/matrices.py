@@ -3,8 +3,8 @@
 Every matrix here is a finite truncation of a semi-infinite operator,
 stored by its diagonals.  Trailing rows and columns of a product or a
 one-sided shift may disagree with the untruncated operator; each check
-names the leading block that its truncations leave exact and compares
-only that block (`first_block_mismatch`).
+names the leading block or rows that its truncations leave exact and
+compares only those (`first_block_mismatch`, `first_row_mismatch`).
 
 The kernels follow the storage.  A product convolves the stored
 diagonals: diagonal p of the left factor meets diagonal q of the right
@@ -199,6 +199,17 @@ def shift_cols_left(a):
     return _moved_diagonals(a, -1)
 
 
+def _first_differences(a, b, reach):
+    """(d, t) for each diagonal d where a and b first differ, at entry t < reach(d)."""
+    for d in a.diagonals.keys() | b.diagonals.keys():
+        length = max(reach(d), 0)
+        zeros = (ZERO,) * length
+        x = a.diagonals.get(d, zeros)[:length]
+        y = b.diagonals.get(d, zeros)[:length]
+        if x != y:
+            yield d, next(t for t in range(length) if x[t] != y[t])
+
+
 def first_block_mismatch(a, b, k):
     """Smallest block size at which the leading k x k blocks of a and b
     differ, or None when they are equal.
@@ -209,16 +220,17 @@ def first_block_mismatch(a, b, k):
     """
     if k > min(a.size, b.size):
         raise ValueError("block size %d exceeds matrix sizes" % k)
-    blocks = []
-    for d in a.diagonals.keys() | b.diagonals.keys():
-        length = max(k - abs(d), 0)
-        zeros = (ZERO,) * length
-        x = a.diagonals.get(d, zeros)[:length]
-        y = b.diagonals.get(d, zeros)[:length]
-        if x != y:
-            t = next(t for t in range(length) if x[t] != y[t])
-            blocks.append(t + abs(d) + 1)
-    return min(blocks, default=None)
+    diffs = _first_differences(a, b, lambda d: k - abs(d))
+    return min((t + abs(d) + 1 for d, t in diffs), default=None)
+
+
+def first_row_mismatch(a, b, rows):
+    """The first of the leading `rows` rows (all columns) where a and b differ, or None.
+
+    Entry t of diagonal d lies in row t + max(-d, 0).
+    """
+    diffs = _first_differences(a, b, lambda d: min(rows - max(-d, 0), a.size - abs(d)))
+    return min((t + max(-d, 0) for d, t in diffs), default=None)
 
 
 class UnitLowerBidiagonal:

@@ -266,25 +266,13 @@ def derivatives_at(p, c, k):
     return tuple(out)
 
 
-def wronskians_at(polys, c):
-    """The Wronskians W(p_i, p_j)(c) = p_i(c) p_j'(c) - p_i'(c) p_j(c), as w(i, j).
+def wronskian(p, q, c):
+    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c), from one `_taylor` pass each.
 
-    One `_taylor` call per polynomial gives p(c) = v / d and p'(c) = cq s / d
-    with d = den cq^D at c = cp/cq, so W is cq (v_i s_j - s_i v_j) / (d_i d_j).
+    At c = cp/cq a pass gives p(c) = v / d and p'(c) = cq s / d with
+    d = den cq^D, so W is cq (v_p s_q - s_p v_q) / (d_p d_q).
     """
     cp, cq = _scalar(c)
-    pairs = []
-    for p in polys:
-        (v, s), d = _taylor(p, cp, cq, 1)
-        pairs.append((v, s, p.den * cq ** d))
-
-    def w(i, j):
-        (vi, si, di), (vj, sj, dj) = pairs[i], pairs[j]
-        return Rational(cq * (vi * sj - si * vj), di * dj)
-
-    return w
-
-
-def wronskian(p, q, c):
-    """W(p, q)(c) = p(c) q'(c) - p'(c) q(c), by `wronskians_at`."""
-    return wronskians_at((p, q), c)(0, 1)
+    (vp, sp), dp = _taylor(p, cp, cq, 1)
+    (vq, sq), dq = _taylor(q, cp, cq, 1)
+    return Rational(cq * (vp * sq - sp * vq), p.den * q.den * cq ** (dp + dq))

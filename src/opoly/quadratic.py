@@ -8,7 +8,7 @@ result off one O(n) kernel over values and slopes at c
 (`associated.quadratic_kernel`).  The inverse functional is the same
 division at c = 0 (`inverse_kernel`), so the same code factors the
 squared Jacobi matrices of the first-associated and inverse SMOPs.  The
-Wronskian and moment routes live only in the checks.
+checks build no polynomial: they compare band identities (J U = U Jhat).
 """
 
 from . import functional as fa
@@ -18,6 +18,7 @@ from .matrices import (
     UnitLowerTriband,
     UpperTriband,
     first_block_mismatch,
+    first_row_mismatch,
     mat_multiply,
     mat_power,
     shifted,
@@ -27,11 +28,10 @@ from .orthopoly import (
     _read_deepest,
     jacobi_matrix,
     kernel_values,
-    polys_from_recurrence,
     smop_from_moments,
+    values_and_slopes,
 )
-from .poly import X, _combine, wronskians_at
-from .rational import ZERO, rat
+from .rational import ZERO, Rational, rat
 from .reports import CheckReport
 
 
@@ -43,9 +43,9 @@ def _division(u, c, m0, m1, n_max):
     of u's recurrence (`orthopoly.kernel_values`), integers over one
     denominator per level.
     """
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    c, m0, m1 = rat(c), rat(m0), rat(m1)
     if m0 == 0:
         raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
     u0 = u.moment(0)
@@ -66,8 +66,6 @@ def quadratic_geronimus_smop(u, c, m0, m1, n_max):
 
     Returns (system, d_star) with d_star[n] for n = 2..n_max+1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     kernel = _division(u, c, m0, m1, n_max)
     return OrthogonalSystem(kernel.recurrence, kernel.norms), kernel.d_star
 
@@ -80,8 +78,6 @@ def quadratic_recurrence(u, c, m0, m1, n_max):
     ahat_1 = (u_0 m0 - (m1 - c m0)^2)/m0^2.  Needs 2*n_max + 2 moments
     and guards d*_2..d*_{n_max}, the levels the result reads.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     return _division(u, c, m0, m1, n_max).recurrence
 
 
@@ -126,27 +122,34 @@ def quadratic_factorization(u, c, m0, m1, size):
     return _factors(kernel, rc.b, rat(c), size)
 
 
-def _triband_failure(base, q_polys, lower, upper, c):
-    """Where Q = L P or (x - c)^2 P = U Q first fails degree by degree, or None."""
-    for n in range(lower.size):
-        terms = [(-1, q_polys[n]), (1, base[n])]
-        if n >= 1:
-            terms.append((lower.sub1[n - 1], base[n - 1]))
-        if n >= 2:
-            terms.append((lower.sub2[n - 2], base[n - 2]))
-        if any(_combine(terms)[0]):
-            return {"part": "Q = L P", "level": n}
-    square = (X - c) ** 2
-    for n in range(upper.size - 1):
-        if _connection_off(base[n], square, q_polys[n : n + 3], upper.diag[n], upper.super1[n]):
-            return {"part": "(x - c)^2 P = U Q", "level": n}
-    return None
+def _connection_failure(j, j_hat, lower, upper):
+    """Where Q = L P or (x - c)^2 P = U Q first fails, as a record, or None.
+
+    Once a connection A = M B, with x A = J_A A and x B = J_B B, holds up
+    to level n, A_{n+1} - (M B)_{n+1} is row n of J_A M - M J_B applied
+    to B (a shift by c cancels), so with level 0 holding, the first
+    nonzero row n names level n + 1.
+    """
+    l_band = lower.to_band()
+    row = first_row_mismatch(mat_multiply(j_hat, l_band), mat_multiply(l_band, j), lower.size - 1)
+    if row is not None:
+        return {"part": "Q = L P", "level": row + 1}
+    return _upper_failure(j, j_hat, upper, part="(x - c)^2 P = U Q")
 
 
-def _connection_off(p, square, q, diag, super1):
-    """Whether square * p differs from q[2] + super1 q[1] + diag q[0]."""
-    terms = [(-1, p, square), (1, q[2]), (super1, q[1]), (diag, q[0])]
-    return any(_combine(terms)[0])
+def _upper_failure(j, j_hat, upper, **part):
+    """Where (x - c)^2 P = U Q first fails, as `part` and the level, or None.
+
+    With J and Jhat shifted by c, level 0, y^2 = Q_2 + super1[0] Q_1 +
+    diag[0] in y = x - c, holds when super1[0] = Jhat_00 + Jhat_11 and
+    diag[0] = Jhat_00^2 + Jhat_10; no level reads U's last diagonal entry.
+    """
+    b0, b1, a1 = j_hat.entry(0, 0), j_hat.entry(1, 1), j_hat.entry(1, 0)
+    if (upper.super1[0], upper.diag[0]) != (b0 + b1, b0 * b0 + a1):
+        return {**part, "level": 0}
+    u_band = upper.to_band()
+    row = first_row_mismatch(mat_multiply(j, u_band), mat_multiply(u_band, j_hat), upper.size - 2)
+    return None if row is None else {**part, "level": row + 1}
 
 
 def _squares_failure(parts, left, right, lower, upper):
@@ -175,63 +178,67 @@ def _squares_failure(parts, left, right, lower, upper):
 def quadratic_factorization_check(u, c, m0, m1, size):
     """Identity "propLUinversa": the tri-band factors against the transform's moments.
 
-    The factors come from the kernel at c; Jhat and Q come from the
-    moments of (x - c)^{-2} u by the Chebyshev algorithm.
-    Checks Q = L P and (x - c)^2 P = U Q degree by degree, then
-    (J - cI)^2 = U L and (Jhat - cI)^2 = L U on the blocks truncation
-    leaves exact (`_squares_failure`).
+    The factors come from the kernel at c; J and Jhat from the moments
+    of u and (x - c)^{-2} u by the Chebyshev algorithm.  Q = L P (Q_0 =
+    P_0) is Jhat L = L J on the leading size - 1 rows, the exact ones,
+    and row n names level n + 1 (`_connection_failure`).  J U = U Jhat
+    fixes a level of (x - c)^2 P = U Q only once level 0 holds, so level
+    0 is compared on its own, then the exact rows 0..size - 3 decide
+    levels 1..size - 2 (`_upper_failure`).  Then (J - cI)^2 = U L and
+    (Jhat - cI)^2 = L U on exact blocks (`_squares_failure`).
     """
-    c = rat(c)
+    c, m0, m1 = rat(c), rat(m0), rat(m1)
     lower, upper = quadratic_factorization(u, c, m0, m1, size)
     rc, _ = smop_from_moments(u, size)
     hat_rc, _ = smop_from_moments(fa.quadratic_geronimus(u, c, m0, m1), size)
-    failure = _triband_failure(
-        polys_from_recurrence(rc, size - 1), polys_from_recurrence(hat_rc, size), lower, upper, c
-    ) or _squares_failure(
-        ("(J - cI)^2 = U L", "(Jhat - cI)^2 = L U"),
-        shifted(jacobi_matrix(rc, size), c),
-        shifted(jacobi_matrix(hat_rc, size), c),
-        lower,
-        upper,
+    j = shifted(jacobi_matrix(rc, size), c)
+    j_hat = shifted(jacobi_matrix(hat_rc, size), c)
+    failure = _connection_failure(j, j_hat, lower, upper) or _squares_failure(
+        ("(J - cI)^2 = U L", "(Jhat - cI)^2 = L U"), j, j_hat, lower, upper
     )
     if failure:
         return CheckReport.failing("propLUinversa", size, failure)
-    ul_block = size - 2
-    lu_block = size - 1
     return CheckReport.passing(
         "propLUinversa",
         size,
-        c=str(rat(c)),
-        m0=str(rat(m0)),
-        m1=str(rat(m1)),
-        ul_block=ul_block,
-        lu_block=lu_block,
+        c=str(c),
+        m0=str(m0),
+        m1=str(m1),
+        ul_block=size - 2,
+        lu_block=size - 1,
     )
 
 
 def quadratic_connection_check(u, c, m0, m1, n_max):
-    """Identity "conex2": (x - c)^2 P_n = Q_{n+2} + beta_{n,n+1} Q_{n+1} + beta_{n,n} Q_n."""
-    c = rat(c)
-    m0 = rat(m0)
-    m1 = rat(m1)
-    system, _ = quadratic_geronimus_smop(u, c, m0, m1, n_max + 2)
-    q_polys = system.polys
-    rc, _ = smop_from_moments(u, n_max + 1)
-    base = polys_from_recurrence(rc, n_max)
-    # each Q_m's value and slope at c, taken once, serve all three Wronskians
-    wronskian = wronskians_at(q_polys[: n_max + 3], c)
-    failure = None
-    square = (X - c) ** 2
+    """Identity "conex2": (x - c)^2 P_n = Q_{n+2} + beta_{n,n+1} Q_{n+1} + beta_{n,n} Q_n.
+
+    The betas solve its value and slope at c by Cramer's rule, with
+    W_{i,k} = W(Q_i, Q_k)(c): beta_{n,n} = W_{n+1,n+2} / W_{n,n+1} and
+    beta_{n,n+1} = W_{n+2,n} / W_{n,n+1}.  `values_and_slopes` on the
+    kernel's recurrence gives Q_m(c) = p[m] / den[m] and Q_m'(c) =
+    dp[m] / den[m], so W_{i,k} = (p[i] dp[k] - dp[i] p[k]) / (den[i]
+    den[k]).  The betas form U, certified as in propLUinversa with J and
+    the kernel's Jhat at size n_max + 2: level 0 on its own, then levels
+    1..n_max from J U = U Jhat; a zero W_{n,n+1} is named after those below.
+    """
+    c, m0, m1 = rat(c), rat(m0), rat(m1)
+    q_rc = _division(u, c, m0, m1, n_max + 2).recurrence
+    rc, _ = smop_from_moments(u, n_max + 2)
+    p, dp, den = values_and_slopes(q_rc, c, n_max + 2)
+    w = [p[m] * dp[m + 1] - dp[m] * p[m + 1] for m in range(n_max + 2)]
+    diag, super1 = [], []
     for n in range(n_max + 1):
-        wn = wronskian(n, n + 1)
-        if wn == 0:
-            failure = {"level": n, "reason": "W(Q_{n+1}, Q_n)(c) = 0"}
+        if w[n] == 0:
             break
-        beta_nn = wronskian(n + 1, n + 2) / wn
-        beta_n_up = wronskian(n + 2, n) / wn
-        if _connection_off(base[n], square, q_polys[n : n + 3], beta_nn, beta_n_up):
-            failure = {"level": n}
-            break
+        scale = den[n + 2] * w[n]
+        diag.append(Rational(w[n + 1] * den[n], scale))
+        super1.append(Rational((p[n + 2] * dp[n] - dp[n + 2] * p[n]) * den[n + 1], scale))
+    # W_{0,1} = 1, so size >= 2; U's last diagonal entry is a placeholder
+    size = len(diag) + 1
+    j, j_hat = (shifted(jacobi_matrix(r, size), c) for r in (rc, q_rc))
+    failure = _upper_failure(j, j_hat, UpperTriband(size, diag + [ZERO], super1))
+    if failure is None and size <= n_max + 1:
+        failure = {"level": size - 1, "reason": "W(Q_{n+1}, Q_n)(c) = 0"}
     if failure:
         return CheckReport.failing("conex2", n_max, failure, c=str(c))
     return CheckReport.passing("conex2", n_max, c=str(c), m0=str(m0), m1=str(m1))
@@ -269,13 +276,8 @@ def assoc_inverse_factorization_check(u, norm1, size):
     lower, upper = assoc_inverse_factorization(u, size)
     inverse = fa.invert(u)
     inverse_rc, _ = smop_from_moments(inverse, size)
-    failure = _squares_failure(
-        ("(J^(1))^2 = U L", "(J^-)^2 = L U"),
-        jacobi_matrix(rc.shifted(1), size),
-        jacobi_matrix(inverse_rc, size),
-        lower,
-        upper,
-    )
+    j_first, j_minus = jacobi_matrix(rc.shifted(1), size), jacobi_matrix(inverse_rc, size)
+    failure = _squares_failure(("(J^(1))^2 = U L", "(J^-)^2 = L U"), j_first, j_minus, lower, upper)
     if failure is None:
         _, _, _, _, off = _fu1_route(u, rat(norm1), inverse)
         if off is not None:
@@ -283,11 +285,7 @@ def assoc_inverse_factorization_check(u, norm1, size):
     if failure:
         return CheckReport.failing("relationlu", size, failure)
     return CheckReport.passing(
-        "relationlu",
-        size,
-        norm1=str(rat(norm1)),
-        ul_block=size - 2,
-        lu_block=size - 1,
+        "relationlu", size, norm1=str(rat(norm1)), ul_block=size - 2, lu_block=size - 1
     )
 
 

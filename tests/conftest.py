@@ -11,7 +11,9 @@ that read one entry or one coefficient at a time: the shift, power and
 block comparison of the matrices, the series product, the product of a
 functional by a polynomial and the divided difference; forward
 substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
-no longer builds; a band matrix built from an entry function
+no longer builds; the monomial route of propLUinversa's and conex2's
+polynomial identities, degree by degree on built P's and Q's, that
+their band identities replaced; a band matrix built from an entry function
 (`band_from_entries`), which only the tests need; and two statements
 that follow from registered identities, asserted directly: the
 co-recursive subtraction formula and the cleared continued fraction;
@@ -47,7 +49,7 @@ from opoly.orthopoly import (
     polys_from_recurrence,
     smop_from_moments,
 )
-from opoly.poly import ONE_POLY, Polynomial, X
+from opoly.poly import ONE_POLY, Polynomial, X, _combine, wronskian
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
 from opoly.series import (
@@ -345,6 +347,65 @@ def polys_reference(rc, n_max):
                 nxt[i] -= rc.a[k - 1] * c
         rows.append(nxt)
     return tuple(FractionPolynomial(row) for row in rows)
+
+
+def connection_off_reference(p, square, q, diag, super1):
+    """Whether square * p differs from q[2] + super1 q[1] + diag q[0], as
+    one integer combination of the built polynomials."""
+    terms = [(-1, p, square), (1, q[2]), (super1, q[1]), (diag, q[0])]
+    return any(_combine(terms)[0])
+
+
+def triband_failure_reference(base, q_polys, lower, upper, c):
+    """Where Q = L P or (x - c)^2 P = U Q first fails degree by degree on
+    built polynomials P_0..P_{size-1} and Q_0..Q_size, or None: the
+    monomial route that propLUinversa's band identities replaced."""
+    for n in range(lower.size):
+        terms = [(-1, q_polys[n]), (1, base[n])]
+        if n >= 1:
+            terms.append((lower.sub1[n - 1], base[n - 1]))
+        if n >= 2:
+            terms.append((lower.sub2[n - 2], base[n - 2]))
+        if any(_combine(terms)[0]):
+            return {"part": "Q = L P", "level": n}
+    square = (X - c) ** 2
+    for n in range(upper.size - 1):
+        q = q_polys[n : n + 3]
+        if connection_off_reference(base[n], square, q, upper.diag[n], upper.super1[n]):
+            return {"part": "(x - c)^2 P = U Q", "level": n}
+    return None
+
+
+def wronskian_betas_reference(q_polys, c, n_max):
+    """conex2's (beta_{n,n}, beta_{n,n+1}) for n = 0..n_max from the
+    Wronskians at c of built Q's, up to the first level whose
+    W(Q_n, Q_{n+1})(c) vanishes."""
+    betas = []
+    for n in range(n_max + 1):
+        w = wronskian(q_polys[n], q_polys[n + 1], c)
+        if w == 0:
+            break
+        betas.append(
+            (
+                wronskian(q_polys[n + 1], q_polys[n + 2], c) / w,
+                wronskian(q_polys[n + 2], q_polys[n], c) / w,
+            )
+        )
+    return betas
+
+
+def conex2_failure_reference(base, q_polys, betas, c, n_max):
+    """conex2's first failure on built polynomials: level n fails where
+    (x - c)^2 P_n leaves Q_{n+2} + beta_{n,n+1} Q_{n+1} + beta_{n,n} Q_n,
+    and the first level without betas is a vanishing Wronskian."""
+    square = (X - c) ** 2
+    for n in range(n_max + 1):
+        if n == len(betas):
+            return {"level": n, "reason": "W(Q_{n+1}, Q_n)(c) = 0"}
+        diag, super1 = betas[n]
+        if connection_off_reference(base[n], square, q_polys[n : n + 3], diag, super1):
+            return {"level": n}
+    return None
 
 
 def divide_power_reference(u, c, m):

@@ -6,8 +6,8 @@ among the entries an identity reads, and runs that identity through
 level or block that the index fixes.  The producer is patched wherever
 it is looked up, so a row whose identity never calls it runs unmutated
 and must pass; for the LU and UL eliminations, whose U diagonal every
-factor identity receives, an identity that does not read the moved
-entry must pass too.
+factor identity receives, and for the (x - c)^2 division's factors and
+recurrence, an identity that does not read the moved entry must pass too.
 """
 
 import json
@@ -17,10 +17,11 @@ import sys
 import pytest
 from conftest import fixture_json, run_cli
 
-from opoly import darboux, orthopoly
+from opoly import associated, darboux, orthopoly, quadratic
 from opoly import functional as fa
 from opoly.associated import divided_difference
-from opoly.matrices import UpperBidiagonal
+from opoly.matrices import UnitLowerTriband, UpperBidiagonal, UpperTriband
+from opoly.orthopoly import RecurrenceCoefficients
 from opoly.poly import Polynomial
 
 PRODUCERS = {
@@ -122,7 +123,8 @@ def test_a_moved_entry_fails_each_identity_that_reads_it(producer, identity, sou
         assert {key: got[key] for key in want} == want, (k, n, got)
 
 
-# the identities whose polynomial identities `poly._combine` compares, and
+# the identities whose polynomial identities `poly._combine` compares on
+# polynomials that `polys_from_recurrence` builds, and
 # the two chains through them, at --k 2: for each, the first level that
 # reads the moved P_j, and the level the failure must name where that
 # follows from j alone (None where it also depends on the polynomials)
@@ -130,12 +132,6 @@ POLY_ROWS = {
     # a move of x^d that is a multiple of P_{j-1} cancels against the moved
     # ratio P_j(c)/P_{j-1}(c) at level j - 1
     "repChris": {"repChris": (lambda j: max(j - 1, 0), None)},
-    # the Wronskian coefficients are refitted to the moved Q's, so a move
-    # inside their span is seen only where (x - c)^2 P_n leaves it
-    "conex2": {"conex2": (lambda j: max(j - 2, 0), None)},
-    # P_j and Q_j move alike and cancel at level j; the next level reads P_j
-    # times alpha1[j+1], or times alpha2[j+2] where alpha1[j+1] = 0
-    "propLUinversa": {"propLUinversa": (lambda j: j + 1, None)},
     "gero1": {"gero1": (lambda j: max(j, 1), lambda j: max(j, 1))},
     # S_j and Phat^(1)_j move alike; S_{j+1} reads P^(1)_j times v_0/m0 and
     # the right side Phat^(1)_j times beta_{j+1}; S_0 = 1 is not produced
@@ -176,9 +172,9 @@ def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity,
     real = orthopoly.polys_from_recurrence
     for _ in range(3):
         n = rng.randint(3, 6)
-        # below the top degree each identity reads: there propLUinversa and
-        # gero2 read P_j of both routes with coefficient one, and a move
-        # common to both routes cancels
+        # below the top degree each identity reads: there gero2 reads P_j of
+        # both routes with coefficient one, and a move common to both
+        # routes cancels
         j = rng.randint(0, n - 2)
         d = rng.randint(0, j)
         argv = ["verify", identity, "--n", str(n), "--k", "2", "--c=1/3", "--m0=7/3", "--m1=1/5"]
@@ -203,9 +199,6 @@ def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity,
             assert got["level"] >= first(j), (argv, j, d, name, got)
             if level is not None:
                 assert got["level"] == level(j), (argv, j, d, name, got)
-        if identity == "propLUinversa":
-            got = failures["propLUinversa"]
-            assert got["part"] == "Q = L P" and got["level"] <= j + 2, (argv, j, d, got)
 
 
 def _tail_product(k):
@@ -291,3 +284,120 @@ def test_a_moved_pivot_fails_each_identity_that_reads_it(producer, identity, sou
             if want is not None:
                 got = check["first_failure"]
                 assert {key: got[key] for key in want} == want, (argv, k, got)
+
+
+def moved_factor(real, part, k, calls):
+    """`real` with entry k of one diagonal of its tri-band (L, U) moved by one:
+    part names it, sub1 or sub2 of L, diag or super1 of U."""
+
+    def producer(*args):
+        lower, upper = real(*args)
+        calls.append(k)
+        parts = {name: list(getattr(lower, name)) for name in ("sub1", "sub2")}
+        parts.update({name: list(getattr(upper, name)) for name in ("diag", "super1")})
+        parts[part][k] += 1
+        return (
+            UnitLowerTriband(lower.size, parts["sub1"], parts["sub2"]),
+            UpperTriband(upper.size, parts["diag"], parts["super1"]),
+        )
+
+    return producer
+
+
+def moved_recurrence(real, part, k, calls):
+    """`real` with b_k (part "b") or a_k (part "a") of its Division's recurrence moved by one."""
+
+    def producer(*args):
+        kernel = real(*args)
+        calls.append(k)
+        rc = kernel.recurrence
+        parts = {"b": list(rc.b), "a": [None] + list(rc.a)}
+        parts[part][k] += 1
+        return kernel._replace(recurrence=RecurrenceCoefficients(parts["b"], parts["a"][1:]))
+
+    return producer
+
+
+def _factor_failure(n, part, k):
+    # Q = L P reads sub1[k] at level k + 1 and sub2[k] at level k + 2;
+    # (x - c)^2 P = U Q reads diag[k] and super1[k] at level k <= n - 2,
+    # and no part reads diag[n - 1]
+    if part in ("sub1", "sub2"):
+        return {"part": "Q = L P", "level": k + (1 if part == "sub1" else 2)}
+    if k <= n - 2:
+        return {"part": "(x - c)^2 P = U Q", "level": k}
+    return None
+
+
+def _recurrence_failure(n, part, k):
+    # the Wronskian coefficients are refitted to the moved Q's, and level 0
+    # always holds.  Moving b_k or a_k moves Q_{k+1} by a multiple of Q_k or
+    # Q_{k-1}, which level k - 1 absorbs; at level k, Q_{k+2} then leaves
+    # span(Q_{k+1}, Q_k) by a_k Q_{k-1} or a_{k-1} Q_{k-2}, both nonzero
+    # for k >= 1 and k >= 2.  So b_0 and a_1 fail at a level the index
+    # alone does not fix ({}), and b_{n+1} and a_{n+1} are absorbed at the
+    # top level n
+    if k == n + 1:
+        return None
+    if (part, k) in (("b", 0), ("a", 1)):
+        return {}
+    return {"level": k}
+
+
+# producer: (the identity, the moved output, the moved parts and their
+# indices at --n n, and the failure that moving one gives: a dict of the
+# record keys it fixes, or None where the identity must pass)
+QUADRATIC_ROWS = {
+    "quadratic_factorization": (
+        "propLUinversa",
+        moved_factor,
+        lambda n: {
+            "sub1": range(n - 1),
+            "sub2": range(n - 2),
+            "diag": range(n),
+            "super1": range(n - 1),
+        },
+        _factor_failure,
+    ),
+    "quadratic_kernel": (
+        "conex2",
+        moved_recurrence,
+        lambda n: {"b": range(n + 2), "a": range(1, n + 2)},
+        _recurrence_failure,
+    ),
+}
+
+QUADRATIC_PRODUCERS = {
+    "quadratic_factorization": quadratic.quadratic_factorization,
+    "quadratic_kernel": associated.quadratic_kernel,
+}
+
+
+@pytest.mark.parametrize("source", INPUTS)
+@pytest.mark.parametrize("producer", QUADRATIC_ROWS)
+def test_a_moved_quadratic_entry_fails_the_identity_at_its_level(producer, source):
+    rng = random.Random("%s %s" % (producer, source))
+    args, stdin_text, _ = INPUTS[source]
+    identity, mover, reads, where = QUADRATIC_ROWS[producer]
+    real = QUADRATIC_PRODUCERS[producer]
+    n = rng.randint(2, 6)
+    for part, entries in reads(n).items():
+        # both ends, where an off-by-one shows, and one drawn between them
+        for k in sorted({entries[0], entries[-1], rng.choice(entries)}):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch_everywhere(patch, real, mover(real, part, k, calls))
+                argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3", "--m1=1/5"]
+                code, out, err = run_cli(argv + args, stdin_text)
+            payload = json.loads(out)
+            assert calls and err == "" and "error" not in payload, (argv, part, k, payload)
+            (check,) = payload["checks"]
+            want = where(n, part, k)
+            status = (0, "pass") if want is None else (1, "fail")
+            assert (code, check["status"]) == status, (argv, part, k, check)
+            if want is not None:
+                got = check["first_failure"]
+                assert {key: got[key] for key in want} == want, (argv, part, k, got)
+                if identity == "conex2":
+                    # refitted coefficients always hold level 0
+                    assert got["level"] >= 1, (argv, part, k, got)

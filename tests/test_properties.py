@@ -52,6 +52,7 @@ from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
     first_block_mismatch,
+    first_row_mismatch,
     identity,
     mat_multiply,
     mat_power,
@@ -1038,6 +1039,9 @@ def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
             assert got == (max(i, j) + 1 if max(i, j) < k else None)
             assert got == first_block_mismatch_reference(x, y, k)
             assert first_block_mismatch(x, x, k) is None
+            # the leading k rows, across every column, differ only in row i
+            assert first_row_mismatch(x, y, k) == (i if i < k else None)
+            assert first_row_mismatch(x, x, k) is None
     assert a != changed
     with pytest.raises(ValueError):
         first_block_mismatch(a, changed, size + 1)

@@ -5,9 +5,12 @@ import random
 import pytest
 from conftest import (
     band_from_entries,
+    conex2_failure_reference,
     product_reference,
     random_functional,
     solve_unit_lower_reference,
+    triband_failure_reference,
+    wronskian_betas_reference,
 )
 
 from opoly import families, orthopoly, quadratic
@@ -20,8 +23,9 @@ from opoly.associated import (
 )
 from opoly.errors import DegenerateParameter, NotQuasiDefinite, TruncationExhausted
 from opoly.functional import MomentFunctional
-from opoly.matrices import UnitLowerTriband, first_block_mismatch
+from opoly.matrices import UnitLowerTriband, UpperTriband, first_block_mismatch, shifted
 from opoly.orthopoly import (
+    RecurrenceCoefficients,
     hankel_minor,
     jacobi_matrix,
     polys_from_recurrence,
@@ -38,7 +42,7 @@ from opoly.quadratic import (
     quadratic_geronimus_smop,
     quadratic_recurrence,
 )
-from opoly.rational import rat
+from opoly.rational import ZERO, rat
 
 PARAMS = (
     (families.chebyshev_u(24), rat(1), rat(1), rat(1, 5)),
@@ -189,6 +193,114 @@ def test_connection_check_passes():
         report = quadratic_connection_check(u, c, m0, m1, 8)
         assert report.passed
         assert report.identity == "conex2"
+
+
+# the inputs and parameters on which the band identities of propLUinversa
+# and conex2 must fail where the monomial route over built P's and Q's does
+BAND_INPUTS = (
+    families.chebyshev_u(24),
+    families.chebyshev_t(24),
+    families.laguerre(1, 24),
+    random_functional()[0],
+)
+C, M0, M1 = rat(1, 3), rat(7, 3), rat(1, 5)
+
+
+def moved_copies(entries):
+    """Lists of the sequences in `entries`, once for each entry, with that entry moved by one."""
+    for i, seq in enumerate(entries):
+        for k in range(len(seq)):
+            moved = [list(s) for s in entries]
+            moved[i][k] += 1
+            yield moved
+
+
+def test_factor_band_identities_fail_where_the_monomial_route_does():
+    # every entry of L and U moved by one at sizes 2-9; at size 2 only the
+    # level-0 comparison reads diag[0] and super1[0], and diag[size - 1]
+    # is read by no level
+    cases = passed = 0
+    for u in BAND_INPUTS:
+        for size in range(2, 10):
+            lower, upper = quadratic_factorization(u, C, M0, M1, size)
+            rc, _ = smop_from_moments(u, size)
+            hat_rc, _ = smop_from_moments(fa.quadratic_geronimus(u, C, M0, M1), size)
+            j = shifted(jacobi_matrix(rc, size), C)
+            j_hat = shifted(jacobi_matrix(hat_rc, size), C)
+            base = polys_from_recurrence(rc, size - 1)
+            q_polys = polys_from_recurrence(hat_rc, size)
+            factors = (lower.sub1, lower.sub2, upper.diag, upper.super1)
+            for sub1, sub2, diag, super1 in [factors, *moved_copies(factors)]:
+                moved_lower = UnitLowerTriband(size, sub1, sub2)
+                moved_upper = UpperTriband(size, diag, super1)
+                got = quadratic._connection_failure(j, j_hat, moved_lower, moved_upper)
+                want = triband_failure_reference(base, q_polys, moved_lower, moved_upper, C)
+                assert got == want, (size, sub1, sub2, diag, super1)
+                cases += 1
+                passed += want is None
+    # one unmoved and one moved diag[size - 1] pass per size
+    assert (cases, passed) == (4 * 8 + 576, 4 * 8 * 2)
+
+
+def conex2_sides(u, n_max, q_rc):
+    """J and Jhat shifted by C at size n_max + 2, and P_0..P_{n_max} and
+    Q_0..Q_{n_max+2} built from u's recurrence and q_rc."""
+    rc, _ = smop_from_moments(u, n_max + 2)
+    size = n_max + 2
+    j = shifted(jacobi_matrix(rc, size), C)
+    j_hat = shifted(jacobi_matrix(q_rc, size), C)
+    return j, j_hat, polys_from_recurrence(rc, n_max), polys_from_recurrence(q_rc, n_max + 2)
+
+
+def test_conex2_band_identity_fails_where_the_monomial_route_does():
+    # every Wronskian coefficient moved by one; U's last diagonal entry,
+    # which no level reads, is left zero as conex2 leaves it
+    cases = 0
+    for u in BAND_INPUTS:
+        for n_max in range(1, 10):
+            if u.order < 2 * n_max + 6:
+                continue
+            assert quadratic_connection_check(u, C, M0, M1, n_max).passed
+            q_rc = quadratic_recurrence(u, C, M0, M1, n_max + 2)
+            j, j_hat, base, q_polys = conex2_sides(u, n_max, q_rc)
+            betas = wronskian_betas_reference(q_polys, C, n_max)
+            assert len(betas) == n_max + 1
+            for diag, super1 in moved_copies(list(zip(*betas))):
+                upper = UpperTriband(n_max + 2, diag + [ZERO], super1)
+                got = quadratic._upper_failure(j, j_hat, upper)
+                want = conex2_failure_reference(base, q_polys, list(zip(diag, super1)), C, n_max)
+                assert want is not None and got == want, (n_max, diag, super1)
+                cases += 1
+    assert cases == 3 * sum(2 * (n + 1) for n in range(1, 10)) + sum(
+        2 * (n + 1) for n in range(1, 8)
+    )
+
+
+def test_conex2_on_a_moved_kernel_recurrence_fails_where_the_monomial_route_does(monkeypatch):
+    # each entry of the kernel's recurrence moved by one, and a_1 set to
+    # -(c - b_0)^2, where W(Q_1, Q_2)(c) = (c - b_0)^2 + a_1 vanishes: the
+    # whole record, Wronskians and levels, matches the monomial route
+    division = quadratic._division
+    records = []
+    for u in BAND_INPUTS:
+        for n_max in (1, 2, 5, 9):
+            if u.order < 2 * n_max + 6:
+                continue
+            kernel = division(u, C, M0, M1, n_max + 2)
+            b, a = kernel.recurrence.b, kernel.recurrence.a
+            vanishing = [-((C - b[0]) ** 2)] + list(a[1:])
+            for moved_b, moved_a in [(b, vanishing), *moved_copies((b, a))]:
+                q_rc = RecurrenceCoefficients(moved_b, moved_a)
+                monkeypatch.setattr(
+                    quadratic, "_division", lambda *args: kernel._replace(recurrence=q_rc)
+                )
+                got = quadratic_connection_check(u, C, M0, M1, n_max).to_json()
+                _, _, base, q_polys = conex2_sides(u, n_max, q_rc)
+                betas = wronskian_betas_reference(q_polys, C, n_max)
+                want = conex2_failure_reference(base, q_polys, betas, C, n_max)
+                assert got.get("first_failure") == want, (n_max, moved_b, moved_a)
+                records.append(want)
+    assert {"level": 1, "reason": "W(Q_{n+1}, Q_n)(c) = 0"} in records
 
 
 def test_factorization_check_passes_and_reports_blocks():
