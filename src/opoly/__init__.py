@@ -43,7 +43,6 @@ from .associated import (
     associated_functional,
     associated_polys,
     corecursive_functional,
-    corecursive_polys,
     inverse_connection,
     inverse_recurrence,
     inverse_smop,
@@ -89,7 +88,6 @@ __all__ = [
     "hankel_minor",
     "associated_polys",
     "associated_functional",
-    "corecursive_polys",
     "corecursive_functional",
     "inverse_connection",
     "inverse_smop",

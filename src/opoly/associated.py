@@ -145,11 +145,6 @@ def linear_combination_check(u, k, n):
     return CheckReport.passing("linearcombination", n, k=k)
 
 
-def corecursive_polys(rc, alpha, n_max):
-    """SMOP of the recurrence with b_0 perturbed by alpha."""
-    return polys_from_recurrence(rc.corecursive(alpha), n_max)
-
-
 def corecursive_functional(u, alpha, norm0=None):
     """Moments of the co-recursive functional, via convolution inverses.
 

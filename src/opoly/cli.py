@@ -24,7 +24,6 @@ from . import serialize
 from .associated import (
     assoc_representation_check,
     associated_functional,
-    associated_polys,
     corecursive_functional,
     corecursive_functional_check,
     inverse_functional_identity_check,
@@ -49,7 +48,7 @@ from .errors import (
     TruncationExhausted,
     ZeroPivot,
 )
-from .orthopoly import smop_from_moments
+from .orthopoly import smop_from_moments, values_and_slopes
 from .poly import X
 from .quadratic import (
     assoc_inverse_factorization_check,
@@ -58,7 +57,7 @@ from .quadratic import (
     quadratic_factorization,
     quadratic_factorization_check,
 )
-from .rational import parse_rational, rat, rat_str
+from .rational import Rational, parse_rational, rat, rat_str
 from .reports import CheckReport
 from .stieltjes import (
     first_kind_series_check,
@@ -505,29 +504,30 @@ def _factor_columns(lower, upper, transformed):
 
 
 # the library route of each family table (`families.Table`), by its name:
-# route(kernel, rc, system, table) gives one column of (n, value) per
-# closed form of the table, from u's inverse kernel to depth order/2 - 1
-# and u's recurrence and SMOP to depth order/2
+# route(kernel, rc, table) gives one column of (n, value) per closed form
+# of the table, from u's inverse kernel to depth order/2 - 1 and u's
+# recurrence to depth order/2
 ROUTES = {
-    "b-minus-table": lambda kernel, rc, system, table: [enumerate(kernel.recurrence.b)],
-    "a-minus-table": lambda kernel, rc, system, table: [enumerate(kernel.recurrence.a, 1)],
-    "d-star-table": lambda kernel, rc, system, table: [kernel.d_star.items()],
-    "alpha1-table": lambda kernel, rc, system, table: [kernel.alpha1.items()],
-    "alpha2-table": lambda kernel, rc, system, table: [kernel.alpha2.items()],
-    "kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
+    "b-minus-table": lambda kernel, rc, table: [enumerate(kernel.recurrence.b)],
+    "a-minus-table": lambda kernel, rc, table: [enumerate(kernel.recurrence.a, 1)],
+    "d-star-table": lambda kernel, rc, table: [kernel.d_star.items()],
+    "alpha1-table": lambda kernel, rc, table: [kernel.alpha1.items()],
+    "alpha2-table": lambda kernel, rc, table: [kernel.alpha2.items()],
+    "kernel-step-table": lambda kernel, rc, table: _factor_columns(
         *christoffel_lu(rc, *table.params)
     ),
-    "inverse-kernel-step-table": lambda kernel, rc, system, table: _factor_columns(
+    "inverse-kernel-step-table": lambda kernel, rc, table: _factor_columns(
         *geronimus_ul(rc, *table.params)
     ),
-    "value-at-zero-table": lambda kernel, rc, system, table: [
-        enumerate(p(0) for p in system.polys),
-        enumerate(p.derivative()(0) for p in system.polys),
-    ],
-    "assoc-value-at-zero-table": lambda kernel, rc, system, table: [
-        enumerate(p(0) for p in associated_polys(rc, 1, rc.length - 1))
-    ],
+    "value-at-zero-table": lambda kernel, rc, table: _values_at_zero(rc),
+    "assoc-value-at-zero-table": lambda kernel, rc, table: _values_at_zero(rc.shifted(1))[:1],
 }
+
+
+def _values_at_zero(rc):
+    """The columns P_m(0) and P_m'(0), m = 0..rc.length, of rc's SMOP."""
+    p, dp, den = values_and_slopes(rc, 0, rc.length)
+    return [enumerate(map(Rational, p, den)), enumerate(map(Rational, dp, den))]
 
 
 def family_reproduction(name, alpha, order):
@@ -536,9 +536,9 @@ def family_reproduction(name, alpha, order):
     u = build_family(name, alpha, order)
     # one kernel gives the inverse tables; their closed forms check it
     kernel = inverse_kernel(u, order // 2 - 1)
-    rc, system = smop_from_moments(u, order // 2)
+    rc, _ = smop_from_moments(u, order // 2)
     checks = [
-        _table_check(table, ROUTES[table.name](kernel, rc, system, table))
+        _table_check(table, ROUTES[table.name](kernel, rc, table))
         for table in families.FAMILIES[name].tables(alpha)
     ]
     payload = {

@@ -3,19 +3,19 @@
 Multiplying by (x - c) and then passing to the first associated sequence
 is, up to a co-recursive perturbation, the same as doing those steps in
 the other order; dividing by (x - c) has a mirror-image story.  Each
-statement below is checked along two independently computed routes.
-The two chains compute what their checks share once: (x - c) u, the
-combination SMOP, the kernel sequence and the UL elimination, and each
-functional's recurrence at the deepest depth a check reads.
+statement below is checked along two independently computed routes, on
+recurrences and Jacobi matrices rather than built polynomials.  Two
+families that obey the same rows from n = 1 on agree once their members
+0 and 1 do (pro5, S-corecursive), and a two-term connection between two
+families is the band identity J_A M = M J_B on their Jacobi matrices
+(gero1, gero2 and the connection check; `matrices.connection_level`).
+The two chains compute what their checks share once: (x - c) u, the UL
+elimination, and each functional's recurrence at the deepest depth a
+check reads.
 """
 
 from . import functional as fa
-from .associated import (
-    associated_functional,
-    associated_polys,
-    corecursive_functional,
-    corecursive_polys,
-)
+from .associated import associated_functional, corecursive_functional
 from .darboux import christoffel_lu, geronimus_ul
 from .errors import (
     DegenerateParameter,
@@ -24,7 +24,9 @@ from .errors import (
     ZeroPivot,
 )
 from .matrices import (
+    UnitLowerBidiagonal,
     UpperBidiagonal,
+    connection_level,
     first_block_mismatch,
     mat_multiply,
     shift_cols_left,
@@ -32,35 +34,15 @@ from .matrices import (
     shifted,
 )
 from .orthopoly import (
+    RecurrenceCoefficients,
     _read_deepest,
     first_moment_off,
     jacobi_matrix,
-    polys_from_recurrence,
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import ONE_POLY, Polynomial, X, _combine
 from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
-
-
-def christoffel_assoc_polys(u, c, n_max):
-    """The SMOP of the associated-then-perturbed route.
-
-    R_n = (u_0/utilde_0) [(x - c) P^(1)_n - P_{n+1}], with
-    utilde_0 = u_1 - c u_0 the first transformed moment.  Monic of
-    degree n by construction of the prefactor.
-    """
-    c = rat(c)
-    scale = u.moment(0) / _tilde_first(u, c)
-    rc, _ = smop_from_moments(u, n_max + 1)
-    base = polys_from_recurrence(rc, n_max + 1)
-    first = associated_polys(rc, 1, n_max)
-    shift, minus = X - c, -scale
-    return tuple(
-        Polynomial.from_integers(*_combine([(scale, first[n], shift), (minus, base[n + 1])]))
-        for n in range(n_max + 1)
-    )
 
 
 def corecursive_parameter(u, c):
@@ -83,7 +65,7 @@ def _tilde_first(u, c):
 def _christoffel(u, c):
     """(x - c) u, once its first moment is known not to vanish."""
     _tilde_first(u, c)
-    return fa.multiply_poly(u, X - c)
+    return fa.multiply_poly(u, (-c, ONE))
 
 
 def _block_report(name, left, right, block):
@@ -94,43 +76,80 @@ def _block_report(name, left, right, block):
     )
 
 
+def _jacobi(rc, size):
+    """The Jacobi matrix of rc at a size up to rc.length + 1: a row past rc
+    is zero, and a connection compares only rows that do not read it."""
+    pad = (ZERO,)
+    return jacobi_matrix(RecurrenceCoefficients(rc.b + pad, rc.a + pad), size)
+
+
+def _level_report(name, n_max, level, c, **passing):
+    """The record of a check that names the first failing level, or None."""
+    if level is None:
+        return CheckReport.passing(name, n_max, c=str(c), **passing)
+    return CheckReport.failing(name, n_max, {"level": level}, c=str(c))
+
+
+def _kernel_step_level(j_a, diag, rc_b, c, n_max):
+    """The first of levels 1..n_max where (x - c) A_{n-1} = B_n + diag[n-1] B_{n-1}
+    fails, or None, for A with Jacobi matrix j_a and B the SMOP of rc_b.
+
+    Level 1, x - c = B_1 + diag[0], holds when diag[0] = b_0 - c of rc_b.
+    Then (x - c) A = U B, U with diagonal `diag` and a unit superdiagonal,
+    decides levels 2..n_max on the rows of J_A U = U J_B (`connection_level`).
+    """
+    if diag[0] != rc_b.b[0] - c:
+        return 1
+    upper = UpperBidiagonal(n_max, diag).to_band()
+    level = connection_level(j_a, upper, jacobi_matrix(rc_b, n_max), n_max - 1)
+    return None if level is None else level + 1
+
+
 def christoffel_assoc_check(u, c, n_max):
     """Identity "pro5": the kernel-combination SMOP is co-recursive for u^(1)."""
     c = rat(c)
-    return _pro5(u, c, n_max, christoffel_assoc_polys(u, c, n_max))
-
-
-def _pro5(u, c, n_max, direct):
-    alpha = corecursive_parameter(u, c)
+    scale = u.moment(0) / _tilde_first(u, c)
     rc, _ = smop_from_moments(u, n_max + 1)
-    routed = corecursive_polys(rc.shifted(1), alpha, n_max)
-    for n in range(n_max + 1):
-        if direct[n] != routed[n]:
-            return CheckReport.failing(
-                "pro5", n_max, {"level": n}, c=str(c), alpha=str(alpha)
-            )
-    return CheckReport.passing("pro5", n_max, c=str(c), alpha=str(alpha))
+    return _pro5(c, corecursive_parameter(u, c), n_max, rc, scale)
 
 
-def _connection(u, c, n_max, combo, tilde_u):
-    """Kernel-step connection for the combination SMOP:
-    (x - c) Ptilde^(1)_{n-1} = R_n - (P_{n+1}(c)/P_n(c)) R_{n-1},
-    with Ptilde^(1) built independently from the transformed moments."""
-    rc, _ = smop_from_moments(u, n_max + 1)
+def _pro5(c, alpha, n_max, rc, scale):
+    """pro5: R_n = scale [(x - c) P^(1)_n - P_{n+1}], n = 0..n_max, with
+    scale = u_0/utilde_0 and P from u's recurrence rc, is the SMOP of
+    u^(1) with b_0 moved by alpha.
+
+    R_0 = scale (b_0 - c), and with R_0 = 1, R_1 = x - b_1 + scale a_1.
+    From n = 1 on R obeys u^(1)'s rows, as P^(1)_n and P_{n+1} do, and so
+    does the perturbed SMOP, so they agree once levels 0 and 1 do.
+    """
+    if scale * (rc.b[0] - c) != 1:
+        level = 0
+    elif n_max >= 1 and -scale * rc.a[0] != alpha:
+        level = 1
+    else:
+        return CheckReport.passing("pro5", n_max, c=str(c), alpha=str(alpha))
+    return CheckReport.failing("pro5", n_max, {"level": level}, c=str(c), alpha=str(alpha))
+
+
+def _connection(c, n_max, rc, scale, tilde_rc):
+    """Kernel-step connection for R (`_pro5`):
+    (x - c) Ptilde^(1)_{n-1} = R_n + beta_n R_{n-1}, with beta_n =
+    -P_{n+1}(c)/P_n(c) from the values at c of u's recurrence and
+    Ptilde^(1) from tilde_rc, the recurrence of the transformed moments.
+    With R_0 = 1, R is the SMOP of its formula's recurrence: u^(1)'s
+    with b_0 = b_1 - scale a_1 (`_kernel_step_level`).  Level 1
+    also certifies R_0 = scale (b_0 - c) = 1: beta_1 = b_1 - c +
+    a_1/(c - b_0), so beta_1 = b_1 - scale a_1 - c exactly then (a_1 != 0).
+    """
     p, _, den = values_and_slopes(rc, c, n_max + 1)
-    tilde_rc, _ = smop_from_moments(tilde_u, n_max)
-    tilde_first = associated_polys(tilde_rc, 1, n_max - 1)
-    shift = X - c
-    for n in range(1, n_max + 1):
-        if p[n] == 0:
-            raise ZeroPivot(n)
-        ratio = Rational(p[n + 1] * den[n], den[n + 1] * p[n])
-        terms = [(1, tilde_first[n - 1], shift), (-1, combo[n]), (ratio, combo[n - 1])]
-        if any(_combine(terms)[0]):
-            return CheckReport.failing(
-                "christoffel-assoc-connection", n_max, {"level": n}, c=str(c)
-            )
-    return CheckReport.passing("christoffel-assoc-connection", n_max, c=str(c))
+    # a tilde_rc too short to shift is reported ahead of a vanishing P_n(c)
+    j_tilde = _jacobi(tilde_rc.shifted(1), n_max)
+    if 0 in p[1 : n_max + 1]:
+        raise ZeroPivot(p.index(0, 1))
+    betas = [Rational(-p[n + 1] * den[n], den[n + 1] * p[n]) for n in range(1, n_max + 1)]
+    j_r = rc.shifted(1).corecursive(-scale * rc.a[0])
+    level = _kernel_step_level(j_tilde, betas, j_r, c, n_max)
+    return _level_report("christoffel-assoc-connection", n_max, level, c)
 
 
 def christoffel_assoc_functional_check(u, c):
@@ -229,34 +248,18 @@ def _nonzero_mass(m0):
     return m0
 
 
-def geronimus_assoc_polys(v, m0, n_max):
-    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
-    m0 = _nonzero_mass(m0)
-    ratio = v.moment(0) / m0
-    rc, _ = smop_from_moments(v, n_max + 1)
-    base = polys_from_recurrence(rc, n_max)
-    first = associated_polys(rc, 1, n_max - 1)
-    return (ONE_POLY,) + tuple(
-        Polynomial.from_integers(*_combine([(1, base[n]), (ratio, first[n - 1])]))
-        for n in range(1, n_max + 1)
-    )
+def _s_corecursive(v, m0, n_max, rc, alpha):
+    """The kernel sequence S_n = P_n + (v_0/m0) P^(1)_{n-1} is co-recursive
+    of parameter alpha for v itself, as polynomials and as functionals.
 
-
-def _s_corecursive(v, m0, n_max, direct):
-    """The kernel sequence is co-recursive of parameter -v_0/m0 for v itself.
-
-    Checked as polynomials (two routes) and as functionals: the convolution
-    route through v^{-1} - (1/m0) delta_0' must have the perturbed
-    recurrence, normalized, on the 2 * n_max + 1 moments it fixes.
+    S_0 = 1, and from n = 1 on S obeys v's rows, as P_n and P^(1)_{n-1}
+    do, and so does the perturbed SMOP, so they agree once S_1 =
+    x - b_0 + v_0/m0 is x - b_0 - alpha.  The convolution route through
+    v^{-1} - (1/m0) delta_0' must have the perturbed recurrence,
+    normalized, on the 2 * n_max + 1 moments it fixes.
     """
-    alpha = -v.moment(0) / m0
-    rc, _ = smop_from_moments(v, n_max + 1)
-    routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
-    for n in range(n_max + 1):
-        if direct[n] != routed[n]:
-            return CheckReport.failing(
-                "S-corecursive", n_max, {"level": n, "route": "polynomial"}
-            )
+    if n_max >= 1 and v.moment(0) / m0 != -alpha:
+        return CheckReport.failing("S-corecursive", n_max, {"level": 1, "route": "polynomial"})
     k = first_moment_off(corecursive_functional(v, alpha), rc.corecursive(alpha), 2 * n_max + 1)
     if k is not None:
         return CheckReport.failing("S-corecursive", n_max, {"route": "functional", "moment": k})
@@ -266,55 +269,54 @@ def _s_corecursive(v, m0, n_max, direct):
 def _hat_first(v, c, m0, size):
     """Factorization route to the transformed functional's associated SMOP.
 
-    Returns (rc, lower, upper, hat_rc): v's recurrence and the UL
-    elimination at size + 1.
+    Returns (rc, alpha, lower, upper, hat_rc): v's recurrence, the
+    co-recursive parameter -v_0/m0 and the UL elimination at size + 1.
     """
     v0 = v.moment(0)
     rc, _ = smop_from_moments(v, size + 1)
-    return (rc, *geronimus_ul(rc, rat(c), v0 / _nonzero_mass(m0)))
+    m0 = _nonzero_mass(m0)
+    return (rc, -v0 / m0, *geronimus_ul(rc, rat(c), v0 / m0))
 
 
 def geronimus_assoc_connection_check(v, c, m0, n_max):
     """Identity "gero1": (x - c) Phat^(1)_{n-1} = S_n + ell_n S_{n-1}.
 
     Phat^(1) comes from the shifted transformed recurrence (factorization
-    route), the ell_n from the elimination, and S from the kernel
-    formula, so the three ingredients are independently produced.
+    route), the ell_n from the elimination, and S, the SMOP of v's
+    recurrence with b_0 moved by alpha (`_s_corecursive`), from the
+    kernel formula, so the three ingredients are independently produced.
     """
     c = rat(c)
-    _, lower, _, hat_rc = _hat_first(v, c, m0, n_max)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
-    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
-    return _gero1(c, m0, n_max, lower, hat_first, s_polys)
+    rc, alpha, lower, _, hat_rc = _hat_first(v, c, m0, n_max)
+    return _gero1(c, m0, n_max, rc, alpha, lower, hat_rc)
 
 
-def _gero1(c, m0, n_max, lower, hat_first, s_polys):
-    """gero1 on Phat^(1)_0..Phat^(1)_{n_max - 1}, read off a prefix of hat_first."""
-    shift, sub = X - c, lower.sub
-    for n in range(1, n_max + 1):
-        terms = [(-1, hat_first[n - 1], shift), (1, s_polys[n]), (sub[n - 1], s_polys[n - 1])]
-        if any(_combine(terms)[0]):
-            return CheckReport.failing("gero1", n_max, {"level": n}, c=str(c))
-    return CheckReport.passing("gero1", n_max, c=str(c), m0=str(rat(m0)))
+def _gero1(c, m0, n_max, rc, alpha, lower, hat_rc):
+    j_hat = _jacobi(hat_rc.shifted(1), n_max)
+    level = _kernel_step_level(j_hat, lower.sub, rc.corecursive(alpha), c, n_max)
+    return _level_report("gero1", n_max, level, c, m0=str(rat(m0)))
 
 
 def geronimus_assoc_second_check(v, c, m0, n_max):
-    """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
+    """Identity "gero2": S_n = Phat^(1)_n + beta_n Phat^(1)_{n-1}.
+
+    S = M Phat^(1), M unit lower bidiagonal with beta_1..beta_{n_max}
+    below the diagonal; S_0 = Phat^(1)_0 = 1, so the rows of
+    J_alpha M = M Jhat^(1) decide levels 1..n_max (`connection_level`).
+    """
     c = rat(c)
-    _, _, upper, hat_rc = _hat_first(v, c, m0, n_max)
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
-    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
-    return _gero2(c, m0, n_max, upper, hat_first, s_polys)
+    rc, alpha, _, upper, hat_rc = _hat_first(v, c, m0, n_max)
+    return _gero2(c, m0, n_max, rc, alpha, upper, hat_rc)
 
 
-def _gero2(c, m0, n_max, upper, hat_first, s_polys):
-    for n in range(n_max + 1):
-        terms = [(-1, s_polys[n]), (1, hat_first[n])]
-        if n >= 1:
-            terms.append((upper.diag[n], hat_first[n - 1]))
-        if any(_combine(terms)[0]):
-            return CheckReport.failing("gero2", n_max, {"level": n}, c=str(c))
-    return CheckReport.passing("gero2", n_max, c=str(c), m0=str(rat(m0)))
+def _gero2(c, m0, n_max, rc, alpha, upper, hat_rc):
+    level = connection_level(
+        jacobi_matrix(rc.corecursive(alpha), n_max + 1),
+        UnitLowerBidiagonal(n_max + 1, upper.diag[1:]).to_band(),
+        _jacobi(hat_rc.shifted(1), n_max + 1),
+        n_max,
+    )
+    return _level_report("gero2", n_max, level, c, m0=str(rat(m0)))
 
 
 def geronimus_assoc_factor_check(v, c, m0, size):
@@ -335,8 +337,7 @@ def geronimus_assoc_factor_check(v, c, m0, size):
 
 
 def _pro6(v, c, m0, size, hat):
-    rc, lower, upper, hat_rc = hat
-    alpha = -v.moment(0) / m0
+    rc, alpha, lower, upper, hat_rc = hat
     reports = []
     # (i) normalized moment identity, on the 2 * size - 2 moments of
     # (x - c) v_alpha that the perturbed recurrence fixes
@@ -377,17 +378,21 @@ def christoffel_assoc_chain(u, c, n_max):
 
     u and (x - c) u run the Chebyshev algorithm once each, at the deepest
     depth a check reads (coro1's order/2 and order/2 - 1, the others'
-    n_max + 1 and n_max), and pro5 and the connection check share R_n.
+    n_max + 1 and n_max); pro5 and the connection check read R off one
+    recurrence of u.
     """
     c = rat(c)
     tilde_u = _christoffel(u, c)
     depth = u.order // 2
     _read_deepest(u, depth)
     _read_deepest(tilde_u, max(n_max, depth - 1))
-    combo = christoffel_assoc_polys(u, c, n_max)
+    scale = u.moment(0) / _tilde_first(u, c)
+    rc, _ = smop_from_moments(u, n_max + 1)
+    alpha = corecursive_parameter(u, c)
+    tilde_rc, _ = smop_from_moments(tilde_u, n_max)
     return [
-        _pro5(u, c, n_max, combo),
-        _connection(u, c, n_max, combo, tilde_u),
+        _pro5(c, alpha, n_max, rc, scale),
+        _connection(c, n_max, rc, scale, tilde_rc),
         _coro1(u, c, tilde_u),
         shifted_factor_check(u, c, n_max),
     ]
@@ -396,20 +401,17 @@ def christoffel_assoc_chain(u, c, n_max):
 def geronimus_assoc_chain(v, c, m0, n_max):
     """All division-side interplay checks, bundled, over one recurrence of v.
 
-    S is built once, the UL elimination once, for pro6 too, and
-    Phat^(1)_0..Phat^(1)_{n_max} once, for gero1 and gero2.  S tests the
-    mass before it reads the recurrence, so a zero m0 is reported ahead
+    The UL elimination runs once, for gero1, gero2 and pro6.  The mass is
+    tested before the recurrence is read, so a zero m0 is reported ahead
     of a vanishing Hankel minor.
     """
-    s_polys = geronimus_assoc_polys(v, m0, n_max)
-    m0 = rat(m0)
-    reports = [_s_corecursive(v, m0, n_max, s_polys)]
+    m0 = _nonzero_mass(m0)
     c = rat(c)
     hat = _hat_first(v, c, m0, n_max)
-    _, lower, upper, hat_rc = hat
-    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
-    reports += [
-        _gero1(c, m0, n_max, lower, hat_first, s_polys),
-        _gero2(c, m0, n_max, upper, hat_first, s_polys),
+    rc, alpha, lower, upper, hat_rc = hat
+    return [
+        _s_corecursive(v, m0, n_max, rc, alpha),
+        _gero1(c, m0, n_max, rc, alpha, lower, hat_rc),
+        _gero2(c, m0, n_max, rc, alpha, upper, hat_rc),
+        _pro6(v, c, m0, n_max, hat),
     ]
-    return reports + [_pro6(v, c, m0, n_max, hat)]

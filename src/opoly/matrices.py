@@ -4,7 +4,7 @@ Every matrix here is a finite truncation of a semi-infinite operator,
 stored by its diagonals.  Trailing rows and columns of a product or a
 one-sided shift may disagree with the untruncated operator; each check
 names the leading block or rows that its truncations leave exact and
-compares only those (`first_block_mismatch`, `first_row_mismatch`).
+compares only those (`first_block_mismatch`, `connection_level`).
 
 The kernels follow the storage.  A product convolves the stored
 diagonals: diagonal p of the left factor meets diagonal q of the right
@@ -25,7 +25,8 @@ class BandMatrix:
 
     `diagonals` maps an offset d (positive above the main diagonal) to the
     entries of that diagonal, indexed by min(row, column).  All-zero
-    diagonals are dropped, so the bandwidths reflect actual support.
+    diagonals, the empty one at offset +-size among them, are dropped, so
+    the bandwidths reflect actual support.
     """
 
     __slots__ = ("size", "diagonals")
@@ -35,7 +36,7 @@ class BandMatrix:
             raise ValueError("matrix size must be positive")
         clean = {}
         for d, entries in diagonals.items():
-            if abs(d) >= size:
+            if abs(d) > size:
                 raise ValueError("diagonal offset %d out of range for size %d" % (d, size))
             entries = tuple(rat(x) for x in entries)
             if len(entries) != size - abs(d):
@@ -224,13 +225,19 @@ def first_block_mismatch(a, b, k):
     return min((t + abs(d) + 1 for d, t in diffs), default=None)
 
 
-def first_row_mismatch(a, b, rows):
-    """The first of the leading `rows` rows (all columns) where a and b differ, or None.
+def connection_level(j_a, m, j_b, rows):
+    """The first level at which a connection A = M B fails, read off the
+    leading `rows` rows of J_A M - M J_B, or None.
 
-    Entry t of diagonal d lies in row t + max(-d, 0).
+    With x A = J_A A and x B = J_B B, once A = M B holds up to level n,
+    A_{n+1} - (M B)_{n+1} is row n of M J_B - J_A M applied to B (shifting
+    both Jacobi matrices by c leaves it unchanged), so when level 0
+    holds, the first nonzero row n names level n + 1.  Entry t of
+    diagonal d lies in row t + max(-d, 0).
     """
+    a, b = mat_multiply(j_a, m), mat_multiply(m, j_b)
     diffs = _first_differences(a, b, lambda d: min(rows - max(-d, 0), a.size - abs(d)))
-    return min((t + max(-d, 0) for d, t in diffs), default=None)
+    return min((t + max(-d, 0) + 1 for d, t in diffs), default=None)
 
 
 class UnitLowerBidiagonal:
@@ -283,9 +290,7 @@ class UnitLowerTriband:
         self.size = size
 
     def to_band(self):
-        # the second subdiagonal fits from size 3 on
-        second = {-2: self.sub2} if self.size > 2 else {}
-        return BandMatrix(self.size, {0: (ONE,) * self.size, -1: self.sub1, **second})
+        return BandMatrix(self.size, {0: (ONE,) * self.size, -1: self.sub1, -2: self.sub2})
 
 
 class UpperTriband:
@@ -301,6 +306,4 @@ class UpperTriband:
         self.size = size
 
     def to_band(self):
-        # the second superdiagonal fits from size 3 on
-        second = {2: (ONE,) * (self.size - 2)} if self.size > 2 else {}
-        return BandMatrix(self.size, {0: self.diag, 1: self.super1, **second})
+        return BandMatrix(self.size, {0: self.diag, 1: self.super1, 2: (ONE,) * (self.size - 2)})

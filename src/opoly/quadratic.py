@@ -17,8 +17,8 @@ from .errors import DegenerateParameter, ZeroFirstMoment
 from .matrices import (
     UnitLowerTriband,
     UpperTriband,
+    connection_level,
     first_block_mismatch,
-    first_row_mismatch,
     mat_multiply,
     mat_power,
     shifted,
@@ -125,15 +125,12 @@ def quadratic_factorization(u, c, m0, m1, size):
 def _connection_failure(j, j_hat, lower, upper):
     """Where Q = L P or (x - c)^2 P = U Q first fails, as a record, or None.
 
-    Once a connection A = M B, with x A = J_A A and x B = J_B B, holds up
-    to level n, A_{n+1} - (M B)_{n+1} is row n of J_A M - M J_B applied
-    to B (a shift by c cancels), so with level 0 holding, the first
-    nonzero row n names level n + 1.
+    Q = L P is Jhat L = L J on the leading size - 1 rows, the exact ones
+    (`connection_level`); level 0, Q_0 = P_0, holds by construction.
     """
-    l_band = lower.to_band()
-    row = first_row_mismatch(mat_multiply(j_hat, l_band), mat_multiply(l_band, j), lower.size - 1)
-    if row is not None:
-        return {"part": "Q = L P", "level": row + 1}
+    level = connection_level(j_hat, lower.to_band(), j, lower.size - 1)
+    if level is not None:
+        return {"part": "Q = L P", "level": level}
     return _upper_failure(j, j_hat, upper, part="(x - c)^2 P = U Q")
 
 
@@ -147,9 +144,8 @@ def _upper_failure(j, j_hat, upper, **part):
     b0, b1, a1 = j_hat.entry(0, 0), j_hat.entry(1, 1), j_hat.entry(1, 0)
     if (upper.super1[0], upper.diag[0]) != (b0 + b1, b0 * b0 + a1):
         return {**part, "level": 0}
-    u_band = upper.to_band()
-    row = first_row_mismatch(mat_multiply(j, u_band), mat_multiply(u_band, j_hat), upper.size - 2)
-    return None if row is None else {**part, "level": row + 1}
+    level = connection_level(j, upper.to_band(), j_hat, upper.size - 2)
+    return None if level is None else {**part, "level": level}
 
 
 def _squares_failure(parts, left, right, lower, upper):

@@ -12,8 +12,11 @@ block comparison of the matrices, the series product, the product of a
 functional by a polynomial and the divided difference; forward
 substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
 no longer builds; the monomial route of propLUinversa's and conex2's
-polynomial identities, degree by degree on built P's and Q's, that
-their band identities replaced; a band matrix built from an entry function
+polynomial identities, degree by degree on built P's and Q's, and of
+the degree-one interplay checks (pro5, the christoffel+assoc
+connection, S-corecursive, gero1 and gero2) on built R's, S's and
+associated and co-recursive polynomials, that their recurrence and
+band forms replaced; a band matrix built from an entry function
 (`band_from_entries`), which only the tests need; and two statements
 that follow from registered identities, asserted directly: the
 co-recursive subtraction formula and the cleared continued fraction;
@@ -26,7 +29,7 @@ import sys
 from pathlib import Path
 
 from opoly import functional as fa
-from opoly.associated import Division, associated_polys
+from opoly.associated import Division, associated_polys, corecursive_functional
 from opoly.cli import main
 from opoly.errors import (
     DegenerateParameter,
@@ -44,6 +47,7 @@ from opoly.matrices import (
 )
 from opoly.orthopoly import (
     RecurrenceCoefficients,
+    first_moment_off,
     jacobi_matrix,
     moments_from_jacobi,
     polys_from_recurrence,
@@ -52,6 +56,7 @@ from opoly.orthopoly import (
 from opoly.poly import ONE_POLY, Polynomial, X, _combine, wronskian
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
+from opoly.reports import CheckReport
 from opoly.series import (
     LaurentSeries,
     first_series_mismatch,
@@ -296,6 +301,11 @@ def fraction_wronskian(p, q, c):
     pc, dpc = fraction_derivatives_at(p, c, 1)
     qc, dqc = fraction_derivatives_at(q, c, 1)
     return pc * dqc - dpc * qc
+
+
+def corecursive_polys(rc, alpha, n_max):
+    """The SMOP of rc with b_0 perturbed by alpha, built."""
+    return polys_from_recurrence(rc.corecursive(alpha), n_max)
 
 
 def corecursive_by_subtraction(rc, alpha, n_max):
@@ -631,3 +641,109 @@ def quadratic_kernel_reference(rc, w0, c, m0, m1, s, t, n_max):
     bs = [m1 / m0] + [rc.b[n] + alpha1[n] - alpha1[n + 1] for n in range(1, n_max)]
     a_s = [norms[n] / norms[n - 1] for n in range(1, n_max)]
     return Division(alpha1, alpha2, d_star, RecurrenceCoefficients(bs, a_s), norms, base_norms)
+
+
+def combination_polys_reference(rc, scale, c, n_max):
+    """R_n = scale [(x - c) P^(1)_n - P_{n+1}], n = 0..n_max, built from rc."""
+    base = polys_from_recurrence(rc, n_max + 1)
+    first = associated_polys(rc, 1, n_max)
+    shift, minus = X - c, -scale
+    return tuple(
+        Polynomial.from_integers(*_combine([(scale, first[n], shift), (minus, base[n + 1])]))
+        for n in range(n_max + 1)
+    )
+
+
+def christoffel_assoc_polys(u, c, n_max):
+    """The SMOP of the associated-then-perturbed route, R_n with scale
+    u_0/utilde_0, utilde_0 = u_1 - c u_0 the first transformed moment."""
+    c = rat(c)
+    tilde0 = u.moment(1) - c * u.moment(0)
+    if tilde0 == 0:
+        raise NotQuasiDefinite(0, guard="norm")
+    rc, _ = smop_from_moments(u, n_max + 1)
+    return combination_polys_reference(rc, u.moment(0) / tilde0, c, n_max)
+
+
+def kernel_sequence_reference(rc, ratio, n_max):
+    """S_n = P_n + ratio P^(1)_{n-1}, n = 0..n_max, built from rc."""
+    base = polys_from_recurrence(rc, n_max)
+    first = associated_polys(rc, 1, n_max - 1)
+    return (ONE_POLY,) + tuple(
+        Polynomial.from_integers(*_combine([(1, base[n]), (ratio, first[n - 1])]))
+        for n in range(1, n_max + 1)
+    )
+
+
+def geronimus_assoc_polys(v, m0, n_max):
+    """S_n = P_n + (v_0/m0) P^(1)_{n-1}: the kernel sequence of the division step."""
+    m0 = rat(m0)
+    if m0 == 0:
+        raise DegenerateParameter("the transformed functional needs a nonzero mass m0")
+    rc, _ = smop_from_moments(v, n_max + 1)
+    return kernel_sequence_reference(rc, v.moment(0) / m0, n_max)
+
+
+def pro5_reference(c, alpha, n_max, rc, scale):
+    """pro5 degree by degree: built R_n against the co-recursive polynomials of u^(1)."""
+    direct = combination_polys_reference(rc, scale, c, n_max)
+    routed = corecursive_polys(rc.shifted(1), alpha, n_max)
+    for n in range(n_max + 1):
+        if direct[n] != routed[n]:
+            return CheckReport.failing("pro5", n_max, {"level": n}, c=str(c), alpha=str(alpha))
+    return CheckReport.passing("pro5", n_max, c=str(c), alpha=str(alpha))
+
+
+def connection_reference(c, n_max, rc, scale, tilde_rc):
+    """The christoffel+assoc connection degree by degree, with the ratios
+    P_{n+1}(c)/P_n(c) evaluated on built P's."""
+    base = polys_from_recurrence(rc, n_max + 1)
+    tilde_first = associated_polys(tilde_rc, 1, n_max - 1)
+    combo = combination_polys_reference(rc, scale, c, n_max)
+    for n in range(1, n_max + 1):
+        if base[n](c) == 0:
+            raise ZeroPivot(n)
+        ratio = base[n + 1](c) / base[n](c)
+        terms = [(1, tilde_first[n - 1], X - c), (-1, combo[n]), (ratio, combo[n - 1])]
+        if any(_combine(terms)[0]):
+            return CheckReport.failing(
+                "christoffel-assoc-connection", n_max, {"level": n}, c=str(c)
+            )
+    return CheckReport.passing("christoffel-assoc-connection", n_max, c=str(c))
+
+
+def s_corecursive_reference(v, m0, n_max, rc, alpha):
+    """S-corecursive with its polynomial part degree by degree on built S's."""
+    direct = kernel_sequence_reference(rc, v.moment(0) / m0, n_max)
+    routed = corecursive_polys(rc.truncated(n_max), alpha, n_max)
+    for n in range(n_max + 1):
+        if direct[n] != routed[n]:
+            return CheckReport.failing("S-corecursive", n_max, {"level": n, "route": "polynomial"})
+    k = first_moment_off(corecursive_functional(v, alpha), rc.corecursive(alpha), 2 * n_max + 1)
+    if k is not None:
+        return CheckReport.failing("S-corecursive", n_max, {"route": "functional", "moment": k})
+    return CheckReport.passing("S-corecursive", n_max, alpha=str(alpha))
+
+
+def gero1_reference(c, m0, n_max, rc, alpha, lower, hat_rc):
+    """gero1 degree by degree: (x - c) Phat^(1)_{n-1} against S_n + ell_n S_{n-1}."""
+    s_polys = kernel_sequence_reference(rc, -alpha, n_max)
+    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max - 1)
+    for n in range(1, n_max + 1):
+        terms = [(-1, hat_first[n - 1], X - c), (1, s_polys[n]), (lower.sub[n - 1], s_polys[n - 1])]
+        if any(_combine(terms)[0]):
+            return CheckReport.failing("gero1", n_max, {"level": n}, c=str(c))
+    return CheckReport.passing("gero1", n_max, c=str(c), m0=str(rat(m0)))
+
+
+def gero2_reference(c, m0, n_max, rc, alpha, upper, hat_rc):
+    """gero2 degree by degree: S_n against Phat^(1)_n + beta_n Phat^(1)_{n-1}."""
+    s_polys = kernel_sequence_reference(rc, -alpha, n_max)
+    hat_first = polys_from_recurrence(hat_rc.shifted(1), n_max)
+    for n in range(n_max + 1):
+        terms = [(-1, s_polys[n]), (1, hat_first[n])]
+        if n >= 1:
+            terms.append((upper.diag[n], hat_first[n - 1]))
+        if any(_combine(terms)[0]):
+            return CheckReport.failing("gero2", n_max, {"level": n}, c=str(c))
+    return CheckReport.passing("gero2", n_max, c=str(c), m0=str(rat(m0)))

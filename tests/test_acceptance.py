@@ -10,14 +10,18 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import continued_fraction_mismatch, corecursive_by_subtraction, linear_power
+from conftest import (
+    continued_fraction_mismatch,
+    corecursive_by_subtraction,
+    corecursive_polys,
+    linear_power,
+)
 from opoly import families
 from opoly import functional as fa
 from opoly import serialize
 from opoly.associated import (
     associated_polys,
     corecursive_functional_check,
-    corecursive_polys,
     inverse_connection,
     inverse_recurrence,
     inverse_smop,

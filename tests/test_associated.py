@@ -1,7 +1,7 @@
 """Associated sequences, co-recursive perturbations, and the inverse-functional SMOP."""
 
 import pytest
-from conftest import corecursive_by_subtraction
+from conftest import corecursive_by_subtraction, corecursive_polys
 
 from opoly import families
 from opoly import functional as fa
@@ -11,7 +11,6 @@ from opoly.associated import (
     associated_polys,
     corecursive_functional,
     corecursive_functional_check,
-    corecursive_polys,
     divided_difference,
     inverse_connection,
     inverse_functional_identity_check,

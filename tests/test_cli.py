@@ -841,6 +841,13 @@ def test_example_checks_every_table_of_the_family(name):
     assert [check["identity"] for check in payload["checks"]] == [t.name for t in tables]
 
 
+def test_example_value_tables_read_every_polynomial_of_the_recurrence():
+    # P_0..P_{order/2} and P^(1)_0..P^(1)_{order/2 - 1}, off the values at 0
+    payload, ok = cli.family_reproduction("laguerre", rat(1, 3), 12)
+    levels = {check["identity"]: check["max_level"] for check in payload["checks"]}
+    assert ok and (levels["value-at-zero-table"], levels["assoc-value-at-zero-table"]) == (6, 5)
+
+
 def test_example_rejects_an_order_without_an_inverse_table(monkeypatch, capsys):
     code, out, err = invoke(monkeypatch, capsys, ["example", "laguerre", "--order", "3"])
     assert code == 2 and out == ""

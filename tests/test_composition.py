@@ -2,29 +2,38 @@
 
 import io
 import sys
-from collections import Counter
 
 import pytest
 
-from conftest import random_functional, with_b1_moved
+from conftest import (
+    christoffel_assoc_polys,
+    connection_reference,
+    gero1_reference,
+    gero2_reference,
+    geronimus_assoc_polys,
+    pro5_reference,
+    random_functional,
+    s_corecursive_reference,
+    with_b1_moved,
+)
 
-from opoly import associated, cli, composition, darboux, families, orthopoly, serialize
+from opoly import cli, composition, darboux, families, orthopoly, serialize
 from opoly import functional as fa
 from opoly.composition import (
     christoffel_assoc_chain,
     christoffel_assoc_check,
     christoffel_assoc_functional_check,
-    christoffel_assoc_polys,
     corecursive_parameter,
     geronimus_assoc_chain,
-    geronimus_assoc_polys,
     geronimus_assoc_connection_check,
     geronimus_assoc_factor_check,
     geronimus_assoc_second_check,
     shifted_factor_check,
 )
-from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
+from opoly.errors import DegenerateParameter, NotQuasiDefinite, OpolyError, ZeroPivot
 from opoly.functional import MomentFunctional
+from opoly.matrices import UnitLowerBidiagonal, UpperBidiagonal
+from opoly.orthopoly import RecurrenceCoefficients, smop_from_moments
 from opoly.poly import X
 from opoly.rational import rat
 
@@ -51,7 +60,7 @@ def test_corecursive_parameter_degenerates_when_the_mass_vanishes():
     # level-0 minor of (x - c) u vanishes, as the Chebyshev algorithm says
     for route in (
         lambda: corecursive_parameter(families.laguerre(0, 8), 2),
-        lambda: christoffel_assoc_polys(families.laguerre(0, 12), 2, 3),
+        lambda: christoffel_assoc_check(families.laguerre(0, 12), 2, 3),
     ):
         with pytest.raises(NotQuasiDefinite) as caught:
             route()
@@ -297,7 +306,7 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
         monkeypatch, orthopoly, "_chebyshev", lambda nums, den, n_max: (nums, den) in read
     )
     products = counting(
-        monkeypatch, fa, "multiply_poly", lambda w, p: w is fresh and p == X - c
+        monkeypatch, fa, "multiply_poly", lambda w, p: w is fresh and tuple(p) == (-c, 1)
     )
     assert [report.to_json() for report in christoffel_assoc_chain(fresh, c, 8)] == want
     assert [n_max for _, _, n_max in runs] == [10, 9]
@@ -307,37 +316,122 @@ def test_the_multiplication_chain_builds_and_reads_each_functional_once(monkeypa
     assert [n_max for _, _, n_max in runs] == [10, 9]
 
 
-def test_the_division_chain_eliminates_and_builds_s_once(monkeypatch):
-    # four polynomial sequences, each built once: P and P^(1) for S, the
-    # co-recursive route, and Phat^(1), which gero1 reads a prefix of
+def refuse_polynomials(monkeypatch):
+    """Make polys_from_recurrence raise under every name that opoly binds it to."""
+
+    def refused(*args):
+        raise AssertionError("polys_from_recurrence was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opoly" and hasattr(module, "polys_from_recurrence"):
+            monkeypatch.setattr(module, "polys_from_recurrence", refused)
+
+
+def test_the_division_chain_eliminates_once_and_builds_no_polynomial(monkeypatch):
+    # the checks compare recurrences and band identities, and gero1, gero2
+    # and pro6 share one UL elimination
     u, c, m0 = random_functional()
     want = [report.to_json() for report in geronimus_assoc_chain(u, c, m0, 8)]
+    refuse_polynomials(monkeypatch)
     eliminations = counting(monkeypatch, composition, "geronimus_ul")
-    s_builds = counting(monkeypatch, composition, "geronimus_assoc_polys")
-    builds = [
-        counting(monkeypatch, module, "polys_from_recurrence")
-        for module in (orthopoly, associated, composition)
-    ]
     fresh = MomentFunctional(u.moments)
     assert [report.to_json() for report in geronimus_assoc_chain(fresh, c, m0, 8)] == want
-    assert len(eliminations) == len(s_builds) == 1
-    made = Counter(call for calls in builds for call in calls)
-    assert sum(made.values()) == len(made) == 4
+    assert len(eliminations) == 1
 
 
-def test_verify_christoffel_assoc_builds_each_polynomial_sequence_once(monkeypatch, capsys):
-    # P_0..P_{n+1} of u is built once, for R_n; the connection check reads
-    # its ratios P_{n+1}(c)/P_n(c) off the values at c instead
-    builds = [
-        counting(monkeypatch, module, "polys_from_recurrence")
-        for module in (orthopoly, associated, composition)
-    ]
+def test_verify_christoffel_assoc_builds_no_polynomial(monkeypatch, capsys):
+    # pro5 and the connection read R off u's recurrence, and the connection
+    # its ratios P_{n+1}(c)/P_n(c) off the values at c
+    refuse_polynomials(monkeypatch)
     argv = ["verify", "christoffel+assoc", "--family", "laguerre", "--c=-1/3", "--n", "8"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    made = Counter(call for calls in builds for call in calls)
-    assert max(made.values()) == 1
-    assert any(n_max == 9 for _, n_max in made)
+
+
+# the inputs on which the recurrence and band forms of the interplay
+# checks must give the records of the monomial route over built polynomials
+BAND_INPUTS = (
+    families.chebyshev_u(24),
+    families.chebyshev_t(24),
+    families.laguerre(1, 24),
+    random_functional()[0],
+)
+C, M0 = rat(1, 3), rat(7, 3)
+
+
+def moved_recurrences(rc):
+    """rc with each entry, b_k then a_k, moved by one."""
+    for k in range(rc.length):
+        b = list(rc.b)
+        b[k] += 1
+        yield RecurrenceCoefficients(b, rc.a)
+    for k in range(rc.length - 1):
+        a = list(rc.a)
+        a[k] += 1
+        yield RecurrenceCoefficients(rc.b, a)
+
+
+def moved_entries(entries):
+    """Tuples of `entries` with one entry moved by one, each in turn."""
+    for k in range(len(entries)):
+        moved = list(entries)
+        moved[k] += 1
+        yield tuple(moved)
+
+
+def outcome(check, *args):
+    """A check's record, or the typed error it raises, for comparison."""
+    try:
+        return check(*args).to_json()
+    except OpolyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_interplay_checks_give_the_monomial_records_on_moved_inputs():
+    # every entry of u's and (x - c) u's recurrences and alpha moved by
+    # one on the multiplication side, and of v's recurrence, the
+    # transformed recurrence, L, U's diagonal and alpha on the division
+    # side, at sizes 1-9: each check's whole record, or its typed error,
+    # is the monomial route's
+    cases = []
+    for u in BAND_INPUTS:
+        tilde_u = fa.multiply_poly(u, X - C)
+        for n in range(1, 10):
+            scale = u.moment(0) / (u.moment(1) - C * u.moment(0))
+            rc, _ = smop_from_moments(u, n + 1)
+            alpha = corecursive_parameter(u, C)
+            tilde_rc, _ = smop_from_moments(tilde_u, n)
+            inputs = [(alpha, rc, tilde_rc)]
+            inputs += [(alpha, moved, tilde_rc) for moved in moved_recurrences(rc)]
+            inputs += [(alpha, rc, moved) for moved in moved_recurrences(tilde_rc)]
+            inputs += [(alpha + 1, rc, tilde_rc)]
+            for a, r, t in inputs:
+                cases += [
+                    (composition._pro5, pro5_reference, (C, a, n, r, scale)),
+                    (composition._connection, connection_reference, (C, n, r, scale, t)),
+                ]
+            rc, alpha, lower, upper, hat_rc = composition._hat_first(u, C, M0, n)
+            inputs = [(alpha, rc, lower.sub, upper.diag, hat_rc)]
+            inputs += [(alpha, m, lower.sub, upper.diag, hat_rc) for m in moved_recurrences(rc)]
+            inputs += [(alpha, rc, lower.sub, upper.diag, m) for m in moved_recurrences(hat_rc)]
+            inputs += [(alpha, rc, m, upper.diag, hat_rc) for m in moved_entries(lower.sub)]
+            inputs += [(alpha, rc, lower.sub, m, hat_rc) for m in moved_entries(upper.diag)]
+            inputs += [(alpha + 1, rc, lower.sub, upper.diag, hat_rc)]
+            for a, r, sub, diag, h in inputs:
+                moved_lower = UnitLowerBidiagonal(n + 1, sub)
+                moved_upper = UpperBidiagonal(n + 1, diag)
+                cases += [
+                    (composition._s_corecursive, s_corecursive_reference, (u, M0, n, r, a)),
+                    (composition._gero1, gero1_reference, (C, M0, n, r, a, moved_lower, h)),
+                    (composition._gero2, gero2_reference, (C, M0, n, r, a, moved_upper, h)),
+                ]
+    failed = 0
+    for check, reference, args in cases:
+        got = outcome(check, *args)
+        assert got == outcome(reference, *args), (check.__name__, args)
+        failed += isinstance(got, tuple) or got["status"] == "fail"
+    # 26 n + 19 cases per input and size n, 2796 of them failing or raising
+    assert (len(cases), failed) == (4 * sum(26 * n + 19 for n in range(1, 10)), 2796)
 
 
 def test_no_associated_functional_reads_moments_from_a_recurrence(monkeypatch, capsys):

@@ -5,9 +5,10 @@ among the entries an identity reads, and runs that identity through
 `cli.main`: it must exit 1 with a failing record at the power, moment,
 level or block that the index fixes.  The producer is patched wherever
 it is looked up, so a row whose identity never calls it runs unmutated
-and must pass; for the LU and UL eliminations, whose U diagonal every
-factor identity receives, and for the (x - c)^2 division's factors and
-recurrence, an identity that does not read the moved entry must pass too.
+and must pass; for the LU and UL eliminations, whose factors and
+transformed recurrence every factor identity receives, for the input's
+recurrence, and for the (x - c)^2 division's factors and recurrence, an
+identity that does not read the moved entry must pass too.
 """
 
 import json
@@ -20,7 +21,7 @@ from conftest import fixture_json, run_cli
 from opoly import associated, darboux, orthopoly, quadratic
 from opoly import functional as fa
 from opoly.associated import divided_difference
-from opoly.matrices import UnitLowerTriband, UpperBidiagonal, UpperTriband
+from opoly.matrices import UnitLowerBidiagonal, UnitLowerTriband, UpperBidiagonal, UpperTriband
 from opoly.orthopoly import RecurrenceCoefficients
 from opoly.poly import Polynomial
 
@@ -124,28 +125,17 @@ def test_a_moved_entry_fails_each_identity_that_reads_it(producer, identity, sou
 
 
 # the identities whose polynomial identities `poly._combine` compares on
-# polynomials that `polys_from_recurrence` builds, and
-# the two chains through them, at --k 2: for each, the first level that
-# reads the moved P_j, and the level the failure must name where that
-# follows from j alone (None where it also depends on the polynomials)
+# polynomials that `polys_from_recurrence` builds, at --k 2: for each,
+# the first level that reads the moved P_j, and the level the failure
+# must name where that follows from j alone (None where it also depends
+# on the polynomials).  The degree-one interplay checks (pro5, the
+# christoffel+assoc connection, S-corecursive, gero1 and gero2) build no
+# polynomial; the recurrence and factor rows below move what they read
 POLY_ROWS = {
     # a move of x^d that is a multiple of P_{j-1} cancels against the moved
     # ratio P_j(c)/P_{j-1}(c) at level j - 1
     "repChris": {"repChris": (lambda j: max(j - 1, 0), None)},
-    "gero1": {"gero1": (lambda j: max(j, 1), lambda j: max(j, 1))},
-    # S_j and Phat^(1)_j move alike; S_{j+1} reads P^(1)_j times v_0/m0 and
-    # the right side Phat^(1)_j times beta_{j+1}; S_0 = 1 is not produced
-    "gero2": {"gero2": (lambda j: j, lambda j: j + 1 if j else 0)},
     "linearcombination": {"linearcombination": (lambda j: 2, lambda j: max(j, 2))},
-    "christoffel+assoc": {
-        "pro5": (lambda j: max(j - 1, 0), lambda j: max(j - 1, 0)),
-        "christoffel-assoc-connection": (lambda j: max(j - 1, 1), lambda j: max(j - 1, 1)),
-    },
-    "geronimus+assoc": {
-        "S-corecursive": (lambda j: j, lambda j: j + 1 if j else 0),
-        "gero1": (lambda j: max(j, 1), lambda j: max(j, 1)),
-        "gero2": (lambda j: j, lambda j: j + 1 if j else 0),
-    },
 }
 
 
@@ -172,10 +162,7 @@ def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity,
     real = orthopoly.polys_from_recurrence
     for _ in range(3):
         n = rng.randint(3, 6)
-        # below the top degree each identity reads: there gero2 reads P_j of
-        # both routes with coefficient one, and a move common to both
-        # routes cancels
-        j = rng.randint(0, n - 2)
+        j = rng.randint(0, n)
         d = rng.randint(0, j)
         argv = ["verify", identity, "--n", str(n), "--k", "2", "--c=1/3", "--m0=7/3", "--m1=1/5"]
         calls = []
@@ -257,33 +244,278 @@ def moved_pivot(real, k, calls):
     return producer
 
 
+def assert_records(real, replacement, argv, source, reading):
+    """Run `argv` on `source` with `real` replaced wherever opoly looks it
+    up: each check of the record that `reading` names fails with the keys
+    it gives, and every other check passes, with no typed error and
+    nothing on stderr."""
+    args, stdin_text, _ = INPUTS[source]
+    with pytest.MonkeyPatch.context() as patch:
+        patch_everywhere(patch, real, replacement)
+        code, out, err = run_cli(argv + args, stdin_text)
+    payload = json.loads(out)
+    assert err == "" and "error" not in payload, (argv, payload)
+    failing = any(check["identity"] in reading for check in payload["checks"])
+    assert code == (1 if failing else 0), (argv, payload)
+    for check in payload["checks"]:
+        want = reading.get(check["identity"])
+        assert check["status"] == ("pass" if want is None else "fail"), (argv, check)
+        if want is not None:
+            got = check["first_failure"]
+            assert {key: got[key] for key in want} == want, (argv, got)
+
+
 @pytest.mark.parametrize("source", INPUTS)
 @pytest.mark.parametrize("producer,identity", PIVOT_ROWS)
 def test_a_moved_pivot_fails_each_identity_that_reads_it(producer, identity, source):
     rng = random.Random("%s %s %s" % (producer, identity, source))
-    args, stdin_text, _ = INPUTS[source]
     n = rng.randint(2, 6)
     real = getattr(darboux, producer)
     # both ends, where an off-by-one shows, and one drawn between them
     for k in sorted({0, 1, n, rng.randint(0, n)}):
         calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch_everywhere(patch, real, moved_pivot(real, k, calls))
-            argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3"]
-            code, out, err = run_cli(argv + args, stdin_text)
-        payload = json.loads(out)
-        assert calls == [k] and err == "" and "error" not in payload, (argv, k, payload)
+        argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3"]
         reading = {
             name: want(k) for name, (reads, want) in PIVOT_ROWS[producer, identity].items()
             if k in reads(n)
         }
-        assert code == (1 if reading else 0), (argv, k, payload)
-        for check in payload["checks"]:
-            want = reading.get(check["identity"])
-            assert check["status"] == ("pass" if want is None else "fail"), (argv, k, check)
-            if want is not None:
-                got = check["first_failure"]
-                assert {key: got[key] for key in want} == want, (argv, k, got)
+        assert_records(real, moved_pivot(real, k, calls), argv, source, reading)
+        assert calls == [k], (argv, calls)
+
+
+def _lower_tail_product(k):
+    return {"part": "tail-product", "failure": {"block": k}}
+
+
+def _gero1_level(k):
+    return {"level": k}
+
+
+def _lower_shifted_product(k):
+    return {"part": "shifted-product", "failure": {"block": k}}
+
+
+# (producer, identity): as PIVOT_ROWS, for ell_k, k = 1..n, the L factor's
+# subdiagonal entry k - 1.  shifted-lu's tail L_1 drops ell_1 with L's
+# first row, and L_1 U_1 meets ell_k first in row k - 1; no other check
+# reads the LU elimination's L, so its ell_1 goes unread.  gero1 compares
+# ell_1 with b_0 + alpha - c at level 1, and U's diagonal ell_2..ell_n in
+# rows 0..n - 2 of Jhat^(1) U = U J_alpha, where ell_k first shows in row
+# k - 2, level k; pro6's one-sided shift of L puts ell_k on row k - 1 of
+# Lhat Uhat, block k; gero2 reads no L
+LOWER_ROWS = {
+    ("christoffel_lu", "repChris"): {},
+    ("christoffel_lu", "shifted-lu"): {
+        "shifted-lu": (lambda n: range(2, n + 1), _lower_tail_product),
+    },
+    ("christoffel_lu", "christoffel+assoc"): {
+        "shifted-lu": (lambda n: range(2, n + 1), _lower_tail_product),
+    },
+    ("geronimus_ul", "gero1"): {"gero1": (lambda n: range(1, n + 1), _gero1_level)},
+    ("geronimus_ul", "gero2"): {},
+    ("geronimus_ul", "pro6"): {"pro6": (lambda n: range(1, n + 1), _lower_shifted_product)},
+    ("geronimus_ul", "geronimus+assoc"): {
+        "gero1": (lambda n: range(1, n + 1), _gero1_level),
+        "pro6": (lambda n: range(1, n + 1), _lower_shifted_product),
+    },
+}
+
+
+def moved_lower(real, k, calls):
+    """`real` with ell_k, entry k - 1 of its L factor's subdiagonal, moved by one."""
+
+    def producer(*args):
+        lower, upper, transformed = real(*args)
+        calls.append(k)
+        sub = list(lower.sub)
+        sub[k - 1] += 1
+        return UnitLowerBidiagonal(lower.size, sub), upper, transformed
+
+    return producer
+
+
+@pytest.mark.parametrize("source", INPUTS)
+@pytest.mark.parametrize("producer,identity", LOWER_ROWS)
+def test_a_moved_lower_entry_fails_each_identity_that_reads_it(producer, identity, source):
+    rng = random.Random("%s %s %s" % (producer, identity, source))
+    n = rng.randint(2, 6)
+    real = getattr(darboux, producer)
+    for k in sorted({1, 2, n, rng.randint(1, n)}):
+        calls = []
+        argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3"]
+        reading = {
+            name: want(k) for name, (reads, want) in LOWER_ROWS[producer, identity].items()
+            if k in reads(n)
+        }
+        assert_records(real, moved_lower(real, k, calls), argv, source, reading)
+        assert calls == [k], (argv, calls)
+
+
+def moved_entry(rc, part, k):
+    """rc with b_k (part "b") or a_k (part "a") moved by one, where rc has it."""
+    parts = {"b": list(rc.b), "a": [None] + list(rc.a)}
+    if k < rc.length:
+        parts[part][k] += 1
+    return RecurrenceCoefficients(parts["b"], parts["a"][1:])
+
+
+def moved_transform(real, part, k, calls):
+    """An LU or UL producer whose transformed recurrence has one entry moved by one."""
+
+    def producer(*args):
+        lower, upper, transformed = real(*args)
+        calls.append(k)
+        return lower, upper, moved_entry(transformed, part, k)
+
+    return producer
+
+
+def moved_input(real, part, k, calls):
+    """`smop_from_moments` with one entry moved by one in every recurrence it
+    returns for the first functional it is called on, the identity's input."""
+
+    def producer(u, n_max):
+        rc, system = real(u, n_max)
+        calls.append(u)
+        if u is not calls[0]:
+            return rc, system
+        return moved_entry(rc, part, k), system
+
+    return producer
+
+
+def _transform_reader(last, failure):
+    """A check that reads bhat_1..bhat_last and ahat_2..ahat_last (n -> last),
+    and fails at failure(k) on entry k."""
+
+    def want(n, part, k):
+        return failure(k) if (1 if part == "b" else 2) <= k <= last(n) else None
+
+    return want
+
+
+def _swapped_block(k):
+    return {"part": "swapped-shifted-product", "failure": {"block": k}}
+
+
+# Jhat^(1) drops bhat_0 and ahat_1 of the UL elimination's transformed
+# recurrence, and its row k - 1 holds bhat_k and ahat_k: gero2 compares
+# rows 0..n - 1 of J_alpha M = M Jhat^(1), where row k - 1 names level k;
+# gero1 compares rows 0..n - 2 of Jhat^(1) U = U J_alpha, where it names
+# level k + 1; pro6 compares Uhat Lhat with Jhat^(1) - cI on the leading
+# n - 1 block.  No check reads bhat_0 or ahat_1 (bhat_0 = beta_0 + c)
+TRANSFORM_READERS = {
+    "gero1": _transform_reader(lambda n: n - 1, lambda k: {"level": k + 1}),
+    "gero2": _transform_reader(lambda n: n, lambda k: {"level": k}),
+    "pro6": _transform_reader(lambda n: n - 1, _swapped_block),
+}
+
+
+def _s_corecursive_moment(n, part, k):
+    # the functional route reads the perturbed recurrence on 2n + 1
+    # moments: b_k at moment 2k + 1 and a_k at 2k
+    moment = 2 * k + (part == "b")
+    return {"route": "functional", "moment": moment} if moment <= 2 * n else None
+
+
+def _perturbed_moment(part, k, count):
+    """Where `_perturbed_moment_off` names a moved entry k of the perturbed
+    recurrence it reads on `count` moments, or None.  w there is built
+    from the perturbed b_0, so a move of b_0 shows at w's a_1, moment 1;
+    b_k shows at w's moment 2k + 1 and a_k at 2k, named one below."""
+    if (part, k) == ("b", 0):
+        return 1
+    moment = 2 * k + (part == "b")
+    return moment - 1 if moment < count else None
+
+
+def _pro6_moment(n, part, k):
+    # pro6 reads v_alpha's recurrence on 2n - 1 moments
+    moment = _perturbed_moment(part, k, 2 * n - 1)
+    return None if moment is None else {"part": "moment-identity", "failure": {"moment": moment}}
+
+
+def _coro1_moment(n, part, k):
+    # coro1 reads u^(1)'s recurrence with b_0 moved by alpha: b_{k+1} and
+    # a_{k+1} of u are its b_k and a_k, and alpha follows a_1
+    if (part, k) == ("b", 0):
+        return None
+    if (part, k) == ("a", 1):
+        part = "b"
+    return {"moment": _perturbed_moment(part, k - 1, 2 * n + 2)}
+
+
+def _first_only(failure):
+    """A check that reads u's b_0 only, failing with `failure` there."""
+    return lambda n, part, k: failure if (part, k) == ("b", 0) else None
+
+
+def _connection_level(n, part, k):
+    # b_0 moves R_0 off 1, level 1.  A move of b_k moves R_k by -R_{k-1}
+    # and beta_k by one, which cancel at level k; level k + 1 then keeps
+    # a_k R_{k-2} and fails for k >= 2, and no level is left for b_n.  a_k
+    # moves R_k by -R_{k-2} and beta_k by P_{k-1}(c)/P_k(c) != 0, level k,
+    # but a_1 cancels at level 1 and fails at a level it does not fix
+    if (part, k) in (("b", 1), ("a", 1)):
+        return {}
+    if part == "a":
+        return {"level": k}
+    if k == 0:
+        return {"level": 1}
+    return {"level": k + 1} if k < n else None
+
+
+# v's (or u's) recurrence, as `smop_from_moments` returns it for the
+# input: gero1 and gero2 read it only where the UL elimination reads it
+# too, so a move there is a consistent recurrence and both pass; the
+# checks that compare it with moments fail.  On the multiplication side,
+# pro5 reads u's recurrence along both routes, R and the perturbed SMOP,
+# and fails only where scale = u_0/utilde_0 meets b_0; shifted-lu fails
+# where alpha, from u's moments, meets the LU elimination's b_0
+INPUT_READERS = {
+    "S-corecursive": _s_corecursive_moment,
+    "pro6": _pro6_moment,
+    "pro5": _first_only({"level": 0}),
+    "christoffel-assoc-connection": _connection_level,
+    "coro1": _coro1_moment,
+    "shifted-lu": _first_only({"part": "corner-scalar"}),
+}
+
+# (producer, identity): the readers, by check, of the moved recurrence;
+# a check without a reader must pass
+RECURRENCE_ROWS = {
+    ("geronimus_ul", "gero1"): TRANSFORM_READERS,
+    ("geronimus_ul", "gero2"): TRANSFORM_READERS,
+    ("geronimus_ul", "geronimus+assoc"): TRANSFORM_READERS,
+    ("smop_from_moments", "gero1"): {},
+    ("smop_from_moments", "gero2"): {},
+    ("smop_from_moments", "geronimus+assoc"): INPUT_READERS,
+    ("smop_from_moments", "pro5"): INPUT_READERS,
+    ("smop_from_moments", "christoffel+assoc"): INPUT_READERS,
+}
+
+RECURRENCE_PRODUCERS = {
+    "geronimus_ul": (darboux.geronimus_ul, moved_transform),
+    "smop_from_moments": (orthopoly.smop_from_moments, moved_input),
+}
+
+
+@pytest.mark.parametrize("source", INPUTS)
+@pytest.mark.parametrize("producer,identity", RECURRENCE_ROWS)
+def test_a_moved_recurrence_entry_fails_each_identity_that_reads_it(producer, identity, source):
+    rng = random.Random("%s %s %s" % (producer, identity, source))
+    n = rng.randint(2, 6)
+    real, mover = RECURRENCE_PRODUCERS[producer]
+    readers = RECURRENCE_ROWS[producer, identity]
+    for part, first in (("b", 0), ("a", 1)):
+        # both ends, where an off-by-one shows, and one drawn between them
+        for k in sorted({first, first + 1, n, rng.randint(first, n)}):
+            calls = []
+            argv = ["verify", identity, "--n", str(n), "--c=1/3", "--m0=7/3"]
+            reading = {name: want(n, part, k) for name, want in readers.items()}
+            reading = {name: want for name, want in reading.items() if want is not None}
+            assert_records(real, mover(real, part, k, calls), argv, source, reading)
+            assert calls, argv
 
 
 def moved_factor(real, part, k, calls):

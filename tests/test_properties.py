@@ -10,6 +10,7 @@ from conftest import (
     chebyshev_reference,
     christoffel_lu_reference,
     corecursive_by_subtraction,
+    corecursive_polys,
     divide_power_reference,
     divided_difference_reference,
     first_block_mismatch_reference,
@@ -39,7 +40,6 @@ from opoly.associated import (
     associated_functional,
     associated_polys,
     corecursive_functional,
-    corecursive_polys,
     inverse_connection,
     inverse_kernel,
     inverse_recurrence,
@@ -51,8 +51,8 @@ from opoly.errors import DegenerateParameter, NotQuasiDefinite, ZeroPivot
 from opoly.functional import MomentFunctional
 from opoly.matrices import (
     BandMatrix,
+    connection_level,
     first_block_mismatch,
-    first_row_mismatch,
     identity,
     mat_multiply,
     mat_power,
@@ -1033,15 +1033,17 @@ def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
         size - 1,
         lambda r, s: new if (r, s) == (i, j) else a.entry(r, s),
     )
+    unit = identity(size)
     for k in range(size + 1):
         for x, y in ((a, changed), (changed, a)):
             got = first_block_mismatch(x, y, k)
             assert got == (max(i, j) + 1 if max(i, j) < k else None)
             assert got == first_block_mismatch_reference(x, y, k)
             assert first_block_mismatch(x, x, k) is None
-            # the leading k rows, across every column, differ only in row i
-            assert first_row_mismatch(x, y, k) == (i if i < k else None)
-            assert first_row_mismatch(x, x, k) is None
+            # the leading k rows, across every column, differ only in row i,
+            # which names level i + 1 of the connection x I = I y
+            assert connection_level(x, unit, y, k) == (i + 1 if i < k else None)
+            assert connection_level(x, unit, x, k) is None
     assert a != changed
     with pytest.raises(ValueError):
         first_block_mismatch(a, changed, size + 1)
