@@ -28,7 +28,6 @@ from .matrices import (
     UpperBidiagonal,
     connection_level,
     first_block_mismatch,
-    mat_multiply,
     shift_cols_left,
     shift_rows_up,
     shifted,
@@ -69,7 +68,8 @@ def _christoffel(u, c):
 
 
 def _block_report(name, left, right, block):
-    """The part `name`: left = right on the leading block of that size."""
+    """The part `name`: left = right on the leading block of that size,
+    each side a matrix or a pair of factors (`first_block_mismatch`)."""
     bad = first_block_mismatch(left, right, block)
     return CheckReport(
         name, "pass" if bad is None else "fail", block, None if bad is None else {"block": bad}
@@ -230,13 +230,11 @@ def shifted_factor_check(u, c, size):
         )
     )
     # lower times upper bidiagonal reads no entry past the size: all of it
-    prod = mat_multiply(l1, u1)
-    reports.append(_block_report("tail-product", prod, shifted(j_alpha, c), size))
+    reports.append(_block_report("tail-product", (l1, u1), shifted(j_alpha, c), size))
     # U_1 L_1 lacks the last diagonal entry's term from past the size
-    swapped = mat_multiply(u1, l1)
     assoc_transformed = jacobi_matrix(transformed.shifted(1), size - 1)
     reports.append(
-        _block_report("swapped-tail-product", swapped, shifted(assoc_transformed, c), size - 1)
+        _block_report("swapped-tail-product", (u1, l1), shifted(assoc_transformed, c), size - 1)
     )
     return combine("shifted-lu", reports, c=str(c), alpha=str(alpha))
 
@@ -359,13 +357,11 @@ def _pro6(v, c, m0, size, hat):
     j_alpha = jacobi_matrix(rc.corecursive(alpha), size + 1)
     # Uhat's unknown last row and Lhat's unknown last column meet only in
     # the corner of Lhat Uhat
-    prod = mat_multiply(l_hat, u_hat)
-    reports.append(_block_report("shifted-product", prod, shifted(j_alpha, c), size))
+    reports.append(_block_report("shifted-product", (l_hat, u_hat), shifted(j_alpha, c), size))
     # size - 1 as for shifted-lu's swapped tails, though Uhat Lhat is exact on size
     hat_assoc = jacobi_matrix(hat_rc.shifted(1), size)
-    swapped = mat_multiply(u_hat, l_hat)
     reports.append(
-        _block_report("swapped-shifted-product", swapped, shifted(hat_assoc, c), size - 1)
+        _block_report("swapped-shifted-product", (u_hat, l_hat), shifted(hat_assoc, c), size - 1)
     )
     # all but Uhat's unknown last row
     structural = UpperBidiagonal(size + 1, lower.sub + (ZERO,)).to_band()

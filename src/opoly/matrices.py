@@ -8,14 +8,15 @@ compares only those (`first_block_mismatch`, `connection_level`).
 
 The kernels follow the storage.  A product convolves the stored
 diagonals: diagonal p of the left factor meets diagonal q of the right
-one along a slice of each, and lands on diagonal p + q.  Every entry
-sums its terms as an integer numerator over a running denominator, the
-lcm of its terms' denominators so far, and becomes one Rational at the
-end.  A shift of rows or columns moves each diagonal by one offset, and
-a block comparison walks slices of the stored diagonals.
+one along a slice of each, and lands on diagonal p + q (`_product`).
+It forms only the leading entries of each diagonal that the caller
+reads, each as an integer pair (numerator, denominator) that sums its
+terms by cross-multiplication, with no gcd.  A comparison reads a
+product in that form and finds x/d = y/e exactly when x e = y d, so a
+check makes no Rational for an entry of a product; `mat_multiply` makes
+one per entry of the whole product.  A shift of rows or columns moves
+each diagonal by one offset.
 """
-
-from math import gcd
 
 from .rational import ONE, ZERO, Rational, rat
 
@@ -84,10 +85,6 @@ class BandMatrix:
         return "BandMatrix(size=%d, lower=%d, upper=%d)" % (self.size, self.lower, self.upper)
 
 
-def identity(size):
-    return BandMatrix(size, {0: (ONE,) * size})
-
-
 def shifted(a, c):
     """a - c*I: only the main diagonal is rewritten."""
     c = rat(c)
@@ -98,31 +95,21 @@ def shifted(a, c):
     return BandMatrix._checked(a.size, diagonals)
 
 
-def _add_term(nums, dens, k, num, den):
-    """nums[k]/dens[k] += num/den, kept over the lcm of the two denominators."""
-    old = dens[k]
-    if den == old:
-        nums[k] += num
-    else:
-        g = gcd(old, den)
-        nums[k] = nums[k] * (den // g) + num * (old // g)
-        dens[k] = old // g * den
-
-
 def _split(entries):
     """Numerators and denominators of a sequence of Rationals, as two lists."""
     return [x.numerator for x in entries], [x.denominator for x in entries]
 
 
-def mat_multiply(a, b):
-    """a b, by convolving the stored diagonals.
+def _product(a, b, reach):
+    """The leading reach(d) <= size - |d| entries of each diagonal d of a b,
+    as {d: (numerators, denominators)}, two lists of unreduced integers.
 
     Row i of diagonal p of a (entry (i, i + p)) meets row i + p of
     diagonal q of b and adds to row i of diagonal d = p + q of the
-    product, for every i that keeps all three inside the matrix; a
-    diagonal's entry on row i sits at index i + min(offset, 0).  Each
-    entry's terms are summed as an integer numerator over a running
-    denominator and make a single Rational.
+    product, for every i that keeps all three inside the matrix and the
+    entry within reach; a diagonal's entry on row i sits at index
+    i + min(offset, 0).  A term over the entry's denominator adds to its
+    numerator; any other is cross-multiplied in.
     """
     if a.size != b.size:
         raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
@@ -134,39 +121,38 @@ def mat_multiply(a, b):
         for q, yn, yd in right:
             d = p + q
             lo = max(0, -p, -d)
-            hi = min(n, n - p, n - d)
+            hi = min(n, n - p, n - d, reach(d) - min(d, 0))
             if lo >= hi:
                 continue
             if d not in sums:
-                sums[d] = ([0] * (n - abs(d)), [1] * (n - abs(d)))
+                sums[d] = ([0] * reach(d), [1] * reach(d))
             nums, dens = sums[d]
             # the three indices of row i: on diagonal p of a, on diagonal q
             # of b (row i + p there) and on diagonal d of the product
             ia, ib, ic = min(p, 0), p + min(q, 0), min(d, 0)
             for i in range(lo, hi):
-                x = xn[i + ia]
-                if x:
-                    y = yn[i + ib]
-                    if y:
-                        _add_term(nums, dens, i + ic, x * y, xd[i + ia] * yd[i + ib])
+                x, y = xn[i + ia], yn[i + ib]
+                if x and y:
+                    k, w = i + ic, xd[i + ia] * yd[i + ib]
+                    e = dens[k]
+                    if w == e:
+                        nums[k] += x * y
+                    else:
+                        nums[k] = nums[k] * w + x * y * e
+                        dens[k] = e * w
+    return sums
+
+
+def mat_multiply(a, b):
+    """a b: every entry of `_product`, made one Rational."""
+    n = a.size
+    sums = _product(a, b, lambda d: n - abs(d))
     diagonals = {
         d: tuple(map(Rational, nums, dens))
         for d, (nums, dens) in sorted(sums.items())
         if any(nums)
     }
     return BandMatrix._checked(n, diagonals)
-
-
-def mat_power(a, k):
-    """a**k as k - 1 products starting from a; a**0 is the identity."""
-    if k < 0:
-        raise ValueError("only nonnegative matrix powers are supported")
-    if k == 0:
-        return identity(a.size)
-    result = a
-    for _ in range(k - 1):
-        result = mat_multiply(result, a)
-    return result
 
 
 def _moved_diagonals(a, step):
@@ -200,26 +186,40 @@ def shift_cols_left(a):
     return _moved_diagonals(a, -1)
 
 
+def _pairs(side, reach):
+    """{d: (numerators, denominators)} of the leading reach(d) entries of
+    each diagonal d of side: a BandMatrix, or a pair (a, b) that stands
+    for the product a b (`_product`)."""
+    if isinstance(side, BandMatrix):
+        return {d: _split(diag[: max(reach(d), 0)]) for d, diag in side.diagonals.items()}
+    return _product(*side, reach)
+
+
 def _first_differences(a, b, reach):
-    """(d, t) for each diagonal d where a and b first differ, at entry t < reach(d)."""
-    for d in a.diagonals.keys() | b.diagonals.keys():
+    """(d, t) for each diagonal d where sides a and b (`_pairs`) first
+    differ, at entry t < reach(d); a diagonal that one side lacks is zero."""
+    x, y = _pairs(a, reach), _pairs(b, reach)
+    for d in x.keys() | y.keys():
         length = max(reach(d), 0)
-        zeros = (ZERO,) * length
-        x = a.diagonals.get(d, zeros)[:length]
-        y = b.diagonals.get(d, zeros)[:length]
-        if x != y:
-            yield d, next(t for t in range(length) if x[t] != y[t])
+        zeros = ([0] * length, [1] * length)
+        xn, xd = x.get(d, zeros)
+        yn, yd = y.get(d, zeros)
+        for t in range(length):
+            if xn[t] * yd[t] != yn[t] * xd[t]:
+                yield d, t
+                break
 
 
 def first_block_mismatch(a, b, k):
     """Smallest block size at which the leading k x k blocks of a and b
     differ, or None when they are equal.
 
-    Entry t of diagonal d is entry (t, t + d) or (t - d, t), so it first
-    enters the leading block of size t + |d| + 1; a diagonal that one
-    side does not store is zero there.
+    Each side is a BandMatrix or a pair (x, y) of them, compared as the
+    product x y, of which only the leading block is formed.  Entry t of
+    diagonal d is entry (t, t + d) or (t - d, t), so it first enters the
+    leading block of size t + |d| + 1.
     """
-    if k > min(a.size, b.size):
+    if k > min(s.size if isinstance(s, BandMatrix) else s[0].size for s in (a, b)):
         raise ValueError("block size %d exceeds matrix sizes" % k)
     diffs = _first_differences(a, b, lambda d: k - abs(d))
     return min((t + abs(d) + 1 for d, t in diffs), default=None)
@@ -233,10 +233,12 @@ def connection_level(j_a, m, j_b, rows):
     A_{n+1} - (M B)_{n+1} is row n of M J_B - J_A M applied to B (shifting
     both Jacobi matrices by c leaves it unchanged), so when level 0
     holds, the first nonzero row n names level n + 1.  Entry t of
-    diagonal d lies in row t + max(-d, 0).
+    diagonal d lies in row t + max(-d, 0); only those rows of the two
+    products are formed.
     """
-    a, b = mat_multiply(j_a, m), mat_multiply(m, j_b)
-    diffs = _first_differences(a, b, lambda d: min(rows - max(-d, 0), a.size - abs(d)))
+    diffs = _first_differences(
+        (j_a, m), (m, j_b), lambda d: min(rows - max(-d, 0), j_a.size - abs(d))
+    )
     return min((t + max(-d, 0) + 1 for d, t in diffs), default=None)
 
 

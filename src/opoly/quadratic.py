@@ -19,8 +19,6 @@ from .matrices import (
     UpperTriband,
     connection_level,
     first_block_mismatch,
-    mat_multiply,
-    mat_power,
     shifted,
 )
 from .orthopoly import (
@@ -165,7 +163,7 @@ def _squares_failure(parts, left, right, lower, upper):
     for part, m, product, block in zip(
         parts, (left, right), ((u_band, l_band), (l_band, u_band)), (size - 2, size - 1)
     ):
-        bad = first_block_mismatch(mat_power(m, 2), mat_multiply(*product), block)
+        bad = first_block_mismatch((m, m), product, block)
         if bad is not None:
             return {"part": part, "block": bad}
     return None
@@ -294,9 +292,7 @@ def _g_matrix_failure(lower, j_first, j_minus):
     L J^(1) therefore fail first at the same block as G L against J^(1).
     """
     l_band = lower.to_band()
-    left = mat_multiply(j_minus, l_band)
-    right = mat_multiply(l_band, j_first)
-    bad = first_block_mismatch(left, right, lower.size - 2)
+    bad = first_block_mismatch((j_minus, l_band), (l_band, j_first), lower.size - 2)
     return None if bad is None else {"part": "G L = J^(1)", "block": bad}
 
 

@@ -6,7 +6,10 @@ polynomial with one Fraction per coefficient, the recurrence run on it,
 division by (x - c)^m through long division, the matrix product with
 one Fraction per multiply-add, and the values, slopes and quadratic
 kernel with one Fraction per operation, the LU and UL eliminations
-that the values at c replaced; and the certificate kernels
+that the values at c replaced; the identity matrix and its powers,
+which no library check forms; the block and connection comparisons on
+whole products, one Fraction per multiply-add, compared entry by entry;
+and the certificate kernels
 that read one entry or one coefficient at a time: the shift, power and
 block comparison of the matrices, the series product, the product of a
 functional by a polynomial and the divided difference; forward
@@ -43,7 +46,7 @@ from opoly.matrices import (
     BandMatrix,
     UnitLowerBidiagonal,
     UpperBidiagonal,
-    identity,
+    mat_multiply,
 )
 from opoly.orthopoly import (
     RecurrenceCoefficients,
@@ -428,6 +431,22 @@ def divide_power_reference(u, c, m):
     return MomentFunctional(out)
 
 
+def identity(size):
+    return BandMatrix(size, {0: (ONE,) * size})
+
+
+def mat_power(a, k):
+    """a**k as k - 1 products starting from a; a**0 is the identity."""
+    if k < 0:
+        raise ValueError("only nonnegative matrix powers are supported")
+    if k == 0:
+        return identity(a.size)
+    result = a
+    for _ in range(k - 1):
+        result = mat_multiply(result, a)
+    return result
+
+
 def band_from_entries(size, lowest, highest, fn):
     """A BandMatrix from an entry function supported on offsets [lowest, highest]."""
     lowest = max(lowest, -(size - 1))
@@ -469,6 +488,38 @@ def power_reference(a, k):
     for _ in range(k):
         result = product_reference(result, a)
     return result
+
+
+def _product_reference(side):
+    """A side of a block comparison as one matrix: a pair (a, b) made the
+    full product a b, one Rational per multiply-add (`product_reference`)."""
+    if isinstance(side, BandMatrix):
+        return side
+    a, b = side
+    if a.size != b.size:
+        raise ValueError("size mismatch: %d vs %d" % (a.size, b.size))
+    rows = product_reference(a, b)
+    return band_from_entries(a.size, 1 - a.size, a.size - 1, lambda i, j: rows[i][j])
+
+
+def product_block_mismatch_reference(a, b, k):
+    """`matrices.first_block_mismatch` on sides that may be pairs of
+    factors: both products formed whole, then compared entry by entry."""
+    a, b = _product_reference(a), _product_reference(b)
+    if k > min(a.size, b.size):
+        raise ValueError("block size %d exceeds matrix sizes" % k)
+    return first_block_mismatch_reference(a, b, k)
+
+
+def connection_level_reference(j_a, m, j_b, rows):
+    """`matrices.connection_level`: n + 1 for the first of the leading
+    `rows` rows n where the whole products J_A M and M J_B differ, entry
+    by entry, or None."""
+    a, b = _product_reference((j_a, m)), _product_reference((m, j_b))
+    for n in range(min(rows, a.size)):
+        if any(a.entry(n, j) != b.entry(n, j) for j in range(a.size)):
+            return n + 1
+    return None
 
 
 def first_block_mismatch_reference(a, b, k):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import band_from_entries, product_reference
+from conftest import band_from_entries, identity, mat_power, product_reference
 
 from opoly.matrices import (
     BandMatrix,
@@ -12,9 +12,7 @@ from opoly.matrices import (
     UpperBidiagonal,
     UpperTriband,
     first_block_mismatch,
-    identity,
     mat_multiply,
-    mat_power,
     shift_cols_left,
     shift_rows_up,
     shifted,

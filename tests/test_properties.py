@@ -9,6 +9,7 @@ from conftest import (
     band_from_entries,
     chebyshev_reference,
     christoffel_lu_reference,
+    connection_level_reference,
     corecursive_by_subtraction,
     corecursive_polys,
     divide_power_reference,
@@ -19,11 +20,14 @@ from conftest import (
     fraction_wronskian,
     geronimus_ul_reference,
     gram_schmidt,
+    identity,
     invert_reference,
     linear_power,
+    mat_power,
     multiply_poly_reference,
     polys_reference,
     power_reference,
+    product_block_mismatch_reference,
     product_reference,
     quadratic_kernel_reference,
     run_cli,
@@ -53,9 +57,7 @@ from opoly.matrices import (
     BandMatrix,
     connection_level,
     first_block_mismatch,
-    identity,
     mat_multiply,
-    mat_power,
     shift_cols_left,
     shift_rows_up,
     shifted,
@@ -1047,6 +1049,82 @@ def test_block_equality_finds_one_mismatch_inside_or_outside_the_band(data):
     assert a != changed
     with pytest.raises(ValueError):
         first_block_mismatch(a, changed, size + 1)
+
+
+@st.composite
+def jacobi_band(draw, size):
+    """A Jacobi matrix of wide entries with a unit superdiagonal; some have
+    b = 0, so that no main diagonal is stored."""
+    b = [0] * size
+    if draw(st.booleans()):
+        b = draw(st.lists(wide_rationals, min_size=size, max_size=size))
+    a = draw(st.lists(wide_rationals, min_size=size - 1, max_size=size - 1))
+    return BandMatrix(size, {-1: a, 0: b, 1: (1,) * (size - 1)})
+
+
+def moved_entry(m, i, j, by):
+    """m with entry (i, j) moved by `by`; its offset may lie outside m's band."""
+    size = m.size
+    return band_from_entries(
+        size, -(size - 1), size - 1, lambda r, s: m.entry(r, s) + (by if (r, s) == (i, j) else 0)
+    )
+
+
+def assert_same_error(call, reference):
+    with pytest.raises(ValueError) as got:
+        call()
+    with pytest.raises(ValueError) as want:
+        reference()
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_band_comparisons_match_the_full_products(data):
+    # the kernel forms only the compared entries of each product, as
+    # unreduced integer pairs; the reference forms both products whole,
+    # one Rational per multiply-add, and compares them entry by entry.
+    # Sides that agree but for one moved entry fail where it is read
+    size = data.draw(st.integers(1, 6))
+    j = data.draw(jacobi_band(size))
+    x, m = data.draw(wide_band(size)), data.draw(wide_band(size))
+    i, col = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    by = data.draw(wide_nonzero)
+    j_moved, m_moved = moved_entry(j, i, col, by), moved_entry(m, i, col, by)
+    product = mat_multiply(x, m)
+    pairs = [
+        ((x, m), product),
+        ((x, m), moved_entry(product, i, col, by)),
+        ((x, m), (x, m_moved)),
+        ((j, j), (j, j_moved)),
+        ((j, x), (x, j)),
+        (x, m),
+    ]
+    square = mat_multiply(j, j)
+    # J M = M J for M a power of J, until an entry of one side moves
+    connections = [(j, square, j), (j, square, j_moved), (j_moved, j, j), (j, m, j), (x, m, x)]
+    for k in range(size + 1):
+        for a, b in pairs:
+            for left, right in ((a, b), (b, a)):
+                want = product_block_mismatch_reference(left, right, k)
+                assert first_block_mismatch(left, right, k) == want
+        for j_a, mid, j_b in connections:
+            want = connection_level_reference(j_a, mid, j_b, k)
+            assert connection_level(j_a, mid, j_b, k) == want
+    for a, b in pairs:
+        assert_same_error(
+            lambda: first_block_mismatch(a, b, size + 1),
+            lambda: product_block_mismatch_reference(a, b, size + 1),
+        )
+    larger = identity(size + 1)
+    assert_same_error(
+        lambda: first_block_mismatch((x, larger), x, 0),
+        lambda: product_block_mismatch_reference((x, larger), x, 0),
+    )
+    assert_same_error(
+        lambda: connection_level(j, larger, j, size),
+        lambda: connection_level_reference(j, larger, j, size),
+    )
 
 
 @given(st.data(), scalars)
