@@ -16,7 +16,7 @@ check reads.
 
 from . import functional as fa
 from .associated import associated_functional, corecursive_functional
-from .darboux import christoffel_lu, geronimus_ul
+from .darboux import _kernel_step_level, christoffel_lu, geronimus_ul
 from .errors import (
     DegenerateParameter,
     NotQuasiDefinite,
@@ -88,21 +88,6 @@ def _level_report(name, n_max, level, c, **passing):
     if level is None:
         return CheckReport.passing(name, n_max, c=str(c), **passing)
     return CheckReport.failing(name, n_max, {"level": level}, c=str(c))
-
-
-def _kernel_step_level(j_a, diag, rc_b, c, n_max):
-    """The first of levels 1..n_max where (x - c) A_{n-1} = B_n + diag[n-1] B_{n-1}
-    fails, or None, for A with Jacobi matrix j_a and B the SMOP of rc_b.
-
-    Level 1, x - c = B_1 + diag[0], holds when diag[0] = b_0 - c of rc_b.
-    Then (x - c) A = U B, U with diagonal `diag` and a unit superdiagonal,
-    decides levels 2..n_max on the rows of J_A U = U J_B (`connection_level`).
-    """
-    if diag[0] != rc_b.b[0] - c:
-        return 1
-    upper = UpperBidiagonal(n_max, diag).to_band()
-    level = connection_level(j_a, upper, jacobi_matrix(rc_b, n_max), n_max - 1)
-    return None if level is None else level + 1
 
 
 def christoffel_assoc_check(u, c, n_max):

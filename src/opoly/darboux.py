@@ -6,20 +6,22 @@ factors; dividing by (x - c) (with a free mass at c) factors it the
 other way around.  Both read their pivots off values at c of the
 recurrence that `orthopoly` forms on integers, so neither runs an
 elimination of its own.  Both take the recurrence of J and return the
-factors with the transformed recurrence; no matrix is built here.
+factors with the transformed recurrence; no dense matrix is built here.
+A two-term kernel connection is a band identity J_A U = U J_B on Jacobi
+matrices (`_kernel_step_level`, shared with `composition`), so repChris
+builds no polynomial.
 """
 
 from . import functional as fa
 from .errors import DegenerateParameter, ZeroPivot
-from .matrices import UnitLowerBidiagonal, UpperBidiagonal
+from .matrices import UnitLowerBidiagonal, UpperBidiagonal, connection_level
 from .orthopoly import (
     RecurrenceCoefficients,
+    jacobi_matrix,
     kernel_values,
-    polys_from_recurrence,
     smop_from_moments,
     values_and_slopes,
 )
-from .poly import X, _combine
 from .rational import ONE, ZERO, Rational, rat
 from .reports import CheckReport, combine
 
@@ -75,34 +77,43 @@ def geronimus_ul(rc, c, beta0):
     return UnitLowerBidiagonal(n, ells), UpperBidiagonal(n, betas), transformed
 
 
+def _kernel_step_level(j_a, diag, rc_b, c, n_max):
+    """The first of levels 1..n_max where (x - c) A_{n-1} = B_n + diag[n-1] B_{n-1}
+    fails, or None, for A with Jacobi matrix j_a and B the SMOP of rc_b.
+
+    Level 1, x - c = B_1 + diag[0], holds when diag[0] = b_0 - c of rc_b.
+    Then (x - c) A = U B, U with diagonal `diag` and a unit superdiagonal,
+    decides levels 2..n_max on the rows of J_A U = U J_B (`connection_level`).
+    """
+    if diag[0] != rc_b.b[0] - c:
+        return 1
+    upper = UpperBidiagonal(n_max, diag).to_band()
+    level = connection_level(j_a, upper, jacobi_matrix(rc_b, n_max), n_max - 1)
+    return None if level is None else level + 1
+
+
 def christoffel_connection_check(u, c, n):
     """Identity "repChris" plus the elimination's closed forms.
 
     Checks, against the SMOP of (x - c) u computed independently from its
     moments by the Chebyshev algorithm: the kernel representation
-    (x - c) Ptilde_n = P_{n+1} - (P_{n+1}(c)/P_n(c)) P_n; the pivot values
-    beta_n = -P_{n+1}(c)/P_n(c); and that the swapped factorization
-    reproduces the transformed recurrence.
+    (x - c) Ptilde_m = P_{m+1} + d_m P_m, d_m = -P_{m+1}(c)/P_m(c) from
+    the values at c of u's recurrence, as the band identity Jtilde U = U J
+    (level m + 1 of `_kernel_step_level`); the pivot values beta_m = d_m;
+    and that the swapped factorization reproduces the transformed recurrence.
     """
     c = rat(c)
     rc, _ = smop_from_moments(u, n + 1)
-    base = polys_from_recurrence(rc, n + 1)
-    tilde_u = fa.multiply_poly(u, X - c)
-    tilde_rc, tilde_sys = smop_from_moments(tilde_u, n)
+    tilde_rc, _ = smop_from_moments(fa.multiply_poly(u, (-c, ONE)), n)
     _, upper, transformed = christoffel_lu(rc, c)
-    # P_{m+1}(c)/P_m(c) by evaluation, for both parts; christoffel_lu has
-    # raised ZeroPivot if any P_m(c) vanishes
-    ratios = [base[m + 1](c) / base[m](c) for m in range(n + 1)]
-    tilde, shift = tilde_sys.polys, X - c
-    failure = None
-    for m in range(n):
-        if any(_combine([(1, tilde[m], shift), (-1, base[m + 1]), (ratios[m], base[m])])[0]):
-            failure = {"level": m}
-            break
+    # christoffel_lu has raised ZeroPivot if any P_m(c) vanishes
+    p, _, den = values_and_slopes(rc, c, n + 1)
+    diag = [Rational(-p[m + 1] * den[m], den[m + 1] * p[m]) for m in range(n + 1)]
+    level = _kernel_step_level(jacobi_matrix(tilde_rc, n), diag[:n], rc, c, n)
+    failure = None if level is None else {"level": level - 1}
     reports = [CheckReport("kernel-representation", "fail" if failure else "pass", n - 1, failure)]
-    failure = next(({"level": m} for m in range(n + 1) if upper.diag[m] != -ratios[m]), None)
+    failure = next(({"level": m} for m in range(n + 1) if upper.diag[m] != diag[m]), None)
     reports.append(CheckReport("pivot-closed-form", "fail" if failure else "pass", n, failure))
     failure = None if tilde_rc == transformed else {"level": "matrix"}
     reports.append(CheckReport("transformed-recurrence", "fail" if failure else "pass", n, failure))
     return combine("repChris", reports, c=str(c))
-

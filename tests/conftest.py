@@ -15,7 +15,8 @@ block comparison of the matrices, the series product, the product of a
 functional by a polynomial and the divided difference; forward
 substitution, which forms the quotient G = L^{-1} J^- that "g-matrix"
 no longer builds; the monomial route of propLUinversa's and conex2's
-polynomial identities, degree by degree on built P's and Q's, and of
+polynomial identities, degree by degree on built P's and Q's, of
+repChris's kernel representation on built P's and Ptilde's, and of
 the degree-one interplay checks (pro5, the christoffel+assoc
 connection, S-corecursive, gero1 and gero2) on built R's, S's and
 associated and co-recursive polynomials, that their recurrence and
@@ -59,7 +60,7 @@ from opoly.orthopoly import (
 from opoly.poly import ONE_POLY, Polynomial, X, _combine, wronskian
 from opoly.serialize import functional_from_json, parse_rational_list
 from opoly.rational import ONE, ZERO, parse_rational, rat
-from opoly.reports import CheckReport
+from opoly.reports import CheckReport, combine
 from opoly.series import (
     LaurentSeries,
     first_series_mismatch,
@@ -692,6 +693,28 @@ def quadratic_kernel_reference(rc, w0, c, m0, m1, s, t, n_max):
     bs = [m1 / m0] + [rc.b[n] + alpha1[n] - alpha1[n + 1] for n in range(1, n_max)]
     a_s = [norms[n] / norms[n - 1] for n in range(1, n_max)]
     return Division(alpha1, alpha2, d_star, RecurrenceCoefficients(bs, a_s), norms, base_norms)
+
+
+def rep_chris_reference(c, n, rc, tilde_rc, lu):
+    """repChris degree by degree, on u's recurrence rc, (x - c) u's
+    tilde_rc and the LU elimination `lu` of rc: the kernel representation
+    on P's and Ptilde's built from them (Ptilde as `OrthogonalSystem.polys`
+    builds it), with the ratios P_{m+1}(c)/P_m(c) evaluated on the P's."""
+    _, upper, transformed = lu
+    base = polys_from_recurrence(rc, n + 1)
+    tilde = polys_from_recurrence(tilde_rc, n)
+    ratios = [base[m + 1](c) / base[m](c) for m in range(n + 1)]
+    failure = None
+    for m in range(n):
+        if any(_combine([(1, tilde[m], X - c), (-1, base[m + 1]), (ratios[m], base[m])])[0]):
+            failure = {"level": m}
+            break
+    reports = [CheckReport("kernel-representation", "fail" if failure else "pass", n - 1, failure)]
+    failure = next(({"level": m} for m in range(n + 1) if upper.diag[m] != -ratios[m]), None)
+    reports.append(CheckReport("pivot-closed-form", "fail" if failure else "pass", n, failure))
+    failure = None if tilde_rc == transformed else {"level": "matrix"}
+    reports.append(CheckReport("transformed-recurrence", "fail" if failure else "pass", n, failure))
+    return combine("repChris", reports, c=str(c))
 
 
 def combination_polys_reference(rc, scale, c, n_max):

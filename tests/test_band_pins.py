@@ -2,14 +2,16 @@
 
 Each case is one in-process `verify` call, and its pin is the sha256 of
 its exit status and standard output, failing records included.  The
-cases are the ten identities that compare band products (propLUinversa,
-conex2, relationlu, g-matrix, shifted-lu, pro6, gero1, gero2 and both
-chains) at their least --n and the three sizes above it, on the three
-families and the random fixture, at c = 1/3 and c = -1; and the factor,
-pivot and recurrence mutation rows of test_mutations.py at --n 4 on
-Laguerre(1), whose records fail.  The table in fixtures/band_pins.json
-holds the digests of the checks that formed every entry of both
-products as a Rational; run this file to print the table afresh:
+cases are the eleven identities that compare band products (repChris,
+propLUinversa, conex2, relationlu, g-matrix, shifted-lu, pro6, gero1,
+gero2 and both chains) at their least --n and the three sizes above it,
+on the three families and the random fixture, at c = 1/3 and c = -1;
+and the factor, pivot and recurrence mutation rows of test_mutations.py
+at --n 4 on Laguerre(1), whose records fail.  The table in
+fixtures/band_pins.json holds the digests of the checks that formed
+every entry of both products as a Rational, and repChris's those of the
+check that built both families of polynomials; run this file to print
+the table afresh:
 
     PYTHONPATH=src python tests/test_band_pins.py > tests/fixtures/band_pins.json
 """
@@ -24,6 +26,7 @@ from conftest import FIXTURE_DIR, run_cli
 from opoly import associated, cli, darboux, quadratic
 
 BAND_IDENTITIES = (
+    "repChris",
     "propLUinversa",
     "conex2",
     "relationlu",
@@ -65,7 +68,7 @@ def _identity_cases():
 
 def _row_cases():
     """(name, argv, real, replacement) of each mutation row whose identity
-    is one of the ten, at every entry index at --n ROW_SIZE."""
+    is one of the eleven, at every entry index at --n ROW_SIZE."""
     n = ROW_SIZE
 
     def argv(name):

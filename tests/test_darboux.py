@@ -1,7 +1,11 @@
 """Bidiagonal factorizations of J - cI and the degree-one transformation checks."""
 
+import sys
+
 import pytest
-from conftest import with_b1_moved
+from conftest import rep_chris_reference, run_cli, with_b1_moved
+from test_composition import BAND_INPUTS, moved_entries, moved_recurrences, outcome
+from test_mutations import INPUTS
 
 from opoly import darboux, families
 from opoly import functional as fa
@@ -10,11 +14,11 @@ from opoly.darboux import (
     christoffel_lu,
     geronimus_ul,
 )
-from opoly.errors import DegenerateParameter, ZeroPivot
-from opoly.matrices import first_block_mismatch, mat_multiply, shifted
-from opoly.orthopoly import jacobi_matrix, smop_from_moments
-from opoly.poly import X
-from opoly.rational import rat
+from opoly.errors import DegenerateParameter, OpolyError, ZeroPivot
+from opoly.matrices import UpperBidiagonal, first_block_mismatch, mat_multiply, shifted
+from opoly.orthopoly import OrthogonalSystem, jacobi_matrix, smop_from_moments
+from opoly.poly import Polynomial, X
+from opoly.rational import ONE, rat
 
 
 def test_christoffel_lu_reproduces_the_matrix_and_the_transform():
@@ -121,3 +125,85 @@ def test_the_connection_check_reads_the_transformed_recurrence(monkeypatch):
         "pivot-closed-form": "pass",
         "transformed-recurrence": "fail",
     }
+
+
+def test_verify_rep_chris_builds_no_polynomial(monkeypatch):
+    # the kernel representation is a band identity on the two recurrences,
+    # its ratios come off the values at c, and (x - c) u is formed from
+    # its coefficients, so no polynomial is built, combined or evaluated
+    def refused(*args):
+        raise AssertionError("a polynomial was built, combined or evaluated")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opoly":
+            for attr in ("polys_from_recurrence", "_combine"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refused)
+    monkeypatch.setattr(OrthogonalSystem, "polys", property(refused))
+    monkeypatch.setattr(Polynomial, "evaluate", refused)
+    monkeypatch.setattr(Polynomial, "__call__", refused)
+    for args, stdin_text, _ in INPUTS.values():
+        argv = ["verify", "repChris", "--n", "8", "--c=1/3"] + args
+        code, out, err = run_cli(argv, stdin_text)
+        assert (code, err) == (0, ""), (argv, out, err)
+
+
+def _band_outcome(u, c, n, rc, tilde_rc, lu):
+    """repChris's record, or its typed error, with u's and (x - c) u's
+    recurrences read as rc and tilde_rc and the LU elimination as lu().
+    Each recurrence comes with its own system (norms unread), so a check
+    that builds polynomials from the system sees the moved recurrence too."""
+
+    def smop(w, _):
+        moved = rc if w is u else tilde_rc
+        return moved, OrthogonalSystem(moved, (ONE,) * moved.length)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(darboux, "smop_from_moments", smop)
+        patch.setattr(darboux, "christoffel_lu", lambda *_: lu())
+        return outcome(christoffel_connection_check, u, c, n)
+
+
+def _moved_stages(rc, tilde_rc, c, n):
+    """(rc, tilde_rc, lu) with one entry of u's or (x - c) u's recurrence,
+    of U's diagonal or of the transformed recurrence moved by one, each in
+    turn, after the unmoved stages; a moved rc is refactored, as the
+    elimination reads it too."""
+    yield rc, tilde_rc, lambda: christoffel_lu(rc, c)
+    for moved in moved_recurrences(rc):
+        yield moved, tilde_rc, lambda moved=moved: christoffel_lu(moved, c)
+    for moved in moved_recurrences(tilde_rc):
+        yield rc, moved, lambda: christoffel_lu(rc, c)
+    try:
+        lower, upper, transformed = christoffel_lu(rc, c)
+    except ZeroPivot:
+        return
+    for diag in moved_entries(upper.diag):
+        yield rc, tilde_rc, lambda diag=diag: (lower, UpperBidiagonal(n + 1, diag), transformed)
+    for moved in moved_recurrences(transformed):
+        yield rc, tilde_rc, lambda moved=moved: (lower, upper, moved)
+
+
+def test_rep_chris_gives_the_monomial_records_on_moved_inputs():
+    # at sizes 1-7 and three points c, the band route's whole record, or
+    # its typed error, is the monomial route's on every moved stage
+    cases, failed = 0, 0
+    for u in BAND_INPUTS:
+        for c in (rat(1, 3), rat(-1), rat(2)):
+            tilde_u = fa.multiply_poly(u, X - c)
+            for n in range(1, 8):
+                rc, _ = smop_from_moments(u, n + 1)
+                try:
+                    tilde_rc, _ = smop_from_moments(tilde_u, n)
+                except OpolyError:
+                    # (x - 2) u is not quasi-definite on the random
+                    # fixture (level 0), nor on Laguerre(1) (level 1)
+                    continue
+                for r, t, lu in _moved_stages(rc, tilde_rc, c, n):
+                    got = _band_outcome(u, c, n, r, t, lu)
+                    assert got == outcome(lambda: rep_chris_reference(c, n, r, t, lu())), (n, r, t)
+                    cases += 1
+                    failed += isinstance(got, tuple) or got["status"] == "fail"
+    # 7 n + 1 cases per input, point and size, less those at c = 2 and
+    # the pivot and transform moves where P_2(2) = 0 on Laguerre(1) at n = 1
+    assert (cases, failed) == (2035, 1894)

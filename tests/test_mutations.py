@@ -128,13 +128,11 @@ def test_a_moved_entry_fails_each_identity_that_reads_it(producer, identity, sou
 # polynomials that `polys_from_recurrence` builds, at --k 2: for each,
 # the first level that reads the moved P_j, and the level the failure
 # must name where that follows from j alone (None where it also depends
-# on the polynomials).  The degree-one interplay checks (pro5, the
-# christoffel+assoc connection, S-corecursive, gero1 and gero2) build no
-# polynomial; the recurrence and factor rows below move what they read
+# on the polynomials).  repChris and the degree-one interplay checks
+# (pro5, the christoffel+assoc connection, S-corecursive, gero1 and
+# gero2) build no polynomial; the recurrence and factor rows below move
+# what they read
 POLY_ROWS = {
-    # a move of x^d that is a multiple of P_{j-1} cancels against the moved
-    # ratio P_j(c)/P_{j-1}(c) at level j - 1
-    "repChris": {"repChris": (lambda j: max(j - 1, 0), None)},
     "linearcombination": {"linearcombination": (lambda j: 2, lambda j: max(j, 2))},
 }
 
@@ -181,8 +179,6 @@ def test_a_moved_polynomial_coefficient_fails_each_polynomial_identity(identity,
         for name, (first, level) in POLY_ROWS[identity].items():
             assert name in failures, (argv, j, d, name, failures)
             got = failures[name]
-            if name == "repChris":
-                got = got["failure"]
             assert got["level"] >= first(j), (argv, j, d, name, got)
             if level is not None:
                 assert got["level"] == level(j), (argv, j, d, name, got)
@@ -398,6 +394,30 @@ def _swapped_block(k):
     return {"part": "swapped-shifted-product", "failure": {"block": k}}
 
 
+def _rep_chris_part(part, level="matrix"):
+    return {"part": part, "failure": {"level": level}}
+
+
+def _rep_chris_transform(n, part, k):
+    # the LU elimination's transformed recurrence has length n, all of it
+    # compared with the recurrence of (x - c) u's moments
+    return _rep_chris_part("transformed-recurrence") if k < n else None
+
+
+def _rep_chris_input(n, part, k):
+    # u's recurrence as the values at c and the LU elimination read it.  A
+    # move of b_k moves P_{k+1} by -P_k and the ratio -P_{k+1}(c)/P_k(c) by
+    # one, which cancel at level k; level k + 1 then fails.  a_k moves
+    # P_{k+1} by -P_{k-1}, level k.  b_{n-1} and a_n reach only levels past
+    # n - 1 in the kernel part, but move the transformed recurrence; no
+    # route reads b_n but the pivot P_{n+1}(c)/P_n(c), on both sides
+    if part == "a" and k < n:
+        return _rep_chris_part("kernel-representation", k)
+    if part == "b" and k < n - 1:
+        return _rep_chris_part("kernel-representation", k + 1)
+    return _rep_chris_part("transformed-recurrence") if k < n + (part == "a") else None
+
+
 # Jhat^(1) drops bhat_0 and ahat_1 of the UL elimination's transformed
 # recurrence, and its row k - 1 holds bhat_k and ahat_k: gero2 compares
 # rows 0..n - 1 of J_alpha M = M Jhat^(1), where row k - 1 names level k;
@@ -484,6 +504,8 @@ INPUT_READERS = {
 # (producer, identity): the readers, by check, of the moved recurrence;
 # a check without a reader must pass
 RECURRENCE_ROWS = {
+    ("christoffel_lu", "repChris"): {"repChris": _rep_chris_transform},
+    ("smop_from_moments", "repChris"): {"repChris": _rep_chris_input},
     ("geronimus_ul", "gero1"): TRANSFORM_READERS,
     ("geronimus_ul", "gero2"): TRANSFORM_READERS,
     ("geronimus_ul", "geronimus+assoc"): TRANSFORM_READERS,
@@ -495,6 +517,7 @@ RECURRENCE_ROWS = {
 }
 
 RECURRENCE_PRODUCERS = {
+    "christoffel_lu": (darboux.christoffel_lu, moved_transform),
     "geronimus_ul": (darboux.geronimus_ul, moved_transform),
     "smop_from_moments": (orthopoly.smop_from_moments, moved_input),
 }
