@@ -82,7 +82,11 @@ def run_cli(argv, stdin_text=""):
     sys.stdin = io.StringIO(stdin_text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse rejects bad arguments with SystemExit(2)
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
