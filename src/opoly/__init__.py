@@ -19,7 +19,7 @@ from .errors import (
     ZeroFirstMoment,
     ZeroPivot,
 )
-from .poly import Polynomial, X, derivatives_at, wronskian
+from .poly import Polynomial, X, wronskian
 from .functional import (
     MomentFunctional,
     delta,
@@ -69,7 +69,6 @@ __all__ = [
     "DegenerateParameter",
     "Polynomial",
     "X",
-    "derivatives_at",
     "wronskian",
     "MomentFunctional",
     "delta",

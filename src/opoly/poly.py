@@ -120,10 +120,6 @@ class Polynomial:
     def is_zero(self):
         return not self.num
 
-    @property
-    def is_monic(self):
-        return bool(self.num) and self.num[-1] == self.den
-
     def coefficient(self, k):
         """Coefficient of x**k (zero outside the stored range)."""
         if 0 <= k < len(self.num):
@@ -246,24 +242,6 @@ def _taylor(p, cp, cq, k):
             rem[i] = carry
         taylor.append(rem.pop(0))
     return taylor, d
-
-
-def derivatives_at(p, c, k):
-    """(p(c), p'(c), ..., p^(k)(c)) by repeated synthetic division at c.
-
-    Dividing repeatedly by (x - c) yields the Taylor coefficients at c;
-    multiplying by factorials recovers the derivatives exactly.  The
-    passes run on integers (`_taylor`), with one rational per value.
-    """
-    cp, cq = _scalar(c)
-    taylor, d = _taylor(p, cp, cq, k)
-    out = []
-    fact = 1
-    for j, t in enumerate(taylor):
-        if j:
-            fact *= j
-        out.append(Rational(t * fact, p.den * cq ** (d - j)))
-    return tuple(out)
 
 
 def wronskian(p, q, c):

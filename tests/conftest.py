@@ -57,9 +57,9 @@ from opoly.orthopoly import (
     polys_from_recurrence,
     smop_from_moments,
 )
-from opoly.poly import ONE_POLY, Polynomial, X, _combine, wronskian
+from opoly.poly import ONE_POLY, Polynomial, X, _combine, _scalar, _taylor, wronskian
 from opoly.serialize import functional_from_json, parse_rational_list
-from opoly.rational import ONE, ZERO, parse_rational, rat
+from opoly.rational import ONE, ZERO, Rational, parse_rational, rat
 from opoly.reports import CheckReport, combine
 from opoly.series import (
     LaurentSeries,
@@ -282,6 +282,29 @@ class FractionPolynomial:
             for j, b in enumerate(dv):
                 rem[k + j] -= c * b
         return FractionPolynomial(quot), FractionPolynomial(rem[: len(dv) - 1])
+
+
+def is_monic(p):
+    """Whether p is nonzero with leading coefficient 1."""
+    return bool(p.num) and p.num[-1] == p.den
+
+
+def derivatives_at(p, c, k):
+    """(p(c), p'(c), ..., p^(k)(c)) by repeated synthetic division at c.
+
+    Dividing repeatedly by (x - c) yields the Taylor coefficients at c;
+    multiplying by factorials recovers the derivatives exactly.  The
+    passes run on integers (`poly._taylor`), with one rational per value.
+    """
+    cp, cq = _scalar(c)
+    taylor, d = _taylor(p, cp, cq, k)
+    out = []
+    fact = 1
+    for j, t in enumerate(taylor):
+        if j:
+            fact *= j
+        out.append(Rational(t * fact, p.den * cq ** (d - j)))
+    return tuple(out)
 
 
 def fraction_derivatives_at(p, c, k):

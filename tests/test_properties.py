@@ -12,6 +12,7 @@ from conftest import (
     connection_level_reference,
     corecursive_by_subtraction,
     corecursive_polys,
+    derivatives_at,
     divide_power_reference,
     divided_difference_reference,
     first_block_mismatch_reference,
@@ -22,6 +23,7 @@ from conftest import (
     gram_schmidt,
     identity,
     invert_reference,
+    is_monic,
     linear_power,
     mat_power,
     multiply_poly_reference,
@@ -73,7 +75,7 @@ from opoly.orthopoly import (
     smop_from_moments,
     values_and_slopes,
 )
-from opoly.poly import Polynomial, X, derivatives_at, wronskian
+from opoly.poly import Polynomial, X, wronskian
 from opoly.quadratic import (
     assoc_inverse_factorization,
     quadratic_factorization,
@@ -874,7 +876,7 @@ def test_polynomial_operators_match_the_fraction_reference(cs, ds, scalar):
     assert (p == q) == (rp == rq)
     assert (p == scalar) == (rp == constant)
     assert p.degree == rp.degree
-    assert p.is_monic == (bool(rp.coeffs) and rp.coeffs[-1] == 1)
+    assert is_monic(p) == (bool(rp.coeffs) and rp.coeffs[-1] == 1)
     assert [p.coefficient(k) for k in range(-1, 9)] == [rp.coefficient(k) for k in range(-1, 9)]
 
 
@@ -922,7 +924,7 @@ def test_polys_from_recurrence_matches_the_fraction_reference_on_wide_recurrence
     assert len(got) == len(want) == length + 1
     for n, (p, ref) in enumerate(zip(got, want)):
         assert_matches(p, ref)
-        assert p.degree == n and p.is_monic
+        assert p.degree == n and is_monic(p)
 
 
 @given(nonzero, st.lists(scalars, min_size=0, max_size=9), st.integers(-5, 5), fractional)

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     band_from_entries,
     conex2_failure_reference,
+    derivatives_at,
     product_reference,
     random_functional,
     solve_unit_lower_reference,
@@ -31,7 +32,6 @@ from opoly.orthopoly import (
     polys_from_recurrence,
     smop_from_moments,
 )
-from opoly.poly import derivatives_at
 from opoly.quadratic import (
     assoc_inverse_factorization,
     assoc_inverse_factorization_check,
