@@ -17,8 +17,9 @@ table in fixtures/band_pins.json holds:
   (24 moments of each family, or the random fixture): `smop`, every
   `transform` kind, and `factorize lu/ul/quadratic` at c = 1/3 and c = -1;
 - usage errors (exit 2, pinned with their stderr), verify's `--alpha`
-  pair, and the first case of each degenerate-input table of
-  test_sweep.py;
+  pair, every case of each degenerate-input table of test_sweep.py, and
+  `smop` and every identity at its least --n on test_sweep.py's a_k = 0
+  input;
 - the pinned CLI pipelines below order 256 (`CLI_GROUPS`): each call on
   its own, keyed by its pipeline and its OPOLY_MAX_ORDER, and each group
   as one sha256 of its calls' stdout, concatenated in order, every call
@@ -142,9 +143,10 @@ def _value_cases():
 
 
 def _sweep_cases():
-    """(name, argv, stdin) of a usage error, verify's `--alpha` pair, and
-    the first case of each degenerate-input table of test_sweep.py, on
-    commands that its test runs at that case's level."""
+    """(name, argv, stdin) of a usage error, verify's `--alpha` pair,
+    every case of each degenerate-input table of test_sweep.py, on
+    commands that its test runs at that case's level, and `smop` and
+    every identity at its least --n on its a_k = 0 input."""
     # argparse's rejection exits 2 through SystemExit
     yield "smop --n x @laguerre", ["smop", "--n", "x"], _source_moments("laguerre")
     # --alpha is both the Laguerre parameter and the perturbation
@@ -173,10 +175,18 @@ def _sweep_cases():
         ],
     }
     for table, calls in degenerate.items():
-        param = getattr(sweep, table)[0]
-        level, stdin_text, *options = param.values
-        for call in calls(level, *options):
-            yield "%s @%s[%s]" % (call, table, param.id), call.split(), stdin_text
+        for param in getattr(sweep, table):
+            level, stdin_text, *options = param.values
+            for call in calls(level, *options):
+                yield "%s @%s[%s]" % (call, table, param.id), call.split(), stdin_text
+    # the a_k = 0 input, as test_sweep's every-identity test runs it
+    _, stdin_text = sweep.INPUTS["degenerate"]
+    c, m0, m1, norm, k = sweep.PARAMS["degenerate"]
+    yield "smop @degenerate", ["smop"], stdin_text
+    for name, identity in cli.IDENTITIES.items():
+        argv = ["verify", name, "--n", str(identity.least_n), "--k", str(k), "--norm=%s" % norm]
+        argv += ["--c=%s" % c, "--m0=%s" % m0, "--m1=%s" % m1]
+        yield " ".join(argv) + " @degenerate", argv, stdin_text
 
 
 def _row_cases():
