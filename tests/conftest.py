@@ -24,6 +24,7 @@ band forms replaced; a band matrix built from an entry function
 (`band_from_entries`), which only the tests need; and two statements
 that follow from registered identities, asserted directly: the
 co-recursive subtraction formula and the cleared continued fraction;
+`is_monic` and `derivatives_at`, oracles that no library code calls;
 and `run_cli`, one in-process `opoly` call."""
 
 import contextlib
